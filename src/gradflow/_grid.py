@@ -11,6 +11,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 
@@ -24,27 +26,42 @@ def arithmetic_interface_mean(values: np.ndarray) -> np.ndarray:
     return 0.5 * (values[1:] + values[:-1])
 
 
-def logarithmic_interface_mean(values: np.ndarray) -> np.ndarray:
+def logarithmic_interface_mean(
+    values: np.ndarray,
+    *,
+    logs: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Logarithmic mean (b - a) / (log b - log a) at interior interfaces.
 
     Continuously extended with the limits M(a, a) = a and M(0, b) = 0, so it
     is safe on nonnegative fields.  This mean satisfies
     ``M(a, b) * (log b - log a) = b - a`` exactly, which is what makes the
-    entropy flux reduce to a plain difference of the field.
+    entropy flux reduce to a plain difference of the field.  The quotient
+    is used where it is finite and |b - a| > 1e-10 (a + b); nearly equal
+    pairs, and pairs whose logs are not finite numbers (negative or
+    non-finite cells), take the arithmetic mean; a pair with a zero cell
+    gives 0.
+
+    ``logs`` may pass ``np.log(values)`` when the caller already has it (a
+    time stepper that also needs log c for its energy); the result is the
+    same to the bit.  ``out`` receives the n-1 interface values in place of
+    a new array; it must not overlap ``values`` or ``logs``.
     """
     a = values[:-1]
     b = values[1:]
-    out = 0.5 * (a + b)
-    # Far-apart positive pairs: use the log formula; nearly equal or
-    # vanishing pairs keep the (correct-limit) arithmetic value.
+    diff = b - a
     with np.errstate(divide="ignore", invalid="ignore"):
-        dlog = np.log(b) - np.log(a)
-        formula = (b - a) / dlog
-    apart = np.abs(b - a) > 1e-10 * (a + b)
-    pos = (a > 0.0) & (b > 0.0)
-    use = apart & pos
-    out[use] = formula[use]
-    out[(a == 0.0) | (b == 0.0)] = 0.0
+        if logs is None:
+            logs = np.log(values)
+        quotient = diff / (logs[1:] - logs[:-1])
+    total = a + b
+    out = np.multiply(total, 0.5, out)
+    use = abs(diff) > 1e-10 * total
+    use &= np.isfinite(quotient)
+    np.copyto(out, quotient, where=use)
+    zero = values == 0.0
+    out[zero[1:] | zero[:-1]] = 0.0
     return out
 
 

@@ -19,7 +19,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -168,7 +168,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     "ldp": {
         "mode": Field(str, "coin"),
         "a": Field(float, 0.6),
-        "n_values": Field("number_list", [100, 500, 2000]),
+        "n_values": Field("number_list", [100.0, 500.0, 2000.0]),
         "mu": Field("number_list", [0.5, 0.5]),
         "tilt": Field("number_list", []),
         "constraint_coeffs": Field("number_list", []),
@@ -198,7 +198,16 @@ class ExperimentConfig:
     raw: dict = dc_field(default_factory=dict, repr=False)
 
     def canonical_json(self) -> str:
-        return json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
+        """The resolved computation: experiment, every parameter (defaults
+        filled in), constants and seed.  Where the output goes is not part
+        of it."""
+        computation = {
+            "experiment": self.experiment,
+            "parameters": self.parameters,
+            "constants": asdict(self.constants),
+            "seed": self.seed,
+        }
+        return json.dumps(computation, sort_keys=True, separators=(",", ":"))
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
@@ -797,15 +806,21 @@ def run(config: ExperimentConfig) -> int:
     """
     config.output_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
+    wall = None
     status = EXIT_OK
     error_detail = None
     output = None
     try:
         output = EXPERIMENTS[config.experiment](config)
-    except Exception as exc:  # model-level failure; recorded, nonzero exit
+        wall = time.perf_counter() - started
+        write_result_csv(config.output_dir / "result.csv", output.header, output.rows)
+        for name, writer in output.artifacts.items():
+            writer(config.output_dir / name)
+    except Exception as exc:  # model or output failure; recorded, nonzero exit
         status = EXIT_RUNTIME
         error_detail = f"{type(exc).__name__}: {exc}"
-    wall = time.perf_counter() - started
+    if wall is None:
+        wall = time.perf_counter() - started
 
     summary: dict[str, Any] = {
         "experiment": config.experiment,
@@ -821,17 +836,14 @@ def run(config: ExperimentConfig) -> int:
         "invariants": {},
     }
     if output is not None:
-        write_result_csv(config.output_dir / "result.csv", output.header, output.rows)
-        for name, writer in output.artifacts.items():
-            writer(config.output_dir / name)
         summary["invariants"] = {
             name: {"passed": inv.passed, "value": inv.value, "detail": inv.detail}
             for name, inv in output.invariants.items()
         }
         summary.update({k: v for k, v in output.metrics.items()})
-        if not output.all_passed:
+        if status == EXIT_OK and not output.all_passed:
             status = EXIT_INVARIANT
-    else:
+    if error_detail is not None:
         summary["error"] = error_detail
     summary["status"] = status
     with open(config.output_dir / "summary.json", "w") as fh:

@@ -8,6 +8,13 @@ and mass so that dissipation and conservation can be asserted rather than
 assumed.  Drift terms carry logarithmic-mean interface densities: the
 discrete Boltzmann profile exp(-V/RT) is then an exact fixed point of the
 scheme, not just an approximate one.
+
+The Fokker-Planck solver is the explicit reference scheme and is stepped
+in preallocated buffers: one log per step shared by the energy and the
+next logarithmic mean, grad V formed once, fluxes written in place.  Its
+contract is bitwise: trajectory, energies and masses equal those of
+composing ``_drift_diffusion_flux`` and ``divergence_of_flux`` step by
+step with fresh arrays.
 """
 
 from __future__ import annotations
@@ -272,6 +279,15 @@ def fokker_planck_solve(
     conserved per step by the flux form and the free energy
     RT int c log(c/c0) + int c V is tracked per step.  ``store_every``
     thins the stored snapshots (all steps still contribute diagnostics).
+
+    Each step is ``c + dt * divergence_of_flux(_drift_diffusion_flux(c, V,
+    ...), h)`` evaluated into preallocated buffers: grad V is formed once,
+    log c once per step (after the update, serving that step's energy and
+    the next step's logarithmic mean), and the interface fluxes sit in one
+    buffer of n + 1 entries whose two no-flux ends stay zero.  The floating
+    point operations and their order are those of the composed form, so
+    trajectory, energies and masses match it to the bit.  Stored snapshots
+    are copies; the working buffer is never handed out.
     """
     rt, eta = constants.RT, constants.eta
     h = c0.h
@@ -288,33 +304,70 @@ def fokker_planck_solve(
         V_arr = np.zeros(c0.cells)
     else:
         V_arr = V(c0.centers) if callable(V) else np.asarray(V, dtype=float)
+    grad_V = interface_gradient(V_arr, h)
 
-    def energy(values: np.ndarray) -> float:
-        pos = values > 0.0
-        ent = float(np.sum(values[pos] * np.log(values[pos] / constants.c0)))
-        return h * (rt * ent + float(np.sum(values * V_arr)))
-
+    n = c0.cells
     c = c0.values.copy()
+    log_c = np.empty(n)
+    # log(c / c0) equals log c bitwise only for c0 == 1
+    entropy_log = log_c if constants.c0 == 1.0 else np.empty(n)
+    product = np.empty(n)
+    drift = np.empty(n - 1)
+    padded = np.zeros(n + 1)
+    flux = padded[1:-1]
+    rate = np.empty(n)
+    c_right, c_left = c[1:], c[:-1]
+    flux_right, flux_left = padded[1:], padded[:-1]
+
+    def energy(positive: bool) -> float:
+        if entropy_log is not log_c:
+            np.divide(c, constants.c0, out=entropy_log)
+            np.log(entropy_log, out=entropy_log)
+        if positive:
+            ent = float(np.multiply(c, entropy_log, out=product).sum())
+        else:
+            # summing over the positive cells alone keeps numpy's pairwise
+            # grouping, and so the rounding, of the vacuum-free sum
+            pos = c > 0.0
+            ent = float(np.sum(c[pos] * entropy_log[pos]))
+        return h * (rt * ent + float(np.multiply(c, V_arr, out=product).sum()))
+
     energies = np.empty(steps + 1)
     masses = np.empty(steps + 1)
-    energies[0] = energy(c)
-    masses[0] = h * c.sum()
     snapshot_times = [0.0]
     snapshots = [c0]
-    for k in range(1, steps + 1):
-        c = c + dt * divergence_of_flux(_drift_diffusion_flux(c, V_arr, rt, eta, h), h)
-        if np.min(c) < -1e-12:
-            raise PositivityError(
-                f"concentration turned negative at step {k}; reduce dt"
-            )
-        # fp noise just below zero in vacuum cells is clamped; genuine
-        # negativity raised above
-        np.clip(c, 0.0, None, out=c)
-        energies[k] = energy(c)
-        masses[k] = h * c.sum()
-        if k % store_every == 0 or k == steps:
-            snapshot_times.append(k * dt)
-            snapshots.append(c0.with_values(c))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log(c, out=log_c)
+        energies[0] = energy(c.min() > 0.0)
+        masses[0] = h * c.sum()
+        for k in range(1, steps + 1):
+            logarithmic_interface_mean(c, logs=log_c, out=drift)
+            drift *= grad_V
+            np.subtract(c_right, c_left, flux)
+            flux /= h
+            flux *= rt
+            flux += drift
+            flux /= eta
+            np.subtract(flux_right, flux_left, rate)
+            rate /= h
+            rate *= dt
+            c += rate
+            c_min = c.min()
+            if c_min < -1e-12:
+                raise PositivityError(
+                    f"concentration turned negative at step {k}; reduce dt"
+                )
+            positive = c_min > 0.0
+            if not positive:
+                # fp noise just below zero in vacuum cells is clamped (and
+                # -0.0 made +0.0); genuine negativity raised above
+                np.clip(c, 0.0, None, out=c)
+            np.log(c, out=log_c)
+            energies[k] = energy(positive)
+            masses[k] = h * c.sum()
+            if k % store_every == 0 or k == steps:
+                snapshot_times.append(k * dt)
+                snapshots.append(c0.with_values(c))
     return GridTrajectory(
         np.asarray(snapshot_times), snapshots, energies, masses
     )

@@ -174,6 +174,19 @@ class TestRunCommand:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert "error" in summary
 
+    def test_output_write_error_exits_3_with_summary(self, tmp_path, capsys):
+        # a directory where result.csv should go makes the write fail
+        path = write_config(tmp_path, {"experiment": "entropy", "parameters": {"pairs": 5}})
+        out_dir = tmp_path / "out"
+        (out_dir / "result.csv").mkdir(parents=True)
+        status = main(["run", "--config", str(path), "--out", str(out_dir)])
+        capsys.readouterr()
+        assert status == 3
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["status"] == 3
+        assert summary["error"].startswith("IsADirectoryError")
+        assert summary["invariants"]
+
     def test_invariant_failure_exits_4(self, tmp_path, capsys):
         # 8 JKO steps of 1e-3 cannot reach the variance target computed for
         # them unless the scheme works; force failure with a huge sigma0
@@ -301,3 +314,31 @@ class TestConfigHash:
         assert cfg_a.config_hash() != cfg_b.config_hash()
         cfg_c = parse_config({"experiment": "entropy", "seed": 1})
         assert cfg_a.config_hash() == cfg_c.config_hash()
+        cfg_d = parse_config({"experiment": "entropy", "seed": 1, "parameters": {"pairs": 7}})
+        assert cfg_a.config_hash() != cfg_d.config_hash()
+
+    def test_hash_ignores_output_dir(self, tmp_path):
+        obj = {"experiment": "entropy", "seed": 1, "output_dir": "a"}
+        cfg_a = parse_config(obj)
+        cfg_b = parse_config(dict(obj, output_dir="b"))
+        cfg_c = parse_config(obj, overrides={"output_dir": str(tmp_path / "c")})
+        assert cfg_a.config_hash() == cfg_b.config_hash() == cfg_c.config_hash()
+
+    def test_hash_same_when_defaults_spelled_out(self):
+        for experiment in ("fokker_planck", "ldp"):
+            implicit = parse_config({"experiment": experiment})
+            explicit = parse_config(
+                {
+                    "experiment": experiment,
+                    "parameters": {
+                        key: field.default for key, field in SCHEMAS[experiment].items()
+                    },
+                    "constants": {"rt": 1.0},
+                    "seed": 0,
+                }
+            )
+            assert implicit.config_hash() == explicit.config_hash()
+        ints = parse_config({"experiment": "ldp", "parameters": {"n_values": [100, 500, 2000]}})
+        assert ints.config_hash() == parse_config({"experiment": "ldp"}).config_hash()
+        other_rt = parse_config({"experiment": "ldp", "constants": {"rt": 2.0}})
+        assert other_rt.config_hash() != parse_config({"experiment": "ldp"}).config_hash()

@@ -21,8 +21,9 @@ from gradflow.models import (
     multicomponent_local_step,
     phase_field_energy,
     spring_dashpot_solve,
+    _drift_diffusion_flux,
 )
-from gradflow._grid import arithmetic_interface_mean, interface_gradient
+from gradflow._grid import arithmetic_interface_mean, divergence_of_flux, interface_gradient
 
 RT1 = PhysicalConstants.with_rt(1.0)
 
@@ -116,6 +117,103 @@ class TestFokkerPlanck:
         c0 = grid.with_values(np.ones(64))
         with pytest.raises(CflError):
             fokker_planck_solve(c0, RT1, lambda x: np.zeros_like(x), 0.1, grid.h**2)
+
+
+def reference_fokker_planck(c0, constants, V_arr, T_end, dt):
+    """The explicit step composed from the flux and divergence helpers,
+    with a fresh array per step: the reference for the buffered solver."""
+    rt, eta, h = constants.RT, constants.eta, c0.h
+
+    def energy(values):
+        pos = values > 0.0
+        ent = float(np.sum(values[pos] * np.log(values[pos] / constants.c0)))
+        return h * (rt * ent + float(np.sum(values * V_arr)))
+
+    steps = int(round(T_end / dt))
+    c = c0.values.copy()
+    states, energies, masses = [c], [energy(c)], [h * c.sum()]
+    for k in range(1, steps + 1):
+        c = c + dt * divergence_of_flux(_drift_diffusion_flux(c, V_arr, rt, eta, h), h)
+        if np.min(c) < -1e-12:
+            raise PositivityError(f"concentration turned negative at step {k}; reduce dt")
+        np.clip(c, 0.0, None, out=c)
+        states.append(c)
+        energies.append(energy(c))
+        masses.append(h * c.sum())
+    return np.array(states), np.array(energies), np.array(masses)
+
+
+def assert_bitwise(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
+class TestBufferedFokkerPlanckStep:
+    """The in-place solver performs the composed step's arithmetic exactly."""
+
+    def check(self, c0, constants, V, V_arr, T_end, dt):
+        states, energies, masses = reference_fokker_planck(c0, constants, V_arr, T_end, dt)
+        traj = fokker_planck_solve(c0, constants, V, T_end, dt, store_every=1)
+        assert_bitwise(traj.energies, energies)
+        assert_bitwise(traj.masses, masses)
+        assert_bitwise([s.values for s in traj.snapshots], states)
+        return traj
+
+    def test_criterion_07_problem(self):
+        grid = GridDensity1D(0.0, 5.0, np.ones(200))
+        c0 = grid.with_values(np.full(grid.cells, 0.2))
+        self.check(c0, RT1, lambda x: x, grid.centers, 300 * 0.9 * grid.h**2 / 2.0,
+                   0.9 * grid.h**2 / 2.0)
+
+    def test_vacuum_cells(self):
+        grid = GridDensity1D(0.0, 5.0, np.ones(100))
+        values = np.exp(-grid.centers)
+        values[:20] = 0.0
+        values[50] = 0.0
+        values[80:] = 0.0
+        c0 = grid.with_values(values)
+        V = lambda x: 0.5 * (x - 2.5) ** 2
+        dt = 0.9 * grid.h**2 / 2.0
+        traj = self.check(c0, RT1, V, V(grid.centers), 200 * dt, dt)
+        assert (traj.snapshots[1].values == 0.0).any()
+
+    def test_reference_concentration_not_one(self):
+        constants = PhysicalConstants.with_rt(1.7, c0=0.37, eta=2.3)
+        grid = GridDensity1D(-1.0, 2.0, np.ones(80))
+        c0 = grid.with_values(1.0 + 0.5 * np.sin(3.0 * grid.centers))
+        dt = 0.8 * grid.h**2 * constants.eta / (2.0 * constants.RT)
+        self.check(c0, constants, np.cos, np.cos(grid.centers), 150 * dt, dt)
+
+    def test_no_potential(self):
+        grid = GridDensity1D(0.0, 1.0, np.ones(64))
+        c0 = grid.with_values(1.0 + 0.5 * np.sin(7.0 * grid.centers))
+        dt = 0.7 * grid.h**2 / 2.0
+        self.check(c0, RT1, None, np.zeros(grid.cells), 150 * dt, dt)
+
+    def test_positivity_error_at_same_step(self):
+        grid = GridDensity1D(-1.0, 1.0, np.ones(60))
+        spike = np.zeros(60)
+        spike[30] = 50.0
+        c0 = grid.with_values(spike)
+        V = lambda x: 40.0 * x
+        dt = 0.99 * grid.h**2 / 2.0
+        with pytest.raises(PositivityError) as expected:
+            reference_fokker_planck(c0, RT1, V(grid.centers), 20 * dt, dt)
+        with pytest.raises(PositivityError) as actual:
+            fokker_planck_solve(c0, RT1, V, 20 * dt, dt)
+        assert str(actual.value) == str(expected.value)
+
+    def test_snapshots_do_not_alias_the_buffer(self):
+        grid = GridDensity1D(0.0, 5.0, np.ones(50))
+        c0 = grid.with_values(np.full(grid.cells, 0.2))
+        dt = 0.9 * grid.h**2 / 2.0
+        traj = fokker_planck_solve(c0, RT1, lambda x: x, 40 * dt, dt, store_every=1)
+        values = [s.values for s in traj.snapshots]
+        for i, a in enumerate(values):
+            for b in values[i + 1:]:
+                assert not np.shares_memory(a, b)
+        assert not np.array_equal(values[1], values[2])
 
 
 def make_two_species(profile, alpha=2.0, eta=(1.0, 1.0), domain=(0.0, 1.0), cells=100):
