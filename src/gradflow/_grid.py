@@ -65,6 +65,26 @@ def logarithmic_interface_mean(
     return out
 
 
+def pair_potential(values: np.ndarray, h: float, W) -> np.ndarray:
+    """Pair potential h * sum_j W(x_i - x_j) v[j] at every cell center.
+
+    On a uniform grid x_i - x_j = (i - j) h, so the n x n kernel matrix is
+    Toeplitz and fixed by its 2n - 1 offsets.  ``W`` is evaluated once at
+    ``np.arange(1 - n, n) * h`` and must return one value per offset; it
+    need not be even.  The result equals the dense product up to rounding
+    (x_i - x_j is not bitwise (i - j) h).
+    """
+    n = values.shape[0]
+    offsets = np.arange(1 - n, n) * h
+    kernel = np.asarray(W(offsets), dtype=float)
+    if kernel.shape != offsets.shape:
+        raise ValueError(
+            f"interaction kernel must return one value per offset: expected "
+            f"shape {offsets.shape}, got {kernel.shape}"
+        )
+    return h * np.convolve(kernel, values, mode="valid")
+
+
 def divergence_of_flux(flux: np.ndarray, h: float) -> np.ndarray:
     """Cellwise divergence of an interior-interface flux, no-flux ends.
 

@@ -78,12 +78,24 @@ def _num(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _finite(value) -> Optional[float]:
+    """``float(value)``, or None for NaN, infinities and ints beyond float range."""
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
+
+
 def _check_type(value, expected, path: str, errors: list[str]) -> Any:
     if expected is float:
         if not _num(value):
             errors.append(f"{path}: expected a number, got {type(value).__name__}")
             return None
-        return float(value)
+        number = _finite(value)
+        if number is None:
+            errors.append(f"{path}: expected a finite number")
+        return number
     if expected is int:
         if not isinstance(value, int) or isinstance(value, bool):
             errors.append(f"{path}: expected an integer, got {type(value).__name__}")
@@ -103,7 +115,11 @@ def _check_type(value, expected, path: str, errors: list[str]) -> Any:
         if not isinstance(value, list) or not all(_num(v) for v in value):
             errors.append(f"{path}: expected a list of numbers")
             return None
-        return [float(v) for v in value]
+        numbers = [_finite(v) for v in value]
+        for i, number in enumerate(numbers):
+            if number is None:
+                errors.append(f"{path}[{i}]: expected a finite number")
+        return None if None in numbers else numbers
     raise AssertionError(f"unknown schema type {expected!r}")
 
 

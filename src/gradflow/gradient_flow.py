@@ -30,6 +30,7 @@ from ._grid import (
     interface_gradient,
     laplacian_neumann,
     logarithmic_interface_mean,
+    pair_potential,
     weighted_poisson_neumann,
 )
 from .measures import GridDensity1D, PhysicalConstants
@@ -228,9 +229,11 @@ class EnergyFunctional:
 
         ``rt`` scales the entropy term (``constants`` overrides it with
         R*T and supplies c0); ``potential`` is V (callable on positions or
-        a per-cell array); ``interaction`` is an even kernel W(r) evaluated
-        by direct O(n^2) convolution; ``internal`` is a pair (U, U') of
-        callables of the density value.
+        a per-cell array); ``interaction`` is a kernel W(r), not necessarily
+        even, whose potential h sum_j W(x_i - x_j) rho_j is a Toeplitz
+        convolution with W evaluated at the 2n - 1 grid offsets (see
+        :func:`gradflow._grid.pair_potential`); ``internal`` is a pair
+        (U, U') of callables of the density value.
         """
         if constants is not None:
             rt = constants.RT
@@ -239,9 +242,7 @@ class EnergyFunctional:
             raise ValueError("entropy weight rt must be nonnegative")
 
         def conv(rho: GridDensity1D) -> np.ndarray:
-            x = rho.centers
-            kernel = interaction(x[:, None] - x[None, :])
-            return rho.h * kernel @ rho.values
+            return pair_potential(rho.values, rho.h, interaction)
 
         def value(rho: GridDensity1D) -> float:
             v = rho.values

@@ -25,6 +25,7 @@ from ._grid import (
     divergence_of_flux,
     interface_gradient,
     logarithmic_interface_mean,
+    pair_potential,
     weighted_poisson_neumann,
 )
 from .measures import GridDensity1D, PhysicalConstants
@@ -55,6 +56,9 @@ __all__ = [
 
 GENERATOR_VERSION = f"numpy-{np.__version__}-philox4x64"
 ENUMERATION_LIMIT = 2_000_000
+# float64 elements in one block of pair differences (512 KB): sized to stay
+# in cache, so the interaction drift's temporaries do not grow with n^2
+PAIR_BLOCK_ELEMENTS = 2**16
 
 
 class BlowUpError(RuntimeError):
@@ -118,12 +122,19 @@ class ParticleEnsemble:
         return self.positions.shape[1]
 
 
-def _interaction_drift(pos: np.ndarray, grad_vi, chunk: int = 512) -> np.ndarray:
-    """Mean-field drift (1/n) sum_j grad Vi(X_i - X_j), chunked over i."""
-    n = pos.shape[0]
+def _interaction_drift(pos: np.ndarray, grad_vi) -> np.ndarray:
+    """Mean-field drift (1/n) sum_j grad Vi(X_i - X_j), in blocks of rows.
+
+    Each block holds at most ``max(PAIR_BLOCK_ELEMENTS, n * dim)`` pair
+    differences (at least one row).  A row's sum over j does not depend on
+    how rows are grouped, so the result is bitwise the same for every block
+    size.
+    """
+    n, dim = pos.shape
+    rows = max(1, PAIR_BLOCK_ELEMENTS // (n * dim))
     out = np.empty_like(pos)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
         diff = pos[start:stop, None, :] - pos[None, :, :]
         out[start:stop] = grad_vi(diff).sum(axis=1) / n
     return out
@@ -139,8 +150,10 @@ def euler_maruyama(
     """Integrate the interacting SDE; returns (times, positions).
 
     ``positions`` has shape (stored, n, dim) with the initial state first.
-    Interaction costs O(n^2) per step and is skipped when no interaction
-    gradient is given.  Raises :class:`BlowUpError` with the step index if
+    Interaction costs O(n^2) time per step but is formed in row blocks of
+    at most ``max(PAIR_BLOCK_ELEMENTS, n * dim)`` pair differences, so its
+    memory is bounded by that block budget, not by n^2; it is skipped when
+    no interaction gradient is given.  Raises :class:`BlowUpError` with the step index if
     any coordinate becomes non-finite.
     """
     if dt <= 0.0 or T <= 0.0:
@@ -207,8 +220,7 @@ def _limit_drift_flux(
     if Vb is not None:
         potential = Vb(centers)
     if Vi is not None:
-        kernel = Vi(centers[:, None] - centers[None, :])
-        conv = h * kernel @ rho
+        conv = pair_potential(rho, h, Vi)
         potential = conv if potential is None else potential + conv
     if potential is not None:
         flux = flux + inv_eta * logarithmic_interface_mean(rho) * interface_gradient(

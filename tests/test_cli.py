@@ -104,6 +104,35 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(bad)]) == EXIT_CONFIG
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "obj, key_path",
+        [
+            (
+                {"experiment": "jko", "parameters": {"time_step": float("nan")}},
+                "parameters.time_step",
+            ),
+            (
+                {"experiment": "multicomponent", "parameters": {"dt": float("inf")}},
+                "parameters.dt",
+            ),
+            (
+                {"experiment": "jko", "parameters": {"domain": [float("nan"), 6.0]}},
+                "parameters.domain[0]",
+            ),
+            ({"experiment": "entropy", "constants": {"rt": float("-inf")}}, "constants.rt"),
+            (
+                {"experiment": "fokker_planck", "parameters": {"t_end": 10**400}},
+                "parameters.t_end",
+            ),
+        ],
+        ids=["float-nan", "float-inf", "number-list-nan", "constant-inf", "int-overflow"],
+    )
+    def test_non_finite_number_exits_2_with_key_path(self, tmp_path, obj, key_path):
+        path = write_config(tmp_path, obj)
+        status, diagnostics = validate(path)
+        assert status == EXIT_CONFIG
+        assert f"{key_path}: expected a finite number" in diagnostics
+
 
 class TestRunCommand:
     def test_malformed_config_exits_2_without_artifacts(self, tmp_path, capsys):

@@ -7,6 +7,7 @@ from scipy.stats import chisquare, norm
 from gradflow.measures import GridDensity1D, PhysicalConstants
 from gradflow.models import fokker_planck_solve
 from gradflow.particles import (
+    PAIR_BLOCK_ELEMENTS,
     BlowUpError,
     FiniteLdpProblem,
     HalfSpace,
@@ -76,6 +77,39 @@ class TestEulerMaruyama:
         _, run1 = euler_maruyama(ens, 1e-2, 0.5)
         _, run2 = euler_maruyama(ens, 1e-2, 0.5)
         assert np.array_equal(run1, run2)
+
+    @pytest.mark.parametrize("n, dim", [(1000, 1), (777, 2)])
+    def test_blocked_pair_drift_is_bitwise_one_block(self, n, dim):
+        # several row blocks, the last one short
+        rows = PAIR_BLOCK_ELEMENTS // (n * dim)
+        assert 1 <= rows < n and n % rows != 0
+
+        def grad_w(d):
+            return d * np.exp(-np.sum(d * d, axis=-1, keepdims=True))
+
+        def grad_vb(x):
+            return x
+
+        ens = ParticleEnsemble(
+            positions=np.random.default_rng(n).normal(size=(n, dim)),
+            seed=21,
+            grad_background=grad_vb,
+            grad_interaction=grad_w,
+        )
+        dt, steps = 1e-2, 3
+        _, traj = euler_maruyama(ens, dt, steps * dt)
+
+        rng = np.random.Generator(np.random.Philox(ens.seed))
+        pos = ens.positions.copy()
+        expected = [pos.copy()]
+        for _ in range(steps):
+            drift = np.zeros_like(pos)
+            drift += grad_vb(pos)
+            drift += grad_w(pos[:, None, :] - pos[None, :, :]).sum(axis=1) / n
+            xi = rng.standard_normal(pos.shape)
+            pos = pos - (drift @ ens.A.T) * dt + math.sqrt(2 * dt) * (xi @ ens.sigma.T)
+            expected.append(pos.copy())
+        assert np.array_equal(traj, np.asarray(expected))
 
     def test_blowup_reports_step(self):
         ens = ParticleEnsemble(
