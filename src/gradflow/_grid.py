@@ -65,6 +65,22 @@ def logarithmic_interface_mean(
     return out
 
 
+def free_energy_flux(
+    c: np.ndarray, potential: Optional[np.ndarray], rt: float, eta: float, h: float
+) -> np.ndarray:
+    """Interface flux (rt grad c + L(c) grad potential) / eta, L the log mean.
+
+    By the log-mean identity this is L(c) grad(rt log c + potential) / eta,
+    the Wasserstein flux of rt int c log c + int c potential, and it
+    vanishes on exp(-potential / rt).  ``potential=None`` gives Fick alone.
+    """
+    fick = rt * interface_gradient(c, h)
+    if potential is None:
+        return fick / eta
+    drift = logarithmic_interface_mean(c) * interface_gradient(potential, h)
+    return (fick + drift) / eta
+
+
 def pair_potential(values: np.ndarray, h: float, W) -> np.ndarray:
     """Pair potential h * sum_j W(x_i - x_j) v[j] at every cell center.
 

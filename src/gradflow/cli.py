@@ -19,7 +19,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -72,6 +72,8 @@ class Field:
     type: object
     default: Any = None
     required: bool = False
+    minimum: Optional[int] = None  # smallest integer, or fewest list items
+    choices: tuple = ()  # the allowed strings, when not empty
 
 
 def _num(value) -> bool:
@@ -120,31 +122,58 @@ def _check_type(value, expected, path: str, errors: list[str]) -> Any:
             if number is None:
                 errors.append(f"{path}[{i}]: expected a finite number")
         return None if None in numbers else numbers
+    if expected == "interval":
+        numbers = _check_type(value, "number_list", path, errors)
+        if numbers is not None and not (len(numbers) == 2 and numbers[0] < numbers[1]):
+            errors.append(f"{path}: expected two ascending numbers [lo, hi]")
+            return None
+        return numbers
     raise AssertionError(f"unknown schema type {expected!r}")
+
+
+def _check_field(value, field: Field, path: str, errors: list[str]) -> Any:
+    """``_check_type``, then the field's int64 range, minimum and choices."""
+    parsed = _check_type(value, field.type, path, errors)
+    if parsed is None:
+        return None
+    if field.type is int and not -(2**63) <= parsed < 2**63:
+        errors.append(f"{path}: integer out of the 64-bit range")
+        return None
+    if field.minimum is not None:
+        if isinstance(parsed, list) and len(parsed) < field.minimum:
+            errors.append(f"{path}: expected at least {field.minimum} item(s)")
+            return None
+        if field.type is int and parsed < field.minimum:
+            errors.append(f"{path}: expected an integer >= {field.minimum}")
+            return None
+    if field.choices and parsed not in field.choices:
+        errors.append(f"{path}: expected one of {list(field.choices)}, got {parsed!r}")
+        return None
+    return parsed
 
 
 # parameter schemas, one per experiment
 SCHEMAS: dict[str, dict[str, Field]] = {
     "entropy": {
-        "pairs": Field(int, 1000),
-        "alphabet": Field(int, 6),
+        "pairs": Field(int, 1000, minimum=0),
+        "alphabet": Field(int, 6, minimum=1),
     },
     "transport": {
-        "n_atoms": Field(int, 6),
-        "instances": Field(int, 50),
-        "dim": Field(int, 1),
+        "n_atoms": Field(int, 6, minimum=1),
+        "instances": Field(int, 50, minimum=0),
+        "dim": Field(int, 1, minimum=0),
     },
     "jko": {
-        "cells": Field(int, 400),
-        "domain": Field("number_list", [-6.0, 6.0]),
+        "cells": Field(int, 400, minimum=2),
+        "domain": Field("interval", [-6.0, 6.0]),
         "time_step": Field(float, 1e-3),
-        "steps": Field(int, 100),
+        "steps": Field(int, 100, minimum=0),
         "sigma0_sq": Field(float, 1.0),
     },
     "fokker_planck": {
-        "cells": Field(int, 200),
-        "domain": Field("number_list", [0.0, 5.0]),
-        "potential": Field(str, "linear"),
+        "cells": Field(int, 200, minimum=2),
+        "domain": Field("interval", [0.0, 5.0]),
+        "potential": Field(str, "linear", choices=("linear", "quadratic", "none")),
         "slope": Field(float, 1.0),
         "t_end": Field(float, 50.0),
         "dt_fraction": Field(float, 0.9),
@@ -152,47 +181,47 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "initial_csv": Field(str, ""),
     },
     "multicomponent": {
-        "cells": Field(int, 64),
+        "cells": Field(int, 64, minimum=2),
         "alpha": Field("number_list", [2.0, 2.0]),
         "eta": Field("number_list", [1.0, 1.0]),
         "dt": Field(float, 1e-5),
-        "steps": Field(int, 1000),
-        "mode": Field(str, "both"),
+        "steps": Field(int, 1000, minimum=1),
+        "mode": Field(str, "both", choices=("both", "global", "local")),
         "amplitude": Field(float, 0.08),
     },
     "phasefield": {
-        "model": Field(str, "cahn_hilliard"),
-        "cells": Field(int, 64),
+        "model": Field(str, "cahn_hilliard", choices=("allen_cahn", "cahn_hilliard")),
+        "cells": Field(int, 64, minimum=4),
         "length": Field(float, 64.0),
         "mobility": Field(float, 1.0),
         "dt": Field(float, 0.04),
-        "steps": Field(int, 10000),
+        "steps": Field(int, 10000, minimum=1),
         "amplitude": Field(float, 0.05),
     },
     "particles": {
-        "n": Field(int, 1000),
+        "n": Field(int, 1000, minimum=1),
         "dt": Field(float, 2e-3),
         "t_end": Field(float, 1.0),
-        "potential": Field(str, "quadratic"),
+        "potential": Field(str, "quadratic", choices=("quadratic", "none")),
         "stiffness": Field(float, 1.0),
         "kT": Field(float, 1.0),
         "mobility": Field(float, 1.0),
-        "cells": Field(int, 100),
-        "domain": Field("number_list", [-6.0, 6.0]),
+        "cells": Field(int, 100, minimum=2),
+        "domain": Field("interval", [-6.0, 6.0]),
         "compare_pde": Field(bool, True),
     },
     "ldp": {
-        "mode": Field(str, "coin"),
+        "mode": Field(str, "coin", choices=("coin", "sanov", "varadhan")),
         "a": Field(float, 0.6),
-        "n_values": Field("number_list", [100.0, 500.0, 2000.0]),
+        "n_values": Field("number_list", [100.0, 500.0, 2000.0], minimum=1),
         "mu": Field("number_list", [0.5, 0.5]),
         "tilt": Field("number_list", []),
         "constraint_coeffs": Field("number_list", []),
         "constraint_bound": Field(float, 0.6),
     },
     "reversibility": {
-        "cells": Field(int, 80),
-        "steps": Field(int, 60),
+        "cells": Field(int, 80, minimum=2),
+        "steps": Field(int, 60, minimum=0),
         "kT": Field(float, 1.3),
         "mobility": Field("number_list", [1.0, 2.0]),
         "coupling_strength": Field(float, 1.0),
@@ -211,7 +240,6 @@ class ExperimentConfig:
     constants: PhysicalConstants
     output_dir: Path
     seed: int
-    raw: dict = dc_field(default_factory=dict, repr=False)
 
     def canonical_json(self) -> str:
         """The resolved computation: experiment, every parameter (defaults
@@ -291,7 +319,7 @@ def parse_config(obj, *, overrides: Optional[dict] = None) -> ExperimentConfig:
                 errors.append(f"parameters.{key}: unknown key")
         for key, field in schema.items():
             if key in params_in:
-                parsed = _check_type(params_in[key], field.type, f"parameters.{key}", errors)
+                parsed = _check_field(params_in[key], field, f"parameters.{key}", errors)
                 if parsed is not None:
                     params[key] = parsed
             elif field.required:
@@ -327,10 +355,7 @@ def parse_config(obj, *, overrides: Optional[dict] = None) -> ExperimentConfig:
 
     if errors:
         raise ConfigError(errors)
-    raw = dict(obj)
-    raw["output_dir"] = str(output_dir)
-    raw["seed"] = seed
-    return ExperimentConfig(experiment, params, constants, output_dir, seed, raw)
+    return ExperimentConfig(experiment, params, constants, output_dir, seed)
 
 
 def load_config(path, *, overrides: Optional[dict] = None) -> ExperimentConfig:
@@ -530,10 +555,8 @@ def _exp_fokker_planck(cfg: ExperimentConfig) -> ExperimentOutput:
         V = lambda x: p["slope"] * x
     elif kind == "quadratic":
         V = lambda x: 0.5 * p["slope"] * x**2
-    elif kind == "none":
-        V = None
     else:
-        raise ValueError(f"unknown potential kind {kind!r}")
+        V = None
     if p["initial_csv"]:
         c0 = measures.read_grid_csv(p["initial_csv"])
         grid = GridDensity1D(c0.a, c0.b, np.ones(c0.cells))
@@ -625,13 +648,8 @@ def _exp_phasefield(cfg: ExperimentConfig) -> ExperimentOutput:
     rng = np.random.default_rng(cfg.seed)
     u0 = p["amplitude"] * rng.normal(size=p["cells"])
     state = PhaseFieldState(0.0, p["length"], u0)
-    T_end = p["steps"] * p["dt"]
-    if p["model"] == "allen_cahn":
-        traj = allen_cahn_solve(state, p["mobility"], T_end, p["dt"])
-    elif p["model"] == "cahn_hilliard":
-        traj = cahn_hilliard_solve(state, p["mobility"], T_end, p["dt"])
-    else:
-        raise ValueError(f"unknown phase-field model {p['model']!r}")
+    solve = {"allen_cahn": allen_cahn_solve, "cahn_hilliard": cahn_hilliard_solve}[p["model"]]
+    traj = solve(state, p["mobility"], p["steps"] * p["dt"], p["dt"])
     out.header = ["step", "time", "energy", "mean"]
     means = traj.extra["mean"]
     for i, t in enumerate(traj.snapshot_times):
@@ -656,10 +674,8 @@ def _exp_particles(cfg: ExperimentConfig) -> ExperimentOutput:
     if kind == "quadratic":
         Vb = lambda x: 0.5 * stiffness * x**2
         grad_Vb = lambda x: stiffness * x
-    elif kind == "none":
-        Vb, grad_Vb = None, None
     else:
-        raise ValueError(f"unknown potential kind {kind!r}")
+        Vb, grad_Vb = None, None
     lo, hi = p["domain"]
     grid = GridDensity1D(lo, hi, np.ones(p["cells"]))
     start = grid.with_values(
@@ -737,7 +753,7 @@ def _exp_ldp(cfg: ExperimentConfig) -> ExperimentOutput:
             out.rows.append((n, res.exact_rate, res.entropy_infimum, gap))
         out.check("gap_decreasing", all(x > y for x, y in zip(gaps, gaps[1:])))
         out.check("final_gap_small", gaps[-1] <= 0.05, gaps[-1])
-    elif mode == "varadhan":
+    else:  # varadhan
         mu = np.asarray(p["mu"], dtype=float)
         tilt = np.asarray(p["tilt"], dtype=float) if p["tilt"] else np.zeros(mu.size)
         n = int(p["n_values"][-1])
@@ -750,8 +766,6 @@ def _exp_ldp(cfg: ExperimentConfig) -> ExperimentOutput:
         target /= target.sum()
         gap = float(np.abs(table.argmin_exact() - target).max())
         out.check("argmin_matches_tilted_boltzmann", gap <= 0.05, gap)
-    else:
-        raise ValueError(f"unknown ldp mode {mode!r}")
     return out
 
 

@@ -9,9 +9,9 @@ driving force) built from the same discrete operator, so the duality gap
 
 closes to machine precision.
 
-Energy-driven grid fluxes use logarithmic-mean interface densities: with
-that choice div(rho grad(log rho + 1)) collapses algebraically to the
-plain second difference of rho, and any discrete state of the form
+Energy-driven grid fluxes (:func:`gradflow._grid.free_energy_flux`) use
+logarithmic-mean interface densities: div(rho grad(log rho + 1)) is then
+the plain second difference of rho, and any discrete state of the form
 exp(-V/RT) is an exact stationary point.  Norm evaluations keep the
 arithmetic interface mean of :mod:`gradflow.transport`.
 """
@@ -27,9 +27,9 @@ from scipy.linalg import solveh_banded
 
 from ._grid import (
     divergence_of_flux,
+    free_energy_flux,
     interface_gradient,
     laplacian_neumann,
-    logarithmic_interface_mean,
     pair_potential,
     weighted_poisson_neumann,
 )
@@ -179,6 +179,19 @@ def _as_callable(f, centers: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return lambda x, arr=arr: arr
 
 
+def _drift_potential(rho: GridDensity1D, potential=None, interaction=None, internal=None):
+    """V + W * rho + U'(rho), the non-entropic part of DF (None if all absent):
+    the potential of :func:`gradflow._grid.free_energy_flux`."""
+    parts = []
+    if potential is not None:
+        parts.append(_as_callable(potential, rho.centers)(rho.centers))
+    if interaction is not None:
+        parts.append(pair_potential(rho.values, rho.h, interaction))
+    if internal is not None:
+        parts.append(internal[1](rho.values))
+    return sum(parts[1:], parts[0]) if parts else None
+
+
 @dataclass(frozen=True)
 class EnergyFunctional:
     """Driving functional with value and variational-derivative evaluators.
@@ -241,9 +254,6 @@ class EnergyFunctional:
         if rt < 0.0:
             raise ValueError("entropy weight rt must be nonnegative")
 
-        def conv(rho: GridDensity1D) -> np.ndarray:
-            return pair_potential(rho.values, rho.h, interaction)
-
         def value(rho: GridDensity1D) -> float:
             v = rho.values
             total = 0.0
@@ -254,23 +264,17 @@ class EnergyFunctional:
                 V = _as_callable(potential, rho.centers)(rho.centers)
                 total += rho.h * float(np.sum(v * V))
             if interaction is not None:
-                total += 0.5 * rho.h * float(np.sum(v * conv(rho)))
+                pair = pair_potential(v, rho.h, interaction)
+                total += 0.5 * rho.h * float(np.sum(v * pair))
             if internal is not None:
                 total += rho.h * float(np.sum(internal[0](v)))
             return total
 
         def derivative(rho: GridDensity1D) -> np.ndarray:
             v = rho.values
-            df = np.zeros_like(v)
-            if rt > 0.0:
-                df = df + rt * (np.log(v / c0) + 1.0)
-            if potential is not None:
-                df = df + _as_callable(potential, rho.centers)(rho.centers)
-            if interaction is not None:
-                df = df + conv(rho)
-            if internal is not None:
-                df = df + internal[1](v)
-            return df
+            df = rt * (np.log(v / c0) + 1.0) if rt > 0.0 else np.zeros_like(v)
+            drift = _drift_potential(rho, potential, interaction, internal)
+            return df if drift is None else df + drift
 
         return cls(
             kind="grid_free_energy",
@@ -291,6 +295,9 @@ class EnergyFunctional:
 
     @classmethod
     def dirichlet_double_well(cls, well: float = 1.0) -> "EnergyFunctional":
+        if not well > 0.0:
+            raise ValueError("well depth coefficient must be positive")
+
         def value(state) -> float:
             u = _values_of(state)
             h = _h_of(state)
@@ -352,17 +359,17 @@ def legendre_dual(s_samples, psi_samples, xi: float) -> float:
 def wasserstein_gradient(rho: GridDensity1D, energy: EnergyFunctional) -> np.ndarray:
     """Conservative discretization of div(rho grad DF(rho)) with no-flux ends.
 
-    Interface densities are logarithmic means, which makes the pure-entropy
-    case equal the discrete Laplacian of rho identically and makes the
-    Boltzmann state exp(-V/rt) exactly stationary.  Total mass rate is zero
-    by construction.
+    The flux is :func:`gradflow._grid.free_energy_flux` of the non-entropic
+    part of DF: the pure-entropy case is the discrete Laplacian of rho
+    times rt, and the Boltzmann state exp(-V/rt) is exactly stationary.
+    Total mass rate is zero by construction.
     """
     if energy.kind != "grid_free_energy":
         raise ValueError("wasserstein gradient needs a grid free energy")
     if np.min(rho.values) <= 0.0:
         raise SingularWeightError("vacuum cell: Wasserstein mobility is singular")
-    df = energy.derivative(rho)
-    flux = logarithmic_interface_mean(rho.values) * interface_gradient(df, rho.h)
+    potential = _drift_potential(rho, energy.potential, energy.interaction, energy.internal)
+    flux = free_energy_flux(rho.values, potential, energy.rt, 1.0, rho.h)
     return divergence_of_flux(flux, rho.h)
 
 

@@ -5,21 +5,23 @@ constraint, and the Allen-Cahn / Cahn-Hilliard phase-field flows.
 All grid solvers are explicit in time with hard CFL guards, use
 conservative interface fluxes (no-flux ends), and record per-step energy
 and mass so that dissipation and conservation can be asserted rather than
-assumed.  Drift terms carry logarithmic-mean interface densities: the
-discrete Boltzmann profile exp(-V/RT) is then an exact fixed point of the
-scheme, not just an approximate one.
+assumed.  Drift terms are :func:`gradflow._grid.free_energy_flux`, with
+logarithmic-mean interface densities: the discrete Boltzmann profile
+exp(-V/RT) is then an exact fixed point of the scheme.  The phase fields
+are ``FlowProblem``s stepped by ``local_step``; they and the
+multicomponent steps share one march loop.
 
 The Fokker-Planck solver is the explicit reference scheme and is stepped
 in preallocated buffers: one log per step shared by the energy and the
 next logarithmic mean, grad V formed once, fluxes written in place.  Its
 contract is bitwise: trajectory, energies and masses equal those of
-composing ``_drift_diffusion_flux`` and ``divergence_of_flux`` step by
-step with fresh arrays.
+composing ``free_energy_flux`` and ``divergence_of_flux`` step by step
+with fresh arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,11 +29,13 @@ import numpy as np
 from ._grid import (
     arithmetic_interface_mean,
     divergence_of_flux,
+    free_energy_flux,
     interface_gradient,
     laplacian_neumann,
     logarithmic_interface_mean,
     weighted_poisson_neumann,
 )
+from .gradient_flow import EnergyFunctional, FlowProblem, QuadraticDissipation, local_step
 from .measures import GridDensity1D, PhysicalConstants
 
 __all__ = [
@@ -51,7 +55,6 @@ __all__ = [
     "allen_cahn_solve",
     "cahn_hilliard_solve",
     "free_energy_multispecies",
-    "phase_field_energy",
     "write_model_csv",
 ]
 
@@ -73,13 +76,16 @@ class ConstraintError(RuntimeError):
 
 @dataclass(frozen=True)
 class PhaseFieldState:
-    """Order parameter u on a uniform grid with the double well
-    W(s) = well/4 (1-s^2)^2 (wells at +-1, depth 0)."""
+    """Order parameter u on a uniform grid.
+
+    The double-well depth belongs to the energy
+    (:meth:`~gradflow.gradient_flow.EnergyFunctional.dirichlet_double_well`),
+    not to the state.
+    """
 
     a: float
     b: float
     u: np.ndarray
-    well: float = 1.0
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float).reshape(-1)
@@ -87,8 +93,6 @@ class PhaseFieldState:
             raise ValueError("need at least 4 cells")
         if not np.isfinite(u).all():
             raise ValueError("field values must be finite")
-        if not self.well > 0.0:
-            raise ValueError("well depth coefficient must be positive")
         u = u.copy()
         u.flags.writeable = False
         object.__setattr__(self, "u", u)
@@ -110,17 +114,10 @@ class PhaseFieldState:
         return self.u
 
     def with_values(self, values) -> "PhaseFieldState":
-        return PhaseFieldState(self.a, self.b, values, self.well)
+        return PhaseFieldState(self.a, self.b, values)
 
     def mean(self) -> float:
         return float(self.u.mean())
-
-
-def phase_field_energy(state: PhaseFieldState) -> float:
-    """Dirichlet + double-well energy (1/2) int |grad u|^2 + int W(u)."""
-    grad = interface_gradient(state.u, state.h)
-    well = 0.25 * state.well * (1.0 - state.u**2) ** 2
-    return 0.5 * float(state.h * np.sum(grad * grad)) + float(state.h * np.sum(well))
 
 
 @dataclass(frozen=True)
@@ -210,20 +207,6 @@ def spring_dashpot_solve(k: float, eta: float, x0: float, T: float, dt: float) -
     return SpringDashpotResult(times, exact, euler)
 
 
-def _drift_diffusion_flux(
-    c: np.ndarray, V: np.ndarray, rt: float, eta: float, h: float
-) -> np.ndarray:
-    """Interface flux of c' = div((rt/eta) grad c + (c/eta) grad V).
-
-    Fick part uses the plain difference; the drift part weights grad V with
-    the logarithmic interface mean of c, which makes exp(-V/rt) exactly
-    stationary.
-    """
-    fick = rt * interface_gradient(c, h)
-    drift = logarithmic_interface_mean(c) * interface_gradient(V, h)
-    return (fick + drift) / eta
-
-
 def derive_velocity(
     c: GridDensity1D, constants: PhysicalConstants, V
 ) -> np.ndarray:
@@ -235,11 +218,9 @@ def derive_velocity(
     """
     if np.min(c.values) <= 0.0:
         raise PositivityError("velocity field needs a strictly positive concentration")
-    if V is None:
-        V_arr = np.zeros(c.cells)
-    else:
-        V_arr = V(c.centers) if callable(V) else np.asarray(V, dtype=float)
-    flux = _drift_diffusion_flux(c.values, V_arr, constants.RT, constants.eta, c.h)
+    if V is not None:
+        V = V(c.centers) if callable(V) else np.asarray(V, dtype=float)
+    flux = free_energy_flux(c.values, V, constants.RT, constants.eta, c.h)
     return -flux / arithmetic_interface_mean(c.values)
 
 
@@ -280,14 +261,15 @@ def fokker_planck_solve(
     RT int c log(c/c0) + int c V is tracked per step.  ``store_every``
     thins the stored snapshots (all steps still contribute diagnostics).
 
-    Each step is ``c + dt * divergence_of_flux(_drift_diffusion_flux(c, V,
-    ...), h)`` evaluated into preallocated buffers: grad V is formed once,
-    log c once per step (after the update, serving that step's energy and
-    the next step's logarithmic mean), and the interface fluxes sit in one
-    buffer of n + 1 entries whose two no-flux ends stay zero.  The floating
-    point operations and their order are those of the composed form, so
-    trajectory, energies and masses match it to the bit.  Stored snapshots
-    are copies; the working buffer is never handed out.
+    Each step is the composed reference ``c + dt * divergence_of_flux(
+    free_energy_flux(c, V, rt, eta, h), h)`` evaluated into preallocated
+    buffers: grad V is formed once, log c once per step (after the update,
+    serving that step's energy and the next step's logarithmic mean), and
+    the interface fluxes sit in one buffer of n + 1 entries whose two
+    no-flux ends stay zero.  The floating point operations and their order
+    are those of the composed form, so trajectory, energies and masses
+    match it to the bit.  Stored snapshots are copies; the working buffer
+    is never handed out.
     """
     rt, eta = constants.RT, constants.eta
     h = c0.h
@@ -373,18 +355,49 @@ def fokker_planck_solve(
     )
 
 
+# -- the shared march loop --------------------------------------------------------
+
+
+def _march(
+    state,
+    step: Callable,
+    steps: int,
+    dt: float,
+    store_every: Optional[int],
+    energy: Callable[[object], float],
+    mass: Callable[[object], float],
+    diagnostics: Optional[dict] = None,
+) -> GridTrajectory:
+    """Apply ``step`` ``steps`` times, recording energy, mass and each named
+    diagnostic of every state; snapshots are the start, every
+    ``store_every``-th state (default: about 100 in all) and the last one.
+    Positivity and constraint errors of a step are raised again naming it.
+    """
+    if store_every is None:
+        store_every = max(1, steps // 100)
+    diagnostics = diagnostics or {}
+    series = [(np.empty(steps + 1), fn) for fn in (energy, mass, *diagnostics.values())]
+    snapshot_times, snapshots = [0.0], [state]
+    cur = state
+    for k in range(steps + 1):
+        if k > 0:
+            try:
+                cur = step(cur)
+            except (PositivityError, ConstraintError) as exc:
+                raise type(exc)(f"step {k}: {exc}") from exc
+            if k % store_every == 0 or k == steps:
+                snapshot_times.append(k * dt)
+                snapshots.append(cur)
+        for values, fn in series:
+            values[k] = fn(cur)
+    (energies, _), (masses, _), *extra = series
+    return GridTrajectory(
+        np.asarray(snapshot_times), snapshots, energies, masses,
+        extra={name: values for name, (values, _) in zip(diagnostics, extra)},
+    )
+
+
 # -- multi-component diffusion with volume constraint --------------------------
-
-
-def _species_interface_data(state: MultiSpeciesState, constants: PhysicalConstants):
-    c = state.concentrations
-    h = state.h
-    alpha = state.molar_volumes
-    eta = state.frictions
-    rt = constants.RT
-    grad_c = np.diff(c, axis=1) / h
-    c_iface = 0.5 * (c[:, 1:] + c[:, :-1])
-    return c, h, alpha, eta, rt, grad_c, c_iface
 
 
 def _advance_multispecies(
@@ -418,24 +431,7 @@ def multicomponent_global_step(
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    c, h, alpha, eta, rt, grad_c, c_iface = _species_interface_data(state, constants)
-    weights = np.einsum("i,ij->j", alpha**2 / eta, c_iface)
-    if np.min(weights) <= 0.0:
-        raise PositivityError("pressure problem is singular: all species vanish")
-    rhs = rt * sum(
-        (alpha[i] / eta[i]) * laplacian_neumann(c[i], h) for i in range(state.species)
-    )
-    # the Poisson helper solves -(w p')' = rhs, the pressure equation has
-    # div(w grad p) = +rhs
-    p = weighted_poisson_neumann(weights, -rhs, h)
-    grad_p = np.diff(p) / h
-    fluxes = np.array(
-        [
-            (-rt * grad_c[i] + alpha[i] * c_iface[i] * grad_p) / eta[i]
-            for i in range(state.species)
-        ]
-    )
-    return _advance_multispecies(state, fluxes, dt)
+    return _advance_multispecies(state, multicomponent_fluxes(state, constants, "global"), dt)
 
 
 def multicomponent_local_step(
@@ -452,42 +448,35 @@ def multicomponent_local_step(
         raise ValueError("dt must be positive")
     if np.min(state.concentrations) < POSITIVITY_FLOOR:
         raise PositivityError("local balance needs strictly positive species")
-    c, h, alpha, eta, rt, grad_c, c_iface = _species_interface_data(state, constants)
-    denom = np.einsum("i,ij->j", alpha**2 / eta, c_iface)
-    numer = rt * np.einsum("i,ij->j", alpha / eta, grad_c)
-    lam = numer / denom
-    fluxes = np.array(
-        [
-            (-rt * grad_c[i] + alpha[i] * c_iface[i] * lam) / eta[i]
-            for i in range(state.species)
-        ]
-    )
-    return _advance_multispecies(state, fluxes, dt)
+    return _advance_multispecies(state, multicomponent_fluxes(state, constants, "local"), dt)
 
 
 def multicomponent_fluxes(
     state: MultiSpeciesState, constants: PhysicalConstants, mode: str = "local"
 ) -> np.ndarray:
-    """Interface fluxes j_i of one balance mode, for diagnostics."""
-    c, h, alpha, eta, rt, grad_c, c_iface = _species_interface_data(state, constants)
+    """Interface fluxes j_i = (1/eta_i)(-RT grad c_i + alpha_i c_i m) of one
+    balance mode, where the multiplier m is lambda ("local") or grad p
+    ("global")."""
+    c, h, rt = state.concentrations, state.h, constants.RT
+    alpha, eta = state.molar_volumes, state.frictions
+    grad_c = np.diff(c, axis=1) / h
+    c_iface = 0.5 * (c[:, 1:] + c[:, :-1])
     denom = np.einsum("i,ij->j", alpha**2 / eta, c_iface)
     if mode == "local":
-        numer = rt * np.einsum("i,ij->j", alpha / eta, grad_c)
-        mult = numer / denom
+        mult = rt * np.einsum("i,ij->j", alpha / eta, grad_c) / denom
     elif mode == "global":
+        if np.min(denom) <= 0.0:
+            raise PositivityError("pressure problem is singular: all species vanish")
         rhs = rt * sum(
             (alpha[i] / eta[i]) * laplacian_neumann(c[i], h)
             for i in range(state.species)
         )
+        # the Poisson helper solves -(w p')' = rhs, the pressure equation has
+        # div(w grad p) = +rhs
         mult = np.diff(weighted_poisson_neumann(denom, -rhs, h)) / h
     else:
         raise ValueError("mode must be 'local' or 'global'")
-    return np.array(
-        [
-            (-rt * grad_c[i] + alpha[i] * c_iface[i] * mult) / eta[i]
-            for i in range(state.species)
-        ]
-    )
+    return (-rt * grad_c + alpha[:, None] * c_iface * mult) / eta[:, None]
 
 
 def multicomponent_evolve(
@@ -504,31 +493,15 @@ def multicomponent_evolve(
         "global": multicomponent_global_step,
         "local": multicomponent_local_step,
     }[mode]
-    if store_every is None:
-        store_every = max(1, steps // 100)
-    energies = np.empty(steps + 1)
-    violations = np.empty(steps + 1)
-    masses = np.empty(steps + 1)
-    cur = state
-    energies[0] = free_energy_multispecies(cur, constants)
-    violations[0] = cur.constraint_violation()
-    masses[0] = float(cur.masses().sum())
-    snapshot_times = [0.0]
-    snapshots = [cur]
-    for k in range(1, steps + 1):
-        cur = step_fn(cur, constants, dt)
-        energies[k] = free_energy_multispecies(cur, constants)
-        violations[k] = cur.constraint_violation()
-        masses[k] = float(cur.masses().sum())
-        if k % store_every == 0 or k == steps:
-            snapshot_times.append(k * dt)
-            snapshots.append(cur)
-    return GridTrajectory(
-        np.asarray(snapshot_times),
-        snapshots,
-        energies,
-        masses,
-        extra={"constraint_max_violation": violations},
+    return _march(
+        state,
+        lambda s: step_fn(s, constants, dt),
+        steps,
+        dt,
+        store_every,
+        lambda s: free_energy_multispecies(s, constants),
+        lambda s: float(s.masses().sum()),
+        {"constraint_max_violation": MultiSpeciesState.constraint_violation},
     )
 
 
@@ -555,47 +528,26 @@ def free_energy_multispecies(
 # -- phase fields ---------------------------------------------------------------
 
 
-def _phase_field_march(
-    state: PhaseFieldState,
-    mobility: float,
-    T_end: float,
-    dt: float,
-    rate_fn,
-    cfl_bound: float,
-    store_every: Optional[int],
-) -> GridTrajectory:
+def _phase_field_flow(state, kind, mobility, T_end, dt, store_every, well) -> GridTrajectory:
+    """Dirichlet double-well flow, dissipation ``kind`` with coefficient 1/m."""
     if dt <= 0.0 or T_end <= 0.0 or mobility <= 0.0:
         raise ValueError("mobility, T_end, dt must be positive")
+    h = state.h
+    cfl_bound = h * h / (2.0 * mobility) if kind == "l2" else h**4 / (8.0 * mobility)
     if dt > cfl_bound:
         raise CflError(f"dt = {dt:.3e} violates the stability bound {cfl_bound:.3e}")
+    energy = EnergyFunctional.dirichlet_double_well(well)
+    problem = FlowProblem(energy, QuadraticDissipation(kind, 1.0 / mobility))
+
+    def step(z: PhaseFieldState) -> PhaseFieldState:
+        try:
+            return local_step(problem, z, dt)
+        except ValueError:  # PhaseFieldState holds finite values only
+            raise PositivityError("phase field blew up; reduce dt") from None
+
     steps = int(round(T_end / dt))
-    if store_every is None:
-        store_every = max(1, steps // 100)
-    u = state.u.copy()
-    h = state.h
-    energies = np.empty(steps + 1)
-    means = np.empty(steps + 1)
-    energies[0] = phase_field_energy(state)
-    means[0] = u.mean()
-    snapshot_times = [0.0]
-    snapshots = [state]
-    for k in range(1, steps + 1):
-        u = u + dt * rate_fn(u)
-        if not np.isfinite(u).all():
-            raise PositivityError(f"phase field blew up at step {k}; reduce dt")
-        cur = state.with_values(u)
-        energies[k] = phase_field_energy(cur)
-        means[k] = u.mean()
-        if k % store_every == 0 or k == steps:
-            snapshot_times.append(k * dt)
-            snapshots.append(cur)
-    return GridTrajectory(
-        np.asarray(snapshot_times),
-        snapshots,
-        energies,
-        masses=means,
-        extra={"mean": means},
-    )
+    traj = _march(state, step, steps, dt, store_every, energy.value, PhaseFieldState.mean)
+    return replace(traj, extra={"mean": traj.masses})
 
 
 def allen_cahn_solve(
@@ -605,16 +557,11 @@ def allen_cahn_solve(
     dt: float,
     *,
     store_every: Optional[int] = None,
+    well: float = 1.0,
 ) -> GridTrajectory:
-    """L^2 gradient flow u' = m (lap u - W'(u)) with no-flux ends."""
-    h, well = state.h, state.well
-
-    def rate(u: np.ndarray) -> np.ndarray:
-        return mobility * (laplacian_neumann(u, h) - well * (u**3 - u))
-
-    return _phase_field_march(
-        state, mobility, T_end, dt, rate, h * h / (2.0 * mobility), store_every
-    )
+    """L^2 gradient flow u' = m (lap u - W'(u)) with no-flux ends and the
+    double well W(s) = well/4 (1-s^2)^2; needs dt <= h^2 / (2 m)."""
+    return _phase_field_flow(state, "l2", mobility, T_end, dt, store_every, well)
 
 
 def cahn_hilliard_solve(
@@ -624,6 +571,7 @@ def cahn_hilliard_solve(
     dt: float,
     *,
     store_every: Optional[int] = None,
+    well: float = 1.0,
 ) -> GridTrajectory:
     """H^-1 gradient flow u' = -m lap(lap u - W'(u)), conservative form.
 
@@ -631,15 +579,7 @@ def cahn_hilliard_solve(
     conserved to machine precision per step; the explicit fourth-order
     stencil needs dt <= h^4 / (8 m).
     """
-    h, well = state.h, state.well
-
-    def rate(u: np.ndarray) -> np.ndarray:
-        chemical = laplacian_neumann(u, h) - well * (u**3 - u)
-        return divergence_of_flux(-mobility * interface_gradient(chemical, h), h)
-
-    return _phase_field_march(
-        state, mobility, T_end, dt, rate, h**4 / (8.0 * mobility), store_every
-    )
+    return _phase_field_flow(state, "hminus1", mobility, T_end, dt, store_every, well)
 
 
 def write_model_csv(trajectory: GridTrajectory, out_path, *, dt: float) -> None:

@@ -23,11 +23,10 @@ from scipy.special import gammaln, logsumexp
 from ._grid import (
     arithmetic_interface_mean,
     divergence_of_flux,
-    interface_gradient,
-    logarithmic_interface_mean,
-    pair_potential,
+    free_energy_flux,
     weighted_poisson_neumann,
 )
+from .gradient_flow import _drift_potential
 from .measures import GridDensity1D, PhysicalConstants
 from .transport import SingularWeightError
 
@@ -205,45 +204,20 @@ def empirical_density(positions, domain: tuple[float, float], cells: int) -> Gri
 # -- path-space rate functional -------------------------------------------------
 
 
-def _limit_drift_flux(
-    rho: np.ndarray,
-    h: float,
-    centers: np.ndarray,
-    rt_over_eta: float,
-    inv_eta: float,
-    Vb,
-    Vi,
-) -> np.ndarray:
-    """Interface flux of the hydrodynamic limit (Fick + log-mean drift)."""
-    flux = rt_over_eta * interface_gradient(rho, h)
-    potential = None
-    if Vb is not None:
-        potential = Vb(centers)
-    if Vi is not None:
-        conv = pair_potential(rho, h, Vi)
-        potential = conv if potential is None else potential + conv
-    if potential is not None:
-        flux = flux + inv_eta * logarithmic_interface_mean(rho) * interface_gradient(
-            potential, h
-        )
-    return flux
-
-
 def rate_functional(path, dt: float, constants: PhysicalConstants, Vb=None, Vi=None) -> float:
     """Fluctuation rate of a density path around the hydrodynamic limit.
 
     (1/4) sum_k || (rho_{k+1}-rho_k)/dt - div((RT/eta) grad rho_k
     + (rho_k/eta) grad[Vb + rho_k * Vi]) ||^2_{-1, (RT/eta) rho_k} dt.
 
-    The drift discretization matches the Fokker-Planck solver exactly, so
-    solver output has (near-)zero rate; any other equal-mass path gets a
-    strictly positive value.
+    The drift is :func:`gradflow._grid.free_energy_flux`, the flux of the
+    Fokker-Planck solver, so solver output has (near-)zero rate; any other
+    equal-mass path gets a strictly positive value.
     """
     path = list(path)
     if len(path) < 2:
         return 0.0
     rt_over_eta = constants.RT / constants.eta
-    inv_eta = 1.0 / constants.eta
     mass0 = path[0].mass()
     total = 0.0
     for prev, cur in zip(path[:-1], path[1:]):
@@ -252,12 +226,9 @@ def rate_functional(path, dt: float, constants: PhysicalConstants, Vb=None, Vi=N
         if abs(cur.mass() - mass0) > 1e-10 * max(1.0, mass0):
             raise ValueError("rate functional needs an equal-mass path")
         h = prev.h
-        drift = divergence_of_flux(
-            _limit_drift_flux(
-                prev.values, h, prev.centers, rt_over_eta, inv_eta, Vb, Vi
-            ),
-            h,
-        )
+        potential = _drift_potential(prev, Vb, Vi)
+        flux = free_energy_flux(prev.values, potential, constants.RT, constants.eta, h)
+        drift = divergence_of_flux(flux, h)
         residual = (cur.values - prev.values) / dt - drift
         residual = residual - residual.mean()  # strip fp mass noise
         weights = rt_over_eta * arithmetic_interface_mean(prev.values)

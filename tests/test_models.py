@@ -19,11 +19,21 @@ from gradflow.models import (
     multicomponent_fluxes,
     multicomponent_global_step,
     multicomponent_local_step,
-    phase_field_energy,
     spring_dashpot_solve,
-    _drift_diffusion_flux,
 )
-from gradflow._grid import arithmetic_interface_mean, divergence_of_flux, interface_gradient
+from gradflow._grid import (
+    arithmetic_interface_mean,
+    divergence_of_flux,
+    free_energy_flux,
+    interface_gradient,
+    laplacian_neumann,
+)
+from gradflow.gradient_flow import (
+    EnergyFunctional,
+    FlowProblem,
+    QuadraticDissipation,
+    local_step,
+)
 
 RT1 = PhysicalConstants.with_rt(1.0)
 
@@ -133,7 +143,7 @@ def reference_fokker_planck(c0, constants, V_arr, T_end, dt):
     c = c0.values.copy()
     states, energies, masses = [c], [energy(c)], [h * c.sum()]
     for k in range(1, steps + 1):
-        c = c + dt * divergence_of_flux(_drift_diffusion_flux(c, V_arr, rt, eta, h), h)
+        c = c + dt * divergence_of_flux(free_energy_flux(c, V_arr, rt, eta, h), h)
         if np.min(c) < -1e-12:
             raise PositivityError(f"concentration turned negative at step {k}; reduce dt")
         np.clip(c, 0.0, None, out=c)
@@ -398,12 +408,81 @@ class TestStateValidation:
                 0.0, 1.0, np.full((1, 10), 0.4), np.array([2.0]), np.array([1.0])
             )
 
-    def test_energy_helper_matches_functional(self):
-        from gradflow.gradient_flow import EnergyFunctional
-
+    @pytest.mark.parametrize("solve", [allen_cahn_solve, cahn_hilliard_solve])
+    def test_recorded_energies_are_the_functional_values(self, solve):
         rng = np.random.default_rng(9)
-        state = PhaseFieldState(0.0, 4.0, rng.normal(size=40), well=1.3)
+        state = PhaseFieldState(0.0, 40.0, 0.3 * rng.normal(size=40))
+        traj = solve(state, 1.0, 20 * 0.01, 0.01, store_every=1, well=1.3)
         functional = EnergyFunctional.dirichlet_double_well(well=1.3)
-        assert phase_field_energy(state) == pytest.approx(
-            functional.value(state), rel=1e-14
+        assert_bitwise(traj.energies, [functional.value(s) for s in traj.snapshots])
+        assert_bitwise(traj.extra["mean"], [s.mean() for s in traj.snapshots])
+
+    @pytest.mark.parametrize("well", [0.0, -1.0, float("nan")])
+    def test_nonpositive_well_depth_rejected(self, well):
+        with pytest.raises(ValueError, match="well depth"):
+            EnergyFunctional.dirichlet_double_well(well)
+        state = PhaseFieldState(0.0, 8.0, np.zeros(32))
+        with pytest.raises(ValueError, match="well depth"):
+            allen_cahn_solve(state, 1.0, 0.1, 0.01, well=well)
+
+
+class TestSharedEngine:
+    """Grid models stepped by the gradient-flow engine and the shared loop."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_wasserstein_local_step_is_one_fokker_planck_step(self, seed):
+        rng = np.random.default_rng(seed)
+        constants = PhysicalConstants.with_rt(
+            rng.uniform(0.3, 3.0), c0=rng.uniform(0.5, 2.0), eta=rng.uniform(0.5, 3.0)
         )
+        grid = GridDensity1D(-1.0, rng.uniform(1.0, 4.0), np.ones(int(rng.integers(8, 300))))
+        coeffs = rng.normal(size=3)
+        V = lambda x: coeffs[0] * x + coeffs[1] * x**2 + coeffs[2] * np.sin(3 * x)
+        c0 = grid.with_values(rng.uniform(0.2, 2.0, grid.cells))
+        dt = 0.5 * grid.h**2 * constants.eta / (2.0 * constants.RT)
+        problem = FlowProblem(
+            EnergyFunctional.grid_free_energy(constants=constants, potential=V),
+            QuadraticDissipation("wasserstein", constants.eta),
+        )
+        stepped = local_step(problem, c0, dt).values
+        reference = fokker_planck_solve(c0, constants, V, dt, dt).final.values
+        assert np.abs(stepped - reference).max() <= 1e-14 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("mobility", [1.0, 0.3, 2.5])
+    def test_phase_field_steps_match_the_composed_updates(self, mobility):
+        rng = np.random.default_rng(4)
+        state = PhaseFieldState(0.0, 40.0, 0.4 * rng.normal(size=40))
+        h, well, dt = state.h, 1.3, 0.01
+        u = state.u
+        chemical = laplacian_neumann(u, h) - well * (u**3 - u)
+        allen_cahn = u + dt * mobility * chemical
+        flux = -mobility * interface_gradient(chemical, h)
+        cahn_hilliard = u + dt * divergence_of_flux(flux, h)
+        cases = ((allen_cahn_solve, allen_cahn), (cahn_hilliard_solve, cahn_hilliard))
+        for solve, expected in cases:
+            got = solve(state, mobility, dt, dt, well=well).final.u
+            if mobility == 1.0:
+                assert_bitwise(got, expected)
+            else:
+                assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    def test_phase_field_blow_up_names_the_step(self):
+        state = PhaseFieldState(0.0, 8.0, np.full(32, 1e3))
+        dt = 0.01
+        # the same explicit Allen-Cahn update, composed by hand
+        u, first_bad = state.u.copy(), None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, 50):
+                u = u + dt * (laplacian_neumann(u, state.h) - (u**3 - u))
+                if not np.isfinite(u).all():
+                    first_bad = k
+                    break
+            with pytest.raises(PositivityError) as info:
+                allen_cahn_solve(state, 1.0, 50 * dt, dt)
+        assert first_bad is not None
+        assert str(info.value) == f"step {first_bad}: phase field blew up; reduce dt"
+
+    def test_multicomponent_error_names_the_step(self):
+        state = make_two_species(lambda x: 0.25 + 0.2 * np.sin(2 * math.pi * x), cells=32)
+        with pytest.raises(PositivityError, match=r"^step \d+: .*reduce dt"):
+            multicomponent_evolve(state, RT1, 5e-3, 50, mode="local")
