@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .measures import GridDensity1D, PhysicalConstants, relative_entropy, total_variation
 from . import measures, transport
-from .gradient_flow import EnergyFunctional, jko_step_detailed
+from .gradient_flow import EnergyFunctional, jko_step_detailed, jko_step_record
 from .models import (
     MultiSpeciesState,
     PhaseFieldState,
@@ -44,9 +44,12 @@ from .particles import (
     coin_rate,
     coin_tail_exact,
     empirical_density,
+    ensemble_metadata,
     euler_maruyama,
+    ldp_table,
     reversibility_check,
     sanov_exact,
+    snapshot_table,
     varadhan_tilt,
     GENERATOR_VERSION,
 )
@@ -72,7 +75,8 @@ class Field:
     type: object
     default: Any = None
     required: bool = False
-    minimum: Optional[int] = None  # smallest integer, or fewest list items
+    within: str = ""  # the allowed numbers (each item of a list), e.g. "(0, inf)"
+    items: str = ""  # the allowed list lengths, e.g. "[2, 2]"
     choices: tuple = ()  # the allowed strings, when not empty
 
 
@@ -87,6 +91,14 @@ def _finite(value) -> Optional[float]:
     except OverflowError:
         return None
     return number if math.isfinite(number) else None
+
+
+def _in_interval(number, interval: str) -> bool:
+    """Whether ``number`` lies in ``interval``, written "[lo, hi]", "(lo, hi)", "[lo, inf)"..."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    above = lo < number if interval[0] == "(" else lo <= number
+    below = number < hi if interval[-1] == ")" else number <= hi
+    return above and below
 
 
 def _check_type(value, expected, path: str, errors: list[str]) -> Any:
@@ -132,19 +144,21 @@ def _check_type(value, expected, path: str, errors: list[str]) -> Any:
 
 
 def _check_field(value, field: Field, path: str, errors: list[str]) -> Any:
-    """``_check_type``, then the field's int64 range, minimum and choices."""
+    """``_check_type``, then the field's int64 range, bounds, length and choices."""
     parsed = _check_type(value, field.type, path, errors)
     if parsed is None:
         return None
     if field.type is int and not -(2**63) <= parsed < 2**63:
         errors.append(f"{path}: integer out of the 64-bit range")
         return None
-    if field.minimum is not None:
-        if isinstance(parsed, list) and len(parsed) < field.minimum:
-            errors.append(f"{path}: expected at least {field.minimum} item(s)")
-            return None
-        if field.type is int and parsed < field.minimum:
-            errors.append(f"{path}: expected an integer >= {field.minimum}")
+    if field.items and not _in_interval(len(parsed), field.items):
+        errors.append(f"{path}: expected a list whose length lies in {field.items}")
+        return None
+    if field.within:
+        numbers = parsed if isinstance(parsed, list) else [parsed]
+        if not all(_in_interval(number, field.within) for number in numbers):
+            kind = {int: "an integer", float: "a number"}.get(field.type, "numbers")
+            errors.append(f"{path}: expected {kind} in {field.within}")
             return None
     if field.choices and parsed not in field.choices:
         errors.append(f"{path}: expected one of {list(field.choices)}, got {parsed!r}")
@@ -155,75 +169,77 @@ def _check_field(value, field: Field, path: str, errors: list[str]) -> Any:
 # parameter schemas, one per experiment
 SCHEMAS: dict[str, dict[str, Field]] = {
     "entropy": {
-        "pairs": Field(int, 1000, minimum=0),
-        "alphabet": Field(int, 6, minimum=1),
+        "pairs": Field(int, 1000, within="[0, inf)"),
+        "alphabet": Field(int, 6, within="[1, inf)"),
     },
     "transport": {
-        "n_atoms": Field(int, 6, minimum=1),
-        "instances": Field(int, 50, minimum=0),
-        "dim": Field(int, 1, minimum=0),
+        "n_atoms": Field(int, 6, within="[1, inf)"),
+        "instances": Field(int, 50, within="[0, inf)"),
+        "dim": Field(int, 1, within="[0, inf)"),
     },
     "jko": {
-        "cells": Field(int, 400, minimum=2),
+        "cells": Field(int, 400, within="[2, inf)"),
         "domain": Field("interval", [-6.0, 6.0]),
-        "time_step": Field(float, 1e-3),
-        "steps": Field(int, 100, minimum=0),
-        "sigma0_sq": Field(float, 1.0),
+        "time_step": Field(float, 1e-3, within="(0, inf)"),
+        "steps": Field(int, 100, within="[0, inf)"),
+        "sigma0_sq": Field(float, 1.0, within="(0, inf)"),
     },
     "fokker_planck": {
-        "cells": Field(int, 200, minimum=2),
+        "cells": Field(int, 200, within="[2, inf)"),
         "domain": Field("interval", [0.0, 5.0]),
         "potential": Field(str, "linear", choices=("linear", "quadratic", "none")),
         "slope": Field(float, 1.0),
-        "t_end": Field(float, 50.0),
-        "dt_fraction": Field(float, 0.9),
+        "t_end": Field(float, 50.0, within="(0, inf)"),
+        "dt_fraction": Field(float, 0.9, within="(0, inf)"),
         "check_boltzmann": Field(bool, True),
         "initial_csv": Field(str, ""),
     },
     "multicomponent": {
-        "cells": Field(int, 64, minimum=2),
-        "alpha": Field("number_list", [2.0, 2.0]),
-        "eta": Field("number_list", [1.0, 1.0]),
-        "dt": Field(float, 1e-5),
-        "steps": Field(int, 1000, minimum=1),
+        "cells": Field(int, 64, within="[2, inf)"),
+        "alpha": Field("number_list", [2.0, 2.0], within="(0, inf)", items="[2, 2]"),
+        "eta": Field("number_list", [1.0, 1.0], within="(0, inf)", items="[2, 2]"),
+        "dt": Field(float, 1e-5, within="(0, inf)"),
+        "steps": Field(int, 1000, within="[1, inf)"),
         "mode": Field(str, "both", choices=("both", "global", "local")),
         "amplitude": Field(float, 0.08),
     },
     "phasefield": {
         "model": Field(str, "cahn_hilliard", choices=("allen_cahn", "cahn_hilliard")),
-        "cells": Field(int, 64, minimum=4),
-        "length": Field(float, 64.0),
-        "mobility": Field(float, 1.0),
-        "dt": Field(float, 0.04),
-        "steps": Field(int, 10000, minimum=1),
+        "cells": Field(int, 64, within="[4, inf)"),
+        "length": Field(float, 64.0, within="(0, inf)"),
+        "mobility": Field(float, 1.0, within="(0, inf)"),
+        "dt": Field(float, 0.04, within="(0, inf)"),
+        "steps": Field(int, 10000, within="[1, inf)"),
         "amplitude": Field(float, 0.05),
     },
     "particles": {
-        "n": Field(int, 1000, minimum=1),
-        "dt": Field(float, 2e-3),
-        "t_end": Field(float, 1.0),
+        "n": Field(int, 1000, within="[1, inf)"),
+        "dt": Field(float, 2e-3, within="(0, inf)"),
+        "t_end": Field(float, 1.0, within="(0, inf)"),
         "potential": Field(str, "quadratic", choices=("quadratic", "none")),
         "stiffness": Field(float, 1.0),
-        "kT": Field(float, 1.0),
-        "mobility": Field(float, 1.0),
-        "cells": Field(int, 100, minimum=2),
+        "kT": Field(float, 1.0, within="[0, inf)"),
+        "mobility": Field(float, 1.0, within="[0, inf)"),
+        "cells": Field(int, 100, within="[2, inf)"),
         "domain": Field("interval", [-6.0, 6.0]),
         "compare_pde": Field(bool, True),
     },
     "ldp": {
         "mode": Field(str, "coin", choices=("coin", "sanov", "varadhan")),
-        "a": Field(float, 0.6),
-        "n_values": Field("number_list", [100.0, 500.0, 2000.0], minimum=1),
-        "mu": Field("number_list", [0.5, 0.5]),
+        "a": Field(float, 0.6, within="[0.5, 1]"),
+        "n_values": Field(
+            "number_list", [100.0, 500.0, 2000.0], within="[1, 1e5]", items="[1, inf)"
+        ),
+        "mu": Field("number_list", [0.5, 0.5], within="(0, inf)", items="[1, inf)"),
         "tilt": Field("number_list", []),
         "constraint_coeffs": Field("number_list", []),
         "constraint_bound": Field(float, 0.6),
     },
     "reversibility": {
-        "cells": Field(int, 80, minimum=2),
-        "steps": Field(int, 60, minimum=0),
-        "kT": Field(float, 1.3),
-        "mobility": Field("number_list", [1.0, 2.0]),
+        "cells": Field(int, 80, within="[2, inf)"),
+        "steps": Field(int, 60, within="[0, inf)"),
+        "kT": Field(float, 1.3, within="(0, inf)"),
+        "mobility": Field("number_list", [1.0, 2.0], within="(0, inf)", items="[2, 2]"),
         "coupling_strength": Field(float, 1.0),
     },
 }
@@ -370,26 +386,6 @@ def load_config(path, *, overrides: Optional[dict] = None) -> ExperimentConfig:
     return parse_config(obj, overrides=overrides)
 
 
-# -- result writing --------------------------------------------------------------
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
-
-
-def write_result_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
 @dataclass
 class Invariant:
     passed: bool
@@ -403,8 +399,8 @@ class ExperimentOutput:
         self.rows: list[tuple] = []
         self.invariants: dict[str, Invariant] = {}
         self.metrics: dict[str, Any] = {}
-        # extra artifact files: name -> writer(path)
-        self.artifacts: dict[str, Callable] = {}
+        # extra JSON files: name -> record
+        self.artifacts: dict[str, Any] = {}
 
     def check(self, name: str, passed: bool, value=None, detail: str = "") -> None:
         self.invariants[name] = Invariant(
@@ -473,7 +469,7 @@ def _exp_transport(cfg: ExperimentConfig) -> ExperimentOutput:
         raise ValueError("transport experiment needs n_atoms <= 9 for the oracle")
     dim = cfg.parameters["dim"]
     out.header = ["instance", "n", "cost", "cost_bruteforce", "delta"]
-    plans = []
+    records = []
     max_delta = 0.0
     for i in range(cfg.parameters["instances"]):
         x = rng.normal(size=(n, dim))
@@ -482,13 +478,10 @@ def _exp_transport(cfg: ExperimentConfig) -> ExperimentOutput:
         brute = transport.w2_atomic_bruteforce(x, y)
         delta = abs(fast.cost - brute.cost)
         max_delta = max(max_delta, delta)
-        plans.append(fast)
+        records.append(transport.transport_plan_record(fast))
         out.rows.append((i, n, fast.cost, brute.cost, delta))
     out.check("hungarian_equals_bruteforce", max_delta <= 1e-12, max_delta)
-    out.metrics["records"] = [transport.transport_plan_record(p) for p in plans]
-    out.artifacts["transport.json"] = lambda path: transport.write_transport_json(
-        plans, path
-    )
+    out.metrics["records"] = out.artifacts["transport.json"] = records
     return out
 
 
@@ -526,11 +519,7 @@ def _exp_jko(cfg: ExperimentConfig) -> ExperimentOutput:
                 info.grad_norm,
             )
         )
-    from .gradient_flow import write_jko_diagnostics_json
-
-    out.artifacts["jko_diagnostics.json"] = lambda path: write_jko_diagnostics_json(
-        infos, path
-    )
+    out.artifacts["jko_diagnostics.json"] = [jko_step_record(info) for info in infos]
     variance_final = var_of(rho)
     target = var0 + 2 * p["steps"] * p["time_step"]
     out.check(
@@ -589,8 +578,6 @@ def _exp_multicomponent(cfg: ExperimentConfig) -> ExperimentOutput:
     p = cfg.parameters
     alpha = np.asarray(p["alpha"])
     eta = np.asarray(p["eta"])
-    if alpha.size != 2 or eta.size != 2:
-        raise ValueError("the multicomponent experiment runs two species")
     cells = p["cells"]
     grid = GridDensity1D(0.0, 1.0, np.ones(cells))
     base = 0.5 / alpha[0]
@@ -694,13 +681,8 @@ def _exp_particles(cfg: ExperimentConfig) -> ExperimentOutput:
     )
     _, traj = euler_maruyama(ens, p["dt"], p["t_end"], store_every=10**9)
     final = traj[-1][:, 0]
-    out.header = ["particle_id", "x"]
-    out.rows = [(i, x) for i, x in enumerate(final)]
-    from .particles import write_ensemble_metadata
-
-    out.artifacts["metadata.json"] = lambda path: write_ensemble_metadata(
-        ens, p["dt"], p["t_end"], path
-    )
+    out.header, out.rows = snapshot_table(final)
+    out.artifacts["metadata.json"] = ensemble_metadata(ens, p["dt"], p["t_end"])
     out.check("all_finite", bool(np.isfinite(final).all()))
     hist = empirical_density(final, (lo, hi), p["cells"])
     out.check("histogram_mass_one", abs(hist.mass() - 1.0) <= 1e-12, hist.mass() - 1.0)
@@ -758,9 +740,7 @@ def _exp_ldp(cfg: ExperimentConfig) -> ExperimentOutput:
         tilt = np.asarray(p["tilt"], dtype=float) if p["tilt"] else np.zeros(mu.size)
         n = int(p["n_values"][-1])
         table = varadhan_tilt(FiniteLdpProblem(mu=mu, n=n, tilt=tilt))
-        out.header = [f"type_{i}" for i in range(mu.size)] + ["exact_rate", "limit_rate"]
-        for row, ex, lim in zip(table.types, table.exact_rate, table.limit_rate):
-            out.rows.append(tuple(int(v) for v in row) + (ex, lim))
+        out.header, out.rows = ldp_table(table)
         out.check("limit_rate_nonnegative", float(table.limit_rate.min()) >= -1e-12)
         target = mu * np.exp(-tilt)
         target /= target.sum()
@@ -843,9 +823,9 @@ def run(config: ExperimentConfig) -> int:
     try:
         output = EXPERIMENTS[config.experiment](config)
         wall = time.perf_counter() - started
-        write_result_csv(config.output_dir / "result.csv", output.header, output.rows)
-        for name, writer in output.artifacts.items():
-            writer(config.output_dir / name)
+        measures.write_table(config.output_dir / "result.csv", output.header, output.rows)
+        for name, record in output.artifacts.items():
+            measures.write_json(config.output_dir / name, record)
     except Exception as exc:  # model or output failure; recorded, nonzero exit
         status = EXIT_RUNTIME
         error_detail = f"{type(exc).__name__}: {exc}"
@@ -876,9 +856,7 @@ def run(config: ExperimentConfig) -> int:
     if error_detail is not None:
         summary["error"] = error_detail
     summary["status"] = status
-    with open(config.output_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+    measures.write_json(config.output_dir / "summary.json", summary)
     return status
 
 

@@ -33,7 +33,7 @@ from ._grid import (
     pair_potential,
     weighted_poisson_neumann,
 )
-from .measures import GridDensity1D, PhysicalConstants
+from .measures import GridDensity1D, PhysicalConstants, write_json, write_table
 from .transport import SingularWeightError, dual_w_norm, local_w_norm
 
 __all__ = [
@@ -50,6 +50,7 @@ __all__ = [
     "jko_step_detailed",
     "jko_evolve",
     "write_trajectory_csv",
+    "jko_step_record",
     "write_jko_diagnostics_json",
 ]
 
@@ -400,6 +401,15 @@ def local_step(problem: FlowProblem, z, dt: float):
     return z.with_values(_values_of(z) + dt * rate)
 
 
+def _edi_terms(problem: FlowProblem, states: list, dt: float):
+    """psi(z_k, dz_k/dt) and psi_star(z_k, -F'(z_k)) of each step k of a curve."""
+    energy, diss = problem.energy, problem.dissipation
+    for prev, cur in zip(states[:-1], states[1:]):
+        rate = (_values_of(cur) - _values_of(prev)) / dt
+        force = -np.asarray(energy.derivative(prev), dtype=float)
+        yield diss.psi(prev, rate), diss.psi_star(prev, force)
+
+
 def edi_residual(problem: FlowProblem, trajectory, dt: float) -> float:
     """Energy-dissipation residual of a sampled curve.
 
@@ -410,12 +420,10 @@ def edi_residual(problem: FlowProblem, trajectory, dt: float) -> float:
     states = list(trajectory)
     if len(states) < 2:
         return 0.0
-    energy, diss = problem.energy, problem.dissipation
+    energy = problem.energy
     total = energy.value(states[-1]) - energy.value(states[0])
-    for prev, cur in zip(states[:-1], states[1:]):
-        rate = (_values_of(cur) - _values_of(prev)) / dt
-        force = -np.asarray(energy.derivative(prev), dtype=float)
-        total += (diss.psi(prev, rate) + diss.psi_star(prev, force)) * dt
+    for primal, dual in _edi_terms(problem, states, dt):
+        total += (primal + dual) * dt
     return total
 
 
@@ -666,22 +674,14 @@ def jko_evolve(
     return out
 
 
+def jko_step_record(info: JkoStepInfo) -> dict:
+    """JSON-ready record {iters, grad_norm, w2_sq, energy} of one JKO step."""
+    return {key: getattr(info, key) for key in ("iters", "grad_norm", "w2_sq", "energy")}
+
+
 def write_jko_diagnostics_json(infos, out_path) -> None:
     """Per-step inner-solver records {iters, grad_norm, w2_sq, energy}."""
-    import json
-
-    records = [
-        {
-            "iters": info.iters,
-            "grad_norm": info.grad_norm,
-            "w2_sq": info.w2_sq,
-            "energy": info.energy,
-        }
-        for info in infos
-    ]
-    with open(out_path, "w") as fh:
-        json.dump(records, fh, indent=2)
-        fh.write("\n")
+    write_json(out_path, [jko_step_record(info) for info in infos])
 
 
 def write_trajectory_csv(problem: FlowProblem, trajectory, dt: float, out_path) -> None:
@@ -691,21 +691,11 @@ def write_trajectory_csv(problem: FlowProblem, trajectory, dt: float, out_path) 
     where edi_partial is the running residual up to that step.
     """
     states = list(trajectory)
-    energy, diss = problem.energy, problem.dissipation
-    f0 = energy.value(states[0])
-    running = 0.0
-    with open(out_path, "w", newline="") as fh:
-        fh.write("step,time,energy,dissipation_primal,dissipation_dual,edi_partial\n")
-        for k, state in enumerate(states):
-            f_k = energy.value(state)
-            if k < len(states) - 1:
-                rate = (_values_of(states[k + 1]) - _values_of(state)) / dt
-                primal = diss.psi(state, rate)
-                dual = diss.psi_star(state, -np.asarray(energy.derivative(state)))
-            else:
-                primal = dual = 0.0
-            partial = f_k - f0 + running
-            fh.write(
-                f"{k},{k * dt:.17g},{f_k:.17g},{primal:.17g},{dual:.17g},{partial:.17g}\n"
-            )
-            running += (primal + dual) * dt
+    energies = [problem.energy.value(state) for state in states]
+    terms = [*_edi_terms(problem, states, dt), (0.0, 0.0)]
+    rows, running = [], 0.0
+    for k, (f_k, (primal, dual)) in enumerate(zip(energies, terms)):
+        rows.append((k, k * dt, f_k, primal, dual, f_k - energies[0] + running))
+        running += (primal + dual) * dt
+    header = ["step", "time", "energy", "dissipation_primal", "dissipation_dual", "edi_partial"]
+    write_table(out_path, header, rows)

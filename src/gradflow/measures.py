@@ -5,11 +5,17 @@ Two carriers are used everywhere in this package: :class:`DiscreteMeasure`
 and :class:`GridDensity1D` (a nonnegative density on a uniform 1D grid).
 Both are immutable after construction; every operation here is a pure
 function, so concurrent read access is safe.
+
+This module also holds the one output format of the package, which every
+other module writes through: :func:`write_table` (CSV with a header row,
+LF line ends, floats at 17 significant digits, so they read back bitwise)
+and :func:`write_json` (indent 2, sorted keys, trailing newline).
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 
@@ -29,6 +35,8 @@ __all__ = [
     "read_discrete_csv",
     "write_grid_csv",
     "read_grid_csv",
+    "write_table",
+    "write_json",
 ]
 
 MASS_MATCH_TOL = 1e-12
@@ -273,7 +281,45 @@ def second_moment(m) -> float:
     raise TypeError("second_moment expects a DiscreteMeasure or GridDensity1D")
 
 
-# -- CSV serialization --------------------------------------------------------
+# -- the one output format ----------------------------------------------------
+
+
+def _cell(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.17g}"
+    return str(value)
+
+
+def write_table(path, header, rows) -> None:
+    """CSV with a header row and LF line ends; floats to 17 significant
+    digits (they read back bitwise), integers as integers, bools as
+    ``true``/``false``, anything else through ``str``."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_cell(v) for v in row) + "\n")
+
+
+def write_json(path, obj) -> None:
+    """JSON with indent 2, sorted keys and a trailing newline; values JSON
+    cannot hold are written through ``str``."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True, default=str)
+        fh.write("\n")
+
+
+def _read_table(path) -> tuple[list[str], np.ndarray]:
+    """Header and float rows of a table; LF and CRLF line ends both load."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = [[float(c) for c in row] for row in reader if row]
+    return header, np.asarray(rows, dtype=float)
+
 
 _COORD_NAMES = ("x", "y", "z")
 
@@ -282,41 +328,26 @@ def write_discrete_csv(mu: DiscreteMeasure, path) -> None:
     """Write atoms and weights as columns x[,y,z],weight with a header row."""
     if mu.dim > 3:
         raise ValueError("CSV serialization supports at most 3 coordinates")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(_COORD_NAMES[: mu.dim]) + ["weight"])
-        for atom, w in zip(mu.atoms, mu.weights):
-            writer.writerow([f"{c:.17g}" for c in atom] + [f"{w:.17g}"])
+    header = list(_COORD_NAMES[: mu.dim]) + ["weight"]
+    write_table(path, header, np.column_stack([mu.atoms, mu.weights]))
 
 
 def read_discrete_csv(path) -> DiscreteMeasure:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[-1] != "weight" or tuple(header[:-1]) != _COORD_NAMES[: len(header) - 1]:
-            raise ValueError(f"unexpected header {header!r} for a discrete measure")
-        rows = [[float(c) for c in row] for row in reader if row]
-    data = np.asarray(rows, dtype=float)
+    header, data = _read_table(path)
+    if header[-1] != "weight" or tuple(header[:-1]) != _COORD_NAMES[: len(header) - 1]:
+        raise ValueError(f"unexpected header {header!r} for a discrete measure")
     return DiscreteMeasure(data[:, :-1], data[:, -1])
 
 
 def write_grid_csv(rho: GridDensity1D, path) -> None:
     """Write columns cell_center,value with a header row."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cell_center", "value"])
-        for c, v in zip(rho.centers, rho.values):
-            writer.writerow([f"{c:.17g}", f"{v:.17g}"])
+    write_table(path, ["cell_center", "value"], np.column_stack([rho.centers, rho.values]))
 
 
 def read_grid_csv(path) -> GridDensity1D:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["cell_center", "value"]:
-            raise ValueError(f"unexpected header {header!r} for a grid density")
-        rows = [[float(c) for c in row] for row in reader if row]
-    data = np.asarray(rows, dtype=float)
+    header, data = _read_table(path)
+    if header != ["cell_center", "value"]:
+        raise ValueError(f"unexpected header {header!r} for a grid density")
     centers, values = data[:, 0], data[:, 1]
     if centers.size < 2:
         raise ValueError("need at least 2 cells")

@@ -36,7 +36,7 @@ from ._grid import (
     weighted_poisson_neumann,
 )
 from .gradient_flow import EnergyFunctional, FlowProblem, QuadraticDissipation, local_step
-from .measures import GridDensity1D, PhysicalConstants
+from .measures import GridDensity1D, PhysicalConstants, write_table
 
 __all__ = [
     "PhaseFieldState",
@@ -583,18 +583,12 @@ def cahn_hilliard_solve(
 
 
 def write_model_csv(trajectory: GridTrajectory, out_path, *, dt: float) -> None:
-    """Stream per-step diagnostics: step,time,energy,mass[,constraint_max_violation]."""
+    """Per-step diagnostics: step,time,energy,mass[,constraint_max_violation]."""
+    header = ["step", "time", "energy", "mass"]
+    columns = [trajectory.energies, trajectory.masses]
     constraint = trajectory.extra.get("constraint_max_violation")
-    with open(out_path, "w", newline="") as fh:
-        header = "step,time,energy,mass"
-        if constraint is not None:
-            header += ",constraint_max_violation"
-        fh.write(header + "\n")
-        for k in range(trajectory.energies.size):
-            row = (
-                f"{k},{k * dt:.17g},{trajectory.energies[k]:.17g},"
-                f"{trajectory.masses[k]:.17g}"
-            )
-            if constraint is not None:
-                row += f",{constraint[k]:.17g}"
-            fh.write(row + "\n")
+    if constraint is not None:
+        header.append("constraint_max_violation")
+        columns.append(constraint)
+    rows = [(k, k * dt, *values) for k, values in enumerate(zip(*columns))]
+    write_table(out_path, header, rows)

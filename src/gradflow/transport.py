@@ -14,7 +14,6 @@ holds to machine precision.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,7 +26,7 @@ from ._grid import (
     interface_gradient,
     weighted_poisson_neumann,
 )
-from .measures import GridDensity1D
+from .measures import GridDensity1D, write_json, write_table
 
 __all__ = [
     "TransportPlan",
@@ -239,27 +238,34 @@ def tangent_from_rate(rho: GridDensity1D, s) -> TangentField1D:
     return TangentField1D(rho, np.asarray(s, dtype=float), interface_gradient(xi, rho.h))
 
 
+def _segment_norms(path: list, dt: float):
+    """||(rho_{k+1}-rho_k)/dt||^2_{-1, rho_mid} of each segment of a path,
+    with the local norm at the segment's midpoint density."""
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    mass0 = path[0].mass() if path else 0.0
+    for prev, cur in zip(path[:-1], path[1:]):
+        if abs(cur.mass() - mass0) > MASS_MATCH_TOL * max(1.0, mass0):
+            raise ValueError("path entries must have equal mass")
+        mid = prev.with_values(0.5 * (prev.values + cur.values))
+        norm_sq, _ = local_w_norm(mid, (cur.values - prev.values) / dt)
+        yield norm_sq
+
+
+def _action(norms, dt: float) -> float:
+    total = 0.0
+    for norm_sq in norms:
+        total += norm_sq * dt
+    return total
+
+
 def path_action(path, dt: float) -> float:
     """Kinetic action sum_k ||(rho_{k+1}-rho_k)/dt||^2_{-1, rho_mid} dt.
 
     The local norm is evaluated at the midpoint density of each segment;
     all path entries must carry equal mass.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    path = list(path)
-    if len(path) < 2:
-        return 0.0
-    mass0 = path[0].mass()
-    total = 0.0
-    for prev, cur in zip(path[:-1], path[1:]):
-        if abs(cur.mass() - mass0) > MASS_MATCH_TOL * max(1.0, mass0):
-            raise ValueError("path entries must have equal mass")
-        mid = prev.with_values(0.5 * (prev.values + cur.values))
-        rate = (cur.values - prev.values) / dt
-        norm_sq, _ = local_w_norm(mid, rate)
-        total += norm_sq * dt
-    return total
+    return _action(_segment_norms(list(path), dt), dt)
 
 
 def atomic_path_action(trajectories, dt: float) -> float:
@@ -290,24 +296,12 @@ def transport_plan_record(plan: TransportPlan) -> dict:
 
 def write_path_action_csv(path_densities, dt: float, out_path) -> float:
     """Write per-step local norms (columns step,time,local_norm_sq); returns action."""
-    rows = []
-    total = 0.0
-    path_densities = list(path_densities)
-    for k, (prev, cur) in enumerate(zip(path_densities[:-1], path_densities[1:])):
-        mid = prev.with_values(0.5 * (prev.values + cur.values))
-        norm_sq, _ = local_w_norm(mid, (cur.values - prev.values) / dt)
-        rows.append((k, k * dt, norm_sq))
-        total += norm_sq * dt
-    with open(out_path, "w", newline="") as fh:
-        fh.write("step,time,local_norm_sq\n")
-        for step, time, norm_sq in rows:
-            fh.write(f"{step},{time:.17g},{norm_sq:.17g}\n")
-    return total
+    norms = list(_segment_norms(list(path_densities), dt))
+    rows = [(k, k * dt, norm_sq) for k, norm_sq in enumerate(norms)]
+    write_table(out_path, ["step", "time", "local_norm_sq"], rows)
+    return _action(norms, dt)
 
 
 def write_transport_json(plans, out_path) -> None:
     """Serialize a list of TransportPlan as JSON records."""
-    records = [transport_plan_record(p) for p in plans]
-    with open(out_path, "w") as fh:
-        json.dump(records, fh, indent=2)
-        fh.write("\n")
+    write_json(out_path, [transport_plan_record(p) for p in plans])

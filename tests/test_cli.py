@@ -146,6 +146,19 @@ class TestValidateCommand:
             ("multicomponent", {"mode": "both_ways"}, "parameters.mode"),
             ("fokker_planck", {"potential": "cubic"}, "parameters.potential"),
             ("jko", {"cells": 10**21}, "parameters.cells"),
+            ("phasefield", {"dt": -0.04}, "parameters.dt"),
+            ("jko", {"time_step": -0.001}, "parameters.time_step"),
+            ("multicomponent", {"alpha": [2.0]}, "parameters.alpha"),
+            ("reversibility", {"mobility": [1.0]}, "parameters.mobility"),
+            ("ldp", {"n_values": [0]}, "parameters.n_values"),
+            ("ldp", {"n_values": [1e6]}, "parameters.n_values"),
+            ("ldp", {"a": 0.4}, "parameters.a"),
+            ("ldp", {"mu": []}, "parameters.mu"),
+            ("multicomponent", {"eta": [1.0, 0.0]}, "parameters.eta"),
+            ("reversibility", {"mobility": [1.0, -2.0]}, "parameters.mobility"),
+            ("reversibility", {"kT": 0.0}, "parameters.kT"),
+            ("fokker_planck", {"t_end": 0.0}, "parameters.t_end"),
+            ("particles", {"kT": -1.0}, "parameters.kT"),
         ],
         ids=[
             "negative-cells",
@@ -159,6 +172,19 @@ class TestValidateCommand:
             "unknown-mode",
             "unknown-potential",
             "beyond-int64",
+            "negative-dt",
+            "negative-time-step",
+            "one-molar-volume",
+            "one-mobility",
+            "zero-sample-size",
+            "sample-size-beyond-1e5",
+            "threshold-below-half",
+            "empty-reference-law",
+            "zero-friction",
+            "negative-mobility",
+            "zero-temperature",
+            "zero-end-time",
+            "negative-kT",
         ],
     )
     def test_unrunnable_config_exits_2_with_key_path(

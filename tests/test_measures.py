@@ -17,6 +17,7 @@ from gradflow.measures import (
     read_grid_csv,
     write_discrete_csv,
     write_grid_csv,
+    write_table,
 )
 
 
@@ -236,3 +237,45 @@ class TestCsvRoundTrip:
         assert back.a == pytest.approx(rho.a, abs=1e-14)
         assert back.b == pytest.approx(rho.b, abs=1e-14)
         assert np.array_equal(back.values, rho.values)
+
+    def test_crlf_files_still_load(self, tmp_path):
+        # earlier versions wrote these two formats through csv.writer, whose
+        # lines end in CRLF
+        rng = np.random.default_rng(8)
+        mu = DiscreteMeasure(rng.normal(size=(5, 3)), rng.random(5))
+        rho = GridDensity1D(0.0, 5.0, rng.random(9))
+        discrete, grid = tmp_path / "mu.csv", tmp_path / "rho.csv"
+        cases = ((mu, write_discrete_csv, discrete), (rho, write_grid_csv, grid))
+        for measure, write, path in cases:
+            write(measure, path)
+            crlf = path.read_bytes().replace(b"\n", b"\r\n")
+            assert crlf.count(b"\r\n") == len(crlf.splitlines())
+            path.write_bytes(crlf)
+        back_mu, back_rho = read_discrete_csv(discrete), read_grid_csv(grid)
+        assert np.array_equal(back_mu.atoms, mu.atoms)
+        assert np.array_equal(back_mu.weights, mu.weights)
+        assert np.array_equal(back_rho.values, rho.values)
+        assert back_rho.b == pytest.approx(rho.b, abs=1e-14)
+
+
+class TestWriteTable:
+    @pytest.mark.parametrize(
+        "cell, text",
+        [
+            (True, "true"),
+            (np.bool_(False), "false"),
+            (np.int64(-42), "-42"),
+            (7, "7"),
+            (np.float64(0.1), "0.10000000000000001"),
+            (1.0 / 3.0, "0.33333333333333331"),
+            (np.float64(1e-300) / 3.0, "3.3333333333333334e-301"),
+            ("global", "global"),
+        ],
+        ids=["bool", "numpy-bool", "int64", "int", "float64", "float", "tiny-float64", "str"],
+    )
+    def test_cell_format(self, tmp_path, cell, text):
+        path = tmp_path / "table.csv"
+        write_table(path, ["label", "value"], [("row", cell), ("again", cell)])
+        assert path.read_bytes() == f"label,value\nrow,{text}\nagain,{text}\n".encode()
+        if isinstance(cell, (float, np.floating)):
+            assert float(text) == cell

@@ -1,7 +1,9 @@
 """Structural identities of the gradient-flow engine on random states."""
 
+import math
+
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gradflow._grid import free_energy_flux, interface_gradient
 from gradflow.gradient_flow import (
@@ -10,7 +12,17 @@ from gradflow.gradient_flow import (
     QuadraticDissipation,
     local_step,
 )
-from gradflow.measures import GridDensity1D
+from gradflow.measures import (
+    DiscreteMeasure,
+    GridDensity1D,
+    push_forward,
+    read_discrete_csv,
+    read_grid_csv,
+    relative_entropy,
+    total_variation,
+    write_discrete_csv,
+    write_grid_csv,
+)
 from gradflow.models import PhaseFieldState
 
 grids = st.fixed_dictionaries(
@@ -97,3 +109,73 @@ class TestLocalStepMass:
         out = local_step(problem, u, 0.1 * u.h**4 / (8.0 * mobility))
         scale = np.abs(u.u).sum() + np.abs(out.u).sum()
         assert abs(out.u.sum() - u.u.sum()) <= 1e-13 * scale
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+weight = st.floats(0.0, 1e300)
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestCsvRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(grid=grids, values=st.lists(weight, min_size=2, max_size=40))
+    def test_grid_values_come_back_bitwise(self, tmp_path_factory, grid, values):
+        rho = GridDensity1D(grid["a"], grid["a"] + grid["width"], values)
+        path = tmp_path_factory.getbasetemp() / "rho.csv"
+        write_grid_csv(rho, path)
+        back = read_grid_csv(path)
+        assert np.array_equal(bits(back.values), bits(rho.values))
+        # the domain is rebuilt from the cell centers, so only to rounding
+        assert abs(back.a - rho.a) <= 1e-12 * grid["width"]
+        assert abs(back.b - rho.b) <= 1e-12 * grid["width"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.integers(1, 3),
+        rows=st.lists(st.tuples(finite, finite, finite, weight), min_size=1, max_size=30),
+    )
+    def test_discrete_atoms_and_weights_come_back_bitwise(self, tmp_path_factory, dim, rows):
+        data = np.array(rows)
+        mu = DiscreteMeasure(data[:, :dim], data[:, 3])
+        path = tmp_path_factory.getbasetemp() / "mu.csv"
+        write_discrete_csv(mu, path)
+        back = read_discrete_csv(path)
+        assert np.array_equal(bits(back.atoms), bits(mu.atoms))
+        assert np.array_equal(bits(back.weights), bits(mu.weights))
+
+
+def probability_pair(draw_mu, draw_nu):
+    mu, nu = np.asarray(draw_mu), np.asarray(draw_nu)
+    assume(mu.sum() > 0.0 and nu.sum() > 0.0)
+    atoms = np.arange(mu.size, dtype=float)[:, None]
+    return DiscreteMeasure(atoms, mu / mu.sum()), DiscreteMeasure(atoms, nu / nu.sum())
+
+
+laws = st.integers(1, 12).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
+        st.lists(st.floats(1e-6, 1.0), min_size=n, max_size=n),
+    )
+)
+
+
+class TestEntropyInequalities:
+    @settings(max_examples=300, deadline=None)
+    @given(pair=laws)
+    def test_pinsker(self, pair):
+        mu, nu = probability_pair(*pair)
+        h, tv = relative_entropy(mu, nu), total_variation(mu, nu)
+        assert tv <= math.sqrt(max(h, 0.0) / 2.0) + 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=laws, seed=st.integers(0, 2**32 - 1), classes=st.integers(1, 12))
+    def test_push_forward_does_not_raise_relative_entropy(self, pair, seed, classes):
+        mu, nu = probability_pair(*pair)
+        label = np.random.default_rng(seed).integers(0, classes, size=len(mu))
+        merge = lambda x: np.array([float(label[int(x[0])])])
+        h = relative_entropy(mu, nu)
+        pushed = relative_entropy(push_forward(mu, merge), push_forward(nu, merge))
+        assert pushed <= h + 1e-14 * (1.0 + h)
