@@ -1,8 +1,9 @@
 """The minimizing-movement (JKO) scheme for the heat flow.
 
 Each step solves argmin (1/2h) W2(rho, rho_prev)^2 + Ent(rho) in Lagrangian
-mass coordinates.  For a Gaussian start the variance must grow like 2t, and
-the entropy decreases step by step.
+mass coordinates, carrying the mass nodes from step to step.  For a
+Gaussian start the variance must grow like 2t, and the entropy decreases
+step by step.
 
 Run:  python3 demos/05_jko_heat_flow.py
 """
@@ -14,7 +15,7 @@ from gradflow.gradient_flow import (
     EnergyFunctional,
     FlowProblem,
     QuadraticDissipation,
-    jko_step_detailed,
+    jko_evolve,
     local_step,
 )
 from gradflow.transport import w2_grid_1d
@@ -32,9 +33,8 @@ def variance(r):
 tau, steps = 1e-3, 100
 print(f"JKO heat flow: {steps} steps of tau = {tau} from a standard Gaussian")
 print(" step   variance   entropy     W2^2 per step   newton iters")
-state = rho
-for k in range(1, steps + 1):
-    state, info = jko_step_detailed(state, tau, entropy)
+states, infos = jko_evolve(rho, tau, steps, entropy)
+for k, (state, info) in enumerate(zip(states[1:], infos), 1):
     if k % 20 == 0 or k == 1:
         print(
             f"  {k:3d}   {variance(state):.5f}   {entropy.value(state):+.5f}"

@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from gradflow import GridDensity1D, PhysicalConstants
-from gradflow.gradient_flow import _quantile_nodes
 from gradflow.models import fokker_planck_solve
 from gradflow.particles import (
     ParticleEnsemble,
@@ -22,7 +21,7 @@ from gradflow.particles import (
     rate_functional,
     schilder_action,
 )
-from gradflow.transport import w2_grid_1d
+from gradflow.transport import quantiles, w2_grid_1d
 
 constants = PhysicalConstants.with_rt(1.0)
 grid = GridDensity1D(-6.0, 6.0, np.ones(800))
@@ -36,7 +35,7 @@ pde = fokker_planck_solve(
 
 print("empirical measure vs. Fokker-Planck solution at T = 0.5 (OU drift):")
 for n in (100, 1000, 10000):
-    start = _quantile_nodes(rho0, n)[:, None]
+    start = quantiles(rho0, (np.arange(n) + 0.5) / n)[:, None]
     dists = []
     for seed in range(5):
         ens = ParticleEnsemble(

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .measures import GridDensity1D, PhysicalConstants, relative_entropy, total_variation
 from . import measures, transport
-from .gradient_flow import EnergyFunctional, jko_step_detailed, jko_step_record
+from .gradient_flow import EnergyFunctional, jko_evolve, jko_step_record
 from .models import (
     MultiSpeciesState,
     PhaseFieldState,
@@ -40,7 +40,9 @@ from .models import (
 from .particles import (
     FiniteLdpProblem,
     HalfSpace,
+    LAW_SUM_TOL,
     ParticleEnsemble,
+    check_enumeration,
     coin_rate,
     coin_tail_exact,
     empirical_density,
@@ -247,6 +249,36 @@ SCHEMAS: dict[str, dict[str, Field]] = {
 CONSTANT_KEYS = ("R", "k", "N_A", "T", "eta", "g", "c0", "rt")
 
 
+def _check_ldp(p: dict, errors: list[str]) -> None:
+    """The ldp fields that pass one by one but cannot run together.
+
+    The sanov and varadhan modes enumerate types exactly, within the limits
+    of :func:`gradflow.particles.check_enumeration`, and need a law ``mu``
+    that sums to 1, with ``constraint_coeffs`` resp. ``tilt`` of its length.
+    """
+    mode, mu = p["mode"], p["mu"]
+    if mode == "coin":
+        return
+    if abs(float(np.sum(mu)) - 1.0) > LAW_SUM_TOL:
+        errors.append(f"parameters.mu: expected weights that sum to 1 (within {LAW_SUM_TOL:g})")
+    key = "tilt" if mode == "varadhan" else "constraint_coeffs"
+    if p[key] and len(p[key]) != len(mu):
+        errors.append(f"parameters.{key}: expected {len(mu)} numbers, one per entry of mu")
+    try:
+        check_enumeration(len(mu), 1)  # a single sample tests the alphabet alone
+    except ValueError as exc:
+        errors.append(f"parameters.mu: {exc}")
+        return
+    n_values = p["n_values"]
+    # varadhan enumerates only the last sample size
+    first = 0 if mode == "sanov" else len(n_values) - 1
+    for i in range(first, len(n_values)):
+        try:
+            check_enumeration(len(mu), int(n_values[i]))
+        except ValueError as exc:
+            errors.append(f"parameters.n_values[{i}]: {exc}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one experiment run."""
@@ -342,6 +374,9 @@ def parse_config(obj, *, overrides: Optional[dict] = None) -> ExperimentConfig:
                 errors.append(f"parameters.{key}: required key missing")
             else:
                 params[key] = field.default
+        # fields are checked together only once each of them parsed
+        if experiment == "ldp" and len(params) == len(schema):
+            _check_ldp(params, errors)
 
     constants = PhysicalConstants.with_rt(1.0)
     if "constants" in obj:
@@ -501,26 +536,23 @@ def _exp_jko(cfg: ExperimentConfig) -> ExperimentOutput:
         mean = r.h * np.sum(r.values * r.centers)
         return float(r.h * np.sum(r.values * (r.centers - mean) ** 2))
 
+    states, infos = jko_evolve(rho, p["time_step"], p["steps"], energy)
     out.rows.append((0, 0.0, energy.value(rho), var_of(rho), 0.0, 0, 0.0))
-    worst_ascent = -math.inf
-    infos = []
-    for k in range(1, p["steps"] + 1):
-        rho, info = jko_step_detailed(rho, p["time_step"], energy)
-        infos.append(info)
-        worst_ascent = max(worst_ascent, info.energy - info.energy_start)
+    for k, (state, info) in enumerate(zip(states[1:], infos), 1):
         out.rows.append(
             (
                 k,
                 k * p["time_step"],
-                energy.value(rho),
-                var_of(rho),
+                energy.value(state),
+                var_of(state),
                 info.w2_sq,
                 info.iters,
                 info.grad_norm,
             )
         )
     out.artifacts["jko_diagnostics.json"] = [jko_step_record(info) for info in infos]
-    variance_final = var_of(rho)
+    worst_ascent = max((info.energy - info.energy_start for info in infos), default=-math.inf)
+    variance_final = var_of(states[-1])
     target = var0 + 2 * p["steps"] * p["time_step"]
     out.check(
         "variance_final_within_2pct",
@@ -668,9 +700,7 @@ def _exp_particles(cfg: ExperimentConfig) -> ExperimentOutput:
     start = grid.with_values(
         np.exp(-grid.centers**2 / 0.5) + 1e-6
     ).normalized()
-    from .gradient_flow import _quantile_nodes
-
-    positions = _quantile_nodes(start, p["n"])[:, None]
+    positions = transport.quantiles(start, (np.arange(p["n"]) + 0.5) / p["n"])[:, None]
     sigma = math.sqrt(p["kT"] * p["mobility"])
     ens = ParticleEnsemble(
         positions=positions,

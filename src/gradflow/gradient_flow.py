@@ -34,7 +34,13 @@ from ._grid import (
     weighted_poisson_neumann,
 )
 from .measures import GridDensity1D, PhysicalConstants, write_json, write_table
-from .transport import SingularWeightError, dual_w_norm, local_w_norm
+from .transport import (
+    QUANTILE_NODES_PER_CELL,
+    SingularWeightError,
+    dual_w_norm,
+    local_w_norm,
+    quantiles,
+)
 
 __all__ = [
     "QuadraticDissipation",
@@ -55,6 +61,10 @@ __all__ = [
 ]
 
 DISSIPATION_KINDS = ("scalar", "l2", "wasserstein", "hminus1")
+# the JKO Newton solve stops at a gradient sup-norm of NEWTON_TOL and fails
+# with ConvergenceError after MAX_NEWTON iterations
+NEWTON_TOL = 1e-9
+MAX_NEWTON = 200
 
 
 class ConvergenceError(RuntimeError):
@@ -447,45 +457,6 @@ class JkoStepInfo:
     energy_start: float
 
 
-def _quantile_nodes(rho: GridDensity1D, n_nodes: int) -> np.ndarray:
-    """Inverse CDF at midpoint mass nodes, by monotone-cubic inversion.
-
-    A piecewise-linear inversion treats every cell as exactly uniform and
-    the resulting quantize/rebin round trip keeps injecting spurious
-    variance into jko_evolve; the monotone (PCHIP) reconstruction of the
-    cumulative mass removes most of that bias while preserving
-    monotonicity.
-    """
-    from scipy.interpolate import PchipInterpolator
-
-    cum = np.concatenate(([0.0], np.cumsum(rho.h * rho.values)))
-    cum[-1] = rho.mass()
-    keep = np.concatenate(([True], np.diff(cum) > 0.0))
-    inverse_cdf = PchipInterpolator(cum[keep], rho.edges[keep])
-    masses = (np.arange(n_nodes) + 0.5) / n_nodes
-    return inverse_cdf(masses)
-
-
-def _potential_derivatives(energy: EnergyFunctional):
-    V = energy.potential
-    if V is None:
-        return None, None
-    if energy.potential_grad is not None:
-        vp = energy.potential_grad
-    else:
-        eps = 1e-5
-
-        def vp(x, V=V, eps=eps):
-            return (V(x + eps) - V(x - eps)) / (2 * eps)
-
-    eps2 = 1e-4
-
-    def vpp(x, vp=vp, eps2=eps2):
-        return (vp(x + eps2) - vp(x - eps2)) / (2 * eps2)
-
-    return vp, vpp
-
-
 def _jko_objective(X, Y, dm, tau, energy):
     gaps = np.diff(X)
     rt = energy.rt
@@ -498,60 +469,15 @@ def _jko_objective(X, Y, dm, tau, energy):
     return val
 
 
-def jko_step_detailed(
-    rho_prev: GridDensity1D,
-    tau: float,
-    energy: EnergyFunctional,
-    *,
-    newton_tol: float = 1e-9,
-    max_newton: int = 200,
-    nodes_per_cell: int = 4,
-) -> tuple[GridDensity1D, JkoStepInfo]:
-    """One JKO step argmin (1/2 tau) W2(rho, rho_prev)^2 + F(rho), with info.
-
-    Works in Lagrangian mass coordinates: the state is the inverse CDF
-    sampled at n midpoint mass nodes X_j, with
-
-        W2^2 = sum |X_j - X_prev,j|^2 dm,
-        Ent  = -sum log(dX_j / dm) dm,
-
-    minimized by damped (Armijo) Newton until the gradient sup-norm falls
-    below ``newton_tol``.  The mass resolution is ``nodes_per_cell`` nodes
-    per grid cell (4 by default, like the quantile quadrature of
-    :func:`gradflow.transport.w2_grid_1d`); the result is rebinned
-    conservatively onto the grid of ``rho_prev``.  Supports entropy plus an
-    external potential; interaction kernels have no diagonal
-    mass-coordinate form and are rejected.
-    """
-    if tau <= 0.0:
-        raise ValueError("time step must be positive")
-    if energy.kind != "grid_free_energy":
-        raise ValueError("JKO stepping needs a grid free energy")
-    if energy.interaction is not None or energy.internal is not None:
-        raise NotImplementedError(
-            "JKO inner solver supports entropy + potential energies only"
-        )
-    if energy.potential is not None and not callable(energy.potential):
-        raise ValueError("JKO needs the potential as a callable of position")
-    if energy.rt <= 0.0:
-        raise ValueError("JKO inner solver needs a positive entropy weight")
-    if abs(rho_prev.mass() - 1.0) > 1e-8:
-        raise ValueError("rho_prev must be probability-normalized")
-
-    n = nodes_per_cell * rho_prev.cells
-    dm = 1.0 / n
-    Y = _quantile_nodes(rho_prev.normalized(), n)
-    if np.any(np.diff(Y) <= 0.0):
-        # distinct mass levels collide only when the density degenerates
-        raise SingularWeightError("JKO step needs strictly increasing quantiles")
-    vp, vpp = _potential_derivatives(energy)
+def _jko_minimize(Y, dm, tau, energy) -> tuple[np.ndarray, JkoStepInfo]:
+    """Nodes X minimizing (1/2 tau) W2^2 to the nodes Y plus F, by damped Newton."""
+    n = Y.size
     rt = energy.rt
-
+    vp = energy.potential_grad if energy.potential is not None else None
     X = Y.copy()
     obj = _jko_objective(X, Y, dm, tau, energy)
     energy_start = obj  # W2 term vanishes at the warm start
     iters = 0
-    grad_norm = math.inf
     while True:
         gaps = np.diff(X)
         inv_g = 1.0 / gaps
@@ -561,18 +487,18 @@ def jko_step_detailed(
         if vp is not None:
             grad += dm * vp(X)
         grad_norm = float(np.abs(grad).max())
-        if grad_norm <= newton_tol:
+        if grad_norm <= NEWTON_TOL:
             break
-        if iters >= max_newton:
+        if iters >= MAX_NEWTON:
             raise ConvergenceError(
-                f"JKO Newton failed: grad {grad_norm:.3e} after {max_newton} iterations"
+                f"JKO Newton failed: grad {grad_norm:.3e} after {MAX_NEWTON} iterations"
             )
         inv_g2 = inv_g * inv_g
         diag = np.full(n, dm / tau)
         diag[:-1] += rt * dm * inv_g2
         diag[1:] += rt * dm * inv_g2
-        if vpp is not None:
-            diag += dm * np.maximum(vpp(X), 0.0)
+        if vp is not None:  # V'' as one central difference of V'
+            diag += dm * np.maximum((vp(X + 1e-4) - vp(X - 1e-4)) / 2e-4, 0.0)
         upper = -rt * dm * inv_g2
         ab = np.zeros((2, n))
         ab[0, 1:] = upper
@@ -595,14 +521,12 @@ def jko_step_detailed(
         X, obj = X_try, obj_try
         iters += 1
 
-    rho_new = _rebin_mass_nodes(X, dm, rho_prev)
     w2_sq = float(dm * np.sum((X - Y) ** 2))
-    f_val = obj - 0.5 / tau * w2_sq
-    return rho_new, JkoStepInfo(
+    return X, JkoStepInfo(
         iters=iters,
         grad_norm=grad_norm,
         w2_sq=w2_sq,
-        energy=f_val,
+        energy=obj - 0.5 / tau * w2_sq,
         energy_start=energy_start,
     )
 
@@ -627,51 +551,71 @@ def _rebin_mass_nodes(X: np.ndarray, dm: float, template: GridDensity1D) -> Grid
     return template.with_values(cell_mass / template.h)
 
 
-def jko_step(
-    rho_prev: GridDensity1D,
-    tau: float,
-    energy: EnergyFunctional,
-    *,
-    newton_tol: float = 1e-9,
-    max_newton: int = 200,
-    nodes_per_cell: int = 4,
-) -> GridDensity1D:
-    """Minimizer of (1/2 tau) W2(rho, rho_prev)^2 + F(rho) on the grid."""
-    rho, _ = jko_step_detailed(
-        rho_prev,
-        tau,
-        energy,
-        newton_tol=newton_tol,
-        max_newton=max_newton,
-        nodes_per_cell=nodes_per_cell,
-    )
-    return rho
-
-
 def jko_evolve(
-    rho0: GridDensity1D,
-    tau: float,
-    steps: int,
-    energy: EnergyFunctional,
-    *,
-    newton_tol: float = 1e-9,
-    max_newton: int = 200,
-    nodes_per_cell: int = 4,
-) -> list[GridDensity1D]:
-    """Iterate jko_step; the energy is nonincreasing along the iterates."""
-    out = [rho0]
-    for _ in range(steps):
-        out.append(
-            jko_step(
-                out[-1],
-                tau,
-                energy,
-                newton_tol=newton_tol,
-                max_newton=max_newton,
-                nodes_per_cell=nodes_per_cell,
-            )
+    rho0: GridDensity1D, tau: float, steps: int, energy: EnergyFunctional
+) -> tuple[list[GridDensity1D], list[JkoStepInfo]]:
+    """Minimizing movement rho_k = argmin (1/2 tau) W2(rho, rho_{k-1})^2 + F(rho).
+
+    Works in Lagrangian mass coordinates, where the state of the flow is
+    the inverse CDF X_j at n midpoint mass levels (j + 1/2) dm, dm = 1/n:
+
+        W2^2 = sum |X_j - X_prev,j|^2 dm,
+        Ent  = -sum log(dX_j / dm) dm.
+
+    rho0 is quantized once, at QUANTILE_NODES_PER_CELL nodes per grid cell
+    (:func:`gradflow.transport.quantiles`); each step then minimizes over
+    the nodes, from the previous step's nodes, by damped (Armijo) Newton
+    until the gradient sup-norm falls below ``NEWTON_TOL``.  Every iterate
+    is rebinned conservatively onto the grid of rho0 only to be returned.
+    Supports entropy plus an external potential V, which needs its
+    derivative ``potential_grad``; interaction kernels have no diagonal
+    mass-coordinate form and are rejected.
+
+    Returns the states rho_0..rho_steps and one :class:`JkoStepInfo` per
+    step; the minimized energy is nonincreasing along the steps.
+    """
+    if tau <= 0.0:
+        raise ValueError("time step must be positive")
+    if energy.kind != "grid_free_energy":
+        raise ValueError("JKO stepping needs a grid free energy")
+    if energy.interaction is not None or energy.internal is not None:
+        raise NotImplementedError(
+            "JKO inner solver supports entropy + potential energies only"
         )
-    return out
+    if energy.potential is not None and not (
+        callable(energy.potential) and callable(energy.potential_grad)
+    ):
+        raise ValueError("JKO needs the potential and its potential_grad as callables")
+    if energy.rt <= 0.0:
+        raise ValueError("JKO inner solver needs a positive entropy weight")
+    if abs(rho0.mass() - 1.0) > 1e-8:
+        raise ValueError("rho0 must be probability-normalized")
+
+    n = QUANTILE_NODES_PER_CELL * rho0.cells
+    dm = 1.0 / n
+    X = quantiles(rho0.normalized(), (np.arange(n) + 0.5) * dm)
+    if np.any(np.diff(X) <= 0.0):
+        # distinct mass levels collide only when the density degenerates
+        raise SingularWeightError("JKO needs strictly increasing quantiles")
+    states, infos = [rho0], []
+    for _ in range(steps):
+        X, info = _jko_minimize(X, dm, tau, energy)
+        states.append(_rebin_mass_nodes(X, dm, rho0))
+        infos.append(info)
+    return states, infos
+
+
+def jko_step_detailed(
+    rho_prev: GridDensity1D, tau: float, energy: EnergyFunctional
+) -> tuple[GridDensity1D, JkoStepInfo]:
+    """One JKO step argmin (1/2 tau) W2(rho, rho_prev)^2 + F(rho), with info."""
+    (_, rho), (info,) = jko_evolve(rho_prev, tau, 1, energy)
+    return rho, info
+
+
+def jko_step(rho_prev: GridDensity1D, tau: float, energy: EnergyFunctional) -> GridDensity1D:
+    """Minimizer of (1/2 tau) W2(rho, rho_prev)^2 + F(rho) on the grid."""
+    return jko_step_detailed(rho_prev, tau, energy)[0]
 
 
 def jko_step_record(info: JkoStepInfo) -> dict:

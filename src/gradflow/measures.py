@@ -42,12 +42,6 @@ __all__ = [
 MASS_MATCH_TOL = 1e-12
 
 
-def _frozen_array(values, dtype=float, ndmin=1) -> np.ndarray:
-    arr = np.array(values, dtype=dtype, ndmin=ndmin)
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """Nonnegative measure with finitely many atoms in R^d.

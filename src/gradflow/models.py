@@ -505,12 +505,8 @@ def multicomponent_evolve(
     )
 
 
-def free_energy_multispecies(
-    state: MultiSpeciesState,
-    constants: PhysicalConstants,
-    energy: Optional[Callable[[np.ndarray], float]] = None,
-) -> float:
-    """E(c_1..c_m) + RT sum_i int c_i log(c_i / c0); additive constant 0."""
+def free_energy_multispecies(state: MultiSpeciesState, constants: PhysicalConstants) -> float:
+    """RT sum_i int c_i log(c_i / c0), the ideal-mixture free energy."""
     rt, c0 = constants.RT, constants.c0
     c = state.concentrations
     h = state.h
@@ -519,10 +515,7 @@ def free_energy_multispecies(
         v = c[i]
         pos = v > 0.0
         entropic += float(np.sum(v[pos] * np.log(v[pos] / c0)))
-    total = rt * h * entropic
-    if energy is not None:
-        total += float(energy(c))
-    return total
+    return rt * h * entropic
 
 
 # -- phase fields ---------------------------------------------------------------

@@ -42,6 +42,7 @@ __all__ = [
     "reversibility_check",
     "coin_rate",
     "coin_tail_exact",
+    "check_enumeration",
     "sanov_exact",
     "varadhan_tilt",
     "log_degeneracy",
@@ -55,7 +56,12 @@ __all__ = [
 ]
 
 GENERATOR_VERSION = f"numpy-{np.__version__}-philox4x64"
+# exact type enumeration: largest alphabet, sample size and number of types
+ENUMERATION_MAX_ALPHABET = 5
+ENUMERATION_MAX_N = 120
 ENUMERATION_LIMIT = 2_000_000
+# how far the weights of a reference law may sum away from 1
+LAW_SUM_TOL = 1e-12
 # float64 elements in one block of pair differences (512 KB): sized to stay
 # in cache, so the interaction drift's temporaries do not grow with n^2
 PAIR_BLOCK_ELEMENTS = 2**16
@@ -372,8 +378,8 @@ class FiniteLdpProblem:
         mu = np.asarray(self.mu, dtype=float).reshape(-1)
         if np.any(mu <= 0.0):
             raise ValueError("reference weights must be strictly positive")
-        if abs(mu.sum() - 1.0) > 1e-12:
-            raise ValueError("reference law must sum to 1 (1e-12)")
+        if abs(mu.sum() - 1.0) > LAW_SUM_TOL:
+            raise ValueError(f"reference law must sum to 1 ({LAW_SUM_TOL:g})")
         if self.n < 1:
             raise ValueError("sample size must be at least 1")
         mu = mu.copy()
@@ -425,10 +431,15 @@ def _type_count(n: int, parts: int) -> int:
     return math.comb(n + parts - 1, parts - 1)
 
 
-def _guard_enumeration(problem: FiniteLdpProblem) -> None:
-    if problem.alphabet > 5 or problem.n > 120:
-        raise ValueError("exact enumeration is limited to alphabet <= 5, n <= 120")
-    if _type_count(problem.n, problem.alphabet) > ENUMERATION_LIMIT:
+def check_enumeration(alphabet: int, n: int) -> None:
+    """Raise ValueError unless the types of n samples from ``alphabet``
+    states are few enough to enumerate exactly."""
+    if alphabet > ENUMERATION_MAX_ALPHABET or n > ENUMERATION_MAX_N:
+        raise ValueError(
+            f"exact enumeration is limited to alphabet <= {ENUMERATION_MAX_ALPHABET}, "
+            f"n <= {ENUMERATION_MAX_N}"
+        )
+    if _type_count(n, alphabet) > ENUMERATION_LIMIT:
         raise ValueError("type enumeration would exceed the size guard")
 
 
@@ -492,7 +503,7 @@ def sanov_exact(problem: FiniteLdpProblem, constraint: Optional[HalfSpace] = Non
     omitted); the companion limit value inf H(rho|mu) over the same set is
     returned alongside.
     """
-    _guard_enumeration(problem)
+    check_enumeration(problem.alphabet, problem.n)
     n, mu = problem.n, problem.mu
     types = _enumerate_types(n, problem.alphabet)
     log_probs = _log_multinomial(types, mu, n)
@@ -530,7 +541,7 @@ def varadhan_tilt(problem: FiniteLdpProblem) -> TiltTable:
     I(rho) = H(rho|mu) + <F, rho> - inf(H + <F, .>), whose normalization
     constant has the closed form -log sum_i mu_i exp(-F_i).
     """
-    _guard_enumeration(problem)
+    check_enumeration(problem.alphabet, problem.n)
     F = problem.tilt if problem.tilt is not None else np.zeros_like(problem.mu)
     n, mu = problem.n, problem.mu
     types = _enumerate_types(n, problem.alphabet)

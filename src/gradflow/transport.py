@@ -34,6 +34,7 @@ __all__ = [
     "SingularWeightError",
     "w2_atomic_bruteforce",
     "w2_atomic",
+    "quantiles",
     "w2_grid_1d",
     "local_w_norm",
     "dual_w_norm",
@@ -163,18 +164,22 @@ def w2_atomic(x, y) -> TransportPlan:
     return TransportPlan(cols[np.argsort(rows)], cost[rows, cols].sum() / x.shape[0])
 
 
-def _quantiles(rho: GridDensity1D, mass_nodes: np.ndarray) -> np.ndarray:
-    """Invert the piecewise-linear CDF of rho at prescribed mass levels."""
+def quantiles(rho: GridDensity1D, mass_levels: np.ndarray) -> np.ndarray:
+    """Positions at which the cumulative mass of rho reaches ``mass_levels``.
+
+    The inverse of the piecewise-linear CDF, which is exact for the
+    piecewise-constant density: each cell's mass spreads uniformly over it.
+    """
     cell_mass = rho.h * rho.values
     cdf = np.concatenate(([0.0], np.cumsum(cell_mass)))
     cdf[-1] = rho.mass()  # guard the running sum against rounding
     edges = rho.edges
-    idx = np.searchsorted(cdf, mass_nodes, side="left")
+    idx = np.searchsorted(cdf, mass_levels, side="left")
     idx = np.clip(idx, 1, rho.cells)
     cell = idx - 1
-    frac = np.zeros_like(mass_nodes)
+    frac = np.zeros_like(mass_levels)
     dense = cell_mass[cell] > 0.0
-    frac[dense] = (mass_nodes[dense] - cdf[cell[dense]]) / cell_mass[cell[dense]]
+    frac[dense] = (mass_levels[dense] - cdf[cell[dense]]) / cell_mass[cell[dense]]
     return edges[cell] + np.clip(frac, 0.0, 1.0) * rho.h
 
 
@@ -193,8 +198,8 @@ def w2_grid_1d(rho0: GridDensity1D, rho1: GridDensity1D) -> float:
         )
     n_nodes = QUANTILE_NODES_PER_CELL * max(rho0.cells, rho1.cells)
     nodes = (np.arange(n_nodes) + 0.5) / n_nodes
-    q0 = _quantiles(rho0.normalized(), nodes)
-    q1 = _quantiles(rho1.normalized(), nodes)
+    q0 = quantiles(rho0.normalized(), nodes)
+    q1 = quantiles(rho1.normalized(), nodes)
     w2_sq_prob = float(np.mean((q0 - q1) ** 2))
     return float(np.sqrt(m0 * w2_sq_prob))
 

@@ -25,7 +25,7 @@ from gradflow.gradient_flow import (
     FlowProblem,
     QuadraticDissipation,
     edi_residual,
-    jko_step_detailed,
+    jko_evolve,
     local_step,
 )
 from gradflow.models import (
@@ -48,7 +48,7 @@ from gradflow.particles import (
     sanov_exact,
     varadhan_tilt,
 )
-from gradflow.transport import w2_atomic, w2_atomic_bruteforce, w2_grid_1d
+from gradflow.transport import quantiles, w2_atomic, w2_atomic_bruteforce, w2_grid_1d
 from gradflow import cli
 
 RT1 = PhysicalConstants.with_rt(1.0)
@@ -194,10 +194,9 @@ def test_criterion_06_jko_heat_flow():
     grid = GridDensity1D(-6.0, 6.0, np.ones(400))
     rho = gaussian(grid, var=1.0)
     energy = EnergyFunctional.entropy()
-    grid_energies = [energy.value(rho)]
-    for _ in range(100):
-        rho, info = jko_step_detailed(rho, 1e-3, energy)
-        grid_energies.append(energy.value(rho))
+    states, _ = jko_evolve(rho, 1e-3, 100, energy)
+    grid_energies = [energy.value(state) for state in states]
+    rho = states[-1]
     mean = rho.h * np.sum(rho.values * rho.centers)
     variance = float(rho.h * np.sum(rho.values * (rho.centers - mean) ** 2))
     increases = max(b - a for a, b in zip(grid_energies[:-1], grid_energies[1:]))
@@ -326,11 +325,9 @@ def test_criterion_11_sde_to_pde_convergence():
     pde = fokker_planck_solve(
         rho0, RT1, lambda x: 0.5 * x**2, T, 0.9 * grid.h**2 / 2.0, store_every=10**6
     )
-    from gradflow.gradient_flow import _quantile_nodes
-
     medians = []
     for n in (100, 1000, 10000):
-        start_positions = _quantile_nodes(rho0, n)[:, None]
+        start_positions = quantiles(rho0, (np.arange(n) + 0.5) / n)[:, None]
         distances = []
         for seed in range(10):
             ens = ParticleEnsemble(

@@ -159,6 +159,19 @@ class TestValidateCommand:
             ("reversibility", {"kT": 0.0}, "parameters.kT"),
             ("fokker_planck", {"t_end": 0.0}, "parameters.t_end"),
             ("particles", {"kT": -1.0}, "parameters.kT"),
+            ("ldp", {"mode": "sanov"}, "parameters.n_values[1]"),
+            ("ldp", {"mode": "varadhan"}, "parameters.n_values[2]"),
+            ("ldp", {"mode": "sanov", "mu": [0.5, 0.6], "n_values": [20]}, "parameters.mu"),
+            (
+                "ldp",
+                {"mode": "varadhan", "tilt": [0.0, 1.0, 2.0], "n_values": [20]},
+                "parameters.tilt",
+            ),
+            (
+                "ldp",
+                {"mode": "sanov", "constraint_coeffs": [1.0], "n_values": [20]},
+                "parameters.constraint_coeffs",
+            ),
         ],
         ids=[
             "negative-cells",
@@ -185,6 +198,11 @@ class TestValidateCommand:
             "zero-temperature",
             "zero-end-time",
             "negative-kT",
+            "sanov-beyond-enumeration",
+            "varadhan-beyond-enumeration",
+            "law-not-summing-to-one",
+            "tilt-length",
+            "constraint-length",
         ],
     )
     def test_unrunnable_config_exits_2_with_key_path(
@@ -198,6 +216,13 @@ class TestValidateCommand:
     @pytest.mark.parametrize("experiment", sorted(SCHEMAS))
     def test_every_default_config_validates(self, tmp_path, experiment):
         assert validate(write_config(tmp_path, {"experiment": experiment})) == (EXIT_OK, ["ok"])
+
+    @pytest.mark.parametrize("mode", SCHEMAS["ldp"]["mode"].choices)
+    def test_validate_and_run_agree_on_ldp_defaults(self, tmp_path, capsys, mode):
+        path = write_config(tmp_path, {"experiment": "ldp", "parameters": {"mode": mode}})
+        status, _ = validate(path)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == status
+        capsys.readouterr()
 
 
 class TestRunCommand:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gradflow import gradient_flow
 from gradflow.measures import GridDensity1D
 from gradflow.gradient_flow import (
     ConvergenceError,
@@ -289,7 +290,7 @@ class TestEdiResidual:
 class TestJko:
     def test_zero_steps(self):
         rho = gaussian(cells=100)
-        assert jko_evolve(rho, 1e-3, 0, EnergyFunctional.entropy()) == [rho]
+        assert jko_evolve(rho, 1e-3, 0, EnergyFunctional.entropy()) == ([rho], [])
 
     def test_heat_step_grows_variance_by_2h(self):
         # tau large enough that the one-off regridding transient (O(h^2))
@@ -317,7 +318,8 @@ class TestJko:
         # F = Ent + int rho V with V = x^2/2 has the standard normal as
         # minimizer; a step should only show the representation transient,
         # while a heat step of the same tau moves the variance by 2 tau.
-        from gradflow.gradient_flow import _quantile_nodes, _rebin_mass_nodes
+        from gradflow.gradient_flow import _rebin_mass_nodes
+        from gradflow.transport import quantiles
 
         energy = EnergyFunctional.grid_free_energy(
             rt=1.0, potential=lambda x: 0.5 * x**2, potential_grad=lambda x: x
@@ -326,13 +328,14 @@ class TestJko:
         tau = 1e-3
         out = jko_step(rho, tau, energy)
         n_nodes = 4 * rho.cells
-        round_trip = _rebin_mass_nodes(_quantile_nodes(rho, n_nodes), 1.0 / n_nodes, rho)
+        nodes = quantiles(rho, (np.arange(n_nodes) + 0.5) / n_nodes)
+        round_trip = _rebin_mass_nodes(nodes, 1.0 / n_nodes, rho)
         transient = variance(round_trip) - variance(rho)
         assert abs(variance(out) - variance(rho) - transient) <= 0.1 * 2 * tau
 
     def test_hundred_heat_steps_variance(self):
         rho = gaussian(cells=400)
-        traj = jko_evolve(rho, 1e-3, 100, EnergyFunctional.entropy())
+        traj, _ = jko_evolve(rho, 1e-3, 100, EnergyFunctional.entropy())
         assert variance(traj[-1]) == pytest.approx(1.2, rel=0.02)
         energies = [EnergyFunctional.entropy().value(t) for t in traj]
         assert all(b <= a for a, b in zip(energies[:-1], energies[1:]))
@@ -351,10 +354,23 @@ class TestJko:
         with pytest.raises(NotImplementedError):
             jko_step(rho, 1e-3, energy)
 
-    def test_newton_iteration_cap(self):
+    def test_heat_flow_carries_nodes_to_within_0p2pct(self):
+        # CLI default: quantized once, the nodes carry no per-step
+        # regridding error, so 100 steps land well inside the 2% bound
+        rho = gaussian(cells=400)
+        traj, _ = jko_evolve(rho, 1e-3, 100, EnergyFunctional.entropy())
+        assert variance(traj[-1]) == pytest.approx(1.2, rel=0.002)
+
+    def test_potential_needs_its_gradient(self):
+        energy = EnergyFunctional.grid_free_energy(rt=1.0, potential=lambda x: 0.5 * x**2)
+        with pytest.raises(ValueError, match="potential_grad"):
+            jko_step(gaussian(cells=50), 1e-3, energy)
+
+    def test_newton_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(gradient_flow, "MAX_NEWTON", 0)
         rho = gaussian(cells=50)
         with pytest.raises(ConvergenceError):
-            jko_step(rho, 1e-3, EnergyFunctional.entropy(), max_newton=0)
+            jko_step(rho, 1e-3, EnergyFunctional.entropy())
 
     def test_agrees_with_explicit_heat_flow(self):
         from gradflow.transport import w2_grid_1d
@@ -362,7 +378,7 @@ class TestJko:
         rho = gaussian(cells=240, a=-5.0, b=5.0)
         T = 0.05
         tau = 1e-3
-        jko_final = jko_evolve(rho, tau, int(T / tau), EnergyFunctional.entropy())[-1]
+        jko_final = jko_evolve(rho, tau, int(T / tau), EnergyFunctional.entropy())[0][-1]
         problem = FlowProblem(EnergyFunctional.entropy(), QuadraticDissipation("wasserstein"))
         dt = 2e-4
         state = rho
