@@ -65,6 +65,28 @@ def logarithmic_interface_mean(
     return out
 
 
+def logarithmic_mean_partials(values: np.ndarray) -> np.ndarray:
+    """Partial derivatives of the logarithmic mean L(a, b) at interior
+    interfaces (a the left cell, b the right one), for positive fields: a
+    (2, n-1) array with rows dL/da and dL/db.
+
+    Away from a = b they are (L/a - 1) / (log b - log a) and
+    (1 - L/b) / (log b - log a).  Where |b - a| <= 1e-6 (a + b) those
+    quotients cancel badly, and the first-order limits 1/2 + t/6 and
+    1/2 - t/6, t = (b - a) / m with m the arithmetic mean, are used.
+    """
+    a = values[:-1]
+    b = values[1:]
+    near = abs(b - a) <= 1e-6 * (a + b)
+    t = (b - a) / (0.5 * (a + b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = logarithmic_interface_mean(values)
+        dlog = np.log(b) - np.log(a)
+        d_left = np.where(near, 0.5 + t / 6.0, (mean / a - 1.0) / dlog)
+        d_right = np.where(near, 0.5 - t / 6.0, (1.0 - mean / b) / dlog)
+    return np.array([d_left, d_right])
+
+
 def free_energy_flux(
     c: np.ndarray, potential: Optional[np.ndarray], rt: float, eta: float, h: float
 ) -> np.ndarray:

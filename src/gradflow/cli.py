@@ -38,6 +38,7 @@ from .models import (
     multicomponent_evolve,
 )
 from .particles import (
+    ENUMERATION_MAX_N,
     FiniteLdpProblem,
     HalfSpace,
     LAW_SUM_TOL,
@@ -192,7 +193,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "potential": Field(str, "linear", choices=("linear", "quadratic", "none")),
         "slope": Field(float, 1.0),
         "t_end": Field(float, 50.0, within="(0, inf)"),
-        "dt_fraction": Field(float, 0.9, within="(0, inf)"),
+        "dt": Field(float, 0.1, within="(0, inf)"),
         "check_boltzmann": Field(bool, True),
         "initial_csv": Field(str, ""),
     },
@@ -247,6 +248,9 @@ SCHEMAS: dict[str, dict[str, Field]] = {
 }
 
 CONSTANT_KEYS = ("R", "k", "N_A", "T", "eta", "g", "c0", "rt")
+# the ldp n_values default of the exact sanov and varadhan enumerations; the
+# schema default serves the coin mode and exceeds the enumeration limit
+ENUMERATED_N_VALUES = (20.0, 60.0, float(ENUMERATION_MAX_N))
 
 
 def _check_ldp(p: dict, errors: list[str]) -> None:
@@ -374,9 +378,12 @@ def parse_config(obj, *, overrides: Optional[dict] = None) -> ExperimentConfig:
                 errors.append(f"parameters.{key}: required key missing")
             else:
                 params[key] = field.default
-        # fields are checked together only once each of them parsed
-        if experiment == "ldp" and len(params) == len(schema):
-            _check_ldp(params, errors)
+        if experiment == "ldp":
+            if params.get("mode") in ("sanov", "varadhan") and "n_values" not in params_in:
+                params["n_values"] = list(ENUMERATED_N_VALUES)
+            # fields are checked together only once each of them parsed
+            if len(params) == len(schema):
+                _check_ldp(params, errors)
 
     constants = PhysicalConstants.with_rt(1.0)
     if "constants" in obj:
@@ -583,9 +590,8 @@ def _exp_fokker_planck(cfg: ExperimentConfig) -> ExperimentOutput:
         grid = GridDensity1D(c0.a, c0.b, np.ones(c0.cells))
     else:
         c0 = grid.with_values(np.full(grid.cells, 1.0 / (hi - lo)))
-    cfl = grid.h**2 * cfg.constants.eta / (2 * cfg.constants.RT)
-    dt = p["dt_fraction"] * cfl
-    traj = fokker_planck_solve(c0, cfg.constants, V, p["t_end"], dt)
+    dt = p["dt"]
+    traj = fokker_planck_solve(c0, cfg.constants, V, p["t_end"], dt, scheme="implicit")
     out.header = ["snapshot", "time", "energy", "mass"]
     for i, t in enumerate(traj.snapshot_times):
         k = int(round(t / dt))

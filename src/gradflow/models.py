@@ -5,13 +5,17 @@ constraint, and the Allen-Cahn / Cahn-Hilliard phase-field flows.
 All grid solvers are explicit in time with hard CFL guards, use
 conservative interface fluxes (no-flux ends), and record per-step energy
 and mass so that dissipation and conservation can be asserted rather than
-assumed.  Drift terms are :func:`gradflow._grid.free_energy_flux`, with
+assumed.  The one exception is the implicit Fokker-Planck path,
+``fokker_planck_solve(..., scheme="implicit")``: backward Euler by
+:func:`gradflow.gradient_flow.implicit_step`, with no step-size bound.
+Drift terms are :func:`gradflow._grid.free_energy_flux`, with
 logarithmic-mean interface densities: the discrete Boltzmann profile
 exp(-V/RT) is then an exact fixed point of the scheme.  The phase fields
 are ``FlowProblem``s stepped by ``local_step``; they and the
-multicomponent steps share one march loop.
+multicomponent steps and the implicit Fokker-Planck scheme share one march
+loop.
 
-The Fokker-Planck solver is the explicit reference scheme and is stepped
+The explicit Fokker-Planck scheme is the reference and is stepped
 in preallocated buffers: one log per step shared by the energy and the
 next logarithmic mean, grad V formed once, fluxes written in place.  Its
 contract is bitwise: trajectory, energies and masses equal those of
@@ -35,7 +39,13 @@ from ._grid import (
     logarithmic_interface_mean,
     weighted_poisson_neumann,
 )
-from .gradient_flow import EnergyFunctional, FlowProblem, QuadraticDissipation, local_step
+from .gradient_flow import (
+    EnergyFunctional,
+    FlowProblem,
+    QuadraticDissipation,
+    implicit_step,
+    local_step,
+)
 from .measures import GridDensity1D, PhysicalConstants, write_table
 
 __all__ = [
@@ -253,20 +263,26 @@ def fokker_planck_solve(
     dt: float,
     *,
     store_every: Optional[int] = None,
+    scheme: str = "explicit",
 ) -> GridTrajectory:
-    """Explicit conservative solve of c' = div((RT/eta) grad c + (c/eta) grad V).
+    """Conservative solve of c' = div((RT/eta) grad c + (c/eta) grad V).
 
-    Requires the diffusive CFL bound dt <= h^2 eta / (2 RT); mass is
-    conserved per step by the flux form and the free energy
+    Mass is conserved per step by the flux form and the free energy
     RT int c log(c/c0) + int c V is tracked per step.  ``store_every``
     thins the stored snapshots (all steps still contribute diagnostics).
 
-    Each step is the composed reference ``c + dt * divergence_of_flux(
-    free_energy_flux(c, V, rt, eta, h), h)`` evaluated into preallocated
-    buffers: grad V is formed once, log c once per step (after the update,
-    serving that step's energy and the next step's logarithmic mean), and
-    the interface fluxes sit in one buffer of n + 1 entries whose two
-    no-flux ends stay zero.  The floating point operations and their order
+    ``scheme="implicit"`` marches :func:`gradflow.gradient_flow.implicit_step`
+    (backward Euler, any dt > 0; the start must be strictly positive) with
+    energies from ``EnergyFunctional.value``.  It is first-order accurate
+    in dt and keeps the exact discrete Boltzmann fixed point.
+
+    ``scheme="explicit"`` requires the diffusive CFL bound
+    dt <= h^2 eta / (2 RT).  Each step is the composed reference
+    ``c + dt * divergence_of_flux(free_energy_flux(c, V, rt, eta, h), h)``
+    evaluated into preallocated buffers: grad V is formed once, log c once
+    per step (after the update, serving that step's energy and the next
+    step's logarithmic mean), and the interface fluxes sit in one buffer of
+    n + 1 entries whose two no-flux ends stay zero.  The floating point operations and their order
     are those of the composed form, so trajectory, energies and masses
     match it to the bit.  Stored snapshots are copies; the working buffer
     is never handed out.
@@ -275,13 +291,27 @@ def fokker_planck_solve(
     h = c0.h
     if dt <= 0.0 or T_end <= 0.0:
         raise ValueError("T_end and dt must be positive")
+    steps = int(round(T_end / dt))
+    if store_every is None:
+        store_every = max(1, steps // 200)
+    if scheme == "implicit":
+        energy = EnergyFunctional.grid_free_energy(potential=V, constants=constants)
+        problem = FlowProblem(energy, QuadraticDissipation("wasserstein", eta))
+        return _march(
+            c0,
+            lambda c: implicit_step(problem, c, dt),
+            steps,
+            dt,
+            store_every,
+            energy.value,
+            GridDensity1D.mass,
+        )
+    if scheme != "explicit":
+        raise ValueError(f"scheme must be 'explicit' or 'implicit', got {scheme!r}")
     if dt > h * h * eta / (2.0 * rt):
         raise CflError(
             f"dt = {dt:.3e} violates the diffusive CFL bound {h * h * eta / (2 * rt):.3e}"
         )
-    steps = int(round(T_end / dt))
-    if store_every is None:
-        store_every = max(1, steps // 200)
     if V is None:
         V_arr = np.zeros(c0.cells)
     else:

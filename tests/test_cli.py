@@ -64,6 +64,17 @@ class TestParsing:
         cfg = parse_config({"experiment": "entropy", "seed": 5}, overrides={"seed": 9})
         assert cfg.seed == 9
 
+    def test_ldp_enumeration_modes_default_to_enumerable_sizes(self):
+        for mode in ("sanov", "varadhan"):
+            cfg = parse_config({"experiment": "ldp", "parameters": {"mode": mode}})
+            assert cfg.parameters["n_values"] == [20.0, 60.0, 120.0]
+        given = {"mode": "sanov", "n_values": [10, 30]}
+        assert parse_config({"experiment": "ldp", "parameters": given}).parameters[
+            "n_values"
+        ] == [10.0, 30.0]
+        coin = parse_config({"experiment": "ldp"}).parameters["n_values"]
+        assert coin == SCHEMAS["ldp"]["n_values"].default
+
     def test_bool_is_not_a_number(self):
         with pytest.raises(ConfigError):
             parse_config({"experiment": "jko", "parameters": {"time_step": True}})
@@ -159,8 +170,8 @@ class TestValidateCommand:
             ("reversibility", {"kT": 0.0}, "parameters.kT"),
             ("fokker_planck", {"t_end": 0.0}, "parameters.t_end"),
             ("particles", {"kT": -1.0}, "parameters.kT"),
-            ("ldp", {"mode": "sanov"}, "parameters.n_values[1]"),
-            ("ldp", {"mode": "varadhan"}, "parameters.n_values[2]"),
+            ("ldp", {"mode": "sanov", "n_values": [100, 500, 2000]}, "parameters.n_values[1]"),
+            ("ldp", {"mode": "varadhan", "n_values": [100, 500, 2000]}, "parameters.n_values[2]"),
             ("ldp", {"mode": "sanov", "mu": [0.5, 0.6], "n_values": [20]}, "parameters.mu"),
             (
                 "ldp",
@@ -255,6 +266,21 @@ class TestRunCommand:
         assert summary["wall_time_s"] >= 0.0
         assert summary["invariants"]
         assert all(v["passed"] for v in summary["invariants"].values())
+
+    @pytest.mark.parametrize(
+        "experiment, parameters",
+        [
+            pytest.param(experiment, {key: choice} if key else {}, id=f"{experiment}-{choice}")
+            for experiment, schema in sorted(SCHEMAS.items())
+            for key in ([k for k in ("mode", "model", "potential") if k in schema] or [None])
+            for choice in (schema[key].choices if key else ["default"])
+        ],
+    )
+    def test_every_choice_runs_at_defaults(self, tmp_path, capsys, experiment, parameters):
+        path = write_config(tmp_path, {"experiment": experiment, "parameters": parameters})
+        assert validate(path) == (EXIT_OK, ["ok"])
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+        capsys.readouterr()
 
     @pytest.mark.parametrize("experiment", sorted(SCHEMAS))
     def test_reruns_are_byte_identical(

@@ -11,6 +11,7 @@ from gradflow.gradient_flow import (
     FlowProblem,
     QuadraticDissipation,
     edi_residual,
+    implicit_step,
     jko_evolve,
     jko_step,
     jko_step_detailed,
@@ -385,6 +386,61 @@ class TestJko:
         for _ in range(int(T / dt)):
             state = local_step(problem, state, dt)
         assert w2_grid_1d(jko_final, state) <= 0.02
+
+
+class TestImplicitStep:
+    def test_boltzmann_state_is_returned_without_newton(self, monkeypatch):
+        # no Newton iteration allowed: only a state already within tolerance returns
+        monkeypatch.setattr(gradient_flow, "MAX_NEWTON", 0)
+        rt = 1.7
+        V = lambda x: 0.8 * x**2 + 0.3 * x
+        energy = EnergyFunctional.grid_free_energy(rt=rt, potential=V)
+        problem = FlowProblem(energy, QuadraticDissipation("wasserstein", 0.7))
+        grid = GridDensity1D(-5.0, 5.0, np.ones(400))
+        rho = grid.with_values(np.exp(-V(grid.centers) / rt))
+        for dt in (1e-3, 0.1, 10.0):
+            assert np.array_equal(implicit_step(problem, rho, dt).values, rho.values)
+
+    def test_newton_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(gradient_flow, "MAX_NEWTON", 0)
+        problem = FlowProblem(EnergyFunctional.entropy(), QuadraticDissipation("wasserstein"))
+        with pytest.raises(ConvergenceError):
+            implicit_step(problem, gaussian(cells=50), 1e-2)
+
+    def test_halves_dt_where_newton_from_the_start_fails(self, monkeypatch):
+        # strong drift over a rough start: Newton from c_prev stalls at the
+        # full step and converges on quarter steps
+        grid = GridDensity1D(0.0, 5.0, np.ones(16))
+        rho = grid.with_values(1.0 + 0.9 * np.cos(2.0 * np.arange(16)))
+        energy = EnergyFunctional.grid_free_energy(rt=0.2, potential=lambda x: x + np.sin(3 * x))
+        problem = FlowProblem(energy, QuadraticDissipation("wasserstein"))
+        out = implicit_step(problem, rho, 1.0)
+        halves = implicit_step(problem, implicit_step(problem, rho, 0.5), 0.5)
+        assert np.array_equal(out.values, halves.values)
+        assert abs(out.mass() - rho.mass()) <= 1e-14 * rho.mass()
+        assert energy.value(out) < energy.value(rho)
+        monkeypatch.setattr(gradient_flow, "MAX_SPLITS", 1)
+        with pytest.raises(ConvergenceError):
+            implicit_step(problem, rho, 1.0)
+
+    def test_rejected_inputs(self):
+        rho = gaussian(cells=50)
+        wasserstein = QuadraticDissipation("wasserstein")
+        for energy in (
+            EnergyFunctional.grid_free_energy(rt=1.0, interaction=lambda r: r**2),
+            EnergyFunctional.grid_free_energy(rt=1.0, internal=(lambda s: s**2, lambda s: 2 * s)),
+        ):
+            with pytest.raises(NotImplementedError):
+                implicit_step(FlowProblem(energy, wasserstein), rho, 1e-2)
+        entropy = FlowProblem(EnergyFunctional.entropy(), wasserstein)
+        with pytest.raises(SingularWeightError):
+            implicit_step(entropy, rho.with_values(np.r_[0.0, rho.values[1:]]), 1e-2)
+        with pytest.raises(ValueError, match="wasserstein"):
+            implicit_step(
+                FlowProblem(EnergyFunctional.entropy(), QuadraticDissipation("l2")), rho, 1e-2
+            )
+        with pytest.raises(ValueError, match="dt"):
+            implicit_step(entropy, rho, 0.0)
 
 
 class TestQuadraticEquivalences:

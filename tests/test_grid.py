@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradflow._grid import pair_potential
+from gradflow._grid import logarithmic_mean_partials, pair_potential
 from gradflow.measures import GridDensity1D
 
 
@@ -50,3 +50,29 @@ class TestPairPotential:
     def test_scalar_kernel_rejected(self):
         with pytest.raises(ValueError, match="one value per offset"):
             pair_potential(np.ones(10), 0.1, lambda r: 1.0)
+
+
+def stable_log_mean(a, b):
+    """(b - a) / log(b / a) through log1p: a few ulp even for near-equal pairs."""
+    return (b - a) / np.log1p((b - a) / a) if a != b else a
+
+
+class TestLogarithmicMeanPartials:
+    # pairs far apart, near-equal on either side of the 1e-6 (a + b) switch
+    # to the first-order limits, and equal
+    @pytest.mark.parametrize(
+        "a, b",
+        [(1.0, 1.5), (2.0, 0.7), (0.03, 4.0), (1.0, 1.0 + 3e-6), (0.7, 0.7 * (1 + 1.5e-6)),
+         (2.0, 2.0 * (1 - 1.9e-6)), (1.3, 1.3 * (1 + 1e-9)), (0.5, 0.5)],
+    )
+    def test_match_central_differences(self, a, b):
+        d_left, d_right = logarithmic_mean_partials(np.array([a, b]))
+        eps = 1e-5
+        fd_left = (stable_log_mean(a * (1 + eps), b) - stable_log_mean(a * (1 - eps), b)) / (
+            2 * eps * a
+        )
+        fd_right = (stable_log_mean(a, b * (1 + eps)) - stable_log_mean(a, b * (1 - eps))) / (
+            2 * eps * b
+        )
+        assert d_left[0] == pytest.approx(fd_left, rel=1e-9, abs=0)
+        assert d_right[0] == pytest.approx(fd_right, rel=1e-9, abs=0)

@@ -127,6 +127,27 @@ class TestFokkerPlanck:
         c0 = grid.with_values(np.ones(64))
         with pytest.raises(CflError):
             fokker_planck_solve(c0, RT1, lambda x: np.zeros_like(x), 0.1, grid.h**2)
+        # backward Euler has no such bound
+        fokker_planck_solve(c0, RT1, lambda x: np.zeros_like(x), 0.1, grid.h**2, scheme="implicit")
+        with pytest.raises(ValueError, match="scheme"):
+            fokker_planck_solve(c0, RT1, None, 0.1, grid.h**2, scheme="crank_nicolson")
+
+    def test_implicit_scheme_is_first_order_in_dt(self):
+        # both schemes share the flux, so their gap at fixed T is the time
+        # error alone, first order in dt (the explicit reference's is small)
+        grid = GridDensity1D(0.0, 5.0, np.ones(100))
+        c0 = grid.with_values(1.0 + 0.5 * np.cos(np.pi * grid.centers / 5.0))
+        V, T = (lambda x: x), 0.5
+        reference = fokker_planck_solve(c0, RT1, V, T, T / 2000, store_every=10**9).final
+        gaps = []
+        for dt in (0.05, 0.025, 0.0125):
+            traj = fokker_planck_solve(c0, RT1, V, T, dt, scheme="implicit")
+            assert traj.max_mass_drift() <= 1e-13
+            assert traj.max_energy_increase() <= 0.0
+            gaps.append(grid.h * np.abs(traj.final.values - reference.values).sum())
+        assert gaps[0] <= 2e-2
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert 1.7 <= coarse / fine <= 2.1
 
 
 def reference_fokker_planck(c0, constants, V_arr, T_end, dt):

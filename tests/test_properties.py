@@ -10,6 +10,7 @@ from gradflow.gradient_flow import (
     EnergyFunctional,
     FlowProblem,
     QuadraticDissipation,
+    implicit_step,
     local_step,
 )
 from gradflow.measures import (
@@ -109,6 +110,25 @@ class TestLocalStepMass:
         out = local_step(problem, u, 0.1 * u.h**4 / (8.0 * mobility))
         scale = np.abs(u.u).sum() + np.abs(out.u).sum()
         assert abs(out.u.sum() - u.u.sum()) <= 1e-13 * scale
+
+
+class TestImplicitStep:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        grid=grids,
+        rt=st.floats(0.1, 5.0),
+        eta=st.floats(0.1, 5.0),
+        dt=st.floats(1e-3, 1.0),
+    )
+    def test_conserves_mass_and_does_not_raise_energy(self, grid, rt, eta, dt):
+        rho = random_density(grid)
+        energy = EnergyFunctional.grid_free_energy(rt=rt, potential=random_potential(grid))
+        problem = FlowProblem(energy, QuadraticDissipation("wasserstein", eta))
+        out = implicit_step(problem, rho, dt)
+        scale = rho.h * (np.abs(rho.values).sum() + np.abs(out.values).sum())
+        assert abs(out.mass() - rho.mass()) <= 1e-13 * scale
+        before, after = energy.value(rho), energy.value(out)
+        assert after <= before + 1e-13 * max(1.0, abs(before))
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

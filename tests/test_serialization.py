@@ -12,7 +12,7 @@ from gradflow.gradient_flow import (
     FlowProblem,
     QuadraticDissipation,
     edi_residual,
-    jko_step_detailed,
+    jko_evolve,
     local_step,
     write_jko_diagnostics_json,
     write_trajectory_csv,
@@ -93,11 +93,7 @@ class TestTrajectoryCsv:
         )
 
     def test_jko_diagnostics_json(self, tmp_path):
-        rho = gaussian(cells=60)
-        infos = []
-        for _ in range(3):
-            rho, info = jko_step_detailed(rho, 1e-3, EnergyFunctional.entropy())
-            infos.append(info)
+        _, infos = jko_evolve(gaussian(cells=60), 1e-3, 3, EnergyFunctional.entropy())
         out = tmp_path / "diag.json"
         write_jko_diagnostics_json(infos, out)
         records = json.loads(out.read_text())
