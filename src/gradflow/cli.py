@@ -76,7 +76,7 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class Field:
     type: object
-    default: Any = None
+    default: Any = None  # None: nothing is filled in when the key is absent
     required: bool = False
     within: str = ""  # the allowed numbers (each item of a list), e.g. "(0, inf)"
     items: str = ""  # the allowed list lengths, e.g. "[2, 2]"
@@ -85,6 +85,10 @@ class Field:
 
 def _num(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _finite(value) -> Optional[float]:
@@ -104,30 +108,34 @@ def _in_interval(number, interval: str) -> bool:
     return above and below
 
 
+# the scalar schema types: what each accepts and how diagnostics name it
+_SCALARS = {
+    float: ("a number", _num),
+    int: ("an integer", _int),
+    "uint64": ("an integer", _int),
+    str: ("a string", lambda value: isinstance(value, str)),
+    bool: ("a boolean", lambda value: isinstance(value, bool)),
+    dict: ("an object", lambda value: isinstance(value, dict)),
+}
+# the integer types' ranges [lo, hi), compared exactly, and the diagnostic beyond them
+_INT_RANGES = {
+    int: (-(2**63), 2**63, "integer out of the 64-bit range"),
+    "uint64": (0, 2**64, "must fit in an unsigned 64-bit integer"),
+}
+
+
 def _check_type(value, expected, path: str, errors: list[str]) -> Any:
-    if expected is float:
-        if not _num(value):
-            errors.append(f"{path}: expected a number, got {type(value).__name__}")
+    if expected in _SCALARS:
+        name, accepts = _SCALARS[expected]
+        if not accepts(value):
+            errors.append(f"{path}: expected {name}, got {type(value).__name__}")
             return None
+        if expected is not float:
+            return value
         number = _finite(value)
         if number is None:
             errors.append(f"{path}: expected a finite number")
         return number
-    if expected is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            errors.append(f"{path}: expected an integer, got {type(value).__name__}")
-            return None
-        return value
-    if expected is str:
-        if not isinstance(value, str):
-            errors.append(f"{path}: expected a string, got {type(value).__name__}")
-            return None
-        return value
-    if expected is bool:
-        if not isinstance(value, bool):
-            errors.append(f"{path}: expected a boolean, got {type(value).__name__}")
-            return None
-        return value
     if expected == "number_list":
         if not isinstance(value, list) or not all(_num(v) for v in value):
             errors.append(f"{path}: expected a list of numbers")
@@ -147,13 +155,15 @@ def _check_type(value, expected, path: str, errors: list[str]) -> Any:
 
 
 def _check_field(value, field: Field, path: str, errors: list[str]) -> Any:
-    """``_check_type``, then the field's int64 range, bounds, length and choices."""
+    """``_check_type``, then the field's integer range, bounds, length and choices."""
     parsed = _check_type(value, field.type, path, errors)
     if parsed is None:
         return None
-    if field.type is int and not -(2**63) <= parsed < 2**63:
-        errors.append(f"{path}: integer out of the 64-bit range")
-        return None
+    if field.type in _INT_RANGES:
+        lo, hi, problem = _INT_RANGES[field.type]
+        if not lo <= parsed < hi:
+            errors.append(f"{path}: {problem}")
+            return None
     if field.items and not _in_interval(len(parsed), field.items):
         errors.append(f"{path}: expected a list whose length lies in {field.items}")
         return None
@@ -166,6 +176,28 @@ def _check_field(value, field: Field, path: str, errors: list[str]) -> Any:
     if field.choices and parsed not in field.choices:
         errors.append(f"{path}: expected one of {list(field.choices)}, got {parsed!r}")
         return None
+    return parsed
+
+
+def _check_block(block: dict, schema: dict[str, Field], prefix: str, errors: list[str]) -> dict:
+    """One level of a config: its unknown and missing keys, then each field.
+
+    Returns the fields that parsed, with the defaults of the absent ones
+    filled in; every problem goes to ``errors`` under ``prefix + key``.
+    """
+    for key in block:
+        if key not in schema:
+            errors.append(f"{prefix}{key}: unknown key")
+    parsed: dict[str, Any] = {}
+    for key, field in schema.items():
+        if key in block:
+            value = _check_field(block[key], field, prefix + key, errors)
+            if value is not None:
+                parsed[key] = value
+        elif field.required:
+            errors.append(f"{prefix}{key}: required key missing")
+        elif field.default is not None:
+            parsed[key] = field.default
     return parsed
 
 
@@ -184,7 +216,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "cells": Field(int, 400, within="[2, inf)"),
         "domain": Field("interval", [-6.0, 6.0]),
         "time_step": Field(float, 1e-3, within="(0, inf)"),
-        "steps": Field(int, 100, within="[0, inf)"),
+        "steps": Field(int, 100, within="[1, inf)"),
         "sigma0_sq": Field(float, 1.0, within="(0, inf)"),
     },
     "fokker_planck": {
@@ -247,22 +279,43 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     },
 }
 
-CONSTANT_KEYS = ("R", "k", "N_A", "T", "eta", "g", "c0", "rt")
+# the top level of a config; "parameters" follows SCHEMAS[experiment]
+TOP_LEVEL: dict[str, Field] = {
+    "experiment": Field(str, required=True, choices=tuple(sorted(SCHEMAS))),
+    "parameters": Field(dict, {}),
+    "constants": Field(dict, {"rt": 1.0}),
+    "output_dir": Field(str, "."),
+    "seed": Field("uint64", 0),
+}
+# the fields of measures.PhysicalConstants, and rt = R*T, which sets T
+CONSTANTS: dict[str, Field] = {
+    key: Field(float) for key in ("R", "k", "N_A", "T", "eta", "g", "c0", "rt")
+}
 # the ldp n_values default of the exact sanov and varadhan enumerations; the
 # schema default serves the coin mode and exceeds the enumeration limit
 ENUMERATED_N_VALUES = (20.0, 60.0, float(ENUMERATION_MAX_N))
 
 
-def _check_ldp(p: dict, errors: list[str]) -> None:
+def _check_fokker_planck(p: dict, given: dict, errors: list[str]) -> None:
+    """The solver takes round(t_end / dt) steps, and needs at least one."""
+    # round() ties to even, so this is round(t_end / dt) < 1, also at inf
+    if p["t_end"] / p["dt"] <= 0.5:
+        errors.append(f"parameters.t_end: expected more than dt / 2 = {p['dt'] / 2:g}")
+
+
+def _check_ldp(p: dict, given: dict, errors: list[str]) -> None:
     """The ldp fields that pass one by one but cannot run together.
 
-    The sanov and varadhan modes enumerate types exactly, within the limits
+    Without ``n_values`` the sanov and varadhan modes take
+    ``ENUMERATED_N_VALUES``.  They enumerate types exactly, within the limits
     of :func:`gradflow.particles.check_enumeration`, and need a law ``mu``
     that sums to 1, with ``constraint_coeffs`` resp. ``tilt`` of its length.
     """
     mode, mu = p["mode"], p["mu"]
     if mode == "coin":
         return
+    if "n_values" not in given:
+        p["n_values"] = list(ENUMERATED_N_VALUES)
     if abs(float(np.sum(mu)) - 1.0) > LAW_SUM_TOL:
         errors.append(f"parameters.mu: expected weights that sum to 1 (within {LAW_SUM_TOL:g})")
     key = "tilt" if mode == "varadhan" else "constraint_coeffs"
@@ -281,6 +334,14 @@ def _check_ldp(p: dict, errors: list[str]) -> None:
             check_enumeration(len(mu), int(n_values[i]))
         except ValueError as exc:
             errors.append(f"parameters.n_values[{i}]: {exc}")
+
+
+# per-experiment checks of parameters that parse one by one but cannot run
+# together: check(parameters, the parameters block as given, errors)
+CROSS_CHECKS: dict[str, Callable[[dict, dict, list[str]], None]] = {
+    "fokker_planck": _check_fokker_planck,
+    "ldp": _check_ldp,
+}
 
 
 @dataclass(frozen=True)
@@ -309,111 +370,39 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 
-def _parse_constants(block, errors: list[str]) -> Optional[PhysicalConstants]:
-    if not isinstance(block, dict):
-        errors.append("constants: expected an object")
-        return None
-    values = {}
-    for key, val in block.items():
-        if key not in CONSTANT_KEYS:
-            errors.append(f"constants.{key}: unknown key")
-            continue
-        parsed = _check_type(val, float, f"constants.{key}", errors)
-        if parsed is not None:
-            values[key] = parsed
-    if errors:
-        return None
-    try:
-        rt = values.pop("rt", None)
-        if rt is not None:
-            return PhysicalConstants.with_rt(rt, **values)
-        return PhysicalConstants(**values)
-    except ValueError as exc:
-        errors.append(f"constants: {exc}")
-        return None
-
-
 def parse_config(obj, *, overrides: Optional[dict] = None) -> ExperimentConfig:
     """Strict-parse a raw JSON object into an ExperimentConfig.
 
-    ``overrides`` may replace ``output_dir`` and ``seed`` (the --out and
-    --seed flags).  Raises :class:`ConfigError` listing every problem with
-    its key path.
+    ``overrides`` replace top-level keys (the --out and --seed flags replace
+    ``output_dir`` and ``seed``) before the walk, so they pass the same
+    checks as the keys of ``obj``.  Raises :class:`ConfigError` listing every
+    problem with its key path.
     """
     errors: list[str] = []
-    if not isinstance(obj, dict):
-        raise ConfigError(["top level: expected a JSON object"])
-    allowed_top = {"experiment", "parameters", "constants", "output_dir", "seed"}
-    for key in obj:
-        if key not in allowed_top:
-            errors.append(f"{key}: unknown key")
-    if "experiment" not in obj:
-        errors.append("experiment: required key missing")
+    if _check_type(obj, dict, "top level", errors) is None:
         raise ConfigError(errors)
-    experiment = _check_type(obj["experiment"], str, "experiment", errors)
-    if experiment is None:
+    top = _check_block({**obj, **(overrides or {})}, TOP_LEVEL, "", errors)
+    if "experiment" not in top:  # no schema to check the parameters against
         raise ConfigError(errors)
-    if experiment not in SCHEMAS:
-        errors.append(
-            f"experiment: unknown experiment {experiment!r}; "
-            f"choose one of {sorted(SCHEMAS)}"
-        )
-        raise ConfigError(errors)
-
-    schema = SCHEMAS[experiment]
-    params_in = obj.get("parameters", {})
-    params: dict[str, Any] = {}
-    if not isinstance(params_in, dict):
-        errors.append("parameters: expected an object")
-    else:
-        for key in params_in:
-            if key not in schema:
-                errors.append(f"parameters.{key}: unknown key")
-        for key, field in schema.items():
-            if key in params_in:
-                parsed = _check_field(params_in[key], field, f"parameters.{key}", errors)
-                if parsed is not None:
-                    params[key] = parsed
-            elif field.required:
-                errors.append(f"parameters.{key}: required key missing")
-            else:
-                params[key] = field.default
-        if experiment == "ldp":
-            if params.get("mode") in ("sanov", "varadhan") and "n_values" not in params_in:
-                params["n_values"] = list(ENUMERATED_N_VALUES)
-            # fields are checked together only once each of them parsed
-            if len(params) == len(schema):
-                _check_ldp(params, errors)
-
-    constants = PhysicalConstants.with_rt(1.0)
-    if "constants" in obj:
-        parsed_constants = _parse_constants(obj["constants"], errors)
-        if parsed_constants is not None:
-            constants = parsed_constants
-
-    output_dir = Path(obj.get("output_dir", "."))
-    if "output_dir" in obj:
-        out = _check_type(obj["output_dir"], str, "output_dir", errors)
-        if out is not None:
-            output_dir = Path(out)
-    seed = 0
-    if "seed" in obj:
-        parsed_seed = _check_type(obj["seed"], int, "seed", errors)
-        if parsed_seed is not None:
-            if not 0 <= parsed_seed < 2**64:
-                errors.append("seed: must fit in an unsigned 64-bit integer")
-            else:
-                seed = parsed_seed
-
-    overrides = overrides or {}
-    if "output_dir" in overrides:
-        output_dir = Path(overrides["output_dir"])
-    if "seed" in overrides:
-        seed = int(overrides["seed"])
-
+    experiment = top["experiment"]
+    given = top.get("parameters", {})
+    params = _check_block(given, SCHEMAS[experiment], "parameters.", errors)
+    values = _check_block(top.get("constants", {}), CONSTANTS, "constants.", errors)
+    if not errors:  # fields are checked together only once each of them parsed
+        if experiment in CROSS_CHECKS:
+            CROSS_CHECKS[experiment](params, given, errors)
+        rt = values.pop("rt", None)
+        try:
+            constants = (
+                PhysicalConstants(**values)
+                if rt is None
+                else PhysicalConstants.with_rt(rt, **values)
+            )
+        except ValueError as exc:
+            errors.append(f"constants: {exc}")
     if errors:
         raise ConfigError(errors)
-    return ExperimentConfig(experiment, params, constants, output_dir, seed)
+    return ExperimentConfig(experiment, params, constants, Path(top["output_dir"]), top["seed"])
 
 
 def load_config(path, *, overrides: Optional[dict] = None) -> ExperimentConfig:
@@ -448,6 +437,11 @@ class ExperimentOutput:
         self.invariants[name] = Invariant(
             bool(passed), None if value is None else float(value), detail
         )
+
+    def check_descent(self, name: str, traj) -> None:
+        """Check that the energy of ``traj`` rose by at most 1e-12 in any step."""
+        rise = traj.max_energy_increase()
+        self.check(name, rise <= 1e-12, rise)
 
     @property
     def all_passed(self) -> bool:
@@ -597,11 +591,7 @@ def _exp_fokker_planck(cfg: ExperimentConfig) -> ExperimentOutput:
         k = int(round(t / dt))
         out.rows.append((i, t, traj.energies[k], traj.masses[k]))
     out.check("mass_conserved", traj.max_mass_drift() <= 1e-10, traj.max_mass_drift())
-    out.check(
-        "energy_nonincreasing",
-        traj.max_energy_increase() <= 1e-12,
-        traj.max_energy_increase(),
-    )
+    out.check_descent("energy_nonincreasing", traj)
     if p["check_boltzmann"] and kind == "linear":
         target = np.exp(-p["slope"] * grid.centers / cfg.constants.RT)
         target *= c0.mass() / (grid.h * target.sum())
@@ -637,11 +627,7 @@ def _exp_multicomponent(cfg: ExperimentConfig) -> ExperimentOutput:
             constraint.max() <= 1e-8,
             float(constraint.max()),
         )
-        out.check(
-            f"{mode}_energy_nonincreasing",
-            traj.max_energy_increase() <= 1e-12,
-            traj.max_energy_increase(),
-        )
+        out.check_descent(f"{mode}_energy_nonincreasing", traj)
     if len(modes) == 2:
         gap = float(
             np.abs(
@@ -680,11 +666,7 @@ def _exp_phasefield(cfg: ExperimentConfig) -> ExperimentOutput:
     for i, t in enumerate(traj.snapshot_times):
         k = int(round(t / p["dt"]))
         out.rows.append((k, t, traj.energies[k], means[k]))
-    out.check(
-        "energy_nonincreasing",
-        traj.max_energy_increase() <= 1e-12,
-        traj.max_energy_increase(),
-    )
+    out.check_descent("energy_nonincreasing", traj)
     if p["model"] == "cahn_hilliard":
         drift = float(np.abs(means - means[0]).max())
         out.check("mean_conserved", drift <= 1e-12, drift)
@@ -928,9 +910,6 @@ def main(argv=None) -> int:
     if args.out is not None:
         overrides["output_dir"] = args.out
     if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            print("seed: must fit in an unsigned 64-bit integer", file=sys.stderr)
-            return EXIT_CONFIG
         overrides["seed"] = args.seed
     try:
         config = load_config(args.config, overrides=overrides)

@@ -176,6 +176,8 @@ class PhysicalConstants:
     @classmethod
     def with_rt(cls, rt: float, **kwargs) -> "PhysicalConstants":
         """Constants with a prescribed product R*T (temperature adjusted)."""
+        if "T" in kwargs:
+            raise ValueError("rt sets T = rt / R; give rt or T, not both")
         R = kwargs.pop("R", _K_DEFAULT * _NA_DEFAULT)
         return cls(R=R, T=rt / R, **kwargs)
 

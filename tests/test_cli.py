@@ -11,6 +11,7 @@ from gradflow.cli import (
     load_config,
     main,
     parse_config,
+    run,
     validate,
 )
 
@@ -19,6 +20,10 @@ def write_config(tmp_path, obj, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
     return path
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 class TestParsing:
@@ -64,6 +69,31 @@ class TestParsing:
         cfg = parse_config({"experiment": "entropy", "seed": 5}, overrides={"seed": 9})
         assert cfg.seed == 9
 
+    def test_non_string_output_dir_override_is_a_config_error(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config({"experiment": "entropy"}, overrides={"output_dir": 5})
+        assert err.value.diagnostics == ["output_dir: expected a string, got int"]
+
+    def test_unknown_keys_report_one_form_at_every_level(self):
+        obj = {
+            "experiment": "entropy",
+            "flub": 1,
+            "parameters": {"flub": 1},
+            "constants": {"flub": 1.0},
+        }
+        with pytest.raises(ConfigError) as err:
+            parse_config(obj)
+        assert err.value.diagnostics == [
+            "flub: unknown key",
+            "parameters.flub: unknown key",
+            "constants.flub: unknown key",
+        ]
+
+    def test_rt_and_t_together_are_a_config_error(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config({"experiment": "entropy", "constants": {"rt": 2.0, "T": 300.0}})
+        assert [d for d in err.value.diagnostics if d.startswith("constants: ")]
+
     def test_ldp_enumeration_modes_default_to_enumerable_sizes(self):
         for mode in ("sanov", "varadhan"):
             cfg = parse_config({"experiment": "ldp", "parameters": {"mode": mode}})
@@ -87,6 +117,41 @@ class TestParsing:
         assert any(
             "parameters.dt" in d and "number" in d for d in err.value.diagnostics
         )
+
+
+class TestSeedRange:
+    """A seed is an unsigned 64-bit integer however it arrives."""
+
+    @pytest.mark.parametrize("way", ["file", "overrides", "flag"])
+    @pytest.mark.parametrize(
+        "seed, accepted",
+        [(0, True), (2**63, True), (2**64 - 1, True), (-1, False), (2**64, False)],
+    )
+    def test_seed_range(self, tmp_path, capsys, way, seed, accepted):
+        obj = {"experiment": "entropy", "parameters": {"pairs": 5}}
+        if way == "file":
+            obj["seed"] = seed
+        path = write_config(tmp_path, obj)
+        out_dir = tmp_path / "out"
+        if way == "flag":
+            argv = ["run", "--config", str(path), "--out", str(out_dir), "--seed", str(seed)]
+            status = main(argv)
+            diagnostics = capsys.readouterr().err.splitlines()
+        else:
+            overrides = {"output_dir": str(out_dir)}
+            if way == "overrides":
+                overrides["seed"] = seed
+            try:
+                status, diagnostics = run(load_config(path, overrides=overrides)), []
+            except ConfigError as exc:
+                status, diagnostics = EXIT_CONFIG, exc.diagnostics
+        if accepted:
+            assert status == EXIT_OK
+            assert json.loads((out_dir / "summary.json").read_text())["seed"] == seed
+        else:
+            assert status == EXIT_CONFIG
+            assert diagnostics == ["seed: must fit in an unsigned 64-bit integer"]
+            assert not out_dir.exists()
 
 
 class TestValidateCommand:
@@ -183,6 +248,8 @@ class TestValidateCommand:
                 {"mode": "sanov", "constraint_coeffs": [1.0], "n_values": [20]},
                 "parameters.constraint_coeffs",
             ),
+            ("fokker_planck", {"t_end": 0.01}, "parameters.t_end"),
+            ("jko", {"steps": 0}, "parameters.steps"),
         ],
         ids=[
             "negative-cells",
@@ -214,15 +281,21 @@ class TestValidateCommand:
             "law-not-summing-to-one",
             "tilt-length",
             "constraint-length",
+            "fokker-planck-zero-steps",
+            "jko-zero-steps",
         ],
     )
     def test_unrunnable_config_exits_2_with_key_path(
-        self, tmp_path, experiment, parameters, key_path
+        self, tmp_path, capsys, experiment, parameters, key_path
     ):
         path = write_config(tmp_path, {"experiment": experiment, "parameters": parameters})
         status, diagnostics = validate(path)
         assert status == EXIT_CONFIG
         assert [d for d in diagnostics if d.startswith(f"{key_path}: ")], diagnostics
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out_dir)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == diagnostics
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("experiment", sorted(SCHEMAS))
     def test_every_default_config_validates(self, tmp_path, experiment):
@@ -279,8 +352,11 @@ class TestRunCommand:
     def test_every_choice_runs_at_defaults(self, tmp_path, capsys, experiment, parameters):
         path = write_config(tmp_path, {"experiment": experiment, "parameters": parameters})
         assert validate(path) == (EXIT_OK, ["ok"])
-        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out_dir)]) == EXIT_OK
         capsys.readouterr()
+        # strict JSON: no NaN or Infinity among the invariant values
+        json.loads((out_dir / "summary.json").read_text(), parse_constant=_reject_constant)
 
     @pytest.mark.parametrize("experiment", sorted(SCHEMAS))
     def test_reruns_are_byte_identical(
