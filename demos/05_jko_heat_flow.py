@@ -24,23 +24,18 @@ grid = GridDensity1D(-6.0, 6.0, np.ones(400))
 rho = grid.with_values(np.exp(-grid.centers**2 / 2)).normalized()
 entropy = EnergyFunctional.entropy()
 
-
-def variance(r):
-    mean = r.h * np.sum(r.values * r.centers)
-    return r.h * np.sum(r.values * (r.centers - mean) ** 2)
-
-
 tau, steps = 1e-3, 100
 print(f"JKO heat flow: {steps} steps of tau = {tau} from a standard Gaussian")
 print(" step   variance   entropy     W2^2 per step   newton iters")
-states, infos = jko_evolve(rho, tau, steps, entropy)
-for k, (state, info) in enumerate(zip(states[1:], infos), 1):
+traj, infos = jko_evolve(rho, tau, steps, entropy)
+variances = traj.extra["variance"]
+for k, info in enumerate(infos, 1):
     if k % 20 == 0 or k == 1:
         print(
-            f"  {k:3d}   {variance(state):.5f}   {entropy.value(state):+.5f}"
+            f"  {k:3d}   {variances[k]:.5f}   {traj.energies[k]:+.5f}"
             f"   {info.w2_sq:.3e}      {info.iters}"
         )
-print(f"\nfinal variance {variance(state):.4f}  (heat flow predicts 1 + 2*{steps*tau} = 1.2)")
+print(f"\nfinal variance {variances[-1]:.4f}  (heat flow predicts 1 + 2*{steps*tau} = 1.2)")
 
 # the implicit JKO iterates shadow the explicit FD heat flow in W2
 problem = FlowProblem(entropy, QuadraticDissipation("wasserstein"))
@@ -49,4 +44,4 @@ dt = 2e-4
 for _ in range(int(steps * tau / dt)):
     explicit = local_step(problem, explicit, dt)
 print(f"W2 distance to the explicit FD solution at the same time: "
-      f"{w2_grid_1d(state, explicit):.4f}")
+      f"{w2_grid_1d(traj.final, explicit):.4f}")

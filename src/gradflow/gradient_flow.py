@@ -14,12 +14,18 @@ logarithmic-mean interface densities: div(rho grad(log rho + 1)) is then
 the plain second difference of rho, and any discrete state of the form
 exp(-V/RT) is an exact stationary point.  Norm evaluations keep the
 arithmetic interface mean of :mod:`gradflow.transport`.
+
+The time steppers share one march loop, ``_march``: it applies a step
+function and records the energy, mass and named diagnostics of every state,
+with thinned snapshots, in a :class:`GridTrajectory`.  It runs the JKO
+minimizing movement (:func:`jko_evolve`) here and the multicomponent,
+phase-field and implicit Fokker-Planck flows of :mod:`gradflow.models`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -48,14 +54,15 @@ __all__ = [
     "EnergyFunctional",
     "FlowProblem",
     "ConvergenceError",
+    "PositivityError",
+    "ConstraintError",
+    "GridTrajectory",
     "JkoStepInfo",
     "legendre_dual",
     "local_step",
     "implicit_step",
     "edi_residual",
     "wasserstein_gradient",
-    "jko_step",
-    "jko_step_detailed",
     "jko_evolve",
     "write_trajectory_csv",
     "jko_step_record",
@@ -77,6 +84,14 @@ MAX_SPLITS = 12
 
 class ConvergenceError(RuntimeError):
     """An implicit solve failed to reach its stated tolerance."""
+
+
+class PositivityError(RuntimeError):
+    """A concentration left the positive cone; the step size is too large."""
+
+
+class ConstraintError(RuntimeError):
+    """The volume constraint drifted beyond the consistency limit."""
 
 
 def _values_of(state) -> np.ndarray:
@@ -535,6 +550,79 @@ def edi_residual(problem: FlowProblem, trajectory, dt: float) -> float:
     return total
 
 
+# -- the shared march loop --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GridTrajectory:
+    """Per-step diagnostics plus thinned state snapshots of a grid solver.
+
+    ``energies``, ``masses`` and each ``extra`` series hold one value per
+    step 0..steps; ``snapshots[i]`` is the state after step
+    ``snapshot_steps[i]`` of size ``dt``.
+    """
+
+    snapshot_steps: np.ndarray
+    snapshots: list
+    energies: np.ndarray
+    masses: np.ndarray
+    dt: float
+    extra: dict = field(default_factory=dict)
+
+    @property
+    def snapshot_times(self) -> np.ndarray:
+        return self.snapshot_steps * self.dt
+
+    @property
+    def final(self):
+        return self.snapshots[-1]
+
+    def max_energy_increase(self) -> float:
+        return float(np.max(np.diff(self.energies), initial=-np.inf))
+
+    def max_mass_drift(self) -> float:
+        return float(np.abs(self.masses - self.masses[0]).max())
+
+
+def _march(
+    state,
+    step: Callable,
+    steps: int,
+    dt: float,
+    store_every: Optional[int],
+    energy: Callable[[object], float],
+    mass: Callable[[object], float],
+    diagnostics: Optional[dict] = None,
+) -> GridTrajectory:
+    """Apply ``step`` ``steps`` times, recording energy, mass and each named
+    diagnostic of every state; snapshots are the start, every
+    ``store_every``-th state (default: about 100 in all) and the last one.
+    Positivity and constraint errors of a step are raised again naming it.
+    """
+    if store_every is None:
+        store_every = max(1, steps // 100)
+    diagnostics = diagnostics or {}
+    series = [(np.empty(steps + 1), fn) for fn in (energy, mass, *diagnostics.values())]
+    snapshot_steps, snapshots = [0], [state]
+    cur = state
+    for k in range(steps + 1):
+        if k > 0:
+            try:
+                cur = step(cur)
+            except (PositivityError, ConstraintError) as exc:
+                raise type(exc)(f"step {k}: {exc}") from exc
+            if k % store_every == 0 or k == steps:
+                snapshot_steps.append(k)
+                snapshots.append(cur)
+        for values, fn in series:
+            values[k] = fn(cur)
+    (energies, _), (masses, _), *extra = series
+    return GridTrajectory(
+        np.asarray(snapshot_steps), snapshots, energies, masses, dt,
+        extra={name: values for name, (values, _) in zip(diagnostics, extra)},
+    )
+
+
 # -- JKO minimizing movement ---------------------------------------------------
 
 
@@ -649,9 +737,14 @@ def _rebin_mass_nodes(X: np.ndarray, dm: float, template: GridDensity1D) -> Grid
     return template.with_values(cell_mass / template.h)
 
 
+def _variance(rho: GridDensity1D) -> float:
+    mean = rho.h * np.sum(rho.values * rho.centers)
+    return float(rho.h * np.sum(rho.values * (rho.centers - mean) ** 2))
+
+
 def jko_evolve(
     rho0: GridDensity1D, tau: float, steps: int, energy: EnergyFunctional
-) -> tuple[list[GridDensity1D], list[JkoStepInfo]]:
+) -> tuple[GridTrajectory, list[JkoStepInfo]]:
     """Minimizing movement rho_k = argmin (1/2 tau) W2(rho, rho_{k-1})^2 + F(rho).
 
     Works in Lagrangian mass coordinates, where the state of the flow is
@@ -664,13 +757,17 @@ def jko_evolve(
     (:func:`gradflow.transport.quantiles`); each step then minimizes over
     the nodes, from the previous step's nodes, by damped (Armijo) Newton
     until the gradient sup-norm falls below ``NEWTON_TOL``.  Every iterate
-    is rebinned conservatively onto the grid of rho0 only to be returned.
+    is rebinned conservatively onto the grid of rho0 only to be recorded.
     Supports entropy plus an external potential V, which needs its
     derivative ``potential_grad``; interaction kernels have no diagonal
     mass-coordinate form and are rejected.
 
-    Returns the states rho_0..rho_steps and one :class:`JkoStepInfo` per
-    step; the minimized energy is nonincreasing along the steps.
+    The steps run through ``_march`` with ``dt = tau``.  Returns the
+    :class:`GridTrajectory` (``F`` of every rebinned iterate as
+    ``energies``, their masses, their variance as ``extra["variance"]``,
+    about 100 snapshots) and one :class:`JkoStepInfo` per step; the
+    minimized energy is nonincreasing along the steps.  One step is
+    ``jko_evolve(rho, tau, 1, energy)``.
     """
     if tau <= 0.0:
         raise ValueError("time step must be positive")
@@ -695,35 +792,18 @@ def jko_evolve(
     if np.any(np.diff(X) <= 0.0):
         # distinct mass levels collide only when the density degenerates
         raise SingularWeightError("JKO needs strictly increasing quantiles")
-    states, infos = [rho0], []
-    for _ in range(steps):
+    infos = []
+
+    def step(_rho: GridDensity1D) -> GridDensity1D:
+        nonlocal X
         X, info = _jko_minimize(X, dm, tau, energy)
-        states.append(_rebin_mass_nodes(X, dm, rho0))
         infos.append(info)
-    return states, infos
+        return _rebin_mass_nodes(X, dm, rho0)
 
-
-def jko_step_detailed(
-    rho_prev: GridDensity1D, tau: float, energy: EnergyFunctional
-) -> tuple[GridDensity1D, JkoStepInfo]:
-    """One JKO step argmin (1/2 tau) W2(rho, rho_prev)^2 + F(rho), with info.
-
-    Each call quantizes rho_prev and rebins the result, so a multi-step flow
-    should call :func:`jko_evolve`: looping this function adds that error at
-    every step (variance 1.2210 against 1.1995 after 100 heat-flow steps at
-    the ``jko`` experiment's defaults, exact 1.2).
-    """
-    (_, rho), (info,) = jko_evolve(rho_prev, tau, 1, energy)
-    return rho, info
-
-
-def jko_step(rho_prev: GridDensity1D, tau: float, energy: EnergyFunctional) -> GridDensity1D:
-    """Minimizer of (1/2 tau) W2(rho, rho_prev)^2 + F(rho) on the grid.
-
-    Like :func:`jko_step_detailed`, it quantizes and rebins on every call; a
-    multi-step flow should call :func:`jko_evolve`, which does so once.
-    """
-    return jko_step_detailed(rho_prev, tau, energy)[0]
+    traj = _march(
+        rho0, step, steps, tau, None, energy.value, GridDensity1D.mass, {"variance": _variance}
+    )
+    return traj, infos
 
 
 def jko_step_record(info: JkoStepInfo) -> dict:

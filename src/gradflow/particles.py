@@ -84,17 +84,17 @@ def _as_matrix(M, dim: int) -> np.ndarray:
 class ParticleEnsemble:
     """n particles in R^dim with drift potentials and noise geometry.
 
-    The drift is -A grad Vb(X_i) - (1/n) sum_j A grad Vi(X_i - X_j); the
-    noise is sqrt(2 dt) sigma xi per step.  A must be symmetric positive
-    semidefinite.  Identical seeds give bitwise-identical trajectories.
+    The drift is -A grad Vb(X_i) - (1/n) sum_j A grad Vi(X_i - X_j), with
+    ``grad_background`` = grad Vb and ``grad_interaction`` = grad Vi (an
+    omitted term is zero).  The noise is sqrt(2 dt) sigma xi per step.  A
+    must be symmetric positive semidefinite.  Identical seeds give
+    bitwise-identical trajectories.
     """
 
     positions: np.ndarray
     seed: int
     grad_background: Optional[Callable] = None
     grad_interaction: Optional[Callable] = None
-    background: Optional[Callable] = None
-    interaction: Optional[Callable] = None
     A: object = 1.0
     sigma: object = 1.0
 

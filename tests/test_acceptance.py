@@ -194,9 +194,9 @@ def test_criterion_06_jko_heat_flow():
     grid = GridDensity1D(-6.0, 6.0, np.ones(400))
     rho = gaussian(grid, var=1.0)
     energy = EnergyFunctional.entropy()
-    states, _ = jko_evolve(rho, 1e-3, 100, energy)
-    grid_energies = [energy.value(state) for state in states]
-    rho = states[-1]
+    traj, _ = jko_evolve(rho, 1e-3, 100, energy)
+    grid_energies = traj.energies
+    rho = traj.final
     mean = rho.h * np.sum(rho.values * rho.centers)
     variance = float(rho.h * np.sum(rho.values * (rho.centers - mean) ** 2))
     increases = max(b - a for a, b in zip(grid_energies[:-1], grid_energies[1:]))

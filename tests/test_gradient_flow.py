@@ -13,8 +13,6 @@ from gradflow.gradient_flow import (
     edi_residual,
     implicit_step,
     jko_evolve,
-    jko_step,
-    jko_step_detailed,
     legendre_dual,
     local_step,
     wasserstein_gradient,
@@ -291,14 +289,16 @@ class TestEdiResidual:
 class TestJko:
     def test_zero_steps(self):
         rho = gaussian(cells=100)
-        assert jko_evolve(rho, 1e-3, 0, EnergyFunctional.entropy()) == ([rho], [])
+        traj, infos = jko_evolve(rho, 1e-3, 0, EnergyFunctional.entropy())
+        assert traj.snapshots == [rho]
+        assert infos == []
 
     def test_heat_step_grows_variance_by_2h(self):
         # tau large enough that the one-off regridding transient (O(h^2))
         # is small against the 2 tau signal
         rho = gaussian(cells=400)
         tau = 1e-2
-        out = jko_step(rho, tau, EnergyFunctional.entropy())
+        out = jko_evolve(rho, tau, 1, EnergyFunctional.entropy())[0].final
         assert variance(out) - variance(rho) == pytest.approx(2 * tau, rel=0.1)
 
     def test_small_steps_move_linearly_in_tau(self):
@@ -308,7 +308,7 @@ class TestJko:
 
         rho = gaussian(cells=400)
         moved = {
-            tau: w2_grid_1d(jko_step(rho, tau, EnergyFunctional.entropy()), rho)
+            tau: w2_grid_1d(jko_evolve(rho, tau, 1, EnergyFunctional.entropy())[0].final, rho)
             for tau in (2e-3, 1e-3)
         }
         for tau, dist in moved.items():
@@ -327,7 +327,7 @@ class TestJko:
         )
         rho = gaussian(cells=400)
         tau = 1e-3
-        out = jko_step(rho, tau, energy)
+        out = jko_evolve(rho, tau, 1, energy)[0].final
         n_nodes = 4 * rho.cells
         nodes = quantiles(rho, (np.arange(n_nodes) + 0.5) / n_nodes)
         round_trip = _rebin_mass_nodes(nodes, 1.0 / n_nodes, rho)
@@ -337,13 +337,23 @@ class TestJko:
     def test_hundred_heat_steps_variance(self):
         rho = gaussian(cells=400)
         traj, _ = jko_evolve(rho, 1e-3, 100, EnergyFunctional.entropy())
-        assert variance(traj[-1]) == pytest.approx(1.2, rel=0.02)
-        energies = [EnergyFunctional.entropy().value(t) for t in traj]
-        assert all(b <= a for a, b in zip(energies[:-1], energies[1:]))
+        assert variance(traj.final) == pytest.approx(1.2, rel=0.02)
+        assert all(b <= a for a, b in zip(traj.energies[:-1], traj.energies[1:]))
+
+    def test_long_run_keeps_thinned_snapshots(self):
+        rho = gaussian(cells=50)
+        traj, infos = jko_evolve(rho, 1e-3, 1000, EnergyFunctional.entropy())
+        assert len(traj.snapshots) <= 101
+        assert traj.snapshot_steps[0] == 0 and traj.snapshot_steps[-1] == 1000
+        assert len(infos) == 1000
+        for series in (traj.energies, traj.masses, traj.extra["variance"]):
+            assert len(series) == 1001
+        assert traj.extra["variance"][-1] == variance(traj.final)
 
     def test_info_fields(self):
         rho = gaussian(cells=100)
-        out, info = jko_step_detailed(rho, 1e-3, EnergyFunctional.entropy())
+        traj, (info,) = jko_evolve(rho, 1e-3, 1, EnergyFunctional.entropy())
+        out = traj.final
         assert info.iters >= 1
         assert info.grad_norm <= 1e-9
         assert info.w2_sq > 0.0
@@ -353,25 +363,25 @@ class TestJko:
         rho = gaussian(cells=50)
         energy = EnergyFunctional.grid_free_energy(rt=1.0, interaction=lambda r: r**2)
         with pytest.raises(NotImplementedError):
-            jko_step(rho, 1e-3, energy)
+            jko_evolve(rho, 1e-3, 1, energy)
 
     def test_heat_flow_carries_nodes_to_within_0p2pct(self):
         # CLI default: quantized once, the nodes carry no per-step
         # regridding error, so 100 steps land well inside the 2% bound
         rho = gaussian(cells=400)
         traj, _ = jko_evolve(rho, 1e-3, 100, EnergyFunctional.entropy())
-        assert variance(traj[-1]) == pytest.approx(1.2, rel=0.002)
+        assert variance(traj.final) == pytest.approx(1.2, rel=0.002)
 
     def test_potential_needs_its_gradient(self):
         energy = EnergyFunctional.grid_free_energy(rt=1.0, potential=lambda x: 0.5 * x**2)
         with pytest.raises(ValueError, match="potential_grad"):
-            jko_step(gaussian(cells=50), 1e-3, energy)
+            jko_evolve(gaussian(cells=50), 1e-3, 1, energy)
 
     def test_newton_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(gradient_flow, "MAX_NEWTON", 0)
         rho = gaussian(cells=50)
         with pytest.raises(ConvergenceError):
-            jko_step(rho, 1e-3, EnergyFunctional.entropy())
+            jko_evolve(rho, 1e-3, 1, EnergyFunctional.entropy())
 
     def test_agrees_with_explicit_heat_flow(self):
         from gradflow.transport import w2_grid_1d
@@ -379,7 +389,7 @@ class TestJko:
         rho = gaussian(cells=240, a=-5.0, b=5.0)
         T = 0.05
         tau = 1e-3
-        jko_final = jko_evolve(rho, tau, int(T / tau), EnergyFunctional.entropy())[0][-1]
+        jko_final = jko_evolve(rho, tau, int(T / tau), EnergyFunctional.entropy())[0].final
         problem = FlowProblem(EnergyFunctional.entropy(), QuadraticDissipation("wasserstein"))
         dt = 2e-4
         state = rho

@@ -496,3 +496,25 @@ class TestSharedEngine:
         state = make_two_species(lambda x: 0.25 + 0.2 * np.sin(2 * math.pi * x), cells=32)
         with pytest.raises(PositivityError, match=r"^step \d+: .*reduce dt"):
             multicomponent_evolve(state, RT1, 5e-3, 50, mode="local")
+
+    def test_snapshot_steps_index_the_per_step_series(self):
+        # a _march trajectory (Allen-Cahn) and the explicit Fokker-Planck loop
+        state = PhaseFieldState(0.0, 40.0, 0.4 * np.random.default_rng(5).normal(size=40))
+        dt = 0.01
+        marched = allen_cahn_solve(state, 1.0, 250 * dt, dt)
+        energy = EnergyFunctional.dirichlet_double_well(1.0)
+        grid = GridDensity1D(0.0, 5.0, np.ones(50))
+        fp_dt = 0.9 * grid.h**2 / 2.0
+        explicit = fokker_planck_solve(
+            grid.with_values(np.full(grid.cells, 0.2)), RT1, lambda x: x, 250 * fp_dt, fp_dt
+        )
+        for traj, step_dt, series, of in (
+            (marched, dt, marched.energies, energy.value),
+            (explicit, fp_dt, explicit.masses, GridDensity1D.mass),
+        ):
+            assert traj.dt == step_dt
+            assert_bitwise(traj.snapshot_times, traj.snapshot_steps * step_dt)
+            assert traj.snapshot_steps[0] == 0 and traj.snapshot_steps[-1] == 250
+            assert len(traj.snapshots) == len(traj.snapshot_steps)
+            for k, snapshot in zip(traj.snapshot_steps, traj.snapshots):
+                assert series[k] == of(snapshot)

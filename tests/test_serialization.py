@@ -108,7 +108,7 @@ class TestModelCsv:
         dt = 0.5 * c0.h**2 / 2
         traj = fokker_planck_solve(c0, RT1, None, 0.02, dt)
         out = tmp_path / "fp.csv"
-        write_model_csv(traj, out, dt=dt)
+        write_model_csv(traj, out)
         lines = out.read_text().splitlines()
         assert lines[0] == "step,time,energy,mass"
         assert len(lines) == traj.energies.size + 1
@@ -129,7 +129,7 @@ class TestModelCsv:
         )
         traj = multicomponent_evolve(state, RT1, 1e-5, 20, mode="local")
         out = tmp_path / "mc.csv"
-        write_model_csv(traj, out, dt=1e-5)
+        write_model_csv(traj, out)
         lines = out.read_text().splitlines()
         assert lines[0] == "step,time,energy,mass,constraint_max_violation"
         violations = [float(line.split(",")[4]) for line in lines[1:]]
