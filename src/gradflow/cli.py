@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .measures import GridDensity1D, PhysicalConstants, relative_entropy, total_variation
 from . import measures, transport
-from .gradient_flow import EnergyFunctional, jko_evolve, jko_step_record
+from .gradient_flow import EnergyFunctional, jko_evolve
 from .models import (
     MultiSpeciesState,
     PhaseFieldState,
@@ -47,12 +47,9 @@ from .particles import (
     coin_rate,
     coin_tail_exact,
     empirical_density,
-    ensemble_metadata,
     euler_maruyama,
-    ldp_table,
     reversibility_check,
     sanov_exact,
-    snapshot_table,
     varadhan_tilt,
     GENERATOR_VERSION,
 )
@@ -294,13 +291,33 @@ CONSTANTS: dict[str, Field] = {
 # the ldp n_values default of the exact sanov and varadhan enumerations; the
 # schema default serves the coin mode and exceeds the enumeration limit
 ENUMERATED_N_VALUES = (20.0, 60.0, float(ENUMERATION_MAX_N))
+# backward-Euler steps of the particles experiment's PDE reference; the
+# explicit step at the diffusive CFL bound turns negative once drift dominates
+PDE_CHECK_STEPS = 20
 
 
 def _check_fokker_planck(p: dict, given: dict, errors: list[str]) -> None:
-    """The solver takes round(t_end / dt) steps, and needs at least one."""
+    """The solver takes round(t_end / dt) steps, and needs at least one; an
+    ``initial_csv`` must read as a grid density."""
     # round() ties to even, so this is round(t_end / dt) < 1, also at inf
     if p["t_end"] / p["dt"] <= 0.5:
         errors.append(f"parameters.t_end: expected more than dt / 2 = {p['dt'] / 2:g}")
+    if p["initial_csv"]:
+        try:
+            measures.read_grid_csv(p["initial_csv"])
+        except (OSError, ValueError) as exc:
+            errors.append(f"parameters.initial_csv: {exc}")
+
+
+def _check_particles(p: dict, given: dict, errors: list[str]) -> None:
+    """The PDE check solves with RT = kT and eta = 1 / mobility, both nonzero."""
+    if p["compare_pde"] and p["potential"] == "quadratic":
+        for key in ("kT", "mobility"):
+            if p[key] == 0.0:
+                errors.append(
+                    f"parameters.{key}: expected more than 0 for the PDE check"
+                    " (compare_pde with the quadratic potential)"
+                )
 
 
 def _check_ldp(p: dict, given: dict, errors: list[str]) -> None:
@@ -309,7 +326,8 @@ def _check_ldp(p: dict, given: dict, errors: list[str]) -> None:
     Without ``n_values`` the sanov and varadhan modes take
     ``ENUMERATED_N_VALUES``.  They enumerate types exactly, within the limits
     of :func:`gradflow.particles.check_enumeration`, and need a law ``mu``
-    that sums to 1, with ``constraint_coeffs`` resp. ``tilt`` of its length.
+    that sums to 1, with ``constraint_coeffs`` resp. ``tilt`` of its length;
+    sanov also needs a ``constraint_bound`` that some type reaches.
     """
     mode, mu = p["mode"], p["mu"]
     if mode == "coin":
@@ -321,6 +339,15 @@ def _check_ldp(p: dict, given: dict, errors: list[str]) -> None:
     key = "tilt" if mode == "varadhan" else "constraint_coeffs"
     if p[key] and len(p[key]) != len(mu):
         errors.append(f"parameters.{key}: expected {len(mu)} numbers, one per entry of mu")
+    if mode == "sanov":
+        # coeffs . rho reaches max(coeffs) on the simplex and no more; the
+        # default coefficients are e_0
+        top = max(p["constraint_coeffs"] or [1.0])
+        if p["constraint_bound"] > top:
+            errors.append(
+                f"parameters.constraint_bound: expected at most max(constraint_coeffs)"
+                f" = {top:g}; no type reaches the half-space beyond it"
+            )
     try:
         check_enumeration(len(mu), 1)  # a single sample tests the alphabet alone
     except ValueError as exc:
@@ -340,6 +367,7 @@ def _check_ldp(p: dict, given: dict, errors: list[str]) -> None:
 # together: check(parameters, the parameters block as given, errors)
 CROSS_CHECKS: dict[str, Callable[[dict, dict, list[str]], None]] = {
     "fokker_planck": _check_fokker_planck,
+    "particles": _check_particles,
     "ldp": _check_ldp,
 }
 
@@ -514,7 +542,9 @@ def _exp_transport(cfg: ExperimentConfig) -> ExperimentOutput:
         brute = transport.w2_atomic_bruteforce(x, y)
         delta = abs(fast.cost - brute.cost)
         max_delta = max(max_delta, delta)
-        records.append(transport.transport_plan_record(fast))
+        records.append(
+            {"n": n, "cost": float(fast.cost), "permutation": fast.permutation.tolist()}
+        )
         out.rows.append((i, n, fast.cost, brute.cost, delta))
     out.check("hungarian_equals_bruteforce", max_delta <= 1e-12, max_delta)
     out.metrics["records"] = out.artifacts["transport.json"] = records
@@ -537,7 +567,10 @@ def _exp_jko(cfg: ExperimentConfig) -> ExperimentOutput:
     records = [(0.0, 0, 0.0)] + [(info.w2_sq, info.iters, info.grad_norm) for info in infos]
     for k, (f_k, var_k, record) in enumerate(zip(traj.energies, variances, records)):
         out.rows.append((k, k * p["time_step"], f_k, var_k, *record))
-    out.artifacts["jko_diagnostics.json"] = [jko_step_record(info) for info in infos]
+    out.artifacts["jko_diagnostics.json"] = [
+        {key: getattr(info, key) for key in ("iters", "grad_norm", "w2_sq", "energy")}
+        for info in infos
+    ]
     worst_ascent = max((info.energy - info.energy_start for info in infos), default=-math.inf)
     variance_final = float(variances[-1])
     target = var0 + 2 * p["steps"] * p["time_step"]
@@ -682,14 +715,25 @@ def _exp_particles(cfg: ExperimentConfig) -> ExperimentOutput:
     )
     _, traj = euler_maruyama(ens, p["dt"], p["t_end"], store_every=10**9)
     final = traj[-1][:, 0]
-    out.header, out.rows = snapshot_table(final)
-    out.artifacts["metadata.json"] = ensemble_metadata(ens, p["dt"], p["t_end"])
+    out.header, out.rows = ["particle_id", "x"], list(enumerate(final))
+    # what reproduces the run: seed, sizes, step and generator
+    out.artifacts["metadata.json"] = {
+        "seed": int(ens.seed),
+        "n": ens.n,
+        "dt": p["dt"],
+        "T": p["t_end"],
+        "A": ens.A.tolist(),
+        "sigma": ens.sigma.tolist(),
+        "generator_version": GENERATOR_VERSION,
+    }
     out.check("all_finite", bool(np.isfinite(final).all()))
     hist = empirical_density(final, (lo, hi), p["cells"])
     out.check("histogram_mass_one", abs(hist.mass() - 1.0) <= 1e-12, hist.mass() - 1.0)
     if p["compare_pde"] and kind == "quadratic":
-        cfl = grid.h**2 * cfg.constants.eta / (2 * cfg.constants.RT)
-        pde = fokker_planck_solve(start, cfg.constants, Vb, p["t_end"], 0.9 * cfl)
+        # the ensemble's own generator: diffusion kT * mobility, drift mobility * V'
+        constants = PhysicalConstants.with_rt(p["kT"], eta=1.0 / p["mobility"])
+        dt = p["t_end"] / PDE_CHECK_STEPS
+        pde = fokker_planck_solve(start, constants, Vb, p["t_end"], dt, scheme="implicit")
         w2 = transport.w2_grid_1d(hist, pde.final)
         out.check("w2_to_pde_small", w2 <= 10.0 / math.sqrt(p["n"]), w2)
     out.metrics["generator_version"] = GENERATOR_VERSION
@@ -741,7 +785,9 @@ def _exp_ldp(cfg: ExperimentConfig) -> ExperimentOutput:
         tilt = np.asarray(p["tilt"], dtype=float) if p["tilt"] else np.zeros(mu.size)
         n = int(p["n_values"][-1])
         table = varadhan_tilt(FiniteLdpProblem(mu=mu, n=n, tilt=tilt))
-        out.header, out.rows = ldp_table(table)
+        out.header = [f"type_{i}" for i in range(mu.size)] + ["exact_rate", "limit_rate"]
+        rows = zip(table.types, table.exact_rate, table.limit_rate)
+        out.rows = [(*row, exact, limit) for row, exact, limit in rows]
         out.check("limit_rate_nonnegative", float(table.limit_rate.min()) >= -1e-12)
         target = mu * np.exp(-tilt)
         target /= target.sum()

@@ -40,7 +40,7 @@ from ._grid import (
     pair_potential,
     weighted_poisson_neumann,
 )
-from .measures import GridDensity1D, PhysicalConstants, write_json, write_table
+from .measures import GridDensity1D, PhysicalConstants
 from .transport import (
     QUANTILE_NODES_PER_CELL,
     SingularWeightError,
@@ -64,9 +64,6 @@ __all__ = [
     "edi_residual",
     "wasserstein_gradient",
     "jko_evolve",
-    "write_trajectory_csv",
-    "jko_step_record",
-    "write_jko_diagnostics_json",
 ]
 
 DISSIPATION_KINDS = ("scalar", "l2", "wasserstein", "hminus1")
@@ -524,14 +521,6 @@ def implicit_step(problem: FlowProblem, z: GridDensity1D, dt: float) -> GridDens
     c = march(z.values, dt, 0)
     return z if c is z.values else z.with_values(c)
 
-def _edi_terms(problem: FlowProblem, states: list, dt: float):
-    """psi(z_k, dz_k/dt) and psi_star(z_k, -F'(z_k)) of each step k of a curve."""
-    energy, diss = problem.energy, problem.dissipation
-    for prev, cur in zip(states[:-1], states[1:]):
-        rate = (_values_of(cur) - _values_of(prev)) / dt
-        force = -np.asarray(energy.derivative(prev), dtype=float)
-        yield diss.psi(prev, rate), diss.psi_star(prev, force)
-
 
 def edi_residual(problem: FlowProblem, trajectory, dt: float) -> float:
     """Energy-dissipation residual of a sampled curve.
@@ -543,10 +532,12 @@ def edi_residual(problem: FlowProblem, trajectory, dt: float) -> float:
     states = list(trajectory)
     if len(states) < 2:
         return 0.0
-    energy = problem.energy
+    energy, diss = problem.energy, problem.dissipation
     total = energy.value(states[-1]) - energy.value(states[0])
-    for primal, dual in _edi_terms(problem, states, dt):
-        total += (primal + dual) * dt
+    for prev, cur in zip(states[:-1], states[1:]):
+        rate = (_values_of(cur) - _values_of(prev)) / dt
+        force = -np.asarray(energy.derivative(prev), dtype=float)
+        total += (diss.psi(prev, rate) + diss.psi_star(prev, force)) * dt
     return total
 
 
@@ -804,30 +795,3 @@ def jko_evolve(
         rho0, step, steps, tau, None, energy.value, GridDensity1D.mass, {"variance": _variance}
     )
     return traj, infos
-
-
-def jko_step_record(info: JkoStepInfo) -> dict:
-    """JSON-ready record {iters, grad_norm, w2_sq, energy} of one JKO step."""
-    return {key: getattr(info, key) for key in ("iters", "grad_norm", "w2_sq", "energy")}
-
-
-def write_jko_diagnostics_json(infos, out_path) -> None:
-    """Per-step inner-solver records {iters, grad_norm, w2_sq, energy}."""
-    write_json(out_path, [jko_step_record(info) for info in infos])
-
-
-def write_trajectory_csv(problem: FlowProblem, trajectory, dt: float, out_path) -> None:
-    """Dump per-step EDI bookkeeping for a sampled trajectory.
-
-    Columns: step,time,energy,dissipation_primal,dissipation_dual,edi_partial
-    where edi_partial is the running residual up to that step.
-    """
-    states = list(trajectory)
-    energies = [problem.energy.value(state) for state in states]
-    terms = [*_edi_terms(problem, states, dt), (0.0, 0.0)]
-    rows, running = [], 0.0
-    for k, (f_k, (primal, dual)) in enumerate(zip(energies, terms)):
-        rows.append((k, k * dt, f_k, primal, dual, f_k - energies[0] + running))
-        running += (primal + dual) * dt
-    header = ["step", "time", "energy", "dissipation_primal", "dissipation_dual", "edi_partial"]
-    write_table(out_path, header, rows)

@@ -6,8 +6,9 @@ and :class:`GridDensity1D` (a nonnegative density on a uniform 1D grid).
 Both are immutable after construction; every operation here is a pure
 function, so concurrent read access is safe.
 
-This module also holds the one output format of the package, which every
-other module writes through: :func:`write_table` (CSV with a header row,
+This module also holds the one output format of the package, which the
+runner (:mod:`gradflow.cli`) writes every file through; no numerics module
+writes files.  The format is :func:`write_table` (CSV with a header row,
 LF line ends, floats at 17 significant digits, so they read back bitwise)
 and :func:`write_json` (indent 2, sorted keys, trailing newline).
 """
@@ -312,9 +313,11 @@ def _read_table(path) -> tuple[list[str], np.ndarray]:
     """Header and float rows of a table; LF and CRLF line ends both load."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty file, expected a header row")
         rows = [[float(c) for c in row] for row in reader if row]
-    return header, np.asarray(rows, dtype=float)
+    return header, np.asarray(rows, dtype=float).reshape(len(rows), len(header))
 
 
 _COORD_NAMES = ("x", "y", "z")

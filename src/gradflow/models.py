@@ -55,7 +55,7 @@ from .gradient_flow import (
     implicit_step,
     local_step,
 )
-from .measures import GridDensity1D, PhysicalConstants, write_table
+from .measures import GridDensity1D, PhysicalConstants
 
 __all__ = [
     "PhaseFieldState",
@@ -74,7 +74,6 @@ __all__ = [
     "allen_cahn_solve",
     "cahn_hilliard_solve",
     "free_energy_multispecies",
-    "write_model_csv",
 ]
 
 POSITIVITY_FLOOR = 1e-14
@@ -539,15 +538,3 @@ def cahn_hilliard_solve(
     stencil needs dt <= h^4 / (8 m).
     """
     return _phase_field_flow(state, "hminus1", mobility, T_end, dt, store_every, well)
-
-
-def write_model_csv(trajectory: GridTrajectory, out_path) -> None:
-    """Per-step diagnostics: step,time,energy,mass[,constraint_max_violation]."""
-    header = ["step", "time", "energy", "mass"]
-    columns = [trajectory.energies, trajectory.masses]
-    constraint = trajectory.extra.get("constraint_max_violation")
-    if constraint is not None:
-        header.append("constraint_max_violation")
-        columns.append(constraint)
-    rows = [(k, k * trajectory.dt, *values) for k, values in enumerate(zip(*columns))]
-    write_table(out_path, header, rows)

@@ -25,7 +25,7 @@ from ._grid import (
     weighted_poisson_neumann,
 )
 from .gradient_flow import _drift_potential
-from .measures import GridDensity1D, PhysicalConstants, write_json, write_table
+from .measures import GridDensity1D, PhysicalConstants
 from .transport import SingularWeightError
 
 __all__ = [
@@ -47,12 +47,6 @@ __all__ = [
     "varadhan_tilt",
     "log_degeneracy",
     "schilder_action",
-    "snapshot_table",
-    "write_snapshot_csv",
-    "ensemble_metadata",
-    "write_ensemble_metadata",
-    "ldp_table",
-    "write_ldp_table_csv",
 ]
 
 GENERATOR_VERSION = f"numpy-{np.__version__}-philox4x64"
@@ -588,49 +582,3 @@ def schilder_action(path, dt: float) -> float:
         x = x[None, :, :]
     diffs = np.diff(x, axis=1)
     return 0.25 * float(np.sum(diffs * diffs)) / dt
-
-
-# -- serialization ---------------------------------------------------------------
-
-
-def snapshot_table(positions) -> tuple[list[str], list[tuple]]:
-    """Header and rows of a snapshot: particle_id,x (1D) or particle_id,x0,x1,..."""
-    pos = np.asarray(positions, dtype=float)
-    if pos.ndim == 1:
-        pos = pos[:, None]
-    coords = ["x"] if pos.shape[1] == 1 else [f"x{i}" for i in range(pos.shape[1])]
-    return ["particle_id"] + coords, [(pid, *row) for pid, row in enumerate(pos)]
-
-
-def write_snapshot_csv(positions: np.ndarray, out_path) -> None:
-    """One row per particle: particle_id,x[,y,...]."""
-    write_table(out_path, *snapshot_table(positions))
-
-
-def ensemble_metadata(ensemble: ParticleEnsemble, dt: float, T: float) -> dict:
-    """JSON-ready record of what reproduces a run: seed, sizes, step, generator."""
-    return {
-        "seed": int(ensemble.seed),
-        "n": ensemble.n,
-        "dt": dt,
-        "T": T,
-        "A": ensemble.A.tolist(),
-        "sigma": ensemble.sigma.tolist(),
-        "generator_version": GENERATOR_VERSION,
-    }
-
-
-def write_ensemble_metadata(ensemble: ParticleEnsemble, dt: float, T: float, out_path) -> None:
-    write_json(out_path, ensemble_metadata(ensemble, dt, T))
-
-
-def ldp_table(table: TiltTable) -> tuple[list[str], list[tuple]]:
-    """Header and rows type_0..type_{m-1},exact_rate,limit_rate of a tilt table."""
-    header = [f"type_{i}" for i in range(table.types.shape[1])] + ["exact_rate", "limit_rate"]
-    rows = zip(table.types, table.exact_rate, table.limit_rate)
-    return header, [(*row, ex, lim) for row, ex, lim in rows]
-
-
-def write_ldp_table_csv(table: TiltTable, out_path) -> None:
-    """Columns type_0..type_{m-1},exact_rate,limit_rate."""
-    write_table(out_path, *ldp_table(table))

@@ -26,7 +26,7 @@ from ._grid import (
     interface_gradient,
     weighted_poisson_neumann,
 )
-from .measures import GridDensity1D, write_json, write_table
+from .measures import GridDensity1D
 
 __all__ = [
     "TransportPlan",
@@ -41,9 +41,6 @@ __all__ = [
     "tangent_from_rate",
     "path_action",
     "atomic_path_action",
-    "transport_plan_record",
-    "write_path_action_csv",
-    "write_transport_json",
 ]
 
 BRUTEFORCE_MAX_N = 9
@@ -243,34 +240,24 @@ def tangent_from_rate(rho: GridDensity1D, s) -> TangentField1D:
     return TangentField1D(rho, np.asarray(s, dtype=float), interface_gradient(xi, rho.h))
 
 
-def _segment_norms(path: list, dt: float):
-    """||(rho_{k+1}-rho_k)/dt||^2_{-1, rho_mid} of each segment of a path,
-    with the local norm at the segment's midpoint density."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    mass0 = path[0].mass() if path else 0.0
-    for prev, cur in zip(path[:-1], path[1:]):
-        if abs(cur.mass() - mass0) > MASS_MATCH_TOL * max(1.0, mass0):
-            raise ValueError("path entries must have equal mass")
-        mid = prev.with_values(0.5 * (prev.values + cur.values))
-        norm_sq, _ = local_w_norm(mid, (cur.values - prev.values) / dt)
-        yield norm_sq
-
-
-def _action(norms, dt: float) -> float:
-    total = 0.0
-    for norm_sq in norms:
-        total += norm_sq * dt
-    return total
-
-
 def path_action(path, dt: float) -> float:
     """Kinetic action sum_k ||(rho_{k+1}-rho_k)/dt||^2_{-1, rho_mid} dt.
 
     The local norm is evaluated at the midpoint density of each segment;
     all path entries must carry equal mass.
     """
-    return _action(_segment_norms(list(path), dt), dt)
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    path = list(path)
+    mass0 = path[0].mass() if path else 0.0
+    total = 0.0
+    for prev, cur in zip(path[:-1], path[1:]):
+        if abs(cur.mass() - mass0) > MASS_MATCH_TOL * max(1.0, mass0):
+            raise ValueError("path entries must have equal mass")
+        mid = prev.with_values(0.5 * (prev.values + cur.values))
+        norm_sq, _ = local_w_norm(mid, (cur.values - prev.values) / dt)
+        total += norm_sq * dt
+    return total
 
 
 def atomic_path_action(trajectories, dt: float) -> float:
@@ -285,28 +272,3 @@ def atomic_path_action(trajectories, dt: float) -> float:
         traj = traj[:, :, None]
     diffs = np.diff(traj, axis=1)
     return float(np.sum(diffs * diffs) / (dt * traj.shape[0]))
-
-
-# -- serialization -------------------------------------------------------------
-
-
-def transport_plan_record(plan: TransportPlan) -> dict:
-    """JSON-ready record {n, cost, permutation} for one solved instance."""
-    return {
-        "n": int(plan.permutation.size),
-        "cost": float(plan.cost),
-        "permutation": [int(i) for i in plan.permutation],
-    }
-
-
-def write_path_action_csv(path_densities, dt: float, out_path) -> float:
-    """Write per-step local norms (columns step,time,local_norm_sq); returns action."""
-    norms = list(_segment_norms(list(path_densities), dt))
-    rows = [(k, k * dt, norm_sq) for k, norm_sq in enumerate(norms)]
-    write_table(out_path, ["step", "time", "local_norm_sq"], rows)
-    return _action(norms, dt)
-
-
-def write_transport_json(plans, out_path) -> None:
-    """Serialize a list of TransportPlan as JSON records."""
-    write_json(out_path, [transport_plan_record(p) for p in plans])

@@ -14,6 +14,7 @@ from gradflow.cli import (
     run,
     validate,
 )
+from gradflow.particles import GENERATOR_VERSION
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -251,6 +252,14 @@ class TestValidateCommand:
             ("fokker_planck", {"t_end": 0.01}, "parameters.t_end"),
             ("jko", {"steps": 0}, "parameters.steps"),
             ("reversibility", {"steps": 0}, "parameters.steps"),
+            ("ldp", {"mode": "sanov", "constraint_bound": 2.0}, "parameters.constraint_bound"),
+            (
+                "fokker_planck",
+                {"initial_csv": "/nonexistent/initial.csv"},
+                "parameters.initial_csv",
+            ),
+            ("particles", {"kT": 0.0}, "parameters.kT"),
+            ("particles", {"mobility": 0.0}, "parameters.mobility"),
         ],
         ids=[
             "negative-cells",
@@ -285,6 +294,10 @@ class TestValidateCommand:
             "fokker-planck-zero-steps",
             "jko-zero-steps",
             "reversibility-zero-steps",
+            "sanov-empty-constraint",
+            "missing-initial-csv",
+            "particles-pde-zero-temperature",
+            "particles-pde-zero-mobility",
         ],
     )
     def test_unrunnable_config_exits_2_with_key_path(
@@ -398,6 +411,30 @@ class TestRunCommand:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert "error" in summary
 
+    def test_vacuum_initial_csv_exits_3(self, tmp_path, capsys):
+        # a readable start with an empty cell passes validate; the implicit
+        # solve needs a strictly positive start
+        csv_path = tmp_path / "c0.csv"
+        csv_path.write_text("cell_center,value\n0.5,0\n1.5,1\n2.5,1\n")
+        obj = {"experiment": "fokker_planck", "parameters": {"initial_csv": str(csv_path)}}
+        path = write_config(tmp_path, obj)
+        assert validate(path) == (EXIT_OK, ["ok"])
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 3
+        capsys.readouterr()
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["error"].startswith("SingularWeightError")
+
+    def test_particles_pde_check_uses_the_ensemble_generator(self, tmp_path, capsys):
+        # at kT = 0.1 drift dominates; the reference solve must use RT = kT
+        obj = {"experiment": "particles", "parameters": {"kT": 0.1}}
+        path = write_config(tmp_path, obj)
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out_dir)]) == EXIT_OK
+        capsys.readouterr()
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["invariants"]["w2_to_pde_small"]["passed"]
+
     def test_output_write_error_exits_3_with_summary(self, tmp_path, capsys):
         # a directory where result.csv should go makes the write fail
         path = write_config(tmp_path, {"experiment": "entropy", "parameters": {"pairs": 5}})
@@ -446,6 +483,7 @@ class TestArtifacts:
         assert main(["run", "--config", str(path), "--out", str(out_dir)]) == EXIT_OK
         records = json.loads((out_dir / "transport.json").read_text())
         assert len(records) == 3 and records[0]["n"] == 4
+        assert all(set(record) == {"n", "cost", "permutation"} for record in records)
 
         obj = {
             "experiment": "particles",
@@ -457,6 +495,10 @@ class TestArtifacts:
         assert main(["run", "--config", str(path), "--out", str(out_dir)]) == EXIT_OK
         meta = json.loads((out_dir / "metadata.json").read_text())
         assert meta["seed"] == 5 and meta["n"] == 100
+        assert meta["A"] == [[1.0]]
+        assert meta["generator_version"] == GENERATOR_VERSION
+        lines = (out_dir / "result.csv").read_text().splitlines()
+        assert lines[0] == "particle_id,x" and len(lines) == 101
         capsys.readouterr()
 
     def test_jko_diagnostics_artifact(self, tmp_path, capsys):
@@ -466,7 +508,19 @@ class TestArtifacts:
         assert main(["run", "--config", str(path), "--out", str(out_dir)]) == EXIT_OK
         diag = json.loads((out_dir / "jko_diagnostics.json").read_text())
         assert len(diag) == 5
+        assert all(set(d) == {"iters", "grad_norm", "w2_sq", "energy"} for d in diag)
         assert all(d["grad_norm"] <= 1e-9 for d in diag)
+        capsys.readouterr()
+
+    def test_varadhan_table(self, tmp_path, capsys):
+        parameters = {"mode": "varadhan", "tilt": [0.0, 0.5], "n_values": [10]}
+        out_dir = tmp_path / "ldp"
+        path = write_config(tmp_path, {"experiment": "ldp", "parameters": parameters})
+        assert main(["run", "--config", str(path), "--out", str(out_dir)]) == EXIT_OK
+        lines = (out_dir / "result.csv").read_text().splitlines()
+        assert lines[0] == "type_0,type_1,exact_rate,limit_rate"
+        # one row per type: the 11 occupation vectors (k, 10 - k)
+        assert len(lines) == 1 + 11
         capsys.readouterr()
 
     def test_fokker_planck_initial_from_csv(self, tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gradflow import gradient_flow
-from gradflow.measures import GridDensity1D
+from gradflow.measures import GridDensity1D, PhysicalConstants
 from gradflow.gradient_flow import (
     ConvergenceError,
     EnergyFunctional,
@@ -17,6 +17,7 @@ from gradflow.gradient_flow import (
     local_step,
     wasserstein_gradient,
 )
+from gradflow.models import fokker_planck_solve
 from gradflow.transport import SingularWeightError, dual_w_norm
 from gradflow._grid import laplacian_neumann
 
@@ -284,6 +285,29 @@ class TestEdiResidual:
             force = -np.asarray(energy.derivative(prev), dtype=float)
             expected += (diss.psi(prev, rate) + diss.psi_star(prev, force)) * dt
         assert edi_residual(problem, traj, dt) == expected
+
+
+class TestFokkerPlanckEdiInvariant:
+    def test_edi_residual_first_order_on_fp_trajectory(self):
+        # the drift-diffusion trajectory, viewed through the wasserstein
+        # dissipation, satisfies the EDI at first order in dt
+        V = lambda x: 0.4 * x**2
+        energy = EnergyFunctional.grid_free_energy(rt=1.0, potential=V)
+        problem = FlowProblem(energy, QuadraticDissipation("wasserstein"))
+        grid = GridDensity1D(-5.0, 5.0, np.ones(160))
+        c0 = grid.with_values(np.exp(-grid.centers**2 / 1.5)).normalized()
+
+        def residual(dt_frac):
+            dt = dt_frac * grid.h**2 / 2
+            rt1 = PhysicalConstants.with_rt(1.0)
+            traj = fokker_planck_solve(c0, rt1, V, 0.04, dt, store_every=1)
+            return dt, edi_residual(problem, traj.snapshots, dt)
+
+        dt_full, res_full = residual(0.8)
+        dt_half, res_half = residual(0.4)
+        assert res_full > res_half > 0.0
+        order = math.log(res_full / res_half) / math.log(dt_full / dt_half)
+        assert order >= 0.8
 
 
 class TestJko:

@@ -257,6 +257,24 @@ class TestCsvRoundTrip:
         assert np.array_equal(back_rho.values, rho.values)
         assert back_rho.b == pytest.approx(rho.b, abs=1e-14)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "cell_center,value\n",
+            "cell_center,value\n0.5,1,2\n1.5,1,3\n",
+            "a,b\n0.5,1\n1.5,1\n",
+            "cell_center,value\n0.5,x\n1.5,1\n",
+        ],
+        ids=["empty", "header-only", "rows-wider-than-header", "wrong-header", "not-a-number"],
+    )
+    def test_malformed_grid_csv_raises_value_error(self, tmp_path, text):
+        # the runner's validate reports a ValueError at parameters.initial_csv
+        path = tmp_path / "rho.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            read_grid_csv(path)
+
 
 class TestWriteTable:
     @pytest.mark.parametrize(

@@ -16,7 +16,6 @@ from gradflow.transport import (
     w2_atomic,
     w2_atomic_bruteforce,
     w2_grid_1d,
-    write_path_action_csv,
 )
 
 
@@ -280,24 +279,19 @@ class TestPathAction:
         action = path_action(path, 1.0 / steps)
         assert action == pytest.approx(d * d, rel=0.02)
 
-    def test_csv_rows_and_action_come_from_the_same_norms(self, tmp_path):
+    def test_action_sums_the_midpoint_norms(self):
         path = [gaussian_grid(mean=0.1 * k, cells=120) for k in range(6)]
-        out = tmp_path / "action.csv"
-        action = write_path_action_csv(path, 0.2, out)
-        norms = [float(line.split(",")[2]) for line in out.read_text().splitlines()[1:]]
         expected = 0.0
-        for k, norm_sq in enumerate(norms):
-            mid = path[k].with_values(0.5 * (path[k].values + path[k + 1].values))
-            assert norm_sq == local_w_norm(mid, (path[k + 1].values - path[k].values) / 0.2)[0]
-            expected += norm_sq * 0.2
-        assert action == path_action(path, 0.2) == expected
+        for prev, cur in zip(path[:-1], path[1:]):
+            mid = prev.with_values(0.5 * (prev.values + cur.values))
+            expected += local_w_norm(mid, (cur.values - prev.values) / 0.2)[0] * 0.2
+        assert path_action(path, 0.2) == expected
 
-    def test_unequal_masses_and_bad_step_rejected(self, tmp_path):
+    def test_unequal_masses_and_bad_step_rejected(self):
         rho = gaussian_grid(cells=50)
         heavier = rho.with_values(2.0 * rho.values)
         for call in (
             lambda: path_action([rho, heavier], 0.1),
-            lambda: write_path_action_csv([rho, heavier], 0.1, tmp_path / "a.csv"),
             lambda: path_action([rho], 0.0),
         ):
             with pytest.raises(ValueError):
