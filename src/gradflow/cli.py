@@ -240,8 +240,8 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "cells": Field(int, 64, within="[4, inf)"),
         "length": Field(float, 64.0, within="(0, inf)"),
         "mobility": Field(float, 1.0, within="(0, inf)"),
-        "dt": Field(float, 0.04, within="(0, inf)"),
-        "steps": Field(int, 10000, within="[1, inf)"),
+        "dt": Field(float, 1.0, within="(0, inf)"),
+        "steps": Field(int, 400, within="[1, inf)"),
         "amplitude": Field(float, 0.05),
     },
     "particles": {
@@ -677,7 +677,7 @@ def _exp_phasefield(cfg: ExperimentConfig) -> ExperimentOutput:
     u0 = p["amplitude"] * rng.normal(size=p["cells"])
     state = PhaseFieldState(0.0, p["length"], u0)
     solve = {"allen_cahn": allen_cahn_solve, "cahn_hilliard": cahn_hilliard_solve}[p["model"]]
-    traj = solve(state, p["mobility"], p["steps"] * p["dt"], p["dt"])
+    traj = solve(state, p["mobility"], p["steps"] * p["dt"], p["dt"], scheme="implicit")
     out.header = ["step", "time", "energy", "mean"]
     means = traj.extra["mean"]
     for k, t in zip(traj.snapshot_steps, traj.snapshot_times):

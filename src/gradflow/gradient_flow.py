@@ -77,6 +77,12 @@ MAX_NEWTON = 200
 # iteration cap.  Where it fails, dt is halved, at most MAX_SPLITS times deep.
 IMPLICIT_TOL = 1e-10
 MAX_SPLITS = 12
+# the convex-splitting Newton solve of the phase fields stops at |R|_inf <=
+# SPLITTING_TOL times the size of R's largest term (see
+# _convex_splitting_step), whose rounding floor is near machine epsilon
+# times that size.  Late Allen-Cahn steps change u by about 1e-12, so the
+# bound stays that tight.
+SPLITTING_TOL = 1e-12
 
 
 class ConvergenceError(RuntimeError):
@@ -233,7 +239,8 @@ class EnergyFunctional:
     * ``grid_free_energy(...)``: rt * int rho log(rho/c0) + int rho V
       + (1/2) iint rho rho W + int U(rho) on GridDensity1D states;
     * ``dirichlet_double_well(well)``: (1/2) int |grad u|^2 + int W(u) with
-      the double well W(s) = well/4 (1-s^2)^2 on phase fields.
+      the double well W(s) = well/4 (1-s^2)^2 on phase fields; the depth is
+      kept as ``well`` for the implicit step.
 
     The derivative returned is the variational derivative DF (a per-cell
     field for grid states), so that <DF, f> h matches the directional
@@ -249,6 +256,7 @@ class EnergyFunctional:
     potential_grad: Optional[Callable] = None
     interaction: Optional[Callable] = None
     internal: Optional[tuple] = None
+    well: float = 0.0
 
     @classmethod
     def finite_dim(cls, f, grad) -> "EnergyFunctional":
@@ -341,7 +349,7 @@ class EnergyFunctional:
             h = _h_of(state)
             return -laplacian_neumann(u, h) + well * (u**3 - u)
 
-        return cls(kind="dirichlet_double_well", value=value, derivative=derivative)
+        return cls(kind="dirichlet_double_well", value=value, derivative=derivative, well=well)
 
 
 _COMPATIBLE = {
@@ -431,10 +439,17 @@ def local_step(problem: FlowProblem, z, dt: float):
     return z.with_values(_values_of(z) + dt * rate)
 
 
-def implicit_step(problem: FlowProblem, z: GridDensity1D, dt: float) -> GridDensity1D:
-    """Backward Euler over dt for a Wasserstein flow of entropy plus potential.
+def implicit_step(problem: FlowProblem, z, dt: float):
+    """One implicit step over dt, with no step-size bound.
 
-    A backward-Euler step solves R(c) = 0 for the residual
+    Two flows have one:
+
+    * a Wasserstein flow of entropy plus potential steps by backward Euler;
+    * a Dirichlet double-well flow (L^2 or H^-1 dissipation, the
+      Allen-Cahn and Cahn-Hilliard equations) steps by Eyre's convex
+      splitting, :func:`_convex_splitting_step`.
+
+    Backward Euler solves R(c) = 0 for the residual
 
         R(c) = c - c_prev - (dt / eta) div(free_energy_flux(c, V, rt, 1, h)),
 
@@ -448,22 +463,23 @@ def implicit_step(problem: FlowProblem, z: GridDensity1D, dt: float) -> GridDens
     already within that tolerance is returned as it is, so a march settles
     within about the tolerance of the fixed point.
 
-    No step-size bound applies, but Newton started at c_prev can fail when
-    strong drift moves much mass within dt.  When it has not converged
-    after MAX_NEWTON iterations (or no halving keeps an update positive),
-    the interval is covered by two backward-Euler steps of dt/2 instead,
-    recursively, at most MAX_SPLITS times deep; past that ConvergenceError
-    is raised.  Every such step conserves
-    mass, and since F is convex an exact step does not raise it.
+    Newton started at c_prev can fail when strong drift moves much mass
+    within dt; the interval is then covered by halved steps (see
+    :func:`_newton_march`).  Every such step conserves mass, and since F is
+    convex an exact step does not raise it.
 
     Interaction and internal energies couple more than neighbouring cells
     and raise NotImplementedError; a vacuum cell raises SingularWeightError;
-    a dissipation other than Wasserstein raises ValueError.
+    any other flow raises ValueError.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    if problem.energy.kind == "dirichlet_double_well":
+        return _convex_splitting_step(problem, z, dt)
     if problem.dissipation.kind != "wasserstein":
-        raise ValueError("implicit_step needs a wasserstein dissipation")
+        raise ValueError(
+            "implicit_step needs a wasserstein dissipation or a double-well energy"
+        )
     energy = problem.energy
     if energy.interaction is not None or energy.internal is not None:
         raise NotImplementedError("implicit_step supports entropy + potential energies only")
@@ -473,53 +489,168 @@ def implicit_step(problem: FlowProblem, z: GridDensity1D, dt: float) -> GridDens
     potential = _drift_potential(z, energy.potential)
     grad_V = None if potential is None else interface_gradient(potential, h)
 
-    def newton(c_prev: np.ndarray, dt: float) -> Optional[np.ndarray]:
-        """The backward-Euler state, or None when Newton fails."""
-        scale = dt / eta
-        tol = IMPLICIT_TOL * float(c_prev.max()) * (1.0 + scale * rt / (h * h))
-        c = c_prev
+    def residual(c, c_prev, dt):
+        flux = free_energy_flux(c, potential, rt, 1.0, h)
+        return c - c_prev - dt / eta * divergence_of_flux(flux, h)
+
+    def jacobian(c, dt):
+        # d flux_i / d c_i and d flux_i / d c_{i+1}
+        left = np.full(c.size - 1, -rt / h)
+        right = np.full(c.size - 1, rt / h)
+        if grad_V is not None:
+            d_left, d_right = logarithmic_mean_partials(c)
+            left += d_left * grad_V
+            right += d_right * grad_V
+        k = dt / eta / h
+        ab = np.zeros((3, c.size))
+        ab[0, 1:] = -k * right
+        ab[1] = 1.0
+        ab[1, :-1] -= k * left
+        ab[1, 1:] += k * right
+        ab[2, :-1] = k * left
+        return (1, 1), ab
+
+    def tol(c_prev, dt):
+        return IMPLICIT_TOL * float(c_prev.max()) * (1.0 + dt / eta * rt / (h * h))
+
+    c = _newton_march(
+        z.values, dt, residual, jacobian, tol, admissible=lambda c: np.min(c) > 0.0
+    )
+    return z if c is z.values else z.with_values(c)
+
+
+def _convex_splitting_step(problem: FlowProblem, z, dt: float):
+    """Eyre's convex-splitting step of a Dirichlet double-well flow.
+
+    The double well W(u) = w/4 (1 - u^2)^2 splits into the convex w/4 u^4
+    (plus a constant) and the concave -w/2 u^2.  The Dirichlet energy and
+    the convex part are taken at the new state, the concave part at the old
+    one, so a step solves R(u) = 0 for
+
+        R(u) = u - u_prev + dt m K mu,   mu = -lap u + w u^3 - w u_prev,
+
+    m the mobility (the inverse dissipation coefficient), lap the Neumann
+    Laplacian and K = I (l2, Allen-Cahn) or K = -lap (hminus1,
+    Cahn-Hilliard).  The energy is a convex function minus a convex one, so
+    an exact step does not raise it for any dt (Eyre 1998).
+
+    R = 0 is solved by Newton from u_prev, each iteration one banded solve
+    with the Jacobian I - dt m lap + 3 dt m w diag(u^2) (tridiagonal) or
+    I + dt m lap^2 - 3 dt m w lap diag(u^2) (pentadiagonal), until
+    |R|_inf <= SPLITTING_TOL M (1 + dt m k (4 / h^2 + w M^2)), with
+    M = max(1, |u_prev|_inf) and k = 1 (l2) or 4 / h^2 (hminus1): the size
+    of R's largest term.  The Cahn-Hilliard state is then written as
+    u_prev + dt m lap(mu), which keeps the mean to rounding as the explicit
+    update does.  A state R does not move (the wells u = +-1, u = 0) is
+    returned as it is, the same object.  Where Newton fails the step is
+    halved (see :func:`_newton_march`).
+    """
+    u0 = _values_of(z)
+    h, well = _h_of(z), problem.energy.well
+    friction = problem.dissipation.coefficient
+    hminus1 = problem.dissipation.kind == "hminus1"
+    n, a = u0.size, 1.0 / (h * h)
+    # laplacian_neumann in solve_banded's layout: row 0 the upper diagonal,
+    # row 1 the main one, row 2 the lower one
+    lap = np.zeros((3, n))
+    lap[0, 1:] = a
+    lap[1] = -2.0 * a
+    lap[1, [0, -1]] = -a
+    lap[2, :-1] = a
+    if hminus1:
+        # lap @ lap, pentadiagonal: a^2 two off the diagonal, a (d_i + d_i+1)
+        # next to it and d_i^2 plus a^2 per neighbour on it
+        d = lap[1]
+        lap_sq = np.zeros((5, n))
+        lap_sq[0, 2:] = lap_sq[4, :-2] = a * a
+        lap_sq[1, 1:] = lap_sq[3, :-1] = a * (d[:-1] + d[1:])
+        lap_sq[2] = d * d + 2.0 * a * a
+        lap_sq[2, [0, -1]] -= a * a
+
+    def chemical(u, u_prev):
+        return -laplacian_neumann(u, h) + well * (u**3 - u_prev)
+
+    def residual(u, u_prev, dt):
+        mu = chemical(u, u_prev)
+        if hminus1:
+            return u - u_prev - dt / friction * laplacian_neumann(mu, h)
+        return u - u_prev + dt / friction * mu
+
+    def jacobian(u, dt):
+        mdt = dt / friction
+        if hminus1:
+            ab = mdt * lap_sq
+            ab[1:4] -= (3.0 * mdt * well) * lap * (u * u)
+            ab[2] += 1.0
+            return (2, 2), ab
+        ab = -mdt * lap
+        ab[1] += 1.0 + (3.0 * mdt * well) * (u * u)
+        return (1, 1), ab
+
+    def tol(u_prev, dt):
+        bound = max(1.0, float(np.abs(u_prev).max()))
+        stiffness = (4.0 * a if hminus1 else 1.0) * (4.0 * a + well * bound * bound)
+        return SPLITTING_TOL * bound * (1.0 + dt / friction * stiffness)
+
+    def telescoped(u, u_prev, dt):
+        return u_prev + dt / friction * laplacian_neumann(chemical(u, u_prev), h)
+
+    u = _newton_march(
+        u0, dt, residual, jacobian, tol, accept=telescoped if hminus1 else None
+    )
+    return z if u is u0 else z.with_values(u)
+
+
+def _newton_march(x0, dt, residual, jacobian, tol, *, admissible=None, accept=None):
+    """Cover dt by implicit steps, each solved by Newton from its start.
+
+    ``residual(x, x_prev, dt)`` is a step's residual, ``jacobian(x, dt)``
+    its Jacobian as ``(l_and_u, bands)`` for ``solve_banded``, and
+    ``tol(x_prev, dt)`` the bound on |R|_inf at which Newton stops.  Each
+    Newton update is halved until ``admissible`` holds for the new iterate
+    (None: every iterate is).  ``accept(x, x_prev, dt)`` writes the state
+    of a converged iterate (None: the iterate itself).  A start already
+    within the tolerance is returned as it is, the same object.
+
+    When Newton has not converged after MAX_NEWTON iterations, its residual
+    is not finite, or no halving of an update is admissible, the interval is
+    covered by two steps of dt/2 instead, recursively, at most MAX_SPLITS
+    times deep; past that ConvergenceError is raised.
+    """
+
+    def newton(x_prev, dt):
+        """The step's state, or None when Newton fails."""
+        bound = tol(x_prev, dt)
+        x = x_prev
         for iters in range(MAX_NEWTON + 1):
-            flux = free_energy_flux(c, potential, rt, 1.0, h)
-            residual = c - c_prev - scale * divergence_of_flux(flux, h)
-            if np.abs(residual).max() <= tol:
-                return c
-            if iters == MAX_NEWTON:
+            r = residual(x, x_prev, dt)
+            norm = np.abs(r).max()
+            if norm <= bound:
+                return x if accept is None or x is x_prev else accept(x, x_prev, dt)
+            if iters == MAX_NEWTON or not np.isfinite(norm):
                 return None
-            # d flux_i / d c_i and d flux_i / d c_{i+1}
-            left = np.full(c.size - 1, -rt / h)
-            right = np.full(c.size - 1, rt / h)
-            if grad_V is not None:
-                d_left, d_right = logarithmic_mean_partials(c)
-                left += d_left * grad_V
-                right += d_right * grad_V
-            k = scale / h
-            ab = np.zeros((3, c.size))
-            ab[0, 1:] = -k * right
-            ab[1] = 1.0
-            ab[1, :-1] -= k * left
-            ab[1, 1:] += k * right
-            ab[2, :-1] = k * left
-            delta = solve_banded((1, 1), ab, -residual)
+            delta = solve_banded(*jacobian(x, dt), -r)
             t = 1.0
-            while not np.min(c + t * delta) > 0.0:
+            candidate = x + delta
+            while admissible is not None and not admissible(candidate):
                 t *= 0.5
                 if t < 1e-12:
                     return None
-            c = c + t * delta
+                candidate = x + t * delta
+            x = candidate
 
-    def march(c: np.ndarray, dt: float, splits: int) -> np.ndarray:
-        out = newton(c, dt)
+    def march(x, dt, splits):
+        out = newton(x, dt)
         if out is not None:
             return out
         if splits == MAX_SPLITS:
             raise ConvergenceError(
-                f"backward-Euler Newton failed at dt = {dt:.3e}, {MAX_NEWTON} iterations "
+                f"implicit Newton solve failed at dt = {dt:.3e}, {MAX_NEWTON} iterations "
                 f"after {MAX_SPLITS} halvings of the step"
             )
-        return march(march(c, 0.5 * dt, splits + 1), 0.5 * dt, splits + 1)
+        return march(march(x, 0.5 * dt, splits + 1), 0.5 * dt, splits + 1)
 
-    c = march(z.values, dt, 0)
-    return z if c is z.values else z.with_values(c)
+    return march(x0, dt, 0)
 
 
 def edi_residual(problem: FlowProblem, trajectory, dt: float) -> float:

@@ -2,18 +2,24 @@
 diffusion (Fokker-Planck), multi-component diffusion under a volume
 constraint, and the Allen-Cahn / Cahn-Hilliard phase-field flows.
 
-All grid solvers are explicit in time with hard CFL guards, use
-conservative interface fluxes (no-flux ends), and record per-step energy
-and mass so that dissipation and conservation can be asserted rather than
-assumed.  The one exception is the implicit Fokker-Planck path,
-``fokker_planck_solve(..., scheme="implicit")``: backward Euler by
-:func:`gradflow.gradient_flow.implicit_step`, with no step-size bound.
+The grid solvers use conservative interface fluxes (no-flux ends) and
+record per-step energy and mass so that dissipation and conservation can be
+asserted rather than assumed.  Their explicit schemes have hard CFL guards.
+Two have implicit schemes with no step-size bound, both stepped by
+:func:`gradflow.gradient_flow.implicit_step`:
+``fokker_planck_solve(..., scheme="implicit")`` by backward Euler, and
+``allen_cahn_solve`` / ``cahn_hilliard_solve(..., scheme="implicit")`` by
+Eyre's convex splitting (the Dirichlet energy and the convex quartic of
+the double well at the new state, its concave quadratic at the old one),
+whose energy does not rise for any dt.  The ``fokker_planck`` and
+``phasefield`` experiments run the implicit schemes.
+
 Drift terms are :func:`gradflow._grid.free_energy_flux`, with
 logarithmic-mean interface densities: the discrete Boltzmann profile
 exp(-V/RT) is then an exact fixed point of the scheme.  The phase fields
-are ``FlowProblem``s stepped by ``local_step``; they and the
-multicomponent steps and the implicit Fokker-Planck scheme run through the
-engine's one march loop, ``gradflow.gradient_flow._march``, which also
+are ``FlowProblem``s stepped by ``local_step`` or ``implicit_step``; they,
+the multicomponent steps and the implicit Fokker-Planck scheme run through
+the engine's one march loop, ``gradflow.gradient_flow._march``, which also
 steps the JKO scheme.
 
 The explicit Fokker-Planck scheme is the reference and is stepped
@@ -486,23 +492,28 @@ def free_energy_multispecies(state: MultiSpeciesState, constants: PhysicalConsta
 # -- phase fields ---------------------------------------------------------------
 
 
-def _phase_field_flow(state, kind, mobility, T_end, dt, store_every, well) -> GridTrajectory:
+def _phase_field_flow(state, kind, mobility, T_end, dt, store_every, well, scheme) -> GridTrajectory:
     """Dirichlet double-well flow, dissipation ``kind`` with coefficient 1/m."""
     if dt <= 0.0 or T_end <= 0.0 or mobility <= 0.0:
         raise ValueError("mobility, T_end, dt must be positive")
-    h = state.h
-    cfl_bound = h * h / (2.0 * mobility) if kind == "l2" else h**4 / (8.0 * mobility)
-    if dt > cfl_bound:
-        raise CflError(f"dt = {dt:.3e} violates the stability bound {cfl_bound:.3e}")
     energy = EnergyFunctional.dirichlet_double_well(well)
     problem = FlowProblem(energy, QuadraticDissipation(kind, 1.0 / mobility))
+    if scheme == "implicit":
+        step = lambda z: implicit_step(problem, z, dt)
+    elif scheme == "explicit":
+        h = state.h
+        cfl_bound = h * h / (2.0 * mobility) if kind == "l2" else h**4 / (8.0 * mobility)
+        if dt > cfl_bound:
+            raise CflError(f"dt = {dt:.3e} violates the stability bound {cfl_bound:.3e}")
 
-    def step(z: PhaseFieldState) -> PhaseFieldState:
-        try:
-            return local_step(problem, z, dt)
-        except ValueError:  # PhaseFieldState holds finite values only
-            raise PositivityError("phase field blew up; reduce dt") from None
+        def step(z: PhaseFieldState) -> PhaseFieldState:
+            try:
+                return local_step(problem, z, dt)
+            except ValueError:  # PhaseFieldState holds finite values only
+                raise PositivityError("phase field blew up; reduce dt") from None
 
+    else:
+        raise ValueError(f"scheme must be 'explicit' or 'implicit', got {scheme!r}")
     steps = int(round(T_end / dt))
     traj = _march(state, step, steps, dt, store_every, energy.value, PhaseFieldState.mean)
     return replace(traj, extra={"mean": traj.masses})
@@ -516,10 +527,17 @@ def allen_cahn_solve(
     *,
     store_every: Optional[int] = None,
     well: float = 1.0,
+    scheme: str = "explicit",
 ) -> GridTrajectory:
     """L^2 gradient flow u' = m (lap u - W'(u)) with no-flux ends and the
-    double well W(s) = well/4 (1-s^2)^2; needs dt <= h^2 / (2 m)."""
-    return _phase_field_flow(state, "l2", mobility, T_end, dt, store_every, well)
+    double well W(s) = well/4 (1-s^2)^2.
+
+    ``scheme="explicit"`` needs dt <= h^2 / (2 m); ``scheme="implicit"``
+    marches Eyre's convex splitting
+    (:func:`gradflow.gradient_flow.implicit_step`) at any dt, with no
+    energy increase beyond the Newton tolerance.
+    """
+    return _phase_field_flow(state, "l2", mobility, T_end, dt, store_every, well, scheme)
 
 
 def cahn_hilliard_solve(
@@ -530,11 +548,15 @@ def cahn_hilliard_solve(
     *,
     store_every: Optional[int] = None,
     well: float = 1.0,
+    scheme: str = "explicit",
 ) -> GridTrajectory:
     """H^-1 gradient flow u' = -m lap(lap u - W'(u)), conservative form.
 
-    The update is the divergence of an interface flux, so the cell mean is
-    conserved to machine precision per step; the explicit fourth-order
-    stencil needs dt <= h^4 / (8 m).
+    Each update is m dt times the Neumann Laplacian of a chemical potential,
+    so the cell mean is conserved to machine precision per step.
+    ``scheme="explicit"`` needs dt <= h^4 / (8 m) for its fourth-order
+    stencil; ``scheme="implicit"`` marches Eyre's convex splitting
+    (:func:`gradflow.gradient_flow.implicit_step`) at any dt, with no
+    energy increase beyond the Newton tolerance.
     """
-    return _phase_field_flow(state, "hminus1", mobility, T_end, dt, store_every, well)
+    return _phase_field_flow(state, "hminus1", mobility, T_end, dt, store_every, well, scheme)

@@ -372,6 +372,25 @@ class TestRunCommand:
         # strict JSON: no NaN or Infinity among the invariant values
         json.loads((out_dir / "summary.json").read_text(), parse_constant=_reject_constant)
 
+    @pytest.mark.parametrize(
+        "parameters",
+        [{"cells": 128}, {"dt": 0.2}, {"model": "allen_cahn", "cells": 256}],
+        ids=["cells-128", "dt-0.2", "allen_cahn-cells-256"],
+    )
+    def test_phasefield_has_no_step_bound(self, tmp_path, capsys, parameters):
+        # the implicit scheme runs every step and grid that validate accepts
+        path = write_config(tmp_path, {"experiment": "phasefield", "parameters": parameters})
+        assert validate(path) == (EXIT_OK, ["ok"])
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out_dir)]) == EXIT_OK
+        capsys.readouterr()
+        invariants = json.loads((out_dir / "summary.json").read_text())["invariants"]
+        expected = {"energy_nonincreasing"}
+        if parameters.get("model", "cahn_hilliard") == "cahn_hilliard":
+            expected.add("mean_conserved")
+        assert set(invariants) == expected
+        assert all(inv["passed"] for inv in invariants.values())
+
     @pytest.mark.parametrize("experiment", sorted(SCHEMAS))
     def test_reruns_are_byte_identical(
         self, tmp_path, capsys, experiment, fast_experiment_configs

@@ -28,10 +28,13 @@ from gradflow._grid import (
     interface_gradient,
     laplacian_neumann,
 )
+from gradflow import gradient_flow
 from gradflow.gradient_flow import (
+    ConvergenceError,
     EnergyFunctional,
     FlowProblem,
     QuadraticDissipation,
+    implicit_step,
     local_step,
 )
 
@@ -372,6 +375,94 @@ class TestPhaseField:
             allen_cahn_solve(state, 1.0, 1.0, state.h)
         with pytest.raises(CflError):
             cahn_hilliard_solve(state, 1.0, 1.0, state.h**2)
+
+
+def dense_laplacian(n, h):
+    """laplacian_neumann as an n x n matrix, column by column."""
+    return np.column_stack([laplacian_neumann(e, h) for e in np.eye(n)])
+
+
+class TestConvexSplitting:
+    """The implicit phase-field scheme: Eyre's convex splitting."""
+
+    @pytest.mark.parametrize("kind", ["l2", "hminus1"])
+    @pytest.mark.parametrize("dt", [0.01, 1.0, 50.0])
+    def test_step_solves_the_splitting_equation(self, kind, dt):
+        # u1 - u0 + dt m K (-lap u1 + w u1^3 - w u0) = 0, solved again by
+        # dense Newton from the step's state
+        rng = np.random.default_rng(12)
+        state = PhaseFieldState(0.0, 20.0, 0.7 * rng.normal(size=40))
+        mobility, well = 1.7, 0.8
+        problem = FlowProblem(
+            EnergyFunctional.dirichlet_double_well(well),
+            QuadraticDissipation(kind, 1.0 / mobility),
+        )
+        u0, u1 = state.u, implicit_step(problem, state, dt).u
+        lap = dense_laplacian(state.cells, state.h)
+        K = np.eye(state.cells) if kind == "l2" else -lap
+        exact = u1
+        for _ in range(4):
+            residual = exact - u0 + dt * mobility * (K @ (-lap @ exact + well * (exact**3 - u0)))
+            jacobian = np.eye(state.cells) + dt * mobility * K @ (
+                -lap + 3.0 * well * np.diag(exact**2)
+            )
+            exact = exact - np.linalg.solve(jacobian, residual)
+        # the documented Newton bound, in units of u: the Jacobian is I plus
+        # a nonnegative operator
+        M, a = max(1.0, np.abs(u0).max()), 1.0 / state.h**2
+        k = 1.0 if kind == "l2" else 4.0 * a
+        bound = 1e-12 * M * (1.0 + dt * mobility * k * (4.0 * a + well * M * M))
+        assert np.abs(u1 - exact).max() <= bound
+
+    @pytest.mark.parametrize("solve", [allen_cahn_solve, cahn_hilliard_solve])
+    def test_wells_and_zero_are_returned_as_they_are(self, solve):
+        for value in (-1.0, 0.0, 1.0):
+            state = PhaseFieldState(0.0, 8.0, np.full(32, value))
+            traj = solve(state, 1.0, 40.0, 4.0, scheme="implicit")
+            assert all(snapshot is state for snapshot in traj.snapshots)
+
+    def test_no_step_bound(self):
+        # the explicit scheme rejects these steps (test_cfl_guards)
+        rng = np.random.default_rng(2)
+        state = PhaseFieldState(0.0, 1.0, 0.5 * rng.normal(size=64))
+        ac = allen_cahn_solve(state, 1.0, 10.0, 1.0, scheme="implicit")
+        ch = cahn_hilliard_solve(state, 1.0, 10.0, 1.0, scheme="implicit")
+        for traj in (ac, ch):
+            assert traj.energies.size == 11
+            assert traj.max_energy_increase() <= 1e-12
+        assert np.abs(ch.extra["mean"] - state.mean()).max() <= 1e-14
+
+    def test_failed_newton_halves_the_step(self, monkeypatch):
+        # 7 Newton iterations at dt 4; 6 and 5 on the two halves
+        rng = np.random.default_rng(3)
+        state = PhaseFieldState(0.0, 16.0, 0.8 * rng.normal(size=32))
+        problem = FlowProblem(
+            EnergyFunctional.dirichlet_double_well(1.0), QuadraticDissipation("l2")
+        )
+        monkeypatch.setattr(gradient_flow, "MAX_NEWTON", 6)
+        halves = implicit_step(problem, implicit_step(problem, state, 2.0), 2.0)
+        assert np.array_equal(implicit_step(problem, state, 4.0).u, halves.u)
+        monkeypatch.setattr(gradient_flow, "MAX_SPLITS", 0)
+        with pytest.raises(ConvergenceError):
+            implicit_step(problem, state, 4.0)
+
+    def test_unknown_scheme_rejected(self):
+        state = PhaseFieldState(0.0, 8.0, np.zeros(32))
+        with pytest.raises(ValueError, match="scheme"):
+            cahn_hilliard_solve(state, 1.0, 1.0, 0.5, scheme="crank_nicolson")
+
+    def test_cli_default_energy_gap_to_the_explicit_reference(self):
+        # the phasefield experiment's default start (seed 0) and step (dt 1);
+        # coarsening is metastable, so the states are compared by energy
+        u0 = 0.05 * np.random.default_rng(0).normal(size=64)
+        state = PhaseFieldState(0.0, 64.0, u0)
+        implicit = cahn_hilliard_solve(state, 1.0, 400.0, 1.0, scheme="implicit")
+        explicit = cahn_hilliard_solve(state, 1.0, 400.0, 0.04, store_every=10**6)
+        assert implicit.energies.size - 1 == 400
+        assert implicit.max_energy_increase() <= 1e-12
+        assert np.abs(implicit.extra["mean"] - state.mean()).max() <= 1e-14
+        gap = implicit.energies[-1] - explicit.energies[-1]
+        assert gap == pytest.approx(-1.31e-3, abs=1e-4)
 
 
 class TestFreeEnergyMultispecies:

@@ -131,6 +131,45 @@ class TestImplicitStep:
         assert after <= before + 1e-13 * max(1.0, abs(before))
 
 
+phase_fields = st.fixed_dictionaries(
+    {
+        "kind": st.sampled_from(["l2", "hminus1"]),
+        "dt": st.floats(1e-3, 100.0),
+        "mobility": st.floats(0.1, 5.0),
+        "well": st.floats(0.1, 5.0),
+    }
+)
+
+
+def splitting_problem(flow) -> FlowProblem:
+    return FlowProblem(
+        EnergyFunctional.dirichlet_double_well(flow["well"]),
+        QuadraticDissipation(flow["kind"], 1.0 / flow["mobility"]),
+    )
+
+
+class TestConvexSplittingStep:
+    @settings(max_examples=200, deadline=None)
+    @given(grid=grids, flow=phase_fields, amplitude=st.floats(0.0, 2.0))
+    def test_does_not_raise_energy_and_keeps_the_mean(self, grid, flow, amplitude):
+        rng = np.random.default_rng(grid["seed"])
+        u = PhaseFieldState(
+            grid["a"], grid["a"] + grid["width"], amplitude * rng.uniform(-1.0, 1.0, grid["cells"])
+        )
+        problem = splitting_problem(flow)
+        out = implicit_step(problem, u, flow["dt"])
+        before, after = problem.energy.value(u), problem.energy.value(out)
+        assert after <= before + 1e-12 * max(1.0, abs(before))
+        if flow["kind"] == "hminus1":
+            assert abs(out.mean() - u.mean()) <= 1e-14
+
+    @settings(max_examples=50, deadline=None)
+    @given(grid=grids, flow=phase_fields, sign=st.sampled_from([-1.0, 1.0]))
+    def test_returns_the_wells_as_they_are(self, grid, flow, sign):
+        u = PhaseFieldState(grid["a"], grid["a"] + grid["width"], np.full(grid["cells"], sign))
+        assert implicit_step(splitting_problem(flow), u, flow["dt"]) is u
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 weight = st.floats(0.0, 1e300)
 
