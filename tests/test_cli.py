@@ -374,8 +374,13 @@ class TestRunCommand:
 
     @pytest.mark.parametrize(
         "parameters",
-        [{"cells": 128}, {"dt": 0.2}, {"model": "allen_cahn", "cells": 256}],
-        ids=["cells-128", "dt-0.2", "allen_cahn-cells-256"],
+        [
+            {"cells": 128},
+            {"dt": 0.2},
+            {"model": "allen_cahn", "cells": 256},
+            {"cells": 256, "mobility": 1e4},
+        ],
+        ids=["cells-128", "dt-0.2", "allen_cahn-cells-256", "cells-256-mobility-1e4"],
     )
     def test_phasefield_has_no_step_bound(self, tmp_path, capsys, parameters):
         # the implicit scheme runs every step and grid that validate accepts

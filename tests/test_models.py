@@ -432,6 +432,16 @@ class TestConvexSplitting:
             assert traj.max_energy_increase() <= 1e-12
         assert np.abs(ch.extra["mean"] - state.mean()).max() <= 1e-14
 
+    @pytest.mark.parametrize("mobility", [1e4, 1e8])
+    def test_stiff_cahn_hilliard_keeps_descent_and_mean(self, mobility):
+        # dt m / h^4 up to 2.6e10: the state is shifted back to the mean, not
+        # rebuilt as u_prev + dt m lap(mu), whose rounding grows with it
+        u0 = 0.05 * np.random.default_rng(0).normal(size=256)
+        state = PhaseFieldState(0.0, 64.0, u0)
+        traj = cahn_hilliard_solve(state, mobility, 400.0, 1.0, scheme="implicit")
+        assert traj.max_energy_increase() <= 1e-12
+        assert np.abs(traj.extra["mean"] - state.mean()).max() <= 1e-14
+
     def test_failed_newton_halves_the_step(self, monkeypatch):
         # 7 Newton iterations at dt 4; 6 and 5 on the two halves
         rng = np.random.default_rng(3)
