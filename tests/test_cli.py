@@ -383,7 +383,8 @@ class TestRunCommand:
         ids=["cells-128", "dt-0.2", "allen_cahn-cells-256", "cells-256-mobility-1e4"],
     )
     def test_phasefield_has_no_step_bound(self, tmp_path, capsys, parameters):
-        # the implicit scheme runs every step and grid that validate accepts
+        # grids and steps beyond the explicit bounds h^2/2m and h^4/8m; the last
+        # one is stiff (dt m / h^4 = 2.6e6)
         path = write_config(tmp_path, {"experiment": "phasefield", "parameters": parameters})
         assert validate(path) == (EXIT_OK, ["ok"])
         out_dir = tmp_path / "out"
