@@ -5,7 +5,8 @@ Conventions used throughout the package:
 * a grid of ``n`` cells on ``[a, b]`` has spacing ``h = (b - a) / n`` and
   cell centers ``a + (i + 1/2) h``;
 * scalar fields (densities, rates, potentials) live at cell centers;
-* gradients and fluxes live at the ``n - 1`` interior interfaces;
+* gradients and fluxes live at the ``n - 1`` interior interfaces, and the
+  density an interface carries is the logarithmic mean of its two cells;
 * boundary interfaces always carry zero flux (no-flux domain).
 """
 
@@ -21,11 +22,6 @@ def interface_gradient(values: np.ndarray, h: float) -> np.ndarray:
     return np.diff(values) / h
 
 
-def arithmetic_interface_mean(values: np.ndarray) -> np.ndarray:
-    """Arithmetic mean of adjacent cells at interior interfaces."""
-    return 0.5 * (values[1:] + values[:-1])
-
-
 def logarithmic_interface_mean(
     values: np.ndarray,
     *,
@@ -33,6 +29,10 @@ def logarithmic_interface_mean(
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Logarithmic mean (b - a) / (log b - log a) at interior interfaces.
+
+    The one interface density of the package: the Wasserstein mobility of
+    fluxes, norms, dissipation and rate functional alike.  Taken along the
+    last axis, so an (m, n) array of m species gives m rows of n-1 means.
 
     Continuously extended with the limits M(a, a) = a and M(0, b) = 0, so it
     is safe on nonnegative fields.  This mean satisfies
@@ -48,20 +48,20 @@ def logarithmic_interface_mean(
     same to the bit.  ``out`` receives the n-1 interface values in place of
     a new array; it must not overlap ``values`` or ``logs``.
     """
-    a = values[:-1]
-    b = values[1:]
+    a = values[..., :-1]
+    b = values[..., 1:]
     diff = b - a
     with np.errstate(divide="ignore", invalid="ignore"):
         if logs is None:
             logs = np.log(values)
-        quotient = diff / (logs[1:] - logs[:-1])
+        quotient = diff / (logs[..., 1:] - logs[..., :-1])
     total = a + b
     out = np.multiply(total, 0.5, out)
     use = abs(diff) > 1e-10 * total
     use &= np.isfinite(quotient)
     np.copyto(out, quotient, where=use)
     zero = values == 0.0
-    out[zero[1:] | zero[:-1]] = 0.0
+    out[zero[..., 1:] | zero[..., :-1]] = 0.0
     return out
 
 

@@ -9,11 +9,15 @@ driving force) built from the same discrete operator, so the duality gap
 
 closes to machine precision.
 
-Energy-driven grid fluxes (:func:`gradflow._grid.free_energy_flux`) use
-logarithmic-mean interface densities: div(rho grad(log rho + 1)) is then
-the plain second difference of rho, and any discrete state of the form
-exp(-V/RT) is an exact stationary point.  Norm evaluations keep the
-arithmetic interface mean of :mod:`gradflow.transport`.
+The Wasserstein mobility K(rho) xi = -div(L(rho) grad xi) weights each
+interface by the logarithmic mean L of its two cells
+(:func:`gradflow._grid.logarithmic_interface_mean`), and the explicit
+step, the norms of :mod:`gradflow.transport` and the dissipation share it.
+Since L(rho) grad log rho = grad rho, the entropy rate is the plain second
+difference of rho, any discrete state exp(-V/RT) is an exact stationary
+point, and the energy rate along ``local_step`` is minus the dual norm of
+DF to rounding: the chain rule of the flow holds for the discrete (F, psi)
+themselves, not only in the limit h -> 0.
 
 The time steppers share one march loop, ``_march``: it applies a step
 function and records the energy, mass and named diagnostics of every state,
@@ -36,6 +40,7 @@ from ._grid import (
     free_energy_flux,
     interface_gradient,
     laplacian_neumann,
+    logarithmic_interface_mean,
     logarithmic_mean_partials,
     pair_potential,
     weighted_poisson_neumann,
@@ -62,7 +67,6 @@ __all__ = [
     "local_step",
     "implicit_step",
     "edi_residual",
-    "wasserstein_gradient",
     "jko_evolve",
 ]
 
@@ -175,8 +179,9 @@ class QuadraticDissipation:
     def apply_mobility(self, state, force) -> np.ndarray:
         """Rate s = K(z) xi induced by a force, for the duality identity.
 
-        K is minus the divergence form (-div(rho grad xi) resp. -lap xi),
-        so that <xi, K xi> is the nonnegative dual norm.
+        K is minus the divergence form (-div(L(rho) grad xi), L the
+        logarithmic interface mean, resp. -lap xi), so that <xi, K xi> is
+        the nonnegative dual norm.
         """
         c = self.coefficient
         xi = np.asarray(force, dtype=float)
@@ -184,8 +189,7 @@ class QuadraticDissipation:
             return xi / c
         h = _h_of(state)
         if self.kind == "wasserstein":
-            rho = self._density(state)
-            weights = 0.5 * (rho.values[1:] + rho.values[:-1])
+            weights = logarithmic_interface_mean(self._density(state).values)
             return -divergence_of_flux(weights * interface_gradient(xi, h), h) / c
         return -laplacian_neumann(xi, h) / c
 
@@ -395,48 +399,26 @@ def legendre_dual(s_samples, psi_samples, xi: float) -> float:
     return float(np.max(xi * s - p))
 
 
-def wasserstein_gradient(rho: GridDensity1D, energy: EnergyFunctional) -> np.ndarray:
-    """Conservative discretization of div(rho grad DF(rho)) with no-flux ends.
-
-    The flux is :func:`gradflow._grid.free_energy_flux` of the non-entropic
-    part of DF: the pure-entropy case is the discrete Laplacian of rho
-    times rt, and the Boltzmann state exp(-V/rt) is exactly stationary.
-    Total mass rate is zero by construction.
-    """
-    if energy.kind != "grid_free_energy":
-        raise ValueError("wasserstein gradient needs a grid free energy")
-    if np.min(rho.values) <= 0.0:
-        raise SingularWeightError("vacuum cell: Wasserstein mobility is singular")
-    potential = _drift_potential(rho, energy.potential, energy.interaction, energy.internal)
-    flux = free_energy_flux(rho.values, potential, energy.rt, 1.0, rho.h)
-    return divergence_of_flux(flux, rho.h)
-
-
 def local_step(problem: FlowProblem, z, dt: float):
-    """One explicit step z + dt s* with s* minimizing psi(z, s) + <F'(z), s>.
+    """One explicit step z - dt K(z) DF(z), for every dissipation kind.
 
-    In the quadratic case s* = -K(z) F'(z); for the wasserstein kind the
-    rate is the conservative divergence-form discretization of
-    div(rho grad DF), scaled by the inverse friction coefficient.
+    The rate s* = -K(z) DF(z) minimizes psi(z, s) + <DF(z), s>, K the
+    mobility of the dissipation (:meth:`QuadraticDissipation.apply_mobility`).
+    For the wasserstein kind it is div(L(rho) grad DF) / c, the conservative
+    drift-diffusion rate: total mass rate zero, rt times the discrete
+    Laplacian of rho for pure entropy, and zero on exp(-V/rt).  A vacuum cell
+    raises SingularWeightError before DF takes its logarithm.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    kind = problem.dissipation.kind
-    c = problem.dissipation.coefficient
-    if kind == "scalar":
-        z_arr = np.asarray(z, dtype=float)
-        rate = -problem.energy.derivative(z_arr) / c
-        out = z_arr + dt * rate
+    diss = problem.dissipation
+    values = _values_of(z)
+    if diss.kind == "wasserstein" and np.min(values) <= 0.0:
+        raise SingularWeightError("vacuum cell: Wasserstein mobility is singular")
+    out = values - dt * diss.apply_mobility(z, problem.energy.derivative(z))
+    if diss.kind == "scalar":
         return float(out) if out.ndim == 0 else out
-    if kind == "wasserstein":
-        rate = wasserstein_gradient(z, problem.energy) / c
-        return z.with_values(z.values + dt * rate)
-    df = problem.energy.derivative(z)
-    if kind == "l2":
-        rate = -df / c
-    else:  # hminus1
-        rate = laplacian_neumann(df, _h_of(z)) / c
-    return z.with_values(_values_of(z) + dt * rate)
+    return z.with_values(out)
 
 
 def implicit_step(problem: FlowProblem, z, dt: float):
@@ -451,8 +433,9 @@ def implicit_step(problem: FlowProblem, z, dt: float):
 
         R(c) = c - c_prev - (dt / eta) div(free_energy_flux(c, V, rt, 1, h)),
 
-    eta the friction coefficient, built from the flux of the explicit step,
-    so its log mean carries over: mass is conserved to rounding, and the
+    eta the friction coefficient.  The flux (rt grad c + L(c) grad V) / eta
+    is that of the explicit step, L(c) grad DF(c) / eta, by the log-mean
+    identity L(c) grad log c = grad c: mass is conserved to rounding, and the
     discrete Boltzmann state exp(-V/rt) is a fixed point, returned unchanged
     without a Newton iteration.  R = 0 is solved by Newton on the exact
     tridiagonal Jacobian (one banded solve per iteration), each update

@@ -14,13 +14,16 @@ the double well at the new state, its concave quadratic at the old one),
 whose energy does not rise for any dt.  The ``fokker_planck`` and
 ``phasefield`` experiments run the implicit schemes.
 
-Drift terms are :func:`gradflow._grid.free_energy_flux`, with
-logarithmic-mean interface densities: the discrete Boltzmann profile
-exp(-V/RT) is then an exact fixed point of the scheme.  The phase fields
-are ``FlowProblem``s stepped by ``local_step`` or ``implicit_step``; they,
-the multicomponent steps and the implicit Fokker-Planck scheme run through
-the engine's one march loop, ``gradflow.gradient_flow._march``, which also
-steps the JKO scheme.
+Every interface density is the logarithmic mean L
+(:func:`gradflow._grid.logarithmic_interface_mean`), the Wasserstein
+mobility of :mod:`gradflow.gradient_flow`.  Drift terms are
+:func:`gradflow._grid.free_energy_flux`, so the discrete Boltzmann profile
+exp(-V/RT) is an exact fixed point of the scheme; the species fluxes of the
+multicomponent model carry L(c_i) too, so its energy rate is exactly minus
+its dissipation.  The phase fields are ``FlowProblem``s stepped by
+``local_step`` or ``implicit_step``; they, the multicomponent steps and the
+implicit Fokker-Planck scheme run through the engine's one march loop,
+``gradflow.gradient_flow._march``, which also steps the JKO scheme.
 
 The explicit Fokker-Planck scheme is the reference and is stepped
 in preallocated buffers: one log per step shared by the energy and the
@@ -42,9 +45,7 @@ from typing import Optional
 import numpy as np
 
 from ._grid import (
-    arithmetic_interface_mean,
     divergence_of_flux,
-    free_energy_flux,
     interface_gradient,
     laplacian_neumann,
     logarithmic_interface_mean,
@@ -79,7 +80,6 @@ __all__ = [
     "multicomponent_evolve",
     "allen_cahn_solve",
     "cahn_hilliard_solve",
-    "free_energy_multispecies",
 ]
 
 POSITIVITY_FLOOR = 1e-14
@@ -187,6 +187,11 @@ class MultiSpeciesState:
     def h(self) -> float:
         return (self.b - self.a) / self.cells
 
+    @property
+    def values(self) -> np.ndarray:
+        """The (m, cells) concentrations, the state the engine's energy reads."""
+        return self.concentrations
+
     def with_concentrations(self, c) -> "MultiSpeciesState":
         return MultiSpeciesState(
             self.a, self.b, c, self.molar_volumes, self.frictions, self.constraint_tol
@@ -226,18 +231,19 @@ def spring_dashpot_solve(k: float, eta: float, x0: float, T: float, dt: float) -
 def derive_velocity(
     c: GridDensity1D, constants: PhysicalConstants, V
 ) -> np.ndarray:
-    """Velocity w at interior interfaces with c w = -(RT/eta) grad c - (c/eta) grad V.
+    """Velocity w = -grad(RT log c + V) / eta at interior interfaces.
 
     This is the stationarity condition of the dissipation-plus-energy-rate
-    minimization for the free energy RT int c log(c/c0) + int c V; w.n = 0
+    minimization for the free energy F = RT int c log(c/c0) + int c V: w is
+    -grad DF / eta, and L(c) w, L the logarithmic interface mean (the
+    Wasserstein mobility), is the drift-diffusion flux
+    -(RT grad c + L(c) grad V) / eta of the Fokker-Planck solver.  w.n = 0
     holds at the ends by the no-flux convention.
     """
     if np.min(c.values) <= 0.0:
         raise PositivityError("velocity field needs a strictly positive concentration")
-    if V is not None:
-        V = V(c.centers) if callable(V) else np.asarray(V, dtype=float)
-    flux = free_energy_flux(c.values, V, constants.RT, constants.eta, c.h)
-    return -flux / arithmetic_interface_mean(c.values)
+    df = EnergyFunctional.grid_free_energy(potential=V, constants=constants).derivative(c)
+    return -interface_gradient(df, c.h) / constants.eta
 
 
 def fokker_planck_solve(
@@ -396,9 +402,10 @@ def multicomponent_global_step(
 ) -> MultiSpeciesState:
     """One step of the global-balance system.
 
-    The pressure solves div(sum alpha_i^2 c_i / eta_i grad p)
+    The pressure solves div(sum alpha_i^2 L(c_i) / eta_i grad p)
     = RT sum (alpha_i / eta_i) lap c_i with Neumann data, and the species
-    move with fluxes j_i = (1/eta_i)(-RT grad c_i + alpha_i c_i grad p).
+    move with fluxes j_i = (1/eta_i)(-RT grad c_i + alpha_i L(c_i) grad p),
+    L the logarithmic interface mean.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -410,10 +417,10 @@ def multicomponent_local_step(
 ) -> MultiSpeciesState:
     """One step of the local-balance system with a pointwise multiplier.
 
-    lambda is weighted so that sum_i alpha_i j_i = 0 holds cellwise in the
-    discrete fluxes: lambda = RT sum (alpha_i/eta_i) grad c_i divided by
-    sum alpha_i^2 c_i / eta_i, with j_i = (1/eta_i)(-RT grad c_i
-    + alpha_i c_i lambda).
+    lambda is weighted so that sum_i alpha_i j_i = 0 holds at every interface
+    in the discrete fluxes: lambda = RT sum (alpha_i/eta_i) grad c_i divided
+    by sum alpha_i^2 L(c_i) / eta_i, with j_i = (1/eta_i)(-RT grad c_i
+    + alpha_i L(c_i) lambda), L the logarithmic interface mean.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -425,14 +432,21 @@ def multicomponent_local_step(
 def multicomponent_fluxes(
     state: MultiSpeciesState, constants: PhysicalConstants, mode: str = "local"
 ) -> np.ndarray:
-    """Interface fluxes j_i = (1/eta_i)(-RT grad c_i + alpha_i c_i m) of one
+    """Interface fluxes j_i = (1/eta_i)(-RT grad c_i + alpha_i L(c_i) m) of one
     balance mode, where the multiplier m is lambda ("local") or grad p
-    ("global")."""
+    ("global").
+
+    L(c_i) is the logarithmic interface mean, taken for all species in one
+    call.  Since L(c) grad log c = grad c, j_i = (L(c_i)/eta_i)(-grad mu_i
+    + alpha_i m) with mu_i = RT (log c_i + 1), and sum_i alpha_i j_i = 0 at
+    every interface in both modes, so the ideal-mixture energy falls at
+    exactly sum_i h sum eta_i j_i^2 / L(c_i), the dissipation rate.
+    """
     c, h, rt = state.concentrations, state.h, constants.RT
     alpha, eta = state.molar_volumes, state.frictions
-    grad_c = np.diff(c, axis=1) / h
-    c_iface = 0.5 * (c[:, 1:] + c[:, :-1])
-    denom = np.einsum("i,ij->j", alpha**2 / eta, c_iface)
+    grad_c = interface_gradient(c, h)
+    mobility = logarithmic_interface_mean(c)
+    denom = np.einsum("i,ij->j", alpha**2 / eta, mobility)
     if mode == "local":
         mult = rt * np.einsum("i,ij->j", alpha / eta, grad_c) / denom
     elif mode == "global":
@@ -447,7 +461,7 @@ def multicomponent_fluxes(
         mult = np.diff(weighted_poisson_neumann(denom, -rhs, h)) / h
     else:
         raise ValueError("mode must be 'local' or 'global'")
-    return (-rt * grad_c + alpha[:, None] * c_iface * mult) / eta[:, None]
+    return (-rt * grad_c + alpha[:, None] * mobility * mult) / eta[:, None]
 
 
 def multicomponent_evolve(
@@ -459,7 +473,9 @@ def multicomponent_evolve(
     *,
     store_every: Optional[int] = None,
 ) -> GridTrajectory:
-    """Iterate one balance mode, recording free energy, masses, constraint."""
+    """Iterate one balance mode, recording the ideal-mixture free energy
+    RT sum_i int c_i log(c_i / c0) (the engine's grid free energy of the
+    (m, cells) concentrations), masses and the constraint."""
     step_fn = {
         "global": multicomponent_global_step,
         "local": multicomponent_local_step,
@@ -470,23 +486,10 @@ def multicomponent_evolve(
         steps,
         dt,
         store_every,
-        lambda s: free_energy_multispecies(s, constants),
+        EnergyFunctional.grid_free_energy(constants=constants).value,
         lambda s: float(s.masses().sum()),
         {"constraint_max_violation": MultiSpeciesState.constraint_violation},
     )
-
-
-def free_energy_multispecies(state: MultiSpeciesState, constants: PhysicalConstants) -> float:
-    """RT sum_i int c_i log(c_i / c0), the ideal-mixture free energy."""
-    rt, c0 = constants.RT, constants.c0
-    c = state.concentrations
-    h = state.h
-    entropic = 0.0
-    for i in range(state.species):
-        v = c[i]
-        pos = v > 0.0
-        entropic += float(np.sum(v[pos] * np.log(v[pos] / c0)))
-    return rt * h * entropic
 
 
 # -- phase fields ---------------------------------------------------------------

@@ -18,15 +18,10 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gammaln, logsumexp
 
-from ._grid import (
-    arithmetic_interface_mean,
-    divergence_of_flux,
-    free_energy_flux,
-    weighted_poisson_neumann,
-)
+from ._grid import divergence_of_flux, free_energy_flux
 from .gradient_flow import _drift_potential
 from .measures import GridDensity1D, PhysicalConstants
-from .transport import SingularWeightError
+from .transport import SingularWeightError, local_w_norm
 
 __all__ = [
     "ParticleEnsemble",
@@ -213,12 +208,14 @@ def rate_functional(path, dt: float, constants: PhysicalConstants, Vb=None, Vi=N
 
     The drift is :func:`gradflow._grid.free_energy_flux`, the flux of the
     Fokker-Planck solver, so solver output has (near-)zero rate; any other
-    equal-mass path gets a strictly positive value.
+    equal-mass path gets a strictly positive value.  The norm is
+    :func:`gradflow.transport.local_w_norm` scaled by eta/RT: the same
+    log-mean mobility as the drift.
     """
     path = list(path)
     if len(path) < 2:
         return 0.0
-    rt_over_eta = constants.RT / constants.eta
+    eta_over_rt = constants.eta / constants.RT
     mass0 = path[0].mass()
     total = 0.0
     for prev, cur in zip(path[:-1], path[1:]):
@@ -232,9 +229,8 @@ def rate_functional(path, dt: float, constants: PhysicalConstants, Vb=None, Vi=N
         drift = divergence_of_flux(flux, h)
         residual = (cur.values - prev.values) / dt - drift
         residual = residual - residual.mean()  # strip fp mass noise
-        weights = rt_over_eta * arithmetic_interface_mean(prev.values)
-        xi = weighted_poisson_neumann(weights, residual, h)
-        total += 0.25 * float(h * np.dot(xi, residual)) * dt
+        norm_sq, _ = local_w_norm(prev, residual)
+        total += 0.25 * eta_over_rt * norm_sq * dt
     return total
 
 

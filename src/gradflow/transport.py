@@ -3,12 +3,15 @@
 Atomic problems are solved two ways on purpose: a factorial brute force
 (`w2_atomic_bruteforce`, the oracle) and an exact O(n^3) assignment solve
 (`w2_atomic`).  Grid problems use the 1D inverse-CDF reduction; local norms
-solve the weighted Neumann problem -(rho xi')' = s, which in 1D integrates
+solve the weighted Neumann problem -(L(rho) xi')' = s, which in 1D integrates
 exactly, so the duality bracket
 
-    ||s||^2 = h * sum xi s = sum rho_iface |xi'|^2 h
+    ||s||^2 = h * sum xi s = sum L(rho) |xi'|^2 h
 
-holds to machine precision.
+holds to machine precision.  The interface density L(rho) is the
+logarithmic mean (:func:`gradflow._grid.logarithmic_interface_mean`), the
+mobility of the drift-diffusion flux too, so the energy rate of a
+Wasserstein flow is exactly minus its dual norm.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from ._grid import (
-    arithmetic_interface_mean,
     divergence_of_flux,
     interface_gradient,
+    logarithmic_interface_mean,
     weighted_poisson_neumann,
 )
 from .measures import GridDensity1D
@@ -85,8 +88,9 @@ class TangentField1D:
 
     ``rho`` carries the reference density; ``s`` is the cellwise rate and
     ``v`` the velocity at the n-1 interior interfaces.  The pair must
-    satisfy the discrete continuity relation s + (rho v)' = 0 with no-flux
-    ends, and s must have zero total mass rate.
+    satisfy the discrete continuity relation s + (L(rho) v)' = 0 with no-flux
+    ends, L the logarithmic interface mean, and s must have zero total mass
+    rate.
     """
 
     rho: GridDensity1D
@@ -101,10 +105,10 @@ class TangentField1D:
             raise ValueError("rate needs n cells and velocity n-1 interfaces")
         if abs(h * s.sum()) > 1e-12 * max(1.0, float(np.abs(s).max(initial=0.0))):
             raise ValueError("total mass rate must vanish (1e-12)")
-        flux = arithmetic_interface_mean(self.rho.values) * v
+        flux = logarithmic_interface_mean(self.rho.values) * v
         residual = s + divergence_of_flux(flux, h)
         if np.abs(residual).max() > 1e-9 * max(1.0, float(np.abs(s).max())):
-            raise ValueError("discrete continuity s + (rho v)' = 0 violated")
+            raise ValueError("discrete continuity s + (L(rho) v)' = 0 violated")
         for name, arr in (("s", s), ("v", v)):
             arr = arr.copy()
             arr.flags.writeable = False
@@ -204,10 +208,10 @@ def w2_grid_1d(rho0: GridDensity1D, rho1: GridDensity1D) -> float:
 def local_w_norm(rho: GridDensity1D, s) -> tuple[float, np.ndarray]:
     """Squared local Wasserstein norm of a zero-mean rate s, plus potential.
 
-    Solves -(rho xi')' = s with no-flux ends (arithmetic-mean interface
-    densities, zero-mean gauge) and returns ``(norm_sq, xi)`` with
+    Solves -(L(rho) xi')' = s with no-flux ends (L the logarithmic interface
+    mean, zero-mean gauge) and returns ``(norm_sq, xi)`` with
 
-        norm_sq = sum_ifaces rho_iface |xi'|^2 h = h * sum_i xi_i s_i >= 0.
+        norm_sq = sum_ifaces L(rho) |xi'|^2 h = h * sum_i xi_i s_i >= 0.
 
     Raises :class:`SingularWeightError` on any vacuum cell.
     """
@@ -219,19 +223,18 @@ def local_w_norm(rho: GridDensity1D, s) -> tuple[float, np.ndarray]:
     h = rho.h
     if abs(h * s.sum()) > 1e-10 * max(1.0, float(np.abs(s).max(initial=0.0))):
         raise ValueError("rate must have zero total mass rate")
-    weights = arithmetic_interface_mean(rho.values)
-    xi = weighted_poisson_neumann(weights, s, h)
+    xi = weighted_poisson_neumann(logarithmic_interface_mean(rho.values), s, h)
     norm_sq = float(h * np.dot(xi, s))
     return max(norm_sq, 0.0), xi
 
 
 def dual_w_norm(rho: GridDensity1D, xi) -> float:
-    """Squared dual norm sum_ifaces rho_iface |xi'|^2 h (arithmetic means)."""
+    """Squared dual norm sum_ifaces L(rho) |xi'|^2 h (logarithmic means)."""
     xi = np.asarray(xi, dtype=float).reshape(-1)
     if xi.size != rho.cells:
         raise ValueError("potential must have one value per cell")
     grad = interface_gradient(xi, rho.h)
-    return float(np.sum(arithmetic_interface_mean(rho.values) * grad * grad) * rho.h)
+    return float(np.sum(logarithmic_interface_mean(rho.values) * grad * grad) * rho.h)
 
 
 def tangent_from_rate(rho: GridDensity1D, s) -> TangentField1D:

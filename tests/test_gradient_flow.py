@@ -15,7 +15,6 @@ from gradflow.gradient_flow import (
     jko_evolve,
     legendre_dual,
     local_step,
-    wasserstein_gradient,
 )
 from gradflow.models import fokker_planck_solve
 from gradflow.transport import SingularWeightError, dual_w_norm
@@ -190,10 +189,15 @@ class TestLocalStep:
         assert abs(u1.values.mean() - u0.values.mean()) <= 1e-12
 
 
+def wasserstein_rate(rho, energy):
+    """The rate -K(rho) DF(rho) of a Wasserstein local_step."""
+    return -QuadraticDissipation("wasserstein").apply_mobility(rho, energy.derivative(rho))
+
+
 class TestWassersteinGradient:
     def test_entropy_equals_discrete_laplacian(self):
         rho = gaussian(cells=300)
-        field = wasserstein_gradient(rho, EnergyFunctional.entropy())
+        field = wasserstein_rate(rho, EnergyFunctional.entropy())
         lap = laplacian_neumann(rho.values, rho.h)
         assert np.abs(field - lap).max() <= 1e-10
 
@@ -203,26 +207,32 @@ class TestWassersteinGradient:
         energy = EnergyFunctional.grid_free_energy(rt=rt, potential=V)
         grid = GridDensity1D(-5.0, 5.0, np.ones(400))
         rho = grid.with_values(np.exp(-V(grid.centers) / rt)).normalized()
-        field = wasserstein_gradient(rho, energy)
+        field = wasserstein_rate(rho, energy)
         assert np.abs(field).max() <= 1e-8
+        problem = FlowProblem(energy, QuadraticDissipation("wasserstein"))
+        step = local_step(problem, rho, 1e-3)
+        assert np.abs(step.values - rho.values).max() <= 1e-8 * 1e-3
 
     def test_zero_total_mass_rate(self):
         rho = gaussian(cells=123)
-        field = wasserstein_gradient(rho, EnergyFunctional.entropy())
+        field = wasserstein_rate(rho, EnergyFunctional.entropy())
         assert abs(rho.h * field.sum()) <= 1e-12 * np.abs(field).max()
 
     def test_chain_rule_against_dual_norm(self):
-        # energy decay rate along the flow: h sum DF * field equals
-        # -||DF||^2_{1,rho}.  The gradient side uses logarithmic interface
-        # means, the dual norm arithmetic ones, so the bracket closes at
-        # discretization accuracy only.
-        rho = gaussian(cells=800, a=-5.0, b=5.0)
+        # energy decay rate along the flow: h <DF, rate> + 2 psi*(-DF) = 0.
+        # The step and the dual norm share the log-mean mobility, so the
+        # bracket closes to rounding at every resolution.
         energy = EnergyFunctional.grid_free_energy(rt=1.0, potential=lambda x: 0.2 * x**2)
-        df = energy.derivative(rho)
-        field = wasserstein_gradient(rho, energy)
-        decay_rate = rho.h * float(np.sum(df * field))
-        assert decay_rate < 0.0
-        assert decay_rate == pytest.approx(-dual_w_norm(rho, df), rel=2e-3)
+        problem = FlowProblem(energy, QuadraticDissipation("wasserstein"))
+        dt = 5e-5
+        for cells in (200, 800):
+            rho = gaussian(cells=cells, a=-5.0, b=5.0)
+            df = energy.derivative(rho)
+            rate = (local_step(problem, rho, dt).values - rho.values) / dt
+            decay_rate = rho.h * float(np.sum(df * rate))
+            assert decay_rate < 0.0
+            bracket = decay_rate + 2.0 * problem.dissipation.psi_star(rho, -df)
+            assert abs(bracket) <= 1e-12 * dual_w_norm(rho, df)
 
 
 class TestEdiResidual:

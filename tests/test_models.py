@@ -14,7 +14,6 @@ from gradflow.models import (
     cahn_hilliard_solve,
     derive_velocity,
     fokker_planck_solve,
-    free_energy_multispecies,
     multicomponent_evolve,
     multicomponent_fluxes,
     multicomponent_global_step,
@@ -22,11 +21,11 @@ from gradflow.models import (
     spring_dashpot_solve,
 )
 from gradflow._grid import (
-    arithmetic_interface_mean,
     divergence_of_flux,
     free_energy_flux,
     interface_gradient,
     laplacian_neumann,
+    logarithmic_interface_mean,
 )
 from gradflow import gradient_flow
 from gradflow.gradient_flow import (
@@ -77,7 +76,7 @@ class TestDeriveVelocity:
         grid = GridDensity1D(-4.0, 4.0, np.ones(160))
         c = grid.with_values(np.exp(-grid.centers**2 / 2) + 0.01)
         w = derive_velocity(c, RT1, lambda x: np.zeros_like(x))
-        cw = arithmetic_interface_mean(c.values) * w
+        cw = logarithmic_interface_mean(c.values) * w
         fick = -RT1.RT / RT1.eta * interface_gradient(c.values, c.h)
         assert np.abs(cw - fick).max() <= 1e-12
 
@@ -253,6 +252,26 @@ def make_two_species(profile, alpha=2.0, eta=(1.0, 1.0), domain=(0.0, 1.0), cell
 
 
 class TestMulticomponent:
+    @pytest.mark.parametrize("mode", ["local", "global"])
+    def test_energy_rate_equals_dissipation(self, mode):
+        # with the log-mean species mobility L(c_i), dF/dt = sum_i h <mu_i, -div j_i>
+        # equals -sum_i h sum eta_i j_i^2 / L(c_i) to rounding
+        grid = GridDensity1D(0.0, 1.0, np.ones(64))
+        alpha, eta = np.array([1.0, 3.0]), np.array([1.0, 5.0])
+        c1 = 0.5 / alpha[0] + 0.08 * np.sin(2 * math.pi * grid.centers)
+        c2 = (1.0 - alpha[0] * c1) / alpha[1]
+        state = MultiSpeciesState(0.0, 1.0, np.stack([c1, c2]), alpha, eta)
+        fluxes = multicomponent_fluxes(state, RT1, mode=mode)
+        mu = EnergyFunctional.grid_free_energy(constants=RT1).derivative(state)
+        rate = sum(
+            state.h * np.dot(mu[i], -divergence_of_flux(fluxes[i], state.h))
+            for i in range(state.species)
+        )
+        mobility = logarithmic_interface_mean(state.concentrations)
+        dissipation = state.h * np.sum(eta[:, None] * fluxes**2 / mobility)
+        assert rate < 0.0
+        assert rate == pytest.approx(-dissipation, rel=1e-13)
+
     def test_uniform_mixture_is_stationary(self):
         state = make_two_species(lambda x: np.full_like(x, 0.2))
         for step in (multicomponent_global_step, multicomponent_local_step):
@@ -475,13 +494,17 @@ class TestConvexSplitting:
         assert gap == pytest.approx(-1.31e-3, abs=1e-4)
 
 
+def mixture_energy(state, constants):
+    return EnergyFunctional.grid_free_energy(constants=constants).value(state)
+
+
 class TestFreeEnergyMultispecies:
     def test_reference_concentration_gives_zero(self):
         state = MultiSpeciesState(
             0.0, 2.0, np.full((2, 40), 1.0), np.array([0.5, 0.5]), np.ones(2)
         )
         constants = PhysicalConstants.with_rt(1.0, c0=1.0)
-        assert free_energy_multispecies(state, constants) == 0.0
+        assert mixture_energy(state, constants) == 0.0
 
     def test_double_reference_uniform(self):
         # single species at 2 c0 on |Omega| = 2: RT * 2 c0 * |Omega| * log 2
@@ -495,7 +518,7 @@ class TestFreeEnergyMultispecies:
             np.ones(1),
         )
         expected = 3.0 * c_val * 2.0 * math.log(2.0)
-        assert free_energy_multispecies(state, constants) == pytest.approx(
+        assert mixture_energy(state, constants) == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -506,8 +529,8 @@ class TestFreeEnergyMultispecies:
         state = MultiSpeciesState(
             0.0, 1.5, np.stack([c1, c2]), np.array([2.0, 2.0]), np.ones(2)
         )
-        f_a = free_energy_multispecies(state, PhysicalConstants.with_rt(1.0, c0=1.0))
-        f_b = free_energy_multispecies(state, PhysicalConstants.with_rt(1.0, c0=2.0))
+        f_a = mixture_energy(state, PhysicalConstants.with_rt(1.0, c0=1.0))
+        f_b = mixture_energy(state, PhysicalConstants.with_rt(1.0, c0=2.0))
         total_moles = float(state.masses().sum())
         assert f_b - f_a == pytest.approx(-total_moles * math.log(2.0), rel=1e-12)
 

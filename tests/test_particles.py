@@ -200,23 +200,14 @@ class TestRateFunctional:
         assert 0.0 <= value <= 1e-8
 
     def test_fdt_decomposition_termwise(self):
-        # 2I = F(T) - F(0) + (1/2) int [ ||rho_dot||^2 + ||DF||^2 ] along any path
-        from gradflow._grid import arithmetic_interface_mean, weighted_poisson_neumann
-        from gradflow.transport import dual_w_norm
+        # 2I = F(T) - F(0) + (1/2) int [ ||rho_dot||^2 + ||DF||^2 ] along any
+        # path.  The rate functional, the kinetic and the forcing terms share
+        # the log-mean mobility, so the gap is the time discretization alone
+        # and halves with dt.
+        from gradflow.transport import dual_w_norm, local_w_norm
 
         grid = GridDensity1D(-5.0, 5.0, np.ones(400))
         V = lambda x: 0.4 * x**2
-        steps = 400
-        dt = 2e-4
-        # a generic smooth non-solution path: widening Gaussian with a drifted mean
-        path = []
-        for k in range(steps + 1):
-            t = k * dt
-            path.append(
-                grid.with_values(
-                    np.exp(-((grid.centers - 0.3 * t) ** 2) / (2 * (0.7 + 0.5 * t)))
-                ).normalized()
-            )
 
         def free_energy(rho):
             v = rho.values
@@ -226,21 +217,31 @@ class TestRateFunctional:
                 + rho.h * np.sum(v * V(rho.centers))
             )
 
-        rate = rate_functional(path, dt, RT1, Vb=V)
-        kinetic = 0.0
-        forcing = 0.0
-        for prev, cur in zip(path[:-1], path[1:]):
-            h = prev.h
-            weights = arithmetic_interface_mean(prev.values)  # RT/eta = 1
-            rho_dot = (cur.values - prev.values) / dt
-            rho_dot = rho_dot - rho_dot.mean()
-            xi = weighted_poisson_neumann(weights, rho_dot, h)
-            kinetic += float(h * np.dot(xi, rho_dot)) * dt
-            df = np.log(prev.values) + 1.0 + V(prev.centers)
-            forcing += dual_w_norm(prev, df) * dt
-        lhs = 2 * rate
-        rhs = free_energy(path[-1]) - free_energy(path[0]) + 0.5 * (kinetic + forcing)
-        assert lhs == pytest.approx(rhs, rel=2e-2)
+        def relative_gap(dt, steps):
+            # a generic smooth non-solution path: widening Gaussian with a drifted mean
+            path = []
+            for k in range(steps + 1):
+                t = k * dt
+                path.append(
+                    grid.with_values(
+                        np.exp(-((grid.centers - 0.3 * t) ** 2) / (2 * (0.7 + 0.5 * t)))
+                    ).normalized()
+                )
+            rate = rate_functional(path, dt, RT1, Vb=V)
+            kinetic = 0.0
+            forcing = 0.0
+            for prev, cur in zip(path[:-1], path[1:]):
+                rho_dot = (cur.values - prev.values) / dt
+                kinetic += local_w_norm(prev, rho_dot - rho_dot.mean())[0] * dt  # RT/eta = 1
+                df = np.log(prev.values) + 1.0 + V(prev.centers)
+                forcing += dual_w_norm(prev, df) * dt
+            lhs = 2 * rate
+            rhs = free_energy(path[-1]) - free_energy(path[0]) + 0.5 * (kinetic + forcing)
+            assert lhs == pytest.approx(rhs, rel=2e-2)
+            return abs(lhs - rhs) / abs(rhs)
+
+        ratio = relative_gap(2e-4, 400) / relative_gap(1e-4, 800)
+        assert 1.8 <= ratio <= 2.2
 
     def test_reversed_path_pays_the_free_energy_drop(self):
         grid = GridDensity1D(-4.0, 4.0, np.ones(200))
