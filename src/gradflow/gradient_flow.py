@@ -700,11 +700,14 @@ def _march(
 ) -> GridTrajectory:
     """Apply ``step`` ``steps`` times, recording energy, mass and each named
     diagnostic of every state; snapshots are the start, every
-    ``store_every``-th state (default: about 100 in all) and the last one.
-    Positivity and constraint errors of a step are raised again naming it.
+    ``store_every``-th state (default: about 100 in all; at least 1 if
+    given) and the last one.  Positivity and constraint errors of a step are
+    raised again naming it.
     """
     if store_every is None:
         store_every = max(1, steps // 100)
+    if store_every < 1:
+        raise ValueError(f"store_every must be at least 1, got {store_every}")
     diagnostics = diagnostics or {}
     series = [(np.empty(steps + 1), fn) for fn in (energy, mass, *diagnostics.values())]
     snapshot_steps, snapshots = [0], [state]

@@ -260,7 +260,8 @@ def fokker_planck_solve(
 
     Mass is conserved per step by the flux form and the free energy
     RT int c log(c/c0) + int c V is tracked per step.  ``store_every``
-    thins the stored snapshots (all steps still contribute diagnostics).
+    (at least 1) thins the stored snapshots (all steps still contribute
+    diagnostics).
 
     ``scheme="implicit"`` marches :func:`gradflow.gradient_flow.implicit_step`
     (backward Euler, any dt > 0; the start must be strictly positive) with
@@ -299,6 +300,8 @@ def fokker_planck_solve(
         )
     if scheme != "explicit":
         raise ValueError(f"scheme must be 'explicit' or 'implicit', got {scheme!r}")
+    if store_every < 1:
+        raise ValueError(f"store_every must be at least 1, got {store_every}")
     if dt > h * h * eta / (2.0 * rt):
         raise CflError(
             f"dt = {dt:.3e} violates the diffusive CFL bound {h * h * eta / (2 * rt):.3e}"

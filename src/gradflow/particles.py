@@ -51,9 +51,14 @@ ENUMERATION_MAX_N = 120
 ENUMERATION_LIMIT = 2_000_000
 # how far the weights of a reference law may sum away from 1
 LAW_SUM_TOL = 1e-12
-# float64 elements in one block of pair differences (512 KB): sized to stay
-# in cache, so the interaction drift's temporaries do not grow with n^2
-PAIR_BLOCK_ELEMENTS = 2**16
+# float64 elements in one block of pair differences (112 KiB).  Every
+# temporary of a block then stays below glibc's default 128 KiB mmap
+# threshold, so it is reused from the heap instead of being mapped, unmapped
+# and page-faulted again on every block.  At 2**16 (512 KiB) the drift took
+# twice as long at n = 1000 and 4000 (2-CPU Xeon, numpy 2.4.6); raising
+# glibc's mmap and trim thresholds together recovered that time, so cache
+# size was not the cause.  Smaller budgets lose again to per-block overhead.
+PAIR_BLOCK_ELEMENTS = 14 * 2**10
 
 
 class BlowUpError(RuntimeError):
@@ -121,9 +126,12 @@ def _interaction_drift(pos: np.ndarray, grad_vi) -> np.ndarray:
     """Mean-field drift (1/n) sum_j grad Vi(X_i - X_j), in blocks of rows.
 
     Each block holds at most ``max(PAIR_BLOCK_ELEMENTS, n * dim)`` pair
-    differences (at least one row).  A row's sum over j does not depend on
-    how rows are grouped, so the result is bitwise the same for every block
-    size.
+    differences (at least one row), so its temporaries stay under the
+    allocator's mmap threshold (see ``PAIR_BLOCK_ELEMENTS``).  A row's sum
+    over j does not depend on how rows are grouped, so the result is
+    bitwise the same for every block size.  A single row wider than the
+    budget is still one block: splitting it would change the rounding of
+    its sum.
     """
     n, dim = pos.shape
     rows = max(1, PAIR_BLOCK_ELEMENTS // (n * dim))
@@ -147,12 +155,18 @@ def euler_maruyama(
     ``positions`` has shape (stored, n, dim) with the initial state first.
     Interaction costs O(n^2) time per step but is formed in row blocks of
     at most ``max(PAIR_BLOCK_ELEMENTS, n * dim)`` pair differences, so its
-    memory is bounded by that block budget, not by n^2; it is skipped when
-    no interaction gradient is given.  Raises :class:`BlowUpError` with the step index if
-    any coordinate becomes non-finite.
+    memory is bounded by that block budget, not by n^2, and is reused from
+    the heap between blocks; the block size never changes a bit of the
+    trajectory.  The interaction is skipped when no interaction gradient is
+    given.
+    Every ``store_every``-th state is kept, and the last one always;
+    ``store_every`` must be at least 1.  Raises :class:`BlowUpError` with
+    the step index if any coordinate becomes non-finite.
     """
     if dt <= 0.0 or T <= 0.0:
         raise ValueError("dt and T must be positive")
+    if store_every < 1:
+        raise ValueError(f"store_every must be at least 1, got {store_every}")
     steps = int(round(T / dt))
     rng = np.random.Generator(np.random.Philox(ensemble.seed))
     pos = ensemble.positions.copy()

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from gradflow.cli import (
@@ -8,12 +9,14 @@ from gradflow.cli import (
     EXIT_OK,
     SCHEMAS,
     ConfigError,
+    ExperimentOutput,
     load_config,
     main,
     parse_config,
     run,
     validate,
 )
+from gradflow.gradient_flow import GridTrajectory
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -396,6 +399,33 @@ class TestRunCommand:
             expected.add("mean_conserved")
         assert set(invariants) == expected
         assert all(inv["passed"] for inv in invariants.values())
+
+    def test_large_energy_descends_within_rounding(self, tmp_path, capsys):
+        # E(T) is about 3e4, so its rounding alone exceeds an absolute 1e-12
+        path = write_config(
+            tmp_path, {"experiment": "phasefield", "parameters": {"amplitude": 100.0}}
+        )
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out_dir)]) == EXIT_OK
+        capsys.readouterr()
+        invariants = json.loads((out_dir / "summary.json").read_text())["invariants"]
+        assert invariants["energy_nonincreasing"]["passed"]
+
+    @pytest.mark.parametrize(
+        "energies, passed",
+        [
+            ([10.0, 10.0 + 1e-9, 9.0], False),
+            ([30440.0, 30440.0 + 1.8e-11, 30000.0], True),
+            ([0.5, 0.5 + 2e-12], False),
+        ],
+    )
+    def test_descent_bound_is_relative_to_the_energy(self, energies, passed):
+        traj = GridTrajectory(
+            np.array([0]), [None], np.asarray(energies), np.ones(len(energies)), 1.0
+        )
+        out = ExperimentOutput()
+        out.check_descent("energy_nonincreasing", traj)
+        assert out.invariants["energy_nonincreasing"].passed is passed
 
     @pytest.mark.parametrize("experiment", sorted(SCHEMAS))
     def test_reruns_are_byte_identical(

@@ -123,6 +123,15 @@ class TestFokkerPlanck:
         with pytest.raises(ValueError, match="scheme"):
             fokker_planck_solve(c0, RT1, None, 0.1, grid.h**2, scheme="crank_nicolson")
 
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    @pytest.mark.parametrize("store_every", [0, -2])
+    def test_store_every_below_one_rejected(self, scheme, store_every):
+        grid = GridDensity1D(0.0, 1.0, np.ones(16))
+        c0 = grid.with_values(np.ones(16))
+        dt = 0.5 * grid.h**2 / 2.0
+        with pytest.raises(ValueError, match="store_every"):
+            fokker_planck_solve(c0, RT1, None, 4 * dt, dt, store_every=store_every, scheme=scheme)
+
     def test_implicit_scheme_is_first_order_in_dt(self):
         # both schemes share the flux, so their gap at fixed T is the time
         # error alone, first order in dt (the explicit reference's is small)

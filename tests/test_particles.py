@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, norm
 
+from gradflow import particles
 from gradflow.measures import GridDensity1D, PhysicalConstants
 from gradflow.models import fokker_planck_solve
 from gradflow.particles import (
@@ -110,6 +111,44 @@ class TestEulerMaruyama:
             pos = pos - (drift @ ens.A.T) * dt + math.sqrt(2 * dt) * (xi @ ens.sigma.T)
             expected.append(pos.copy())
         assert np.array_equal(traj, np.asarray(expected))
+
+    @pytest.mark.parametrize("n, dim", [(1000, 1), (4000, 1), (777, 2)])
+    def test_pair_blocks_stay_below_the_mmap_threshold(self, n, dim):
+        # glibc maps allocations of 128 KiB and more afresh and unmaps them
+        # on free; pair blocks below it are reused from the heap
+        largest = 0
+
+        def grad_w(d):
+            nonlocal largest
+            largest = max(largest, d.nbytes)
+            return 0.1 * d
+
+        ens = ParticleEnsemble(
+            positions=np.random.default_rng(n).normal(size=(n, dim)),
+            seed=4,
+            grad_interaction=grad_w,
+        )
+        euler_maruyama(ens, 1e-2, 2e-2)
+        assert 0 < largest < 128 * 1024
+
+    @pytest.mark.parametrize("n, dim", [(1000, 1), (777, 2)])
+    def test_pair_drift_is_bitwise_the_same_for_every_block_budget(self, n, dim, monkeypatch):
+        def grad_w(d):
+            return d * np.exp(-np.sum(d * d, axis=-1, keepdims=True))
+
+        pos = np.random.default_rng(n).normal(size=(n, dim))
+        drifts = []
+        for budget in (1, 2**13, PAIR_BLOCK_ELEMENTS, 2**16, n * n * dim):
+            monkeypatch.setattr(particles, "PAIR_BLOCK_ELEMENTS", budget)
+            drifts.append(particles._interaction_drift(pos, grad_w))
+        for drift in drifts[1:]:
+            assert np.array_equal(drift, drifts[0])
+
+    @pytest.mark.parametrize("store_every", [0, -2])
+    def test_store_every_below_one_rejected(self, store_every):
+        ens = ParticleEnsemble(positions=np.zeros((3, 1)), seed=0)
+        with pytest.raises(ValueError, match="store_every"):
+            euler_maruyama(ens, 0.1, 1.0, store_every=store_every)
 
     def test_blowup_reports_step(self):
         ens = ParticleEnsemble(
