@@ -127,14 +127,17 @@ def divergence_of_flux(flux: np.ndarray, h: float) -> np.ndarray:
     """Cellwise divergence of an interior-interface flux, no-flux ends.
 
     Returns (G[i] - G[i-1]) / h with G[-1] = G[n-1] = 0 implied, so the
-    cell sum of the result telescopes to zero.
+    cell sum of the result telescopes to zero.  Taken along the last axis,
+    so an (m, n-1) array of m species' fluxes gives m rows of n cells.
     """
-    padded = np.concatenate(([0.0], flux, [0.0]))
+    padded = np.zeros(flux.shape[:-1] + (flux.shape[-1] + 2,))
+    padded[..., 1:-1] = flux
     return np.diff(padded) / h
 
 
 def laplacian_neumann(values: np.ndarray, h: float) -> np.ndarray:
-    """Second difference with no-flux (homogeneous Neumann) ends."""
+    """Second difference with no-flux (homogeneous Neumann) ends, along the
+    last axis."""
     return divergence_of_flux(interface_gradient(values, h), h)
 
 

@@ -30,6 +30,7 @@ from .measures import GridDensity1D, PhysicalConstants, relative_entropy, total_
 from . import measures, transport
 from .gradient_flow import EnergyFunctional, jko_evolve
 from .models import (
+    POSITIVITY_FLOOR,
     MultiSpeciesState,
     PhaseFieldState,
     allen_cahn_solve,
@@ -309,6 +310,25 @@ def _check_fokker_planck(p: dict, given: dict, errors: list[str]) -> None:
             errors.append(f"parameters.initial_csv: {exc}")
 
 
+def _multicomponent_start(p: dict) -> tuple[GridDensity1D, np.ndarray]:
+    """The grid on [0, 1] and the (2, cells) start: species 1 at half the
+    volume plus a sine of ``amplitude``, species 2 filling the rest."""
+    alpha = p["alpha"]
+    grid = GridDensity1D(0.0, 1.0, np.ones(p["cells"]))
+    c1 = 0.5 / alpha[0] + p["amplitude"] * np.sin(2 * math.pi * grid.centers)
+    return grid, np.stack([c1, (1.0 - alpha[0] * c1) / alpha[1]])
+
+
+def _check_multicomponent(p: dict, given: dict, errors: list[str]) -> None:
+    """The steps keep every concentration above POSITIVITY_FLOOR; so must the start."""
+    lowest = float(_multicomponent_start(p)[1].min())
+    if lowest < POSITIVITY_FLOOR:
+        errors.append(
+            f"parameters.amplitude: the start reaches a concentration of {lowest:.3g},"
+            f" below the positivity floor {POSITIVITY_FLOOR:g}"
+        )
+
+
 def _check_particles(p: dict, given: dict, errors: list[str]) -> None:
     """The PDE check solves with RT = kT and eta = 1 / mobility, both nonzero."""
     if p["compare_pde"] and p["potential"] == "quadratic":
@@ -367,6 +387,7 @@ def _check_ldp(p: dict, given: dict, errors: list[str]) -> None:
 # together: check(parameters, the parameters block as given, errors)
 CROSS_CHECKS: dict[str, Callable[[dict, dict, list[str]], None]] = {
     "fokker_planck": _check_fokker_planck,
+    "multicomponent": _check_multicomponent,
     "particles": _check_particles,
     "ldp": _check_ldp,
 }
@@ -614,7 +635,9 @@ def _exp_fokker_planck(cfg: ExperimentConfig) -> ExperimentOutput:
     out.check("mass_conserved", traj.max_mass_drift() <= 1e-10, traj.max_mass_drift())
     out.check_descent("energy_nonincreasing", traj)
     if p["check_boltzmann"] and kind == "linear":
-        target = np.exp(-p["slope"] * grid.centers / cfg.constants.RT)
+        # shifted by its maximum, so that exp does not overflow at steep slopes
+        exponent = -p["slope"] * grid.centers / cfg.constants.RT
+        target = np.exp(exponent - exponent.max())
         target *= c0.mass() / (grid.h * target.sum())
         l1 = float(grid.h * np.abs(traj.final.values - target).sum())
         out.check("boltzmann_l1", l1 <= 1e-3, l1)
@@ -627,12 +650,8 @@ def _exp_multicomponent(cfg: ExperimentConfig) -> ExperimentOutput:
     p = cfg.parameters
     alpha = np.asarray(p["alpha"])
     eta = np.asarray(p["eta"])
-    cells = p["cells"]
-    grid = GridDensity1D(0.0, 1.0, np.ones(cells))
-    base = 0.5 / alpha[0]
-    c1 = base + p["amplitude"] * np.sin(2 * math.pi * grid.centers)
-    c2 = (1.0 - alpha[0] * c1) / alpha[1]
-    state = MultiSpeciesState(0.0, 1.0, np.stack([c1, c2]), alpha, eta)
+    grid, start = _multicomponent_start(p)
+    state = MultiSpeciesState(0.0, 1.0, start, alpha, eta)
     modes = ["global", "local"] if p["mode"] == "both" else [p["mode"]]
     out.header = ["mode", "step", "time", "energy", "mass", "constraint_max_violation"]
     finals = {}
@@ -659,7 +678,7 @@ def _exp_multicomponent(cfg: ExperimentConfig) -> ExperimentOutput:
     symmetric = alpha[0] == alpha[1] and eta[0] == eta[1]
     if symmetric:
         single = fokker_planck_solve(
-            grid.with_values(c1),
+            grid.with_values(start[0]),
             cfg.constants,
             None,
             p["dt"] * p["steps"],

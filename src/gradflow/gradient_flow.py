@@ -1,7 +1,7 @@
 """Generalized gradient-flow engine.
 
 A flow is the triple (state kind, driving energy, quadratic dissipation).
-The dissipation is one of four kinds; each defines a dual pair of
+The dissipation is one of six kinds; each defines a dual pair of
 potentials ``psi`` (cost of a rate of change) and ``psi_star`` (cost of a
 driving force) built from the same discrete operator, so the duality gap
 
@@ -18,6 +18,9 @@ difference of rho, any discrete state exp(-V/RT) is an exact stationary
 point, and the energy rate along ``local_step`` is minus the dual norm of
 DF to rounding: the chain rule of the flow holds for the discrete (F, psi)
 themselves, not only in the limit h -> 0.
+
+The two species kinds carry the same log-mean mobility for m species
+under the volume constraint sum_i alpha_i c_i = 1 (Mielke 2011).
 
 The time steppers share one march loop, ``_march``: it applies a step
 function and records the energy, mass and named diagnostics of every state,
@@ -70,7 +73,16 @@ __all__ = [
     "jko_evolve",
 ]
 
-DISSIPATION_KINDS = ("scalar", "l2", "wasserstein", "hminus1")
+# the energy kinds that each dissipation kind can drive
+_COMPATIBLE = {
+    "scalar": ("finite_dim",),
+    "l2": ("dirichlet_double_well", "grid_free_energy"),
+    "hminus1": ("dirichlet_double_well", "grid_free_energy"),
+    "wasserstein": ("grid_free_energy",),
+    "species_local": ("grid_free_energy",),
+    "species_global": ("grid_free_energy",),
+}
+SPECIES_KINDS = ("species_local", "species_global")
 # the JKO Newton solve stops at a gradient sup-norm of NEWTON_TOL and fails
 # with ConvergenceError after MAX_NEWTON iterations
 NEWTON_TOL = 1e-9
@@ -117,12 +129,17 @@ def _h_of(state) -> float:
 
 @dataclass(frozen=True)
 class QuadraticDissipation:
-    """Quadratic dissipation potential of one of four kinds.
+    """Quadratic dissipation potential of one of six kinds.
 
-    scalar      psi = c |s|^2 / 2 on finite-dimensional states
-    l2          psi = (c/2) h sum s^2
-    wasserstein psi = (c/2) ||s||^2_{-1,rho}   (state must be GridDensity1D)
-    hminus1     psi = (c/2) ||s||^2_{H^-1}     (unweighted Neumann solve)
+    scalar         psi = c |s|^2 / 2 on finite-dimensional states
+    l2             psi = (c/2) h sum s^2
+    wasserstein    psi = (c/2) ||s||^2_{-1,rho}   (state must be GridDensity1D)
+    hminus1        psi = (c/2) ||s||^2_{H^-1}     (unweighted Neumann solve)
+    species_local  psi = (c/2) h sum_i sum eta_i j_i^2 / L(c_i), j_i the
+    species_global fluxes of the rate, s_i = -div j_i (see _species_fluxes)
+
+    The species kinds read ``concentrations`` (m, cells), ``molar_volumes``,
+    ``frictions`` and ``h`` of a :class:`gradflow.models.MultiSpeciesState`.
 
     ``coefficient`` c > 0 is the friction scale; the mobility K is c^{-1}
     times the corresponding inverse operator.
@@ -132,7 +149,7 @@ class QuadraticDissipation:
     coefficient: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in DISSIPATION_KINDS:
+        if self.kind not in _COMPATIBLE:
             raise ValueError(f"unknown dissipation kind {self.kind!r}")
         if not self.coefficient > 0.0:
             raise ValueError("coefficient must be strictly positive")
@@ -151,7 +168,15 @@ class QuadraticDissipation:
         if self.kind == "wasserstein":
             norm_sq, _ = local_w_norm(self._density(state), s)
             return 0.5 * c * norm_sq
-        norm_sq = float(h * np.dot(self._hminus1_potential(state, s), s))
+        scale = max(1.0, float(np.abs(s).max(initial=0.0)))
+        if np.any(np.abs(h * s.sum(axis=-1)) > 1e-10 * scale):
+            raise ValueError("H^-1 and species norms need a rate that conserves each mass")
+        if self.kind in SPECIES_KINDS:
+            # in 1D the rate fixes the fluxes: s_i = -div j_i with no-flux ends
+            flux = h * np.cumsum(s, axis=-1)[:, :-1]
+            weights = logarithmic_interface_mean(state.concentrations) / state.frictions[:, None]
+            return 0.5 * c * float(h * np.sum(flux * flux / weights))
+        norm_sq = float(h * np.dot(weighted_poisson_neumann(np.ones(s.size - 1), s, h), s))
         return 0.5 * c * norm_sq
 
     def psi_star(self, state, force) -> float:
@@ -165,6 +190,8 @@ class QuadraticDissipation:
             return 0.5 / c * float(h * np.sum(xi * xi))
         if self.kind == "wasserstein":
             return 0.5 / c * dual_w_norm(self._density(state), xi)
+        if self.kind in SPECIES_KINDS:
+            return 0.5 * float(h * np.sum(xi * self.apply_mobility(state, xi)))
         grad = interface_gradient(xi, h)
         return 0.5 / c * float(h * np.sum(grad * grad))
 
@@ -181,7 +208,8 @@ class QuadraticDissipation:
 
         K is minus the divergence form (-div(L(rho) grad xi), L the
         logarithmic interface mean, resp. -lap xi), so that <xi, K xi> is
-        the nonnegative dual norm.
+        the nonnegative dual norm.  For the species kinds it is div j, j the
+        fluxes of :func:`_species_fluxes`.
         """
         c = self.coefficient
         xi = np.asarray(force, dtype=float)
@@ -191,7 +219,10 @@ class QuadraticDissipation:
         if self.kind == "wasserstein":
             weights = logarithmic_interface_mean(self._density(state).values)
             return -divergence_of_flux(weights * interface_gradient(xi, h), h) / c
-        return -laplacian_neumann(xi, h) / c
+        if self.kind == "hminus1":
+            return -laplacian_neumann(xi, h) / c
+        fluxes = _species_fluxes(state, xi, pressure=self.kind == "species_global")
+        return divergence_of_flux(fluxes, h) / c
 
     # -- helpers ---------------------------------------------------------
 
@@ -200,13 +231,27 @@ class QuadraticDissipation:
             raise TypeError("wasserstein dissipation needs a GridDensity1D state")
         return state
 
-    @staticmethod
-    def _hminus1_potential(state, rate) -> np.ndarray:
-        h = _h_of(state)
-        s = np.asarray(rate, dtype=float)
-        if abs(h * s.sum()) > 1e-10 * max(1.0, float(np.abs(s).max(initial=0.0))):
-            raise ValueError("H^-1 norm needs a zero-mean rate")
-        return weighted_poisson_neumann(np.ones(s.size - 1), s, h)
+
+def _species_fluxes(state, xi: np.ndarray, pressure: bool) -> np.ndarray:
+    """Fluxes j_i = w_i (-grad xi_i + alpha_i m), w_i = L(c_i) / eta_i, of
+    species under the volume constraint.  sum_i alpha_i j_i = W m - D with
+    W = sum_i alpha_i^2 w_i and D = sum_i alpha_i w_i grad xi_i: the local
+    closure zeroes it with m = D / W, the global one zeroes its divergence
+    with m = grad p, div(W grad p) = div D (the Neumann pressure), which in
+    1D integrates once to the local m.  Either way
+    <xi, div j> = h sum_i sum eta_i j_i^2 / L(c_i).
+    """
+    alpha, h = state.molar_volumes[:, None], state.h
+    weights = logarithmic_interface_mean(state.concentrations) / state.frictions[:, None]
+    grad = interface_gradient(xi, h)
+    drive = np.sum(alpha * weights * grad, axis=0)
+    total = np.sum(alpha * alpha * weights, axis=0)
+    if pressure:  # weighted_poisson_neumann solves -(w p')' = rhs
+        p = weighted_poisson_neumann(total, -divergence_of_flux(drive, h), h)
+        mult = interface_gradient(p, h)
+    else:
+        mult = drive / total
+    return weights * (alpha * mult - grad)
 
 
 def _as_callable(f, centers: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -356,14 +401,6 @@ class EnergyFunctional:
         return cls(kind="dirichlet_double_well", value=value, derivative=derivative, well=well)
 
 
-_COMPATIBLE = {
-    "scalar": ("finite_dim",),
-    "l2": ("dirichlet_double_well", "grid_free_energy"),
-    "hminus1": ("dirichlet_double_well", "grid_free_energy"),
-    "wasserstein": ("grid_free_energy",),
-}
-
-
 @dataclass(frozen=True)
 class FlowProblem:
     """Bundle of driving energy and dissipation defining one gradient flow."""
@@ -406,15 +443,17 @@ def local_step(problem: FlowProblem, z, dt: float):
     mobility of the dissipation (:meth:`QuadraticDissipation.apply_mobility`).
     For the wasserstein kind it is div(L(rho) grad DF) / c, the conservative
     drift-diffusion rate: total mass rate zero, rt times the discrete
-    Laplacian of rho for pure entropy, and zero on exp(-V/rt).  A vacuum cell
-    raises SingularWeightError before DF takes its logarithm.
+    Laplacian of rho for pure entropy, and zero on exp(-V/rt).  A species
+    step moves all species at once, and the state's ``with_values`` retracts
+    it onto the volume constraint.  A vacuum cell of either log-mean
+    mobility raises SingularWeightError before DF takes its logarithm.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     diss = problem.dissipation
     values = _values_of(z)
-    if diss.kind == "wasserstein" and np.min(values) <= 0.0:
-        raise SingularWeightError("vacuum cell: Wasserstein mobility is singular")
+    if (diss.kind == "wasserstein" or diss.kind in SPECIES_KINDS) and np.min(values) <= 0.0:
+        raise SingularWeightError("vacuum cell: the log-mean mobility is singular")
     out = values - dt * diss.apply_mobility(z, problem.energy.derivative(z))
     if diss.kind == "scalar":
         return float(out) if out.ndim == 0 else out

@@ -20,9 +20,10 @@ mobility of :mod:`gradflow.gradient_flow`.  Drift terms are
 :func:`gradflow._grid.free_energy_flux`, so the discrete Boltzmann profile
 exp(-V/RT) is an exact fixed point of the scheme; the species fluxes of the
 multicomponent model carry L(c_i) too, so its energy rate is exactly minus
-its dissipation.  The phase fields are ``FlowProblem``s stepped by
-``local_step`` or ``implicit_step``; they, the multicomponent steps and the
-implicit Fokker-Planck scheme run through the engine's one march loop,
+its dissipation.  The multicomponent model (a species dissipation, stepped by
+``local_step``) and the phase fields (L^2 or H^-1, ``local_step`` or
+``implicit_step``) are ``FlowProblem``s; they and the implicit Fokker-Planck
+scheme run through the engine's one march loop,
 ``gradflow.gradient_flow._march``, which also steps the JKO scheme.
 
 The explicit Fokker-Planck scheme is the reference and is stepped
@@ -44,13 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._grid import (
-    divergence_of_flux,
-    interface_gradient,
-    laplacian_neumann,
-    logarithmic_interface_mean,
-    weighted_poisson_neumann,
-)
+from ._grid import interface_gradient, logarithmic_interface_mean
 from .gradient_flow import (
     ConstraintError,
     EnergyFunctional,
@@ -75,14 +70,15 @@ __all__ = [
     "spring_dashpot_solve",
     "derive_velocity",
     "fokker_planck_solve",
-    "multicomponent_global_step",
-    "multicomponent_local_step",
     "multicomponent_evolve",
     "allen_cahn_solve",
     "cahn_hilliard_solve",
 ]
 
 POSITIVITY_FLOOR = 1e-14
+# a MultiSpeciesState fills its cells to within CONSTRAINT_TOL; a step may
+# drift by CONSTRAINT_HARD_LIMIT before with_values retracts it
+CONSTRAINT_TOL = 1e-8
 CONSTRAINT_HARD_LIMIT = 1e-6
 
 
@@ -141,7 +137,7 @@ class MultiSpeciesState:
     """m species on one grid, subject to sum_i alpha_i c_i = 1 cellwise.
 
     ``concentrations`` has shape (m, cells) in mol/m^3, ``molar_volumes``
-    alpha_i > 0 in m^3/mol, ``frictions`` eta_i > 0.
+    alpha_i > 0 in m^3/mol, ``frictions`` eta_i > 0, all finite.
     """
 
     a: float
@@ -149,7 +145,6 @@ class MultiSpeciesState:
     concentrations: np.ndarray
     molar_volumes: np.ndarray
     frictions: np.ndarray
-    constraint_tol: float = 1e-8
 
     def __post_init__(self):
         c = np.atleast_2d(np.asarray(self.concentrations, dtype=float))
@@ -157,20 +152,16 @@ class MultiSpeciesState:
         eta = np.asarray(self.frictions, dtype=float).reshape(-1)
         if c.shape[0] != alpha.size or c.shape[0] != eta.size:
             raise ValueError("one molar volume and one friction per species")
+        if not (np.isfinite(c).all() and np.isfinite(alpha).all() and np.isfinite(eta).all()):
+            raise ValueError("concentrations, molar volumes and frictions must be finite")
         if np.any(c < 0.0):
             raise ValueError("concentrations must be nonnegative")
         if np.any(alpha <= 0.0) or np.any(eta <= 0.0):
             raise ValueError("molar volumes and frictions must be positive")
-        fill = alpha @ c
-        if np.abs(fill - 1.0).max() > self.constraint_tol:
-            raise ValueError(
-                f"volume constraint violated by {np.abs(fill - 1.0).max():.2e}"
-            )
-        for name, arr in (
-            ("concentrations", c),
-            ("molar_volumes", alpha),
-            ("frictions", eta),
-        ):
+        violation = np.abs(alpha @ c - 1.0).max()
+        if violation > CONSTRAINT_TOL:
+            raise ValueError(f"volume constraint violated by {violation:.2e}")
+        for name, arr in (("concentrations", c), ("molar_volumes", alpha), ("frictions", eta)):
             arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -192,10 +183,21 @@ class MultiSpeciesState:
         """The (m, cells) concentrations, the state the engine's energy reads."""
         return self.concentrations
 
-    def with_concentrations(self, c) -> "MultiSpeciesState":
-        return MultiSpeciesState(
-            self.a, self.b, c, self.molar_volumes, self.frictions, self.constraint_tol
-        )
+    def with_values(self, c) -> "MultiSpeciesState":
+        """The state with concentrations c (a step of ``local_step``),
+        retracted onto the constraint.
+
+        A concentration below POSITIVITY_FLOOR raises PositivityError and a
+        fill drift above CONSTRAINT_HARD_LIMIT raises ConstraintError; within
+        that bound, dividing c by its fill sum_i alpha_i c_i is a hygiene
+        step, not dynamics."""
+        if np.min(c) < POSITIVITY_FLOOR:
+            raise PositivityError("a concentration fell below the positivity floor; reduce dt")
+        fill = self.molar_volumes @ c
+        drift = float(np.abs(fill - 1.0).max())
+        if drift > CONSTRAINT_HARD_LIMIT:
+            raise ConstraintError(f"volume constraint drift {drift:.2e} exceeds 1e-6")
+        return MultiSpeciesState(self.a, self.b, c / fill, self.molar_volumes, self.frictions)
 
     def masses(self) -> np.ndarray:
         return self.h * self.concentrations.sum(axis=1)
@@ -380,93 +382,6 @@ def fokker_planck_solve(
 # -- multi-component diffusion with volume constraint --------------------------
 
 
-def _advance_multispecies(
-    state: MultiSpeciesState, fluxes: np.ndarray, dt: float
-) -> MultiSpeciesState:
-    c_new = np.empty_like(state.concentrations)
-    for i in range(state.species):
-        c_new[i] = state.concentrations[i] - dt * divergence_of_flux(fluxes[i], state.h)
-    if np.min(c_new) < POSITIVITY_FLOOR:
-        raise PositivityError(
-            "a concentration fell below the positivity floor; reduce dt"
-        )
-    fill = state.molar_volumes @ c_new
-    drift = float(np.abs(fill - 1.0).max())
-    if drift > CONSTRAINT_HARD_LIMIT:
-        raise ConstraintError(f"volume constraint drift {drift:.2e} exceeds 1e-6")
-    # exact renormalization; the asserted pre-projection drift makes this a
-    # hygiene step rather than dynamics
-    c_new /= fill[None, :]
-    return state.with_concentrations(c_new)
-
-
-def multicomponent_global_step(
-    state: MultiSpeciesState, constants: PhysicalConstants, dt: float
-) -> MultiSpeciesState:
-    """One step of the global-balance system.
-
-    The pressure solves div(sum alpha_i^2 L(c_i) / eta_i grad p)
-    = RT sum (alpha_i / eta_i) lap c_i with Neumann data, and the species
-    move with fluxes j_i = (1/eta_i)(-RT grad c_i + alpha_i L(c_i) grad p),
-    L the logarithmic interface mean.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    return _advance_multispecies(state, multicomponent_fluxes(state, constants, "global"), dt)
-
-
-def multicomponent_local_step(
-    state: MultiSpeciesState, constants: PhysicalConstants, dt: float
-) -> MultiSpeciesState:
-    """One step of the local-balance system with a pointwise multiplier.
-
-    lambda is weighted so that sum_i alpha_i j_i = 0 holds at every interface
-    in the discrete fluxes: lambda = RT sum (alpha_i/eta_i) grad c_i divided
-    by sum alpha_i^2 L(c_i) / eta_i, with j_i = (1/eta_i)(-RT grad c_i
-    + alpha_i L(c_i) lambda), L the logarithmic interface mean.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if np.min(state.concentrations) < POSITIVITY_FLOOR:
-        raise PositivityError("local balance needs strictly positive species")
-    return _advance_multispecies(state, multicomponent_fluxes(state, constants, "local"), dt)
-
-
-def multicomponent_fluxes(
-    state: MultiSpeciesState, constants: PhysicalConstants, mode: str = "local"
-) -> np.ndarray:
-    """Interface fluxes j_i = (1/eta_i)(-RT grad c_i + alpha_i L(c_i) m) of one
-    balance mode, where the multiplier m is lambda ("local") or grad p
-    ("global").
-
-    L(c_i) is the logarithmic interface mean, taken for all species in one
-    call.  Since L(c) grad log c = grad c, j_i = (L(c_i)/eta_i)(-grad mu_i
-    + alpha_i m) with mu_i = RT (log c_i + 1), and sum_i alpha_i j_i = 0 at
-    every interface in both modes, so the ideal-mixture energy falls at
-    exactly sum_i h sum eta_i j_i^2 / L(c_i), the dissipation rate.
-    """
-    c, h, rt = state.concentrations, state.h, constants.RT
-    alpha, eta = state.molar_volumes, state.frictions
-    grad_c = interface_gradient(c, h)
-    mobility = logarithmic_interface_mean(c)
-    denom = np.einsum("i,ij->j", alpha**2 / eta, mobility)
-    if mode == "local":
-        mult = rt * np.einsum("i,ij->j", alpha / eta, grad_c) / denom
-    elif mode == "global":
-        if np.min(denom) <= 0.0:
-            raise PositivityError("pressure problem is singular: all species vanish")
-        rhs = rt * sum(
-            (alpha[i] / eta[i]) * laplacian_neumann(c[i], h)
-            for i in range(state.species)
-        )
-        # the Poisson helper solves -(w p')' = rhs, the pressure equation has
-        # div(w grad p) = +rhs
-        mult = np.diff(weighted_poisson_neumann(denom, -rhs, h)) / h
-    else:
-        raise ValueError("mode must be 'local' or 'global'")
-    return (-rt * grad_c + alpha[:, None] * mobility * mult) / eta[:, None]
-
-
 def multicomponent_evolve(
     state: MultiSpeciesState,
     constants: PhysicalConstants,
@@ -476,20 +391,22 @@ def multicomponent_evolve(
     *,
     store_every: Optional[int] = None,
 ) -> GridTrajectory:
-    """Iterate one balance mode, recording the ideal-mixture free energy
+    """March ``local_step`` of the ideal-mixture free energy
     RT sum_i int c_i log(c_i / c0) (the engine's grid free energy of the
-    (m, cells) concentrations), masses and the constraint."""
-    step_fn = {
-        "global": multicomponent_global_step,
-        "local": multicomponent_local_step,
-    }[mode]
+    (m, cells) concentrations) with the species dissipation of one balance
+    ``mode``, "global" (pressure) or "local" (pointwise multiplier);
+    records energies, masses and the constraint violation."""
+    if mode not in ("global", "local"):
+        raise ValueError(f"mode must be 'global' or 'local', got {mode!r}")
+    energy = EnergyFunctional.grid_free_energy(constants=constants)
+    problem = FlowProblem(energy, QuadraticDissipation(f"species_{mode}"))
     return _march(
         state,
-        lambda s: step_fn(s, constants, dt),
+        lambda s: local_step(problem, s, dt),
         steps,
         dt,
         store_every,
-        EnergyFunctional.grid_free_energy(constants=constants).value,
+        energy.value,
         lambda s: float(s.masses().sum()),
         {"constraint_max_violation": MultiSpeciesState.constraint_violation},
     )

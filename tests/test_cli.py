@@ -262,6 +262,8 @@ class TestValidateCommand:
             ),
             ("particles", {"kT": 0.0}, "parameters.kT"),
             ("particles", {"mobility": 0.0}, "parameters.mobility"),
+            ("multicomponent", {"amplitude": 0.3}, "parameters.amplitude"),
+            ("multicomponent", {"amplitude": -0.3}, "parameters.amplitude"),
         ],
         ids=[
             "negative-cells",
@@ -300,6 +302,8 @@ class TestValidateCommand:
             "missing-initial-csv",
             "particles-pde-zero-temperature",
             "particles-pde-zero-mobility",
+            "multicomponent-negative-species-1",
+            "multicomponent-negative-species-2",
         ],
     )
     def test_unrunnable_config_exits_2_with_key_path(
@@ -317,6 +321,15 @@ class TestValidateCommand:
     @pytest.mark.parametrize("experiment", sorted(SCHEMAS))
     def test_every_default_config_validates(self, tmp_path, experiment):
         assert validate(write_config(tmp_path, {"experiment": experiment})) == (EXIT_OK, ["ok"])
+
+    @pytest.mark.parametrize(
+        "parameters",
+        [{"amplitude": 0.25}, {"amplitude": 0.2}, {"alpha": [1, 3], "eta": [1, 5]}],
+        ids=["amplitude-0.25", "amplitude-0.2", "skewed-pair"],
+    )
+    def test_runnable_multicomponent_starts_validate(self, tmp_path, parameters):
+        obj = {"experiment": "multicomponent", "parameters": parameters}
+        assert validate(write_config(tmp_path, obj)) == (EXIT_OK, ["ok"])
 
     @pytest.mark.parametrize("mode", SCHEMAS["ldp"]["mode"].choices)
     def test_validate_and_run_agree_on_ldp_defaults(self, tmp_path, capsys, mode):
@@ -349,7 +362,7 @@ class TestRunCommand:
         assert status == EXIT_OK
         result = (out_dir / "result.csv").read_text()
         assert result.splitlines()[0].count(",") >= 1
-        summary = json.loads((out_dir / "summary.json").read_text())
+        summary = json.loads((out_dir / "summary.json").read_text(), parse_constant=_reject_constant)
         assert summary["experiment"] == experiment
         assert summary["library_version"]
         assert summary["config_hash"]
@@ -374,6 +387,15 @@ class TestRunCommand:
         capsys.readouterr()
         # strict JSON: no NaN or Infinity among the invariant values
         json.loads((out_dir / "summary.json").read_text(), parse_constant=_reject_constant)
+
+    def test_steep_boltzmann_target_is_finite(self, tmp_path, capsys):
+        # exp(-slope x / RT) overflows at slope -1000 unless shifted by its maximum
+        obj = {"experiment": "fokker_planck", "parameters": {"slope": -1000}}
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, obj)), "--out", str(out_dir)]) == EXIT_OK
+        capsys.readouterr()
+        summary = json.loads((out_dir / "summary.json").read_text(), parse_constant=_reject_constant)
+        assert 0.0 <= summary["invariants"]["boltzmann_l1"]["value"] <= 1e-3
 
     @pytest.mark.parametrize(
         "parameters",

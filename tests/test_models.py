@@ -15,9 +15,6 @@ from gradflow.models import (
     derive_velocity,
     fokker_planck_solve,
     multicomponent_evolve,
-    multicomponent_fluxes,
-    multicomponent_global_step,
-    multicomponent_local_step,
     spring_dashpot_solve,
 )
 from gradflow._grid import (
@@ -33,9 +30,11 @@ from gradflow.gradient_flow import (
     EnergyFunctional,
     FlowProblem,
     QuadraticDissipation,
+    edi_residual,
     implicit_step,
     local_step,
 )
+from gradflow.transport import SingularWeightError
 
 RT1 = PhysicalConstants.with_rt(1.0)
 
@@ -260,39 +259,66 @@ def make_two_species(profile, alpha=2.0, eta=(1.0, 1.0), domain=(0.0, 1.0), cell
     )
 
 
+def species_problem(mode, constants=RT1):
+    return FlowProblem(
+        EnergyFunctional.grid_free_energy(constants=constants),
+        QuadraticDissipation(f"species_{mode}"),
+    )
+
+
+def species_rate(state, mode):
+    """The rate s = -K(z) DF(z) of one balance mode, and the interface fluxes
+    j = -h cumsum(s) it fixes (s_i = -div j_i with no-flux ends)."""
+    problem = species_problem(mode)
+    rate = -problem.dissipation.apply_mobility(state, problem.energy.derivative(state))
+    return rate, -state.h * np.cumsum(rate, axis=1)[:, :-1]
+
+
+def skewed_pair(cells=64):
+    grid = GridDensity1D(0.0, 1.0, np.ones(cells))
+    alpha, eta = np.array([1.0, 3.0]), np.array([1.0, 5.0])
+    c1 = 0.5 / alpha[0] + 0.08 * np.sin(2 * math.pi * grid.centers)
+    c2 = (1.0 - alpha[0] * c1) / alpha[1]
+    return MultiSpeciesState(0.0, 1.0, np.stack([c1, c2]), alpha, eta)
+
+
 class TestMulticomponent:
     @pytest.mark.parametrize("mode", ["local", "global"])
     def test_energy_rate_equals_dissipation(self, mode):
-        # with the log-mean species mobility L(c_i), dF/dt = sum_i h <mu_i, -div j_i>
-        # equals -sum_i h sum eta_i j_i^2 / L(c_i) to rounding
-        grid = GridDensity1D(0.0, 1.0, np.ones(64))
-        alpha, eta = np.array([1.0, 3.0]), np.array([1.0, 5.0])
-        c1 = 0.5 / alpha[0] + 0.08 * np.sin(2 * math.pi * grid.centers)
-        c2 = (1.0 - alpha[0] * c1) / alpha[1]
-        state = MultiSpeciesState(0.0, 1.0, np.stack([c1, c2]), alpha, eta)
-        fluxes = multicomponent_fluxes(state, RT1, mode=mode)
-        mu = EnergyFunctional.grid_free_energy(constants=RT1).derivative(state)
-        rate = sum(
-            state.h * np.dot(mu[i], -divergence_of_flux(fluxes[i], state.h))
-            for i in range(state.species)
-        )
+        # with the log-mean species mobility L(c_i), dF/dt = h <DF, s> equals
+        # -sum_i h sum eta_i j_i^2 / L(c_i) to rounding
+        state = skewed_pair()
+        rate, fluxes = species_rate(state, mode)
+        df = EnergyFunctional.grid_free_energy(constants=RT1).derivative(state)
+        energy_rate = state.h * np.sum(df * rate)
         mobility = logarithmic_interface_mean(state.concentrations)
-        dissipation = state.h * np.sum(eta[:, None] * fluxes**2 / mobility)
-        assert rate < 0.0
-        assert rate == pytest.approx(-dissipation, rel=1e-13)
+        dissipation = state.h * np.sum(state.frictions[:, None] * fluxes**2 / mobility)
+        assert energy_rate < 0.0
+        assert energy_rate == pytest.approx(-dissipation, rel=1e-13)
+
+    @pytest.mark.parametrize("mode", ["local", "global"])
+    def test_edi_residual_halves_with_dt(self, mode):
+        # criterion 08 for the mixture: the explicit step is first order, so
+        # the residual of its trajectory to T = 1e-3 halves with dt
+        state = skewed_pair()
+        residuals = []
+        for dt in (2e-5, 1e-5):
+            traj = multicomponent_evolve(state, RT1, dt, round(1e-3 / dt), mode, store_every=1)
+            residuals.append(edi_residual(species_problem(mode), traj.snapshots, dt))
+        assert residuals[1] > 0.0
+        assert 1.8 <= residuals[0] / residuals[1] <= 2.2
 
     def test_uniform_mixture_is_stationary(self):
         state = make_two_species(lambda x: np.full_like(x, 0.2))
-        for step in (multicomponent_global_step, multicomponent_local_step):
-            out = step(state, RT1, 1e-5)
+        for mode in ("global", "local"):
+            out = local_step(species_problem(mode), state, 1e-5)
             assert np.abs(out.concentrations - state.concentrations).max() <= 1e-14
 
     def test_single_species_pinned_by_constraint(self):
-        grid = GridDensity1D(0.0, 1.0, np.ones(50))
         state = MultiSpeciesState(
             0.0, 1.0, np.full((1, 50), 0.5), np.array([2.0]), np.array([1.0])
         )
-        out = multicomponent_global_step(state, RT1, 1e-5)
+        out = local_step(species_problem("global"), state, 1e-5)
         assert np.abs(out.concentrations - state.concentrations).max() <= 1e-14
 
     def test_symmetric_pair_matches_single_species_diffusion(self):
@@ -315,8 +341,8 @@ class TestMulticomponent:
     def test_local_balance_exact_flux_cancellation(self):
         profile = lambda x: 0.25 + 0.1 * np.sin(2 * math.pi * x)
         state = make_two_species(profile)
-        fluxes = multicomponent_fluxes(state, RT1, mode="local")
-        total = state.molar_volumes @ fluxes.reshape(state.species, -1)
+        _, fluxes = species_rate(state, "local")
+        total = state.molar_volumes @ fluxes
         assert np.abs(total).max() <= 1e-10
         # equal molar volumes make the two species' fluxes antisymmetric
         assert np.abs(fluxes[0] + fluxes[1]).max() <= 1e-10
@@ -325,13 +351,8 @@ class TestMulticomponent:
         rng = np.random.default_rng(3)
         profile = lambda x: 0.25 + 0.07 * np.cos(3 * math.pi * x)
         state = make_two_species(profile, eta=(1.0, 2.5))
-        fluxes = multicomponent_fluxes(state, RT1, mode="global")
-        from gradflow._grid import divergence_of_flux
-
-        weighted_div = sum(
-            state.molar_volumes[i] * divergence_of_flux(fluxes[i], state.h)
-            for i in range(state.species)
-        )
+        rate, _ = species_rate(state, "global")
+        weighted_div = state.molar_volumes @ rate
         for _ in range(5):
             test_vec = rng.normal(size=state.cells)
             assert abs(state.h * np.dot(test_vec, weighted_div)) <= 1e-10
@@ -348,6 +369,7 @@ class TestMulticomponent:
             assert np.abs(end - start).max() <= 1e-10
 
     def test_vacuum_species_rejected_by_local_balance(self):
+        # both closures: the log-mean mobility of an empty cell is singular
         grid_cells = 32
         c1 = np.full(grid_cells, 0.5)
         c1[3] = 0.0
@@ -355,8 +377,9 @@ class TestMulticomponent:
         state = MultiSpeciesState(
             0.0, 1.0, np.stack([c1, c2]), np.array([2.0, 2.0]), np.array([1.0, 1.0])
         )
-        with pytest.raises(PositivityError):
-            multicomponent_local_step(state, RT1, 1e-6)
+        for mode in ("global", "local"):
+            with pytest.raises(SingularWeightError):
+                local_step(species_problem(mode), state, 1e-6)
 
 
 class TestPhaseField:
@@ -550,6 +573,18 @@ class TestStateValidation:
             MultiSpeciesState(
                 0.0, 1.0, np.full((1, 10), 0.4), np.array([2.0]), np.array([1.0])
             )
+
+    @pytest.mark.parametrize("field", ["concentrations", "molar_volumes", "frictions"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_mixture_rejected(self, field, bad):
+        fields = {
+            "concentrations": np.full((2, 10), 0.25),
+            "molar_volumes": np.array([2.0, 2.0]),
+            "frictions": np.array([1.0, 1.0]),
+        }
+        fields[field][..., 0] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            MultiSpeciesState(0.0, 1.0, **fields)
 
     @pytest.mark.parametrize("solve", [allen_cahn_solve, cahn_hilliard_solve])
     def test_recorded_energies_are_the_functional_values(self, solve):

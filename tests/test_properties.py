@@ -24,7 +24,7 @@ from gradflow.measures import (
     write_discrete_csv,
     write_grid_csv,
 )
-from gradflow.models import PhaseFieldState
+from gradflow.models import MultiSpeciesState, PhaseFieldState
 
 grids = st.fixed_dictionaries(
     {
@@ -40,6 +40,22 @@ def random_density(grid) -> GridDensity1D:
     rng = np.random.default_rng(grid["seed"])
     values = rng.uniform(0.05, 5.0, grid["cells"])
     return GridDensity1D(grid["a"], grid["a"] + grid["width"], values)
+
+
+def random_mixture(grid) -> MultiSpeciesState:
+    """2 or 3 species with volume fractions alpha_i c_i that fill every cell."""
+    rng = np.random.default_rng(grid["seed"])
+    species = int(rng.integers(2, 4))
+    fractions = rng.uniform(0.05, 1.0, (species, grid["cells"]))
+    fractions /= fractions.sum(axis=0)
+    alpha = rng.uniform(0.2, 5.0, species)
+    return MultiSpeciesState(
+        grid["a"],
+        grid["a"] + grid["width"],
+        fractions / alpha[:, None],
+        alpha,
+        rng.uniform(0.1, 10.0, species),
+    )
 
 
 def random_potential(grid):
@@ -71,12 +87,12 @@ class TestDualityGap:
     @settings(max_examples=200, deadline=None)
     @given(
         grid=grids,
-        kind=st.sampled_from(["l2", "wasserstein", "hminus1"]),
+        kind=st.sampled_from(["l2", "wasserstein", "hminus1", "species_local", "species_global"]),
         coefficient=st.floats(0.1, 10.0),
     )
     def test_closes_at_the_mobility_rate(self, grid, kind, coefficient):
-        rho = random_density(grid)
-        xi = np.random.default_rng(grid["seed"] + 2).normal(size=rho.cells)
+        rho = random_mixture(grid) if kind.startswith("species") else random_density(grid)
+        xi = np.random.default_rng(grid["seed"] + 2).normal(size=rho.values.shape)
         diss = QuadraticDissipation(kind, coefficient)
         rate = diss.apply_mobility(rho, xi)
         psi, psi_star = diss.psi(rho, rate), diss.psi_star(rho, xi)
