@@ -16,6 +16,11 @@ from typing import Optional
 
 import numpy as np
 
+# the log mean and its partials take their a = b limits below |b - a| =
+# LOG_MEAN_NEAR (a + b): log b - log a errs by about eps |log a| / u there,
+# u = (b - a) / (a + b), the arithmetic mean by u^2 / 3 (both < 2e-10)
+LOG_MEAN_NEAR = 1e-5
+
 
 def interface_gradient(values: np.ndarray, h: float) -> np.ndarray:
     """Gradient (v[i+1] - v[i]) / h at the n-1 interior interfaces."""
@@ -38,8 +43,8 @@ def logarithmic_interface_mean(
     is safe on nonnegative fields.  This mean satisfies
     ``M(a, b) * (log b - log a) = b - a`` exactly, which is what makes the
     entropy flux reduce to a plain difference of the field.  The quotient
-    is used where it is finite and |b - a| > 1e-10 (a + b); nearly equal
-    pairs, and pairs whose logs are not finite numbers (negative or
+    is used where it is finite and |b - a| > LOG_MEAN_NEAR (a + b); nearly
+    equal pairs, and pairs whose logs are not finite numbers (negative or
     non-finite cells), take the arithmetic mean; a pair with a zero cell
     gives 0.
 
@@ -57,7 +62,7 @@ def logarithmic_interface_mean(
         quotient = diff / (logs[..., 1:] - logs[..., :-1])
     total = a + b
     out = np.multiply(total, 0.5, out)
-    use = abs(diff) > 1e-10 * total
+    use = abs(diff) > LOG_MEAN_NEAR * total
     use &= np.isfinite(quotient)
     np.copyto(out, quotient, where=use)
     zero = values == 0.0
@@ -71,13 +76,13 @@ def logarithmic_mean_partials(values: np.ndarray) -> np.ndarray:
     (2, n-1) array with rows dL/da and dL/db.
 
     Away from a = b they are (L/a - 1) / (log b - log a) and
-    (1 - L/b) / (log b - log a).  Where |b - a| <= 1e-6 (a + b) those
-    quotients cancel badly, and the first-order limits 1/2 + t/6 and
+    (1 - L/b) / (log b - log a).  Where |b - a| <= LOG_MEAN_NEAR (a + b)
+    those quotients cancel badly, and the first-order limits 1/2 + t/6 and
     1/2 - t/6, t = (b - a) / m with m the arithmetic mean, are used.
     """
     a = values[:-1]
     b = values[1:]
-    near = abs(b - a) <= 1e-6 * (a + b)
+    near = abs(b - a) <= LOG_MEAN_NEAR * (a + b)
     t = (b - a) / (0.5 * (a + b))
     with np.errstate(divide="ignore", invalid="ignore"):
         mean = logarithmic_interface_mean(values)

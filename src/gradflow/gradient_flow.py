@@ -27,6 +27,8 @@ function and records the energy, mass and named diagnostics of every state,
 with thinned snapshots, in a :class:`GridTrajectory`.  It runs the JKO
 minimizing movement (:func:`jko_evolve`) here and the multicomponent,
 phase-field and implicit Fokker-Planck flows of :mod:`gradflow.models`.
+Their implicit steps share one Newton loop, ``_newton_march``, which halves
+a step where Newton fails.
 """
 
 from __future__ import annotations
@@ -83,8 +85,8 @@ _COMPATIBLE = {
     "species_global": ("grid_free_energy",),
 }
 SPECIES_KINDS = ("species_local", "species_global")
-# the JKO Newton solve stops at a gradient sup-norm of NEWTON_TOL and fails
-# with ConvergenceError after MAX_NEWTON iterations
+# a Newton solve of _newton_march fails after MAX_NEWTON iterations; the JKO
+# solve stops at a gradient sup-norm (in mass coordinates) of NEWTON_TOL
 NEWTON_TOL = 1e-9
 MAX_NEWTON = 200
 # the backward-Euler Newton solve stops at |R|_inf <= IMPLICIT_TOL max c_prev
@@ -513,7 +515,7 @@ def implicit_step(problem: FlowProblem, z, dt: float):
         flux = free_energy_flux(c, potential, rt, 1.0, h)
         return c - c_prev - dt / eta * divergence_of_flux(flux, h)
 
-    def jacobian(c, dt):
+    def newton_update(c, r, dt):
         # d flux_i / d c_i and d flux_i / d c_{i+1}
         left = np.full(c.size - 1, -rt / h)
         right = np.full(c.size - 1, rt / h)
@@ -528,13 +530,13 @@ def implicit_step(problem: FlowProblem, z, dt: float):
         ab[1, :-1] -= k * left
         ab[1, 1:] += k * right
         ab[2, :-1] = k * left
-        return (1, 1), ab
+        return solve_banded((1, 1), ab, -r)
 
     def tol(c_prev, dt):
         return IMPLICIT_TOL * float(c_prev.max()) * (1.0 + dt / eta * rt / (h * h))
 
-    c = _newton_march(
-        z.values, dt, residual, jacobian, tol, admissible=lambda c: np.min(c) > 0.0
+    c, _ = _newton_march(
+        z.values, dt, residual, newton_update, tol, admissible=lambda c: np.min(c) > 0.0
     )
     return z if c is z.values else z.with_values(c)
 
@@ -599,23 +601,23 @@ def _convex_splitting_step(problem: FlowProblem, z, dt: float):
             return u - u_prev - dt / friction * laplacian_neumann(mu, h)
         return u - u_prev + dt / friction * mu
 
-    def jacobian(u, dt):
+    def newton_update(u, r, dt):
         mdt = dt / friction
         if hminus1:
             ab = mdt * lap_sq
             ab[1:4] -= (3.0 * mdt * well) * lap * (u * u)
             ab[2] += 1.0
-            return (2, 2), ab
+            return solve_banded((2, 2), ab, -r)
         ab = -mdt * lap
         ab[1] += 1.0 + (3.0 * mdt * well) * (u * u)
-        return (1, 1), ab
+        return solve_banded((1, 1), ab, -r)
 
     def tol(u_prev, dt):
         bound = max(1.0, float(np.abs(u_prev).max()))
         stiffness = (4.0 * a if hminus1 else 1.0) * (4.0 * a + well * bound * bound)
         return SPLITTING_TOL * bound * (1.0 + dt / friction * stiffness)
 
-    u = _newton_march(u0, dt, residual, jacobian, tol)
+    u, _ = _newton_march(u0, dt, residual, newton_update, tol)
     if u is u0:
         return z
     if hminus1:
@@ -623,34 +625,37 @@ def _convex_splitting_step(problem: FlowProblem, z, dt: float):
     return z.with_values(u)
 
 
-def _newton_march(x0, dt, residual, jacobian, tol, *, admissible=None):
+def _newton_march(x0, dt, residual, newton_update, tol, *, admissible=None):
     """Cover dt by implicit steps, each solved by Newton from its start.
 
-    ``residual(x, x_prev, dt)`` is a step's residual, ``jacobian(x, dt)``
-    its Jacobian as ``(l_and_u, bands)`` for ``solve_banded``, and
-    ``tol(x_prev, dt)`` the bound on |R|_inf at which Newton stops.  Each
-    Newton update is halved until ``admissible`` holds for the new iterate
-    (None: every iterate is).  A start already within the tolerance is
-    returned as it is, the same object.
+    The one Newton loop of the package: backward-Euler Fokker-Planck,
+    Eyre's phase-field step and the JKO minimizing movement all run on it.
+    ``residual(x, x_prev, dt)`` is a step's residual, ``newton_update(x, r,
+    dt)`` the Newton update -J(x)^{-1} r, which each caller takes with its
+    own banded solver, and ``tol(x_prev, dt)`` the bound on |R|_inf at
+    which Newton stops.  Each Newton update is halved until ``admissible``
+    holds for the new iterate (None: every iterate is).  A start already
+    within the tolerance is returned as it is, the same object.
 
     When Newton has not converged after MAX_NEWTON iterations, its residual
     is not finite, or no halving of an update is admissible, the interval is
     covered by two steps of dt/2 instead, recursively, at most MAX_SPLITS
-    times deep; past that ConvergenceError is raised.
+    times deep; past that ConvergenceError is raised.  Returns the state and
+    the number of Newton iterations of the solves it kept.
     """
 
     def newton(x_prev, dt):
-        """The step's state, or None when Newton fails."""
+        """The step's state and iterations, or None when Newton fails."""
         bound = tol(x_prev, dt)
         x = x_prev
         for iters in range(MAX_NEWTON + 1):
             r = residual(x, x_prev, dt)
             norm = np.abs(r).max()
             if norm <= bound:
-                return x
+                return x, iters
             if iters == MAX_NEWTON or not np.isfinite(norm):
                 return None
-            delta = solve_banded(*jacobian(x, dt), -r)
+            delta = newton_update(x, r, dt)
             t = 1.0
             candidate = x + delta
             while admissible is not None and not admissible(candidate):
@@ -669,7 +674,9 @@ def _newton_march(x0, dt, residual, jacobian, tol, *, admissible=None):
                 f"implicit Newton solve failed at dt = {dt:.3e}, {MAX_NEWTON} iterations "
                 f"after {MAX_SPLITS} halvings of the step"
             )
-        return march(march(x, 0.5 * dt, splits + 1), 0.5 * dt, splits + 1)
+        mid, first = march(x, 0.5 * dt, splits + 1)
+        end, second = march(mid, 0.5 * dt, splits + 1)
+        return end, first + second
 
     return march(x0, dt, 0)
 
@@ -777,9 +784,11 @@ class JkoStepInfo:
     """Inner-solver diagnostics for one minimizing-movement step.
 
     ``energy`` is the minimized free-energy part in mass coordinates and
-    ``energy_start`` its value at the warm start (the previous iterate);
-    the minimization guarantees energy <= energy_start at every step,
-    independent of grid resolution.
+    ``energy_start`` its value at the warm start (the previous iterate).
+    ``iters`` sums the Newton iterations over the halves of a split step,
+    and ``grad_norm`` is the sup-norm of the step's objective gradient at
+    the result (above ``NEWTON_TOL`` only where the step was split).  For convex V the
+    minimizer certifies energy <= energy_start, at any grid resolution.
     """
 
     iters: int
@@ -802,64 +811,43 @@ def _jko_objective(X, Y, dm, tau, energy):
 
 
 def _jko_minimize(Y, dm, tau, energy) -> tuple[np.ndarray, JkoStepInfo]:
-    """Nodes X minimizing (1/2 tau) W2^2 to the nodes Y plus F, by damped Newton."""
-    n = Y.size
+    """Nodes X minimizing (1/2 tau) W2^2 to the nodes Y plus F: Newton on the
+    objective's gradient in :func:`_newton_march`, with its tridiagonal
+    Hessian, while the nodes stay strictly increasing."""
     rt = energy.rt
     vp = energy.potential_grad if energy.potential is not None else None
-    X = Y.copy()
-    obj = _jko_objective(X, Y, dm, tau, energy)
-    energy_start = obj  # W2 term vanishes at the warm start
-    iters = 0
-    while True:
-        gaps = np.diff(X)
-        inv_g = 1.0 / gaps
+
+    def gradient(X, Y, tau):
+        inv_g = 1.0 / np.diff(X)
         grad = dm / tau * (X - Y)
         grad[:-1] += rt * dm * inv_g
         grad[1:] -= rt * dm * inv_g
         if vp is not None:
             grad += dm * vp(X)
-        grad_norm = float(np.abs(grad).max())
-        if grad_norm <= NEWTON_TOL:
-            break
-        if iters >= MAX_NEWTON:
-            raise ConvergenceError(
-                f"JKO Newton failed: grad {grad_norm:.3e} after {MAX_NEWTON} iterations"
-            )
+        return grad
+
+    def newton_update(X, grad, tau):
+        inv_g = 1.0 / np.diff(X)
         inv_g2 = inv_g * inv_g
-        diag = np.full(n, dm / tau)
+        diag = np.full(X.size, dm / tau)
         diag[:-1] += rt * dm * inv_g2
         diag[1:] += rt * dm * inv_g2
         if vp is not None:  # V'' as one central difference of V'
             diag += dm * np.maximum((vp(X + 1e-4) - vp(X - 1e-4)) / 2e-4, 0.0)
-        upper = -rt * dm * inv_g2
-        ab = np.zeros((2, n))
-        ab[0, 1:] = upper
-        ab[1] = diag
-        delta = solveh_banded(ab, -grad)
+        upper = np.concatenate(([0.0], -rt * dm * inv_g2))
+        return solveh_banded(np.array([upper, diag]), -grad)
 
-        t = 1.0
-        armijo = 1e-4 * float(np.dot(grad, delta))
-        # allowance for objective decreases below fp resolution near the end
-        fuzz = 4.0 * np.finfo(float).eps * max(1.0, abs(obj))
-        while True:
-            X_try = X + t * delta
-            if np.all(np.diff(X_try) > 0.0):
-                obj_try = _jko_objective(X_try, Y, dm, tau, energy)
-                if obj_try <= obj + t * armijo + fuzz:
-                    break
-            t *= 0.5
-            if t < 1e-12:
-                raise ConvergenceError("JKO line search could not recover monotonicity")
-        X, obj = X_try, obj_try
-        iters += 1
-
+    X, iters = _newton_march(
+        Y, tau, gradient, newton_update, lambda Y, tau: NEWTON_TOL,
+        admissible=lambda X: np.all(np.diff(X) > 0.0),
+    )
     w2_sq = float(dm * np.sum((X - Y) ** 2))
     return X, JkoStepInfo(
         iters=iters,
-        grad_norm=grad_norm,
+        grad_norm=float(np.abs(gradient(X, Y, tau)).max()),
         w2_sq=w2_sq,
-        energy=obj - 0.5 / tau * w2_sq,
-        energy_start=energy_start,
+        energy=_jko_objective(X, Y, dm, tau, energy) - 0.5 / tau * w2_sq,
+        energy_start=_jko_objective(Y, Y, dm, tau, energy),
     )
 
 
@@ -901,9 +889,12 @@ def jko_evolve(
 
     rho0 is quantized once, at QUANTILE_NODES_PER_CELL nodes per grid cell
     (:func:`gradflow.transport.quantiles`); each step then minimizes over
-    the nodes, from the previous step's nodes, by damped (Armijo) Newton
-    until the gradient sup-norm falls below ``NEWTON_TOL``.  Every iterate
-    is rebinned conservatively onto the grid of rho0 only to be recorded.
+    the nodes, from the previous step's nodes, by Newton on the gradient in
+    the shared loop ``_newton_march``, each update halved until the nodes
+    stay strictly increasing, until the gradient sup-norm falls below
+    ``NEWTON_TOL``.  Where Newton fails, the step of tau is covered by two
+    of tau/2, as implicit steps are.  Every iterate is rebinned
+    conservatively onto the grid of rho0 only to be recorded.
     Supports entropy plus an external potential V, which needs its
     derivative ``potential_grad``; interaction kernels have no diagonal
     mass-coordinate form and are rejected.

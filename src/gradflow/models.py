@@ -4,7 +4,9 @@ constraint, and the Allen-Cahn / Cahn-Hilliard phase-field flows.
 
 The grid solvers use conservative interface fluxes (no-flux ends) and
 record per-step energy and mass so that dissipation and conservation can be
-asserted rather than assumed.  Their explicit schemes have hard CFL guards.
+asserted rather than assumed.  The explicit Fokker-Planck and phase-field
+schemes raise CflError beyond their stability bounds; the multicomponent
+march has no guard, and a dt too large for it raises PositivityError.
 Two have implicit schemes with no step-size bound, both stepped by
 :func:`gradflow.gradient_flow.implicit_step`:
 ``fokker_planck_solve(..., scheme="implicit")`` by backward Euler, and

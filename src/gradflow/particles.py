@@ -18,10 +18,9 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gammaln, logsumexp
 
-from ._grid import divergence_of_flux, free_energy_flux
-from .gradient_flow import _drift_potential
+from .gradient_flow import EnergyFunctional, QuadraticDissipation
 from .measures import GridDensity1D, PhysicalConstants
-from .transport import SingularWeightError, local_w_norm
+from .transport import SingularWeightError
 
 __all__ = [
     "ParticleEnsemble",
@@ -220,16 +219,17 @@ def rate_functional(path, dt: float, constants: PhysicalConstants, Vb=None, Vi=N
     (1/4) sum_k || (rho_{k+1}-rho_k)/dt - div((RT/eta) grad rho_k
     + (rho_k/eta) grad[Vb + rho_k * Vi]) ||^2_{-1, (RT/eta) rho_k} dt.
 
-    The drift is :func:`gradflow._grid.free_energy_flux`, the flux of the
-    Fokker-Planck solver, so solver output has (near-)zero rate; any other
-    equal-mass path gets a strictly positive value.  The norm is
-    :func:`gradflow.transport.local_w_norm` scaled by eta/RT: the same
-    log-mean mobility as the drift.
+    The drift is -K(rho_k) DF(rho_k), the rate of
+    :func:`gradflow.gradient_flow.local_step` for F = entropy + Vb + Vi
+    under the Wasserstein dissipation of friction eta, and each term is
+    psi(rho_k, residual) / (2 RT) dt of that dissipation.  Solver output
+    has (near-)zero rate; any other equal-mass path a strictly positive one.
     """
     path = list(path)
     if len(path) < 2:
         return 0.0
-    eta_over_rt = constants.eta / constants.RT
+    energy = EnergyFunctional.grid_free_energy(constants=constants, potential=Vb, interaction=Vi)
+    dissipation = QuadraticDissipation("wasserstein", constants.eta)
     mass0 = path[0].mass()
     total = 0.0
     for prev, cur in zip(path[:-1], path[1:]):
@@ -237,14 +237,10 @@ def rate_functional(path, dt: float, constants: PhysicalConstants, Vb=None, Vi=N
             raise SingularWeightError("rate functional needs positive densities")
         if abs(cur.mass() - mass0) > 1e-10 * max(1.0, mass0):
             raise ValueError("rate functional needs an equal-mass path")
-        h = prev.h
-        potential = _drift_potential(prev, Vb, Vi)
-        flux = free_energy_flux(prev.values, potential, constants.RT, constants.eta, h)
-        drift = divergence_of_flux(flux, h)
+        drift = -dissipation.apply_mobility(prev, energy.derivative(prev))
         residual = (cur.values - prev.values) / dt - drift
         residual = residual - residual.mean()  # strip fp mass noise
-        norm_sq, _ = local_w_norm(prev, residual)
-        total += 0.25 * eta_over_rt * norm_sq * dt
+        total += dissipation.psi(prev, residual) / (2.0 * constants.RT) * dt
     return total
 
 

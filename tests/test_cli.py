@@ -397,6 +397,20 @@ class TestRunCommand:
         summary = json.loads((out_dir / "summary.json").read_text(), parse_constant=_reject_constant)
         assert 0.0 <= summary["invariants"]["boltzmann_l1"]["value"] <= 1e-3
 
+    @pytest.mark.parametrize("slope", [-1.0, -4.0])
+    def test_concave_quadratic_fokker_planck_runs(self, tmp_path, capsys, slope):
+        # the uniform start is nearly stationary at the centre, where the log
+        # mean has to be accurate for Newton to reach its tolerance
+        obj = {"experiment": "fokker_planck", "parameters": {"potential": "quadratic", "slope": slope}}
+        path = write_config(tmp_path, obj)
+        assert validate(path) == (EXIT_OK, ["ok"])
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out_dir)]) == EXIT_OK
+        capsys.readouterr()
+        invariants = json.loads((out_dir / "summary.json").read_text())["invariants"]
+        assert set(invariants) == {"mass_conserved", "energy_nonincreasing"}
+        assert all(inv["passed"] for inv in invariants.values())
+
     @pytest.mark.parametrize(
         "parameters",
         [

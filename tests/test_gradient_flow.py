@@ -417,6 +417,18 @@ class TestJko:
         with pytest.raises(ConvergenceError):
             jko_evolve(rho, 1e-3, 1, EnergyFunctional.entropy())
 
+    def test_failed_newton_halves_the_step(self, monkeypatch):
+        # two Newton iterations cannot reach the gradient tolerance at tau
+        # 1e-2 or 5e-3 from the start, so both steps split further
+        monkeypatch.setattr(gradient_flow, "MAX_NEWTON", 2)
+        rho = gaussian(cells=400)
+        whole, (info,) = jko_evolve(rho, 1e-2, 1, EnergyFunctional.entropy())
+        halves, infos = jko_evolve(rho, 5e-3, 2, EnergyFunctional.entropy())
+        assert np.array_equal(whole.final.values, halves.final.values)
+        assert info.iters == sum(i.iters for i in infos) == 20
+        assert info.energy == infos[-1].energy
+        assert info.energy_start == infos[0].energy_start
+
     def test_agrees_with_explicit_heat_flow(self):
         from gradflow.transport import w2_grid_1d
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradflow._grid import logarithmic_mean_partials, pair_potential
+from gradflow._grid import logarithmic_interface_mean, logarithmic_mean_partials, pair_potential
 from gradflow.measures import GridDensity1D
 
 
@@ -57,13 +57,27 @@ def stable_log_mean(a, b):
     return (b - a) / np.log1p((b - a) / a) if a != b else a
 
 
+class TestLogarithmicMean:
+    def test_relative_error_against_log1p(self):
+        # u = (b - a) / (a + b) on both sides of the LOG_MEAN_NEAR switch,
+        # near which log b - log a cancels
+        worst = 0.0
+        for a in np.logspace(-8.0, 8.0, 33):
+            for u in np.logspace(-15.0, -2.0, 131):
+                b = a * (1.0 + u) / (1.0 - u)
+                got = logarithmic_interface_mean(np.array([a, b]))[0]
+                worst = max(worst, abs(got - stable_log_mean(a, b)) / stable_log_mean(a, b))
+        assert worst <= 1e-9
+
+
 class TestLogarithmicMeanPartials:
-    # pairs far apart, near-equal on either side of the 1e-6 (a + b) switch
+    # pairs far apart, near-equal on either side of the 1e-5 (a + b) switch
     # to the first-order limits, and equal
     @pytest.mark.parametrize(
         "a, b",
-        [(1.0, 1.5), (2.0, 0.7), (0.03, 4.0), (1.0, 1.0 + 3e-6), (0.7, 0.7 * (1 + 1.5e-6)),
-         (2.0, 2.0 * (1 - 1.9e-6)), (1.3, 1.3 * (1 + 1e-9)), (0.5, 0.5)],
+        [(1.0, 1.5), (2.0, 0.7), (0.03, 4.0), (1.0, 1.0 + 3e-5), (0.7, 0.7 * (1 + 1.5e-5)),
+         (1.0, 1.0 + 3e-6), (0.7, 0.7 * (1 + 1.5e-6)), (2.0, 2.0 * (1 - 1.9e-6)),
+         (1.3, 1.3 * (1 + 1e-9)), (0.5, 0.5)],
     )
     def test_match_central_differences(self, a, b):
         d_left, d_right = logarithmic_mean_partials(np.array([a, b]))
