@@ -19,7 +19,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -231,8 +231,8 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "cells": Field(int, 64, within="[2, inf)"),
         "alpha": Field("number_list", [2.0, 2.0], within="(0, inf)", items="[2, 2]"),
         "eta": Field("number_list", [1.0, 1.0], within="(0, inf)", items="[2, 2]"),
-        "dt": Field(float, 1e-5, within="(0, inf)"),
-        "steps": Field(int, 1000, within="[1, inf)"),
+        "dt": Field(float, 1e-3, within="(0, inf)"),
+        "steps": Field(int, 10, within="[1, inf)"),
         "mode": Field(str, "both", choices=("both", "global", "local")),
         "amplitude": Field(float, 0.08),
     },
@@ -656,7 +656,9 @@ def _exp_multicomponent(cfg: ExperimentConfig) -> ExperimentOutput:
     out.header = ["mode", "step", "time", "energy", "mass", "constraint_max_violation"]
     finals = {}
     for mode in modes:
-        traj = multicomponent_evolve(state, cfg.constants, p["dt"], p["steps"], mode=mode)
+        traj = multicomponent_evolve(
+            state, cfg.constants, p["dt"], p["steps"], mode=mode, scheme="implicit"
+        )
         finals[mode] = traj
         constraint = traj.extra["constraint_max_violation"]
         for k, t in zip(traj.snapshot_steps, traj.snapshot_times):
@@ -677,12 +679,14 @@ def _exp_multicomponent(cfg: ExperimentConfig) -> ExperimentOutput:
         out.check("balance_modes_agree", gap <= 1e-10, gap)
     symmetric = alpha[0] == alpha[1] and eta[0] == eta[1]
     if symmetric:
+        # species 1 diffuses as one species with friction eta[0]
         single = fokker_planck_solve(
             grid.with_values(start[0]),
-            cfg.constants,
+            replace(cfg.constants, eta=float(eta[0])),
             None,
             p["dt"] * p["steps"],
             p["dt"],
+            scheme="implicit",
         )
         mode = modes[0]
         gap = float(

@@ -27,8 +27,9 @@ function and records the energy, mass and named diagnostics of every state,
 with thinned snapshots, in a :class:`GridTrajectory`.  It runs the JKO
 minimizing movement (:func:`jko_evolve`) here and the multicomponent,
 phase-field and implicit Fokker-Planck flows of :mod:`gradflow.models`.
-Their implicit steps share one Newton loop, ``_newton_march``, which halves
-a step where Newton fails.
+Their implicit steps (backward Euler for the Wasserstein and species
+kinds, Eyre's splitting for the phase fields) share one Newton loop,
+``_newton_march``, which halves a step where Newton fails.
 """
 
 from __future__ import annotations
@@ -89,10 +90,12 @@ SPECIES_KINDS = ("species_local", "species_global")
 # solve stops at a gradient sup-norm (in mass coordinates) of NEWTON_TOL
 NEWTON_TOL = 1e-9
 MAX_NEWTON = 200
-# the backward-Euler Newton solve stops at |R|_inf <= IMPLICIT_TOL max c_prev
-# (1 + dt rt / (eta h^2)): the residual's rounding floor is near 3e-11 of that
-# scale on the 200-cell gravity column, and 1e-12 stalls some steps at the
-# iteration cap.  Where it fails, dt is halved, at most MAX_SPLITS times deep.
+# the backward-Euler Newton solves stop at |R|_inf <= IMPLICIT_TOL max c_prev
+# (1 + dt rt / (eta h^2)), eta the friction (of a species flow, the smallest
+# species friction times the coefficient): the residual's rounding floor is
+# near 3e-11 of that scale on the 200-cell gravity column, and 1e-12 stalls
+# some steps at the iteration cap.  Where it fails, dt is halved, at most
+# MAX_SPLITS times deep.
 IMPLICIT_TOL = 1e-10
 MAX_SPLITS = 12
 # the convex-splitting Newton solve of the phase fields stops at |R|_inf <=
@@ -223,7 +226,10 @@ class QuadraticDissipation:
             return -divergence_of_flux(weights * interface_gradient(xi, h), h) / c
         if self.kind == "hminus1":
             return -laplacian_neumann(xi, h) / c
-        fluxes = _species_fluxes(state, xi, pressure=self.kind == "species_global")
+        fluxes = _species_fluxes(
+            state.concentrations, state.molar_volumes, state.frictions, h, xi,
+            pressure=self.kind == "species_global",
+        )
         return divergence_of_flux(fluxes, h) / c
 
     # -- helpers ---------------------------------------------------------
@@ -234,17 +240,18 @@ class QuadraticDissipation:
         return state
 
 
-def _species_fluxes(state, xi: np.ndarray, pressure: bool) -> np.ndarray:
+def _species_fluxes(c, alpha, eta, h, xi: np.ndarray, pressure: bool) -> np.ndarray:
     """Fluxes j_i = w_i (-grad xi_i + alpha_i m), w_i = L(c_i) / eta_i, of
-    species under the volume constraint.  sum_i alpha_i j_i = W m - D with
-    W = sum_i alpha_i^2 w_i and D = sum_i alpha_i w_i grad xi_i: the local
-    closure zeroes it with m = D / W, the global one zeroes its divergence
-    with m = grad p, div(W grad p) = div D (the Neumann pressure), which in
-    1D integrates once to the local m.  Either way
+    species with (m, cells) concentrations c, molar volumes alpha and
+    frictions eta under the volume constraint.  sum_i alpha_i j_i = W m - D
+    with W = sum_i alpha_i^2 w_i and D = sum_i alpha_i w_i grad xi_i: the
+    local closure zeroes it with m = D / W, the global one zeroes its
+    divergence with m = grad p, div(W grad p) = div D (the Neumann
+    pressure), which in 1D integrates once to the local m.  Either way
     <xi, div j> = h sum_i sum eta_i j_i^2 / L(c_i).
     """
-    alpha, h = state.molar_volumes[:, None], state.h
-    weights = logarithmic_interface_mean(state.concentrations) / state.frictions[:, None]
+    alpha = alpha[:, None]
+    weights = logarithmic_interface_mean(c) / eta[:, None]
     grad = interface_gradient(xi, h)
     drive = np.sum(alpha * weights * grad, axis=0)
     total = np.sum(alpha * alpha * weights, axis=0)
@@ -463,9 +470,12 @@ def local_step(problem: FlowProblem, z, dt: float):
 
 
 def implicit_step(problem: FlowProblem, z, dt: float):
-    """One implicit step over dt, with no step-size bound, of either
+    """One implicit step over dt, with no step-size bound, of
 
-    * a Wasserstein flow of entropy plus potential, by backward Euler, or
+    * a Wasserstein flow of entropy plus potential, by backward Euler,
+    * a species flow of the mixing entropy (``species_local`` or
+      ``species_global`` dissipation), by backward Euler
+      (:func:`_species_step`), or
     * a Dirichlet double-well flow (L^2 or H^-1 dissipation: Allen-Cahn or
       Cahn-Hilliard), by Eyre's convex splitting
       (:func:`_convex_splitting_step`).
@@ -490,23 +500,32 @@ def implicit_step(problem: FlowProblem, z, dt: float):
     :func:`_newton_march`).  Every such step conserves mass, and since F is
     convex an exact step does not raise it.
 
+    The species step solves c - c_prev + dt K(c) DF(c) = 0, the explicit
+    step's update taken at the new state, by the same Newton loop on an
+    exact banded Jacobian that serves both closures
+    (:func:`_species_system`).
+
     Interaction and internal energies couple more than neighbouring cells
-    and raise NotImplementedError; a vacuum cell raises SingularWeightError;
-    any other flow raises ValueError.
+    and raise NotImplementedError, as does a potential on a species flow; a
+    vacuum cell raises SingularWeightError; any other flow raises
+    ValueError.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if problem.energy.kind == "dirichlet_double_well":
         return _convex_splitting_step(problem, z, dt)
-    if problem.dissipation.kind != "wasserstein":
+    species = problem.dissipation.kind in SPECIES_KINDS
+    if problem.dissipation.kind != "wasserstein" and not species:
         raise ValueError(
-            "implicit_step needs a wasserstein dissipation or a double-well energy"
+            "implicit_step needs a wasserstein or species dissipation or a double-well energy"
         )
     energy = problem.energy
     if energy.interaction is not None or energy.internal is not None:
         raise NotImplementedError("implicit_step supports entropy + potential energies only")
     if np.min(z.values) <= 0.0:
-        raise SingularWeightError("vacuum cell: Wasserstein mobility is singular")
+        raise SingularWeightError("vacuum cell: the log-mean mobility is singular")
+    if species:
+        return _species_step(problem, z, dt)
     h, rt, eta = z.h, energy.rt, problem.dissipation.coefficient
     potential = _drift_potential(z, energy.potential)
     grad_V = None if potential is None else interface_gradient(potential, h)
@@ -539,6 +558,109 @@ def implicit_step(problem: FlowProblem, z, dt: float):
         z.values, dt, residual, newton_update, tol, admissible=lambda c: np.min(c) > 0.0
     )
     return z if c is z.values else z.with_values(c)
+
+
+def _species_step(problem: FlowProblem, z, dt: float):
+    """Backward-Euler step of a species flow: R(c) = c - c_prev + dt K(c) DF(c)
+    = 0 on the (m, cells) concentrations, DF(c) = rt (log(c / c0) + 1) and K
+    the mobility of ``apply_mobility``, so R is the explicit step's update
+    taken at the new state.  Newton runs on plain arrays with the banded
+    Jacobian of :func:`_species_system`, each update halved until every
+    concentration stays positive, until |R|_inf <= IMPLICIT_TOL max c_prev
+    (1 + dt rt / (eta_min h^2)), eta_min the smallest friction times the
+    dissipation coefficient.  Only the result becomes a state, through
+    ``with_values``; a start already within the tolerance is returned as it
+    is.
+    """
+    if problem.energy.potential is not None:
+        raise NotImplementedError("the implicit species step supports the mixing entropy only")
+    c_start = z.concentrations
+    species, cells = c_start.shape
+    band = 2 * species - 1
+    residual, jacobian = _species_system(problem, z)
+
+    def newton_update(c, r, dt):
+        delta = solve_banded((band, band), jacobian(c, dt), -r.T.ravel())
+        return delta.reshape(cells, species).T
+
+    eta_min = problem.dissipation.coefficient * float(z.frictions.min())
+    stiffness = problem.energy.rt / (eta_min * z.h**2)
+
+    def tol(c_prev, dt):
+        return IMPLICIT_TOL * float(c_prev.max()) * (1.0 + dt * stiffness)
+
+    c, _ = _newton_march(
+        c_start, dt, residual, newton_update, tol, admissible=lambda c: np.min(c) > 0.0
+    )
+    return z if c is c_start else z.with_values(c)
+
+
+def _species_system(problem: FlowProblem, z):
+    """The residual ``R(c, c_prev, dt)`` of the backward-Euler species step
+    on the grid, molar volumes and frictions of state z, and its exact
+    Jacobian ``jacobian(c, dt)`` in ``solve_banded`` layout.
+
+    Each interface flux j_i = w_i (alpha_i m - g_i) depends on the 2m
+    concentrations of its two cells alone, through w_i = L(c_i) / eta_i,
+    g_i = grad DF_i and m = D / W (in 1D the global pressure closure gives
+    the same m, so one Jacobian serves both).  Its m x m derivatives in
+    the left and the right cell are a diagonal plus a rank-one term,
+
+        dj_i/dc_l = delta_il (w_i' (alpha_i m - g_i) - w_i g_i')
+                    + (w_i alpha_i / W) alpha_l (w_l' (g_l - alpha_l m) + w_l g_l'),
+
+    with w' from ``logarithmic_mean_partials`` and g' = -rt / (h c) on the
+    left, +rt / (h c) on the right.  Ordered cell-major (index
+    cell * m + species), the Jacobian is block tridiagonal, banded
+    (2m - 1, 2m - 1).
+    """
+    energy, diss = problem.energy, problem.dissipation
+    alpha, eta, h = z.molar_volumes, z.frictions, z.h
+    rt, c0, friction = energy.rt, energy.c0, diss.coefficient
+    pressure = diss.kind == "species_global"
+    species, cells = z.concentrations.shape
+    band = 2 * species - 1
+    alpha_col, eta_col = alpha[:, None], eta[:, None]
+    idx = np.arange(species)
+
+    def residual(c, c_prev, dt):
+        df = rt * (np.log(c / c0) + 1.0)
+        fluxes = _species_fluxes(c, alpha, eta, h, df, pressure)
+        return c - c_prev + dt * (divergence_of_flux(fluxes, h) / friction)
+
+    def jacobian(c, dt):
+        logs = np.log(c)
+        w = logarithmic_interface_mean(c, logs=logs) / eta_col
+        grad = rt * np.diff(logs) / h
+        g_prime = rt / (h * c)
+        total = np.sum(alpha_col * alpha_col * w, axis=0)
+        mult = np.sum(alpha_col * w * grad, axis=0) / total
+        outer = (alpha_col * w / total).T[:, :, None]
+        scale = dt / (friction * h)
+        blocks = []
+        for w_side, g_side in zip(
+            logarithmic_mean_partials(c) / eta_col, (-g_prime[:, :-1], g_prime[:, 1:])
+        ):
+            inner = alpha_col * (w_side * (grad - alpha_col * mult) + w * g_side)
+            block = outer * inner.T[:, None, :]
+            block[:, idx, idx] += (w_side * (alpha_col * mult - grad) - w * g_side).T
+            blocks.append(scale * block)
+        left, right = blocks  # d(dt div j / friction) from interface k's two cells
+        diagonal = np.zeros((cells, species, species))
+        diagonal[:-1] += left
+        diagonal[1:] -= right
+        # entry (k m + i, k' m + l) sits in row band + i - l + (k - k') m and
+        # column k' m + l; the blocks (k, k + 1) are right, (k + 1, k) -left
+        ab = np.zeros((2 * band + 1, species * cells))
+        for i in range(species):
+            for l in range(species):
+                ab[band + i - l, l::species] = diagonal[:, i, l]
+                ab[band + i - l - species, species + l :: species] = right[:, i, l]
+                ab[band + i - l + species, l : (cells - 1) * species : species] = -left[:, i, l]
+        ab[band] += 1.0
+        return ab
+
+    return residual, jacobian
 
 
 def _convex_splitting_step(problem: FlowProblem, z, dt: float):
@@ -628,8 +750,9 @@ def _convex_splitting_step(problem: FlowProblem, z, dt: float):
 def _newton_march(x0, dt, residual, newton_update, tol, *, admissible=None):
     """Cover dt by implicit steps, each solved by Newton from its start.
 
-    The one Newton loop of the package: backward-Euler Fokker-Planck,
-    Eyre's phase-field step and the JKO minimizing movement all run on it.
+    The one Newton loop of the package: backward-Euler Fokker-Planck and
+    multicomponent diffusion, Eyre's phase-field step and the JKO
+    minimizing movement all run on it.
     ``residual(x, x_prev, dt)`` is a step's residual, ``newton_update(x, r,
     dt)`` the Newton update -J(x)^{-1} r, which each caller takes with its
     own banded solver, and ``tol(x_prev, dt)`` the bound on |R|_inf at

@@ -5,16 +5,18 @@ constraint, and the Allen-Cahn / Cahn-Hilliard phase-field flows.
 The grid solvers use conservative interface fluxes (no-flux ends) and
 record per-step energy and mass so that dissipation and conservation can be
 asserted rather than assumed.  The explicit Fokker-Planck and phase-field
-schemes raise CflError beyond their stability bounds; the multicomponent
-march has no guard, and a dt too large for it raises PositivityError.
-Two have implicit schemes with no step-size bound, both stepped by
-:func:`gradflow.gradient_flow.implicit_step`:
-``fokker_planck_solve(..., scheme="implicit")`` by backward Euler, and
+schemes raise CflError beyond their stability bounds; the explicit
+multicomponent march has no guard, and a dt too large for it raises
+PositivityError.  Three have implicit schemes with no step-size bound, all
+stepped by :func:`gradflow.gradient_flow.implicit_step`:
+``fokker_planck_solve(..., scheme="implicit")`` and
+``multicomponent_evolve(..., scheme="implicit")`` by backward Euler, and
 ``allen_cahn_solve`` / ``cahn_hilliard_solve(..., scheme="implicit")`` by
 Eyre's convex splitting (the Dirichlet energy and the convex quartic of
 the double well at the new state, its concave quadratic at the old one),
-whose energy does not rise for any dt.  The ``fokker_planck`` and
-``phasefield`` experiments run the implicit schemes.
+whose energy does not rise for any dt.  The ``fokker_planck``,
+``multicomponent`` and ``phasefield`` experiments run the implicit
+schemes.
 
 Every interface density is the logarithmic mean L
 (:func:`gradflow._grid.logarithmic_interface_mean`), the Wasserstein
@@ -22,9 +24,9 @@ mobility of :mod:`gradflow.gradient_flow`.  Drift terms are
 :func:`gradflow._grid.free_energy_flux`, so the discrete Boltzmann profile
 exp(-V/RT) is an exact fixed point of the scheme; the species fluxes of the
 multicomponent model carry L(c_i) too, so its energy rate is exactly minus
-its dissipation.  The multicomponent model (a species dissipation, stepped by
-``local_step``) and the phase fields (L^2 or H^-1, ``local_step`` or
-``implicit_step``) are ``FlowProblem``s; they and the implicit Fokker-Planck
+its dissipation.  The multicomponent model (a species dissipation) and the
+phase fields (L^2 or H^-1), each stepped by ``local_step`` or
+``implicit_step``, are ``FlowProblem``s; they and the implicit Fokker-Planck
 scheme run through the engine's one march loop,
 ``gradflow.gradient_flow._march``, which also steps the JKO scheme.
 
@@ -186,20 +188,29 @@ class MultiSpeciesState:
         return self.concentrations
 
     def with_values(self, c) -> "MultiSpeciesState":
-        """The state with concentrations c (a step of ``local_step``),
-        retracted onto the constraint.
+        """The state with concentrations c (a step of ``local_step`` or
+        ``implicit_step``), retracted onto the constraint.
 
-        A concentration below POSITIVITY_FLOOR raises PositivityError and a
-        fill drift above CONSTRAINT_HARD_LIMIT raises ConstraintError; within
-        that bound, dividing c by its fill sum_i alpha_i c_i is a hygiene
-        step, not dynamics."""
-        if np.min(c) < POSITIVITY_FLOOR:
+        A concentration below POSITIVITY_FLOOR (or not a number) raises
+        PositivityError and a fill drift above CONSTRAINT_HARD_LIMIT raises
+        ConstraintError; within that bound, dividing c by its fill
+        sum_i alpha_i c_i is a hygiene step, not dynamics.  Only c is checked
+        and frozen: the new state shares this one's read-only molar volumes
+        and frictions."""
+        c = np.asarray(c, dtype=float)
+        if c.shape != self.concentrations.shape:
+            raise ValueError(f"expected concentrations of shape {self.concentrations.shape}")
+        if not np.min(c) >= POSITIVITY_FLOOR:
             raise PositivityError("a concentration fell below the positivity floor; reduce dt")
         fill = self.molar_volumes @ c
         drift = float(np.abs(fill - 1.0).max())
-        if drift > CONSTRAINT_HARD_LIMIT:
+        if not drift <= CONSTRAINT_HARD_LIMIT:
             raise ConstraintError(f"volume constraint drift {drift:.2e} exceeds 1e-6")
-        return MultiSpeciesState(self.a, self.b, c / fill, self.molar_volumes, self.frictions)
+        c = c / fill
+        c.flags.writeable = False
+        state = object.__new__(MultiSpeciesState)
+        state.__dict__.update(self.__dict__, concentrations=c)
+        return state
 
     def masses(self) -> np.ndarray:
         return self.h * self.concentrations.sum(axis=1)
@@ -392,19 +403,34 @@ def multicomponent_evolve(
     mode: str = "global",
     *,
     store_every: Optional[int] = None,
+    scheme: str = "explicit",
 ) -> GridTrajectory:
-    """March ``local_step`` of the ideal-mixture free energy
-    RT sum_i int c_i log(c_i / c0) (the engine's grid free energy of the
-    (m, cells) concentrations) with the species dissipation of one balance
-    ``mode``, "global" (pressure) or "local" (pointwise multiplier);
-    records energies, masses and the constraint violation."""
+    """March the ideal-mixture free energy RT sum_i int c_i log(c_i / c0)
+    (the engine's grid free energy of the (m, cells) concentrations) with
+    the species dissipation of one balance ``mode``, "global" (pressure) or
+    "local" (pointwise multiplier); records energies, masses and the
+    constraint violation.
+
+    ``scheme="explicit"`` marches ``local_step``; it has no step guard, and
+    a dt too large for it raises PositivityError.  ``scheme="implicit"``
+    marches :func:`gradflow.gradient_flow.implicit_step`, backward Euler on
+    the exact banded Jacobian of the species fluxes, with no step-size
+    bound: every step stays positive and on the constraint, and since the
+    energy is convex an exact step does not raise it.  Both are first
+    order in dt."""
     if mode not in ("global", "local"):
         raise ValueError(f"mode must be 'global' or 'local', got {mode!r}")
+    if scheme == "explicit":
+        stepper = local_step
+    elif scheme == "implicit":
+        stepper = implicit_step
+    else:
+        raise ValueError(f"scheme must be 'explicit' or 'implicit', got {scheme!r}")
     energy = EnergyFunctional.grid_free_energy(constants=constants)
     problem = FlowProblem(energy, QuadraticDissipation(f"species_{mode}"))
     return _march(
         state,
-        lambda s: local_step(problem, s, dt),
+        lambda s: stepper(problem, s, dt),
         steps,
         dt,
         store_every,

@@ -413,6 +413,34 @@ class TestRunCommand:
 
     @pytest.mark.parametrize(
         "parameters",
+        [{"dt": 2e-4}, {"dt": 1e-2}, {"alpha": [1, 3], "eta": [1, 5], "dt": 1e-2}],
+        ids=["dt-2e-4", "dt-1e-2", "skewed-pair-dt-1e-2"],
+    )
+    def test_multicomponent_runs_past_the_explicit_step_bound(self, tmp_path, capsys, parameters):
+        # backward Euler: the explicit march left the positive cone at step
+        # 10 of dt 2e-4, after validate had accepted the config
+        obj = {"experiment": "multicomponent", "parameters": parameters}
+        path = write_config(tmp_path, obj)
+        assert validate(path) == (EXIT_OK, ["ok"])
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out_dir)]) == EXIT_OK
+        capsys.readouterr()
+        invariants = json.loads((out_dir / "summary.json").read_text())["invariants"]
+        assert {"global_volume_constraint", "local_energy_nonincreasing"} <= set(invariants)
+        assert all(inv["passed"] for inv in invariants.values())
+
+    def test_symmetric_multicomponent_reference_has_the_species_friction(self, tmp_path, capsys):
+        # the single-species reference took the friction of the constants
+        # block (1), not eta[0], and failed matches_single_species by 1.4e-2
+        obj = {"experiment": "multicomponent", "parameters": {"eta": [3, 3]}}
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, obj)), "--out", str(out_dir)]) == EXIT_OK
+        capsys.readouterr()
+        invariants = json.loads((out_dir / "summary.json").read_text())["invariants"]
+        assert invariants["matches_single_species"]["value"] <= 1e-6
+
+    @pytest.mark.parametrize(
+        "parameters",
         [
             {"cells": 128},
             {"dt": 0.2},

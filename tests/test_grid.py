@@ -90,3 +90,29 @@ class TestLogarithmicMeanPartials:
         )
         assert d_left[0] == pytest.approx(fd_left, rel=1e-9, abs=0)
         assert d_right[0] == pytest.approx(fd_right, rel=1e-9, abs=0)
+
+    def test_relative_error_against_mpmath(self):
+        # u = (b - a) / (a + b) on both sides of the LOG_MEAN_NEAR switch, b
+        # above and below a; the quotient (L/a - 1) / (log b - log a) erred
+        # by up to 1e-5 just above the switch
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mpmath.workdps(40):
+            for a in np.logspace(-8.0, 8.0, 17):
+                for u in np.logspace(-15.0, -2.0, 53):
+                    for b in (a * (1.0 + u) / (1.0 - u), a * (1.0 - u) / (1.0 + u)):
+                        got = logarithmic_mean_partials(np.array([a, b]))[:, 0]
+                        x, y = mpmath.mpf(a), mpmath.mpf(b)
+                        dlog = mpmath.log(y) - mpmath.log(x)
+                        mean = (y - x) / dlog
+                        exact = ((mean / x - 1) / dlog, (1 - mean / y) / dlog)
+                        for value, reference in zip(got, exact):
+                            worst = max(worst, float(abs((value - reference) / reference)))
+        assert worst <= 1e-9
+
+    def test_taken_along_the_last_axis(self):
+        rows = np.random.default_rng(3).uniform(0.01, 5.0, (3, 20))
+        stacked = logarithmic_mean_partials(rows)
+        assert stacked.shape == (2, 3, 19)
+        for i, row in enumerate(rows):
+            assert np.array_equal(stacked[:, i], logarithmic_mean_partials(row))

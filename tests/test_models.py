@@ -382,6 +382,154 @@ class TestMulticomponent:
                 local_step(species_problem(mode), state, 1e-6)
 
 
+def banded_to_dense(ab, band):
+    """The square matrix of a solve_banded layout with band rows each side."""
+    size = ab.shape[1]
+    dense = np.zeros((size, size))
+    for row in range(size):
+        for col in range(max(0, row - band), min(size, row + band + 1)):
+            dense[row, col] = ab[band + row - col, col]
+    return dense
+
+
+class TestImplicitMulticomponent:
+    """Backward Euler on the species kinds: implicit_step, scheme="implicit"."""
+
+    @pytest.mark.parametrize("mode", ["local", "global"])
+    @pytest.mark.parametrize("species", [2, 3])
+    def test_jacobian_matches_central_differences(self, mode, species):
+        rng = np.random.default_rng(species)
+        fractions = rng.uniform(0.05, 1.0, (species, 12))
+        fractions /= fractions.sum(axis=0)
+        alpha = rng.uniform(0.2, 5.0, species)
+        state = MultiSpeciesState(
+            0.0, 1.3, fractions / alpha[:, None], alpha, rng.uniform(0.1, 10.0, species)
+        )
+        problem = FlowProblem(
+            EnergyFunctional.grid_free_energy(rt=1.7, c0=0.8),
+            QuadraticDissipation(f"species_{mode}", 1.3),
+        )
+        residual, jacobian = gradient_flow._species_system(problem, state)
+        c_prev = state.concentrations
+        c = c_prev * np.exp(0.1 * rng.normal(size=c_prev.shape))
+        dt = 0.1  # the flux part of R outweighs its identity part
+        exact = banded_to_dense(jacobian(c, dt), 2 * species - 1)
+        central = np.empty_like(exact)
+        for col in range(c.size):
+            cell, i = divmod(col, species)  # cell-major unknowns
+            step = np.zeros_like(c)
+            step[i, cell] = 1e-6 * c[i, cell]
+            diff = residual(c + step, c_prev, dt) - residual(c - step, c_prev, dt)
+            central[:, col] = (diff / (2.0 * step[i, cell])).T.ravel()
+        assert np.abs(exact - central).max() <= 1e-6 * np.abs(central).max()
+
+    @pytest.mark.parametrize("dt", [1e-3, 1e-2])
+    def test_skewed_pair_modes_agree_and_descend(self, dt):
+        state = skewed_pair()
+        global_, local = (
+            multicomponent_evolve(state, RT1, dt, round(4e-2 / dt), mode, scheme="implicit")
+            for mode in ("global", "local")
+        )
+        gap = np.abs(global_.final.concentrations - local.final.concentrations).max()
+        assert gap <= 1e-10
+        for traj in (global_, local):
+            assert np.all(np.diff(traj.energies) < 0.0)
+            assert traj.extra["constraint_max_violation"].max() <= 1e-8
+            masses = [snapshot.masses() for snapshot in traj.snapshots]
+            assert np.abs(masses[-1] - masses[0]).max() <= 1e-10
+
+    def test_symmetric_pair_matches_implicit_single_species(self):
+        # for equal molar volumes and frictions the species-1 residual is
+        # the backward-Euler Fokker-Planck residual of species 1
+        profile = lambda x: 0.25 + 0.08 * np.sin(2 * math.pi * x)
+        state = make_two_species(profile, cells=100)
+        dt, steps = 1e-3, 20
+        traj = multicomponent_evolve(state, RT1, dt, steps, mode="global", scheme="implicit")
+        grid = GridDensity1D(0.0, 1.0, np.ones(100))
+        single = fokker_planck_solve(
+            grid.with_values(profile(grid.centers)), RT1, None, dt * steps, dt, scheme="implicit"
+        )
+        assert np.abs(traj.final.concentrations[0] - single.final.values).max() <= 1e-6
+
+    def test_first_order_in_dt(self):
+        # distance at T = 1e-2 to the explicit march at dt = 1e-5 (9.2e-4 at
+        # dt = 1e-3 on the symmetric default) halves with dt
+        state = skewed_pair()
+        reference = multicomponent_evolve(state, RT1, 1e-5, 1000, "global").final.concentrations
+        errors = []
+        for dt in (2e-3, 1e-3):
+            traj = multicomponent_evolve(state, RT1, dt, round(1e-2 / dt), "global", scheme="implicit")
+            errors.append(np.abs(traj.final.concentrations - reference).max())
+        assert 1.8 <= errors[0] / errors[1] <= 2.2
+
+    def test_at_most_three_newton_iterations_per_step(self, monkeypatch):
+        counts = []
+        march = gradient_flow._newton_march
+
+        def counted(*args, **kwargs):
+            out = march(*args, **kwargs)
+            counts.append(out[1])
+            return out
+
+        monkeypatch.setattr(gradient_flow, "_newton_march", counted)
+        # the experiment's default mixture at its dt, and the skewed pair at 10x it
+        default = make_two_species(lambda x: 0.25 + 0.08 * np.sin(2 * math.pi * x), cells=64)
+        for state, dt in ((default, 1e-3), (skewed_pair(), 1e-2)):
+            for mode in ("global", "local"):
+                multicomponent_evolve(state, RT1, dt, 5, mode, scheme="implicit")
+        assert len(counts) == 20
+        assert 1 <= min(counts) and max(counts) <= 3
+
+    def test_uniform_mixture_is_returned_as_it_is(self):
+        state = make_two_species(lambda x: np.full_like(x, 0.2))
+        for mode in ("global", "local"):
+            assert implicit_step(species_problem(mode), state, 1.0) is state
+
+    def test_rejected_inputs(self):
+        state = skewed_pair()
+        with pytest.raises(ValueError, match="scheme"):
+            multicomponent_evolve(state, RT1, 1e-3, 2, scheme="crank_nicolson")
+        vacuum = state.concentrations.copy()
+        vacuum[:, 3] = [0.0, 1.0 / 3.0]
+        empty = MultiSpeciesState(0.0, 1.0, vacuum, state.molar_volumes, state.frictions)
+        with pytest.raises(SingularWeightError):
+            implicit_step(species_problem("local"), empty, 1e-3)
+
+
+class TestMultiSpeciesWithValues:
+    def test_shares_the_frozen_parameters(self):
+        state = skewed_pair()
+        out = state.with_values(state.concentrations * 1.0000001)
+        assert out.molar_volumes is state.molar_volumes
+        assert out.frictions is state.frictions
+        for arr in (out.concentrations, out.molar_volumes, out.frictions):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            out.concentrations[0, 0] = 1.0
+
+    def test_matches_the_validated_constructor(self):
+        state = skewed_pair()
+        c = state.concentrations * (1.0 + 1e-7 * np.sin(np.arange(state.cells)))
+        fill = state.molar_volumes @ c
+        expected = MultiSpeciesState(0.0, 1.0, c / fill, state.molar_volumes, state.frictions)
+        assert_bitwise(state.with_values(c).concentrations, expected.concentrations)
+        assert state.with_values(c).constraint_violation() <= 1e-15
+
+    def test_checks_floor_drift_and_shape(self):
+        state = skewed_pair()
+        c = state.concentrations.copy()
+        c[1, 5] = 1e-15
+        with pytest.raises(PositivityError):
+            state.with_values(c)
+        c[1, 5] = np.nan
+        with pytest.raises(PositivityError):
+            state.with_values(c)
+        with pytest.raises(ConstraintError):
+            state.with_values(state.concentrations * 1.01)
+        with pytest.raises(ValueError, match="shape"):
+            state.with_values(state.concentrations[:, :-1])
+
+
 class TestPhaseField:
     def test_allen_cahn_wells_are_stationary(self):
         state = PhaseFieldState(0.0, 8.0, np.ones(32))
