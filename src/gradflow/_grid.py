@@ -23,8 +23,9 @@ LOG_MEAN_NEAR = 1e-5
 
 
 def interface_gradient(values: np.ndarray, h: float) -> np.ndarray:
-    """Gradient (v[i+1] - v[i]) / h at the n-1 interior interfaces."""
-    return np.diff(values) / h
+    """Gradient (v[i+1] - v[i]) / h at the n-1 interior interfaces (np.diff's
+    subtraction without its per-call overhead, a few microseconds)."""
+    return (values[..., 1:] - values[..., :-1]) / h
 
 
 def logarithmic_interface_mean(
@@ -159,7 +160,7 @@ def divergence_of_flux(flux: np.ndarray, h: float) -> np.ndarray:
     """
     padded = np.zeros(flux.shape[:-1] + (flux.shape[-1] + 2,))
     padded[..., 1:-1] = flux
-    return np.diff(padded) / h
+    return (padded[..., 1:] - padded[..., :-1]) / h
 
 
 def laplacian_neumann(values: np.ndarray, h: float) -> np.ndarray:

@@ -20,7 +20,9 @@ DF to rounding: the chain rule of the flow holds for the discrete (F, psi)
 themselves, not only in the limit h -> 0.
 
 The two species kinds carry the same log-mean mobility for m species
-under the volume constraint sum_i alpha_i c_i = 1 (Mielke 2011).
+under the volume constraint sum_i alpha_i c_i = 1 (Mielke 2011); the
+Wasserstein kind is their one-species case without the constraint, and one
+backward-Euler system steps all three.
 
 The time steppers share one march loop, ``_march``: it applies a step
 function and records the energy, mass and named diagnostics of every state,
@@ -90,12 +92,11 @@ SPECIES_KINDS = ("species_local", "species_global")
 # solve stops at a gradient sup-norm (in mass coordinates) of NEWTON_TOL
 NEWTON_TOL = 1e-9
 MAX_NEWTON = 200
-# the backward-Euler Newton solves stop at |R|_inf <= IMPLICIT_TOL max c_prev
-# (1 + dt rt / (eta h^2)), eta the friction (of a species flow, the smallest
-# species friction times the coefficient): the residual's rounding floor is
-# near 3e-11 of that scale on the 200-cell gravity column, and 1e-12 stalls
-# some steps at the iteration cap.  Where it fails, dt is halved, at most
-# MAX_SPLITS times deep.
+# the backward-Euler Newton solve stops at |R|_inf <= IMPLICIT_TOL times the
+# scale given in implicit_step: the residual's rounding floor is near 3e-11 of
+# that scale on the 200-cell gravity column, and 1e-12 stalls some steps at
+# the iteration cap.  Where it fails, dt is halved, at most MAX_SPLITS times
+# deep.
 IMPLICIT_TOL = 1e-10
 MAX_SPLITS = 12
 # the convex-splitting Newton solve of the phase fields stops at |R|_inf <=
@@ -141,7 +142,7 @@ class QuadraticDissipation:
     wasserstein    psi = (c/2) ||s||^2_{-1,rho}   (state must be GridDensity1D)
     hminus1        psi = (c/2) ||s||^2_{H^-1}     (unweighted Neumann solve)
     species_local  psi = (c/2) h sum_i sum eta_i j_i^2 / L(c_i), j_i the
-    species_global fluxes of the rate, s_i = -div j_i (see _species_fluxes)
+    species_global fluxes of the rate, s_i = -div j_i (see _volume_constrained)
 
     The species kinds read ``concentrations`` (m, cells), ``molar_volumes``,
     ``frictions`` and ``h`` of a :class:`gradflow.models.MultiSpeciesState`.
@@ -173,6 +174,8 @@ class QuadraticDissipation:
         if self.kind == "wasserstein":
             norm_sq, _ = local_w_norm(self._density(state), s)
             return 0.5 * c * norm_sq
+        if self.kind in SPECIES_KINDS and np.min(state.concentrations) <= 0.0:
+            raise SingularWeightError("vacuum cell: the log-mean mobility is singular")
         scale = max(1.0, float(np.abs(s).max(initial=0.0)))
         if np.any(np.abs(h * s.sum(axis=-1)) > 1e-10 * scale):
             raise ValueError("H^-1 and species norms need a rate that conserves each mass")
@@ -213,24 +216,27 @@ class QuadraticDissipation:
 
         K is minus the divergence form (-div(L(rho) grad xi), L the
         logarithmic interface mean, resp. -lap xi), so that <xi, K xi> is
-        the nonnegative dual norm.  For the species kinds it is div j, j the
-        fluxes of :func:`_species_fluxes`.
+        the nonnegative dual norm.  For the species kinds the fluxes
+        w_i grad xi_i, w_i = L(c_i) / eta_i, carry the volume constraint's
+        correction (:func:`_volume_constrained`).
         """
         c = self.coefficient
         xi = np.asarray(force, dtype=float)
         if self.kind in ("scalar", "l2"):
             return xi / c
         h = _h_of(state)
-        if self.kind == "wasserstein":
-            weights = logarithmic_interface_mean(self._density(state).values)
-            return -divergence_of_flux(weights * interface_gradient(xi, h), h) / c
         if self.kind == "hminus1":
             return -laplacian_neumann(xi, h) / c
-        fluxes = _species_fluxes(
-            state.concentrations, state.molar_volumes, state.frictions, h, xi,
-            pressure=self.kind == "species_global",
-        )
-        return divergence_of_flux(fluxes, h) / c
+        if self.kind == "wasserstein":
+            weights = logarithmic_interface_mean(self._density(state).values)
+            fluxes = weights * interface_gradient(xi, h)
+        else:
+            weights = logarithmic_interface_mean(state.concentrations) / state.frictions[:, None]
+            fluxes = _volume_constrained(
+                weights * interface_gradient(xi, h), weights, state.molar_volumes[:, None], h,
+                pressure=self.kind == "species_global",
+            )
+        return -divergence_of_flux(fluxes, h) / c
 
     # -- helpers ---------------------------------------------------------
 
@@ -240,38 +246,35 @@ class QuadraticDissipation:
         return state
 
 
-def _species_fluxes(c, alpha, eta, h, xi: np.ndarray, pressure: bool) -> np.ndarray:
-    """Fluxes j_i = w_i (-grad xi_i + alpha_i m), w_i = L(c_i) / eta_i, of
-    species with (m, cells) concentrations c, molar volumes alpha and
-    frictions eta under the volume constraint.  sum_i alpha_i j_i = W m - D
-    with W = sum_i alpha_i^2 w_i and D = sum_i alpha_i w_i grad xi_i: the
+def _volume_constrained(fluxes, weights, alpha, h, pressure: bool) -> np.ndarray:
+    """Species fluxes F_i - alpha_i w_i m under the volume constraint
+    sum_i alpha_i c_i = 1, from (m, cells - 1) unconstrained fluxes F, the
+    weights w_i = L(c_i) / eta_i of species with frictions eta_i and an
+    (m, 1) column of molar volumes alpha.  sum_i alpha_i (F_i - alpha_i w_i m)
+    = D - W m with D = sum_i alpha_i F_i and W = sum_i alpha_i^2 w_i: the
     local closure zeroes it with m = D / W, the global one zeroes its
     divergence with m = grad p, div(W grad p) = div D (the Neumann
-    pressure), which in 1D integrates once to the local m.  Either way
-    <xi, div j> = h sum_i sum eta_i j_i^2 / L(c_i).
+    pressure), which in 1D integrates once to the local m.  Either way, for
+    F_i = w_i grad xi_i, <xi, -div J> = h sum_i sum eta_i J_i^2 / L(c_i).
     """
-    alpha = alpha[:, None]
-    weights = logarithmic_interface_mean(c) / eta[:, None]
-    grad = interface_gradient(xi, h)
-    drive = np.sum(alpha * weights * grad, axis=0)
+    drive = np.sum(alpha * fluxes, axis=0)
     total = np.sum(alpha * alpha * weights, axis=0)
     if pressure:  # weighted_poisson_neumann solves -(w p')' = rhs
         p = weighted_poisson_neumann(total, -divergence_of_flux(drive, h), h)
         mult = interface_gradient(p, h)
     else:
         mult = drive / total
-    return weights * (alpha * mult - grad)
+    return fluxes - alpha * weights * mult
 
 
-def _as_callable(f, centers: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    if f is None:
-        return lambda x: np.zeros_like(x)
+def _potential_values(f, centers: np.ndarray) -> np.ndarray:
+    """A potential (callable on positions or a per-cell array) at the cells."""
     if callable(f):
-        return f
+        return f(centers)
     arr = np.asarray(f, dtype=float)
     if arr.shape != centers.shape:
         raise ValueError("potential array must match the grid")
-    return lambda x, arr=arr: arr
+    return arr
 
 
 def _drift_potential(rho: GridDensity1D, potential=None, interaction=None, internal=None):
@@ -279,7 +282,7 @@ def _drift_potential(rho: GridDensity1D, potential=None, interaction=None, inter
     the potential of :func:`gradflow._grid.free_energy_flux`."""
     parts = []
     if potential is not None:
-        parts.append(_as_callable(potential, rho.centers)(rho.centers))
+        parts.append(_potential_values(potential, rho.centers))
     if interaction is not None:
         parts.append(pair_potential(rho.values, rho.h, interaction))
     if internal is not None:
@@ -358,7 +361,7 @@ class EnergyFunctional:
                 pos = v > 0.0
                 total += rt * rho.h * float(np.sum(v[pos] * np.log(v[pos] / c0)))
             if potential is not None:
-                V = _as_callable(potential, rho.centers)(rho.centers)
+                V = _potential_values(potential, rho.centers)
                 total += rho.h * float(np.sum(v * V))
             if interaction is not None:
                 pair = pair_potential(v, rho.h, interaction)
@@ -472,38 +475,33 @@ def local_step(problem: FlowProblem, z, dt: float):
 def implicit_step(problem: FlowProblem, z, dt: float):
     """One implicit step over dt, with no step-size bound, of
 
-    * a Wasserstein flow of entropy plus potential, by backward Euler,
-    * a species flow of the mixing entropy (``species_local`` or
-      ``species_global`` dissipation), by backward Euler
-      (:func:`_species_step`), or
+    * a Wasserstein flow of entropy plus potential or a species flow of the
+      mixing entropy (``species_local`` or ``species_global`` dissipation),
+      by backward Euler, or
     * a Dirichlet double-well flow (L^2 or H^-1 dissipation: Allen-Cahn or
       Cahn-Hilliard), by Eyre's convex splitting
       (:func:`_convex_splitting_step`).
 
-    Backward Euler solves R(c) = 0 for the residual
-
-        R(c) = c - c_prev - (dt / eta) div(free_energy_flux(c, V, rt, 1, h)),
-
-    eta the friction coefficient.  The flux (rt grad c + L(c) grad V) / eta
-    is that of the explicit step, L(c) grad DF(c) / eta, by the log-mean
-    identity L(c) grad log c = grad c: mass is conserved to rounding, and the
-    discrete Boltzmann state exp(-V/rt) is a fixed point, returned unchanged
-    without a Newton iteration.  R = 0 is solved by Newton on the exact
-    tridiagonal Jacobian (one banded solve per iteration), each update
-    halved until every cell stays positive, until
-    |R|_inf <= IMPLICIT_TOL max c_prev (1 + dt rt / (eta h^2)).  A state
-    already within that tolerance is returned as it is, so a march settles
-    within about the tolerance of the fixed point.
+    Backward Euler solves R(c) = c - c_prev - (dt / eta) div J(c) = 0 on
+    the concentrations (:func:`_backward_euler_system`), eta the dissipation
+    coefficient and J the Fokker-Planck flux of each species, with the
+    volume constraint's correction for the species kinds.  By the log-mean
+    identity L(c) grad log c = grad c, R is the explicit step's update taken
+    at the new state: mass is conserved to rounding, and a Wasserstein
+    flow's discrete Boltzmann state exp(-V/rt) is a fixed point, returned
+    unchanged without a Newton iteration.  R = 0 is solved by Newton on the
+    exact banded Jacobian, one banded solve per iteration, each update
+    halved until every concentration stays positive, until |R|_inf <=
+    IMPLICIT_TOL max c_prev (1 + dt rt / (eta_min h^2)), eta_min eta times
+    the smallest species friction (1 for a Wasserstein flow).  Only the
+    result becomes a state, through ``with_values``; a state already within
+    that tolerance is returned as it is, so a march settles within about
+    the tolerance of the fixed point.
 
     Newton started at c_prev can fail when strong drift moves much mass
     within dt; the interval is then covered by halved steps (see
     :func:`_newton_march`).  Every such step conserves mass, and since F is
     convex an exact step does not raise it.
-
-    The species step solves c - c_prev + dt K(c) DF(c) = 0, the explicit
-    step's update taken at the new state, by the same Newton loop on an
-    exact banded Jacobian that serves both closures
-    (:func:`_species_system`).
 
     Interaction and internal energies couple more than neighbouring cells
     and raise NotImplementedError, as does a potential on a species flow; a
@@ -524,35 +522,22 @@ def implicit_step(problem: FlowProblem, z, dt: float):
         raise NotImplementedError("implicit_step supports entropy + potential energies only")
     if np.min(z.values) <= 0.0:
         raise SingularWeightError("vacuum cell: the log-mean mobility is singular")
-    if species:
-        return _species_step(problem, z, dt)
-    h, rt, eta = z.h, energy.rt, problem.dissipation.coefficient
-    potential = _drift_potential(z, energy.potential)
-    grad_V = None if potential is None else interface_gradient(potential, h)
-
-    def residual(c, c_prev, dt):
-        flux = free_energy_flux(c, potential, rt, 1.0, h)
-        return c - c_prev - dt / eta * divergence_of_flux(flux, h)
+    if species and energy.potential is not None:
+        raise NotImplementedError("the implicit species step supports the mixing entropy only")
+    residual, jacobian = _backward_euler_system(problem, z)
 
     def newton_update(c, r, dt):
-        # d flux_i / d c_i and d flux_i / d c_{i+1}
-        left = np.full(c.size - 1, -rt / h)
-        right = np.full(c.size - 1, rt / h)
-        if grad_V is not None:
-            d_left, d_right = logarithmic_mean_partials(c)
-            left += d_left * grad_V
-            right += d_right * grad_V
-        k = dt / eta / h
-        ab = np.zeros((3, c.size))
-        ab[0, 1:] = -k * right
-        ab[1] = 1.0
-        ab[1, :-1] -= k * left
-        ab[1, 1:] += k * right
-        ab[2, :-1] = k * left
-        return solve_banded((1, 1), ab, -r)
+        ab = jacobian(c, dt)
+        band = ab.shape[0] // 2
+        # the cell-major unknowns (cell * m + species) are c.T flattened
+        delta = solve_banded((band, band), ab, -r.ravel("F"))
+        return delta.reshape(c.shape[::-1]).T
+
+    h, rt = z.h, energy.rt
+    eta_min = problem.dissipation.coefficient * (float(z.frictions.min()) if species else 1.0)
 
     def tol(c_prev, dt):
-        return IMPLICIT_TOL * float(c_prev.max()) * (1.0 + dt / eta * rt / (h * h))
+        return IMPLICIT_TOL * float(c_prev.max()) * (1.0 + dt / eta_min * rt / (h * h))
 
     c, _ = _newton_march(
         z.values, dt, residual, newton_update, tol, admissible=lambda c: np.min(c) > 0.0
@@ -560,104 +545,79 @@ def implicit_step(problem: FlowProblem, z, dt: float):
     return z if c is z.values else z.with_values(c)
 
 
-def _species_step(problem: FlowProblem, z, dt: float):
-    """Backward-Euler step of a species flow: R(c) = c - c_prev + dt K(c) DF(c)
-    = 0 on the (m, cells) concentrations, DF(c) = rt (log(c / c0) + 1) and K
-    the mobility of ``apply_mobility``, so R is the explicit step's update
-    taken at the new state.  Newton runs on plain arrays with the banded
-    Jacobian of :func:`_species_system`, each update halved until every
-    concentration stays positive, until |R|_inf <= IMPLICIT_TOL max c_prev
-    (1 + dt rt / (eta_min h^2)), eta_min the smallest friction times the
-    dissipation coefficient.  Only the result becomes a state, through
-    ``with_values``; a start already within the tolerance is returned as it
-    is.
-    """
-    if problem.energy.potential is not None:
-        raise NotImplementedError("the implicit species step supports the mixing entropy only")
-    c_start = z.concentrations
-    species, cells = c_start.shape
-    band = 2 * species - 1
-    residual, jacobian = _species_system(problem, z)
+def _backward_euler_system(problem: FlowProblem, z):
+    """The residual ``R(c, c_prev, dt)`` of the backward-Euler step on the
+    grid (and species parameters) of z, and its exact Jacobian
+    ``jacobian(c, dt)`` in ``solve_banded`` layout.
 
-    def newton_update(c, r, dt):
-        delta = solve_banded((band, band), jacobian(c, dt), -r.T.ravel())
-        return delta.reshape(cells, species).T
+    c is the (cells,) density of a Wasserstein state or the (m, cells)
+    concentrations of a species state; R(c) = c - c_prev - (dt / kappa)
+    div J(c), kappa the dissipation coefficient.  Species i carries the
+    Fokker-Planck flux F_i = free_energy_flux(c_i, V, rt, eta_i, h) (eta = 1
+    for the Wasserstein kind), minus, for the species kinds, the constraint
+    term alpha_i w_i m of :func:`_volume_constrained`, w_i = L(c_i) / eta_i.
+    An interface's J depends on its two cells alone, and its m x m
+    derivatives in either cell are a diagonal plus a rank-one term,
 
-    eta_min = problem.dissipation.coefficient * float(z.frictions.min())
-    stiffness = problem.energy.rt / (eta_min * z.h**2)
+        dJ_i/dc_l = delta_il d_i - (alpha_i w_i / W) alpha_l d_l,
+        d_i = (-+rt / h + L_i' grad V) / eta_i - alpha_i w_i' m,
 
-    def tol(c_prev, dt):
-        return IMPLICIT_TOL * float(c_prev.max()) * (1.0 + dt * stiffness)
-
-    c, _ = _newton_march(
-        c_start, dt, residual, newton_update, tol, admissible=lambda c: np.min(c) > 0.0
-    )
-    return z if c is c_start else z.with_values(c)
-
-
-def _species_system(problem: FlowProblem, z):
-    """The residual ``R(c, c_prev, dt)`` of the backward-Euler species step
-    on the grid, molar volumes and frictions of state z, and its exact
-    Jacobian ``jacobian(c, dt)`` in ``solve_banded`` layout.
-
-    Each interface flux j_i = w_i (alpha_i m - g_i) depends on the 2m
-    concentrations of its two cells alone, through w_i = L(c_i) / eta_i,
-    g_i = grad DF_i and m = D / W (in 1D the global pressure closure gives
-    the same m, so one Jacobian serves both).  Its m x m derivatives in
-    the left and the right cell are a diagonal plus a rank-one term,
-
-        dj_i/dc_l = delta_il (w_i' (alpha_i m - g_i) - w_i g_i')
-                    + (w_i alpha_i / W) alpha_l (w_l' (g_l - alpha_l m) + w_l g_l'),
-
-    with w' from ``logarithmic_mean_partials`` and g' = -rt / (h c) on the
-    left, +rt / (h c) on the right.  Ordered cell-major (index
-    cell * m + species), the Jacobian is block tridiagonal, banded
-    (2m - 1, 2m - 1).
+    L' from ``logarithmic_mean_partials``, W = sum_i alpha_i^2 w_i and m =
+    sum_i alpha_i F_i / W the local multiplier (in 1D the global pressure
+    gives the same m, so one Jacobian serves both closures); the Wasserstein
+    kind has m = 1 and neither constraint term.  Ordered cell-major (index
+    cell * m + species), the Jacobian is banded (2m - 1, 2m - 1).
     """
     energy, diss = problem.energy, problem.dissipation
-    alpha, eta, h = z.molar_volumes, z.frictions, z.h
-    rt, c0, friction = energy.rt, energy.c0, diss.coefficient
-    pressure = diss.kind == "species_global"
-    species, cells = z.concentrations.shape
-    band = 2 * species - 1
-    alpha_col, eta_col = alpha[:, None], eta[:, None]
-    idx = np.arange(species)
+    rt, h, friction = energy.rt, z.h, diss.coefficient
+    species = diss.kind in SPECIES_KINDS
+    if species:
+        alpha, eta = z.molar_volumes[:, None], z.frictions[:, None]
+        pressure, potential = diss.kind == "species_global", None
+        m, cells = z.values.shape
+        idx = np.arange(m)
+    else:
+        eta, potential = 1.0, _drift_potential(z, energy.potential)
+        m, cells = 1, z.values.size
+    band = 2 * m - 1
+    fick = np.array((-rt / h, rt / h))[:, None, None] / eta
+    # a potential drives the Wasserstein kind only, whose eta is 1
+    grad_V = None if potential is None else interface_gradient(potential, h)
 
     def residual(c, c_prev, dt):
-        df = rt * (np.log(c / c0) + 1.0)
-        fluxes = _species_fluxes(c, alpha, eta, h, df, pressure)
-        return c - c_prev + dt * (divergence_of_flux(fluxes, h) / friction)
+        flux = free_energy_flux(c, potential, rt, eta, h)
+        if species:
+            weights = logarithmic_interface_mean(c) / eta
+            flux = _volume_constrained(flux, weights, alpha, h, pressure)
+        return c - c_prev - dt / friction * divergence_of_flux(flux, h)
 
     def jacobian(c, dt):
-        logs = np.log(c)
-        w = logarithmic_interface_mean(c, logs=logs) / eta_col
-        grad = rt * np.diff(logs) / h
-        g_prime = rt / (h * c)
-        total = np.sum(alpha_col * alpha_col * w, axis=0)
-        mult = np.sum(alpha_col * w * grad, axis=0) / total
-        outer = (alpha_col * w / total).T[:, :, None]
-        scale = dt / (friction * h)
-        blocks = []
-        for w_side, g_side in zip(
-            logarithmic_mean_partials(c) / eta_col, (-g_prime[:, :-1], g_prime[:, 1:])
-        ):
-            inner = alpha_col * (w_side * (grad - alpha_col * mult) + w * g_side)
-            block = outer * inner.T[:, None, :]
-            block[:, idx, idx] += (w_side * (alpha_col * mult - grad) - w * g_side).T
-            blocks.append(scale * block)
-        left, right = blocks  # d(dt div j / friction) from interface k's two cells
-        diagonal = np.zeros((cells, species, species))
-        diagonal[:-1] += left
-        diagonal[1:] -= right
-        # entry (k m + i, k' m + l) sits in row band + i - l + (k - k') m and
-        # column k' m + l; the blocks (k, k + 1) are right, (k + 1, k) -left
-        ab = np.zeros((2 * band + 1, species * cells))
-        for i in range(species):
-            for l in range(species):
-                ab[band + i - l, l::species] = diagonal[:, i, l]
-                ab[band + i - l - species, species + l :: species] = right[:, i, l]
-                ab[band + i - l + species, l : (cells - 1) * species : species] = -left[:, i, l]
-        ab[band] += 1.0
+        c = c.reshape(m, cells)
+        # d_i at each interface's left and right cell: (2, m, cells - 1 or 1)
+        d = fick if grad_V is None else fick + logarithmic_mean_partials(c) * grad_V
+        if species:
+            w = logarithmic_interface_mean(c) / eta
+            total = np.sum(alpha * alpha * w, axis=0)
+            mult = np.sum(alpha * free_energy_flux(c, None, rt, eta, h), axis=0) / total
+            d = d - alpha * logarithmic_mean_partials(c) / eta * mult
+            blocks = -(alpha * w / total)[:, None] * (alpha * d)[:, None]
+            blocks[:, idx, idx] += d
+        else:
+            blocks = d[:, :, None]
+        # block (k, k) gets interface k's left and interface k - 1's right
+        # derivatives, blocks (k, k + 1) and (k + 1, k) one each; entry
+        # (k m + i, k' m + l) sits in row band + i - l + (k - k') m
+        ab = np.zeros((2 * band + 1, m * cells))
+        ab[band] = 1.0
+        scale = dt / friction / h
+        for i in range(m):
+            for l in range(m):
+                left, right = scale * blocks[:, i, l]
+                row = band + i - l
+                ab[row - m, m + l :: m] = -right
+                ab[row + m, l : (cells - 1) * m : m] = left
+                ab[row, l::m][:-1] -= left
+                ab[row, l::m][1:] += right
         return ab
 
     return residual, jacobian
@@ -870,8 +830,8 @@ def _march(
     """Apply ``step`` ``steps`` times, recording energy, mass and each named
     diagnostic of every state; snapshots are the start, every
     ``store_every``-th state (default: about 100 in all; at least 1 if
-    given) and the last one.  Positivity and constraint errors of a step are
-    raised again naming it.
+    given) and the last one.  Positivity, constraint and convergence errors
+    of a step are raised again naming it.
     """
     if store_every is None:
         store_every = max(1, steps // 100)
@@ -885,7 +845,7 @@ def _march(
         if k > 0:
             try:
                 cur = step(cur)
-            except (PositivityError, ConstraintError) as exc:
+            except (PositivityError, ConstraintError, ConvergenceError) as exc:
                 raise type(exc)(f"step {k}: {exc}") from exc
             if k % store_every == 0 or k == steps:
                 snapshot_steps.append(k)

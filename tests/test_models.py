@@ -381,6 +381,19 @@ class TestMulticomponent:
             with pytest.raises(SingularWeightError):
                 local_step(species_problem(mode), state, 1e-6)
 
+    @pytest.mark.parametrize("mode", ["global", "local"])
+    def test_vacuum_species_rejected_by_psi(self, mode):
+        # as for the Wasserstein psi: no division by the zero log mean
+        c1 = np.full(32, 0.25)
+        c1[3] = 0.0
+        state = MultiSpeciesState(
+            0.0, 1.0, np.stack([c1, 0.5 - c1]), np.array([2.0, 2.0]), np.array([1.0, 1.0])
+        )
+        rate = np.zeros((2, 32))
+        rate[0, 2:5] = rate[1, 5:8] = [1.0, 0.0, -1.0]
+        with pytest.raises(SingularWeightError):
+            species_problem(mode).dissipation.psi(state, rate)
+
 
 def banded_to_dense(ab, band):
     """The square matrix of a solve_banded layout with band rows each side."""
@@ -390,6 +403,33 @@ def banded_to_dense(ab, band):
         for col in range(max(0, row - band), min(size, row + band + 1)):
             dense[row, col] = ab[band + row - col, col]
     return dense
+
+
+def test_wasserstein_jacobian_matches_central_differences():
+    # one species without the constraint term: the tridiagonal case
+    rng = np.random.default_rng(5)
+    grid = GridDensity1D(0.0, 1.3, np.ones(12))
+    state = grid.with_values(rng.uniform(0.2, 2.0, grid.cells))
+    problem = FlowProblem(
+        EnergyFunctional.grid_free_energy(
+            rt=1.7, c0=0.8, potential=lambda x: 2.0 * np.sin(3.0 * x) + x * x
+        ),
+        QuadraticDissipation("wasserstein", 1.3),
+    )
+    residual, jacobian = gradient_flow._backward_euler_system(problem, state)
+    c_prev = state.values
+    c = c_prev * np.exp(0.1 * rng.normal(size=c_prev.shape))
+    dt = 0.1
+    ab = jacobian(c, dt)
+    assert ab.shape == (3, grid.cells)
+    exact = banded_to_dense(ab, 1)
+    central = np.empty_like(exact)
+    for col in range(c.size):
+        step = np.zeros_like(c)
+        step[col] = 1e-6 * c[col]
+        diff = residual(c + step, c_prev, dt) - residual(c - step, c_prev, dt)
+        central[:, col] = diff / (2.0 * step[col])
+    assert np.abs(exact - central).max() <= 1e-6 * np.abs(central).max()
 
 
 class TestImplicitMulticomponent:
@@ -409,7 +449,7 @@ class TestImplicitMulticomponent:
             EnergyFunctional.grid_free_energy(rt=1.7, c0=0.8),
             QuadraticDissipation(f"species_{mode}", 1.3),
         )
-        residual, jacobian = gradient_flow._species_system(problem, state)
+        residual, jacobian = gradient_flow._backward_euler_system(problem, state)
         c_prev = state.concentrations
         c = c_prev * np.exp(0.1 * rng.normal(size=c_prev.shape))
         dt = 0.1  # the flux part of R outweighs its identity part
@@ -654,6 +694,14 @@ class TestConvexSplitting:
         monkeypatch.setattr(gradient_flow, "MAX_SPLITS", 0)
         with pytest.raises(ConvergenceError):
             implicit_step(problem, state, 4.0)
+
+    def test_failed_newton_names_its_step(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        state = PhaseFieldState(0.0, 16.0, 0.8 * rng.normal(size=32))
+        monkeypatch.setattr(gradient_flow, "MAX_NEWTON", 0)
+        monkeypatch.setattr(gradient_flow, "MAX_SPLITS", 0)
+        with pytest.raises(ConvergenceError, match="^step 1: "):
+            allen_cahn_solve(state, 1.0, 4.0, 2.0, scheme="implicit")
 
     def test_unknown_scheme_rejected(self):
         state = PhaseFieldState(0.0, 8.0, np.zeros(32))
