@@ -1,28 +1,31 @@
 """Generalized gradient-flow engine.
 
 A flow is the triple (state kind, driving energy, quadratic dissipation).
-The dissipation is one of six kinds; each defines a dual pair of
-potentials ``psi`` (cost of a rate of change) and ``psi_star`` (cost of a
-driving force) built from the same discrete operator, so the duality gap
+The dissipation is one of six kinds, each one Onsager operator K(z); the
+dual pair of potentials ``psi`` (cost of a rate of change) and ``psi_star``
+(cost of a driving force) is <K^{-1} s, s> / 2 and <xi, K xi> / 2, so the
+duality gap
 
     psi(z, s) + psi_star(z, xi) - <xi, s>  >=  0,   = 0 iff s = K(z) xi
 
-closes to machine precision.
+closes to machine precision.  On the conservative kinds K xi = -div J / c,
+J = w grad xi the flux of interface weights w, and psi, psi_star and K are
+all read off J: in 1D a rate s fixes its flux j = h cumsum(s), so psi needs
+no Poisson solve.
 
-The Wasserstein mobility K(rho) xi = -div(L(rho) grad xi) weights each
-interface by the logarithmic mean L of its two cells
-(:func:`gradflow._grid.logarithmic_interface_mean`), and the explicit
-step, the norms of :mod:`gradflow.transport` and the dissipation share it.
+The Wasserstein weights are the logarithmic means L of an interface's two
+cells (:func:`gradflow._grid.logarithmic_interface_mean`), shared by the
+explicit step, the norms of :mod:`gradflow.transport` and the dissipation.
 Since L(rho) grad log rho = grad rho, the entropy rate is the plain second
 difference of rho, any discrete state exp(-V/RT) is an exact stationary
 point, and the energy rate along ``local_step`` is minus the dual norm of
 DF to rounding: the chain rule of the flow holds for the discrete (F, psi)
 themselves, not only in the limit h -> 0.
 
-The two species kinds carry the same log-mean mobility for m species
-under the volume constraint sum_i alpha_i c_i = 1 (Mielke 2011); the
-Wasserstein kind is their one-species case without the constraint, and one
-backward-Euler system steps all three.
+The two species kinds carry the same log-mean weights, L(c_i) / eta_i for
+m species, under the volume constraint sum_i alpha_i c_i = 1 (Mielke 2011);
+the Wasserstein kind is their one-species case without the constraint, and
+one backward-Euler system steps all three.
 
 The time steppers share one march loop, ``_march``: it applies a step
 function and records the energy, mass and named diagnostics of every state,
@@ -30,8 +33,10 @@ with thinned snapshots, in a :class:`GridTrajectory`.  It runs the JKO
 minimizing movement (:func:`jko_evolve`) here and the multicomponent,
 phase-field and implicit Fokker-Planck flows of :mod:`gradflow.models`.
 Their implicit steps (backward Euler for the Wasserstein and species
-kinds, Eyre's splitting for the phase fields) share one Newton loop,
-``_newton_march``, which halves a step where Newton fails.
+kinds, Eyre's splitting for the phase fields) are each a residual, banded
+Jacobian and tolerance that ``implicit_step`` solves by one call of the
+Newton loop ``_newton_march``, which halves a step where Newton fails; the
+JKO step runs the same loop with its own symmetric solve.
 """
 
 from __future__ import annotations
@@ -54,13 +59,7 @@ from ._grid import (
     weighted_poisson_neumann,
 )
 from .measures import GridDensity1D, PhysicalConstants
-from .transport import (
-    QUANTILE_NODES_PER_CELL,
-    SingularWeightError,
-    dual_w_norm,
-    local_w_norm,
-    quantiles,
-)
+from .transport import QUANTILE_NODES_PER_CELL, SingularWeightError, quantiles
 
 __all__ = [
     "QuadraticDissipation",
@@ -93,15 +92,15 @@ SPECIES_KINDS = ("species_local", "species_global")
 NEWTON_TOL = 1e-9
 MAX_NEWTON = 200
 # the backward-Euler Newton solve stops at |R|_inf <= IMPLICIT_TOL times the
-# scale given in implicit_step: the residual's rounding floor is near 3e-11 of
-# that scale on the 200-cell gravity column, and 1e-12 stalls some steps at
-# the iteration cap.  Where it fails, dt is halved, at most MAX_SPLITS times
-# deep.
+# scale given in _backward_euler_system: the residual's rounding floor is near
+# 3e-11 of that scale on the 200-cell gravity column, and 1e-12 stalls some
+# steps at the iteration cap.  Where it fails, dt is halved, at most
+# MAX_SPLITS times deep.
 IMPLICIT_TOL = 1e-10
 MAX_SPLITS = 12
 # the convex-splitting Newton solve of the phase fields stops at |R|_inf <=
 # SPLITTING_TOL times the size of R's largest term (see
-# _convex_splitting_step), whose rounding floor is near machine epsilon
+# _convex_splitting_system), whose rounding floor is near machine epsilon
 # times that size.  Late Allen-Cahn steps change u by about 1e-12, so the
 # bound stays that tight.
 SPLITTING_TOL = 1e-12
@@ -137,18 +136,26 @@ def _h_of(state) -> float:
 class QuadraticDissipation:
     """Quadratic dissipation potential of one of six kinds.
 
-    scalar         psi = c |s|^2 / 2 on finite-dimensional states
-    l2             psi = (c/2) h sum s^2
-    wasserstein    psi = (c/2) ||s||^2_{-1,rho}   (state must be GridDensity1D)
-    hminus1        psi = (c/2) ||s||^2_{H^-1}     (unweighted Neumann solve)
-    species_local  psi = (c/2) h sum_i sum eta_i j_i^2 / L(c_i), j_i the
-    species_global fluxes of the rate, s_i = -div j_i (see _volume_constrained)
+    Each kind is one Onsager operator K(z): psi*(z, xi) = <xi, K(z) xi> / 2
+    and psi(z, s) = <K(z)^{-1} s, s> / 2, <., .> the pairing (an L^2 sum on
+    grids).  ``coefficient`` c > 0 is the friction scale.
+
+    scalar, l2   K = 1/c: psi = (c/2) <s, s>, psi* = <xi, xi> / (2c), on
+                 finite-dimensional states and on grids.
+    conservative K xi = -div J / c with the interface flux J = w grad xi of
+                 weights w: 1 (hminus1), L(rho) the logarithmic interface
+                 mean (wasserstein) or L(c_i) / eta_i per species
+                 (species_local, species_global, J corrected by
+                 :func:`_volume_constrained`).  Then
+                 psi* = (1/2c) h sum J grad xi and psi = (c/2) h sum j^2 / w,
+                 j = h cumsum(s) the flux of the rate (s = div j with no-flux
+                 ends, exact in 1D).
 
     The species kinds read ``concentrations`` (m, cells), ``molar_volumes``,
     ``frictions`` and ``h`` of a :class:`gradflow.models.MultiSpeciesState`.
-
-    ``coefficient`` c > 0 is the friction scale; the mobility K is c^{-1}
-    times the corresponding inverse operator.
+    On a grid, a rate or force not of the state's shape raises ValueError.
+    psi of the log-mean kinds raises SingularWeightError on a vacuum cell,
+    where psi* and K stay defined (L = 0).
     """
 
     kind: str
@@ -163,87 +170,70 @@ class QuadraticDissipation:
     # -- dual pair -------------------------------------------------------
 
     def psi(self, state, rate) -> float:
-        c = self.coefficient
-        if self.kind == "scalar":
-            s = np.asarray(rate, dtype=float)
-            return 0.5 * c * float(np.sum(s * s))
-        s = np.asarray(rate, dtype=float)
-        h = _h_of(state)
-        if self.kind == "l2":
-            return 0.5 * c * float(h * np.sum(s * s))
-        if self.kind == "wasserstein":
-            norm_sq, _ = local_w_norm(self._density(state), s)
-            return 0.5 * c * norm_sq
-        if self.kind in SPECIES_KINDS and np.min(state.concentrations) <= 0.0:
+        if self.kind in ("scalar", "l2"):
+            return 0.5 * self.coefficient * self.pairing(state, rate, rate)
+        s, h, weights = _grid_field(state, rate), _h_of(state), self._weights(state)
+        if np.any(weights <= 0.0):
             raise SingularWeightError("vacuum cell: the log-mean mobility is singular")
         scale = max(1.0, float(np.abs(s).max(initial=0.0)))
         if np.any(np.abs(h * s.sum(axis=-1)) > 1e-10 * scale):
-            raise ValueError("H^-1 and species norms need a rate that conserves each mass")
-        if self.kind in SPECIES_KINDS:
-            # in 1D the rate fixes the fluxes: s_i = -div j_i with no-flux ends
-            flux = h * np.cumsum(s, axis=-1)[:, :-1]
-            weights = logarithmic_interface_mean(state.concentrations) / state.frictions[:, None]
-            return 0.5 * c * float(h * np.sum(flux * flux / weights))
-        norm_sq = float(h * np.dot(weighted_poisson_neumann(np.ones(s.size - 1), s, h), s))
-        return 0.5 * c * norm_sq
+            raise ValueError("a conservative dissipation needs a rate that conserves each mass")
+        flux = h * np.cumsum(s, axis=-1)[..., :-1]
+        return 0.5 * self.coefficient * float(h * np.sum(flux * flux / weights))
 
     def psi_star(self, state, force) -> float:
-        c = self.coefficient
-        if self.kind == "scalar":
-            xi = np.asarray(force, dtype=float)
-            return 0.5 / c * float(np.sum(xi * xi))
-        xi = np.asarray(force, dtype=float)
+        if self.kind in ("scalar", "l2"):
+            return 0.5 / self.coefficient * self.pairing(state, force, force)
         h = _h_of(state)
-        if self.kind == "l2":
-            return 0.5 / c * float(h * np.sum(xi * xi))
-        if self.kind == "wasserstein":
-            return 0.5 / c * dual_w_norm(self._density(state), xi)
-        if self.kind in SPECIES_KINDS:
-            return 0.5 * float(h * np.sum(xi * self.apply_mobility(state, xi)))
-        grad = interface_gradient(xi, h)
-        return 0.5 / c * float(h * np.sum(grad * grad))
+        grad = interface_gradient(_grid_field(state, force), h)
+        return 0.5 / self.coefficient * float(h * np.sum(self._flux(state, grad) * grad))
 
     def pairing(self, state, force, rate) -> float:
         """Duality pairing <xi, s> (an L^2 sum on grids)."""
-        xi = np.asarray(force, dtype=float)
-        s = np.asarray(rate, dtype=float)
         if self.kind == "scalar":
-            return float(np.sum(xi * s))
-        return float(_h_of(state) * np.sum(xi * s))
+            return float(np.sum(np.asarray(force, dtype=float) * np.asarray(rate, dtype=float)))
+        return float(_h_of(state) * np.sum(_grid_field(state, force) * _grid_field(state, rate)))
 
     def apply_mobility(self, state, force) -> np.ndarray:
-        """Rate s = K(z) xi induced by a force, for the duality identity.
-
-        K is minus the divergence form (-div(L(rho) grad xi), L the
-        logarithmic interface mean, resp. -lap xi), so that <xi, K xi> is
-        the nonnegative dual norm.  For the species kinds the fluxes
-        w_i grad xi_i, w_i = L(c_i) / eta_i, carry the volume constraint's
-        correction (:func:`_volume_constrained`).
-        """
-        c = self.coefficient
-        xi = np.asarray(force, dtype=float)
+        """Rate s = K(z) xi induced by a force: xi / c, or -div J / c with
+        the flux J of the conservative kinds, so that <xi, K xi> is the
+        nonnegative dual norm."""
         if self.kind in ("scalar", "l2"):
-            return xi / c
+            return np.asarray(force, dtype=float) / self.coefficient
         h = _h_of(state)
+        grad = interface_gradient(_grid_field(state, force), h)
+        return -divergence_of_flux(self._flux(state, grad), h) / self.coefficient
+
+    # -- the flux of a conservative kind -----------------------------------
+
+    def _weights(self, state):
+        """Interface weights w of the flux J = w grad xi (L = 0 at vacuum)."""
         if self.kind == "hminus1":
-            return -laplacian_neumann(xi, h) / c
-        if self.kind == "wasserstein":
-            weights = logarithmic_interface_mean(self._density(state).values)
-            fluxes = weights * interface_gradient(xi, h)
-        else:
-            weights = logarithmic_interface_mean(state.concentrations) / state.frictions[:, None]
-            fluxes = _volume_constrained(
-                weights * interface_gradient(xi, h), weights, state.molar_volumes[:, None], h,
-                pressure=self.kind == "species_global",
-            )
-        return -divergence_of_flux(fluxes, h) / c
+            return 1.0
+        weights = logarithmic_interface_mean(_values_of(state))
+        return weights / state.frictions[:, None] if self.kind in SPECIES_KINDS else weights
 
-    # -- helpers ---------------------------------------------------------
+    def _flux(self, state, grad) -> np.ndarray:
+        """J = w grad xi from a force's interface gradient, with the volume
+        constraint's correction for the species kinds."""
+        weights = self._weights(state)
+        if self.kind not in SPECIES_KINDS:
+            return weights * grad
+        return _volume_constrained(
+            weights * grad, weights, state.molar_volumes[:, None], state.h,
+            pressure=self.kind == "species_global",
+        )
 
-    def _density(self, state) -> GridDensity1D:
-        if not isinstance(state, GridDensity1D):
-            raise TypeError("wasserstein dissipation needs a GridDensity1D state")
-        return state
+
+def _grid_field(state, field) -> np.ndarray:
+    """A rate or force on the grid of state, as a float array of its shape."""
+    values = np.asarray(field, dtype=float)
+    if values.shape != _values_of(state).shape:
+        raise ValueError(
+            f"a rate or force of shape {values.shape} on a state of shape "
+            f"{_values_of(state).shape}"
+        )
+    return values
 
 
 def _volume_constrained(fluxes, weights, alpha, h, pressure: bool) -> np.ndarray:
@@ -477,31 +467,29 @@ def implicit_step(problem: FlowProblem, z, dt: float):
 
     * a Wasserstein flow of entropy plus potential or a species flow of the
       mixing entropy (``species_local`` or ``species_global`` dissipation),
-      by backward Euler, or
+      by backward Euler (:func:`_backward_euler_system`), or
     * a Dirichlet double-well flow (L^2 or H^-1 dissipation: Allen-Cahn or
       Cahn-Hilliard), by Eyre's convex splitting
-      (:func:`_convex_splitting_step`).
+      (:func:`_convex_splitting_system`).
 
-    Backward Euler solves R(c) = c - c_prev - (dt / eta) div J(c) = 0 on
-    the concentrations (:func:`_backward_euler_system`), eta the dissipation
-    coefficient and J the Fokker-Planck flux of each species, with the
-    volume constraint's correction for the species kinds.  By the log-mean
-    identity L(c) grad log c = grad c, R is the explicit step's update taken
-    at the new state: mass is conserved to rounding, and a Wasserstein
-    flow's discrete Boltzmann state exp(-V/rt) is a fixed point, returned
-    unchanged without a Newton iteration.  R = 0 is solved by Newton on the
-    exact banded Jacobian, one banded solve per iteration, each update
-    halved until every concentration stays positive, until |R|_inf <=
-    IMPLICIT_TOL max c_prev (1 + dt rt / (eta_min h^2)), eta_min eta times
-    the smallest species friction (1 for a Wasserstein flow).  Only the
-    result becomes a state, through ``with_values``; a state already within
-    that tolerance is returned as it is, so a march settles within about
-    the tolerance of the fixed point.
+    Each system gives the step's residual R, its exact banded Jacobian and
+    the bound on |R|_inf at which Newton stops; one ``_newton_march`` call
+    solves R = 0 from the start, one ``solve_banded`` per Newton update,
+    and where Newton fails it covers dt by halved steps.  Backward-Euler
+    updates are halved until every concentration stays positive.  Only the
+    result becomes a state, through ``with_values``; a start already within
+    the tolerance (a Boltzmann state of a Wasserstein flow, the wells of a
+    phase field) is returned as it is, the same object, so a march settles
+    within about the tolerance of the fixed point.
 
-    Newton started at c_prev can fail when strong drift moves much mass
-    within dt; the interval is then covered by halved steps (see
-    :func:`_newton_march`).  Every such step conserves mass, and since F is
-    convex an exact step does not raise it.
+    The columns of the Cahn-Hilliard Jacobian sum to 1, so each Newton
+    update keeps the mean in exact arithmetic; a constant shift back to the
+    mean of the start removes the rounding of the banded solves, which grows
+    with dt m / h^4 (m the mobility).  Writing the state as u_prev +
+    dt m lap(mu), as the explicit update is written, would keep the mean
+    too, but it multiplies the rounding of mu by up to 16 dt m / h^4: at 256
+    cells on a length of 64 with dt m = 1e4, the energy then rose by 3.9e-9
+    in a step.
 
     Interaction and internal energies couple more than neighbouring cells
     and raise NotImplementedError, as does a potential on a species flow; a
@@ -510,45 +498,46 @@ def implicit_step(problem: FlowProblem, z, dt: float):
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if problem.energy.kind == "dirichlet_double_well":
-        return _convex_splitting_step(problem, z, dt)
-    species = problem.dissipation.kind in SPECIES_KINDS
-    if problem.dissipation.kind != "wasserstein" and not species:
-        raise ValueError(
-            "implicit_step needs a wasserstein or species dissipation or a double-well energy"
-        )
-    energy = problem.energy
-    if energy.interaction is not None or energy.internal is not None:
-        raise NotImplementedError("implicit_step supports entropy + potential energies only")
-    if np.min(z.values) <= 0.0:
-        raise SingularWeightError("vacuum cell: the log-mean mobility is singular")
-    if species and energy.potential is not None:
-        raise NotImplementedError("the implicit species step supports the mixing entropy only")
-    residual, jacobian = _backward_euler_system(problem, z)
+    energy, kind = problem.energy, problem.dissipation.kind
+    admissible = None
+    if energy.kind == "dirichlet_double_well":
+        residual, jacobian, tol = _convex_splitting_system(problem, z)
+    else:
+        if kind != "wasserstein" and kind not in SPECIES_KINDS:
+            raise ValueError(
+                "implicit_step needs a wasserstein or species dissipation or a double-well energy"
+            )
+        if energy.interaction is not None or energy.internal is not None:
+            raise NotImplementedError("implicit_step supports entropy + potential energies only")
+        if np.min(z.values) <= 0.0:
+            raise SingularWeightError("vacuum cell: the log-mean mobility is singular")
+        if kind in SPECIES_KINDS and energy.potential is not None:
+            raise NotImplementedError("the implicit species step supports the mixing entropy only")
+        residual, jacobian, tol = _backward_euler_system(problem, z)
 
-    def newton_update(c, r, dt):
-        ab = jacobian(c, dt)
+        def admissible(c):
+            return np.min(c) > 0.0
+
+    def newton_update(x, r, dt):
+        ab = jacobian(x, dt)
         band = ab.shape[0] // 2
-        # the cell-major unknowns (cell * m + species) are c.T flattened
+        # the cell-major unknowns (cell * m + species) are x.T flattened
         delta = solve_banded((band, band), ab, -r.ravel("F"))
-        return delta.reshape(c.shape[::-1]).T
+        return delta.reshape(x.shape[::-1]).T
 
-    h, rt = z.h, energy.rt
-    eta_min = problem.dissipation.coefficient * (float(z.frictions.min()) if species else 1.0)
-
-    def tol(c_prev, dt):
-        return IMPLICIT_TOL * float(c_prev.max()) * (1.0 + dt / eta_min * rt / (h * h))
-
-    c, _ = _newton_march(
-        z.values, dt, residual, newton_update, tol, admissible=lambda c: np.min(c) > 0.0
-    )
-    return z if c is z.values else z.with_values(c)
+    x0 = _values_of(z)
+    x, _ = _newton_march(x0, dt, residual, newton_update, tol, admissible=admissible)
+    if x is x0:
+        return z
+    if kind == "hminus1":
+        x = x + (x0.mean() - x.mean())
+    return z.with_values(x)
 
 
 def _backward_euler_system(problem: FlowProblem, z):
-    """The residual ``R(c, c_prev, dt)`` of the backward-Euler step on the
-    grid (and species parameters) of z, and its exact Jacobian
-    ``jacobian(c, dt)`` in ``solve_banded`` layout.
+    """The backward-Euler step on the grid (and species parameters) of z:
+    its residual ``R(c, c_prev, dt)``, exact Jacobian ``jacobian(c, dt)`` in
+    ``solve_banded`` layout and Newton tolerance ``tol(c_prev, dt)``.
 
     c is the (cells,) density of a Wasserstein state or the (m, cells)
     concentrations of a species state; R(c) = c - c_prev - (dt / kappa)
@@ -556,7 +545,10 @@ def _backward_euler_system(problem: FlowProblem, z):
     Fokker-Planck flux F_i = free_energy_flux(c_i, V, rt, eta_i, h) (eta = 1
     for the Wasserstein kind), minus, for the species kinds, the constraint
     term alpha_i w_i m of :func:`_volume_constrained`, w_i = L(c_i) / eta_i.
-    An interface's J depends on its two cells alone, and its m x m
+    By the log-mean identity L(c) grad log c = grad c, R is the explicit
+    step's update taken at the new state: mass is conserved to rounding, and
+    a Wasserstein flow's discrete Boltzmann state exp(-V/rt) is a fixed
+    point.  An interface's J depends on its two cells alone, and its m x m
     derivatives in either cell are a diagonal plus a rank-one term,
 
         dJ_i/dc_l = delta_il d_i - (alpha_i w_i / W) alpha_l d_l,
@@ -566,7 +558,10 @@ def _backward_euler_system(problem: FlowProblem, z):
     sum_i alpha_i F_i / W the local multiplier (in 1D the global pressure
     gives the same m, so one Jacobian serves both closures); the Wasserstein
     kind has m = 1 and neither constraint term.  Ordered cell-major (index
-    cell * m + species), the Jacobian is banded (2m - 1, 2m - 1).
+    cell * m + species), the Jacobian is banded (2m - 1, 2m - 1).  Newton
+    stops at |R|_inf <= IMPLICIT_TOL max c_prev (1 + dt rt / (eta_min
+    h^2)), eta_min kappa times the smallest species friction (kappa for a
+    Wasserstein flow).  Since F is convex, an exact step does not raise it.
     """
     energy, diss = problem.energy, problem.dissipation
     rt, h, friction = energy.rt, z.h, diss.coefficient
@@ -583,6 +578,7 @@ def _backward_euler_system(problem: FlowProblem, z):
     fick = np.array((-rt / h, rt / h))[:, None, None] / eta
     # a potential drives the Wasserstein kind only, whose eta is 1
     grad_V = None if potential is None else interface_gradient(potential, h)
+    eta_min = friction * (float(z.frictions.min()) if species else 1.0)
 
     def residual(c, c_prev, dt):
         flux = free_energy_flux(c, potential, rt, eta, h)
@@ -620,11 +616,17 @@ def _backward_euler_system(problem: FlowProblem, z):
                 ab[row, l::m][1:] += right
         return ab
 
-    return residual, jacobian
+    def tol(c_prev, dt):
+        return IMPLICIT_TOL * float(c_prev.max()) * (1.0 + dt / eta_min * rt / (h * h))
+
+    return residual, jacobian, tol
 
 
-def _convex_splitting_step(problem: FlowProblem, z, dt: float):
-    """Eyre's convex-splitting step of a Dirichlet double-well flow.
+def _convex_splitting_system(problem: FlowProblem, z):
+    """Eyre's convex-splitting step of a Dirichlet double-well flow on the
+    grid of z: its residual ``R(u, u_prev, dt)``, exact Jacobian
+    ``jacobian(u, dt)`` in ``solve_banded`` layout and Newton tolerance
+    ``tol(u_prev, dt)``.
 
     The double well W(u) = w/4 (1 - u^2)^2 splits into the convex w/4 u^4
     (plus a constant) and the concave -w/2 u^2.  The Dirichlet energy and
@@ -636,30 +638,17 @@ def _convex_splitting_step(problem: FlowProblem, z, dt: float):
     m the mobility (the inverse dissipation coefficient), lap the Neumann
     Laplacian and K = I (l2, Allen-Cahn) or K = -lap (hminus1,
     Cahn-Hilliard).  The energy is a convex function minus a convex one, so
-    an exact step does not raise it for any dt (Eyre 1998).
-
-    R = 0 is solved by Newton from u_prev, each iteration one banded solve
-    with the Jacobian I - dt m lap + 3 dt m w diag(u^2) (tridiagonal) or
-    I + dt m lap^2 - 3 dt m w lap diag(u^2) (pentadiagonal), until
-    |R|_inf <= SPLITTING_TOL M (1 + dt m k (4 / h^2 + w M^2)), with
+    an exact step does not raise it for any dt (Eyre 1998).  The Jacobian
+    is I - dt m lap + 3 dt m w diag(u^2) (tridiagonal) or
+    I + dt m lap^2 - 3 dt m w lap diag(u^2) (pentadiagonal).  Newton stops
+    at |R|_inf <= SPLITTING_TOL M (1 + dt m k (4 / h^2 + w M^2)), with
     M = max(1, |u_prev|_inf) and k = 1 (l2) or 4 / h^2 (hminus1): the size
-    of R's largest term.  A state R does not move (the wells u = +-1,
-    u = 0) is returned as it is, the same object.  Where Newton fails the
-    step is halved (see :func:`_newton_march`).
-
-    The columns of the Cahn-Hilliard Jacobian sum to 1, so each Newton
-    update keeps the mean in exact arithmetic; a constant shift back to the
-    mean of u_prev removes the rounding of the banded solves, which grows
-    with dt m / h^4.  Writing the state as u_prev + dt m lap(mu), as the
-    explicit update is written, would keep the mean too, but it multiplies
-    the rounding of mu by up to 16 dt m / h^4: at 256 cells on a length of
-    64 with dt m = 1e4, the energy then rose by 3.9e-9 in a step.
+    of R's largest term.
     """
-    u0 = _values_of(z)
     h, well = _h_of(z), problem.energy.well
     friction = problem.dissipation.coefficient
     hminus1 = problem.dissipation.kind == "hminus1"
-    n, a = u0.size, 1.0 / (h * h)
+    n, a = _values_of(z).size, 1.0 / (h * h)
     # laplacian_neumann in solve_banded's layout: row 0 the upper diagonal,
     # row 1 the main one, row 2 the lower one
     lap = np.zeros((3, n))
@@ -683,39 +672,35 @@ def _convex_splitting_step(problem: FlowProblem, z, dt: float):
             return u - u_prev - dt / friction * laplacian_neumann(mu, h)
         return u - u_prev + dt / friction * mu
 
-    def newton_update(u, r, dt):
+    def jacobian(u, dt):
         mdt = dt / friction
         if hminus1:
             ab = mdt * lap_sq
             ab[1:4] -= (3.0 * mdt * well) * lap * (u * u)
             ab[2] += 1.0
-            return solve_banded((2, 2), ab, -r)
+            return ab
         ab = -mdt * lap
         ab[1] += 1.0 + (3.0 * mdt * well) * (u * u)
-        return solve_banded((1, 1), ab, -r)
+        return ab
 
     def tol(u_prev, dt):
         bound = max(1.0, float(np.abs(u_prev).max()))
         stiffness = (4.0 * a if hminus1 else 1.0) * (4.0 * a + well * bound * bound)
         return SPLITTING_TOL * bound * (1.0 + dt / friction * stiffness)
 
-    u, _ = _newton_march(u0, dt, residual, newton_update, tol)
-    if u is u0:
-        return z
-    if hminus1:
-        u = u + (u0.mean() - u.mean())
-    return z.with_values(u)
+    return residual, jacobian, tol
 
 
 def _newton_march(x0, dt, residual, newton_update, tol, *, admissible=None):
     """Cover dt by implicit steps, each solved by Newton from its start.
 
     The one Newton loop of the package: backward-Euler Fokker-Planck and
-    multicomponent diffusion, Eyre's phase-field step and the JKO
-    minimizing movement all run on it.
-    ``residual(x, x_prev, dt)`` is a step's residual, ``newton_update(x, r,
-    dt)`` the Newton update -J(x)^{-1} r, which each caller takes with its
-    own banded solver, and ``tol(x_prev, dt)`` the bound on |R|_inf at
+    multicomponent diffusion and Eyre's phase-field step run on it through
+    one call in ``implicit_step``, the JKO minimizing movement through
+    ``_jko_minimize``.  ``residual(x, x_prev, dt)`` is a step's residual,
+    ``newton_update(x, r, dt)`` the Newton update -J(x)^{-1} r (one
+    ``solve_banded`` in ``implicit_step``, ``solveh_banded`` on JKO's
+    symmetric Hessian), and ``tol(x_prev, dt)`` the bound on |R|_inf at
     which Newton stops.  Each Newton update is halved until ``admissible``
     holds for the new iterate (None: every iterate is).  A start already
     within the tolerance is returned as it is, the same object.
@@ -771,6 +756,8 @@ def edi_residual(problem: FlowProblem, trajectory, dt: float) -> float:
     Vanishes (to first order in dt) along exact flows and is strictly
     positive for any other curve.
     """
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
     states = list(trajectory)
     if len(states) < 2:
         return 0.0

@@ -16,7 +16,7 @@ from gradflow.gradient_flow import (
     legendre_dual,
     local_step,
 )
-from gradflow.models import fokker_planck_solve
+from gradflow.models import MultiSpeciesState, PhaseFieldState, fokker_planck_solve
 from gradflow.transport import SingularWeightError, dual_w_norm
 from gradflow._grid import laplacian_neumann
 
@@ -86,6 +86,34 @@ class TestDualityGap:
             s_opt = d.apply_mobility(state, xi)
             tight = d.psi(state, s_opt) + d.psi_star(state, xi) - d.pairing(state, xi, s_opt)
             assert abs(tight) <= 1e-10 * max(1.0, d.psi_star(state, xi))
+
+
+def grid_state(kind, cells=16):
+    """A state for the grid dissipation kind."""
+    if kind.startswith("species"):
+        c1 = np.full(cells, 0.2)
+        return MultiSpeciesState(0.0, 1.0, np.stack([c1, 0.5 - c1]), [2.0, 2.0], [1.0, 3.0])
+    if kind == "wasserstein":
+        return gaussian(cells=cells)
+    return PhaseFieldState(0.0, 1.0, np.linspace(-0.9, 0.9, cells))
+
+
+class TestFieldShapes:
+    @pytest.mark.parametrize("method", ["psi", "psi_star", "pairing"])
+    @pytest.mark.parametrize(
+        "kind", ["l2", "hminus1", "wasserstein", "species_local", "species_global"]
+    )
+    def test_wrong_shape_rejected(self, kind, method):
+        state = grid_state(kind)
+        diss = QuadraticDissipation(kind)
+        good = np.zeros(state.values.shape)
+        for bad in (np.ones(5), np.ones(1), 2.0, np.ones(state.values.shape + (1,))):
+            for args in ((bad, good), (good, bad)) if method == "pairing" else ((bad,),):
+                with pytest.raises(ValueError, match="shape"):
+                    getattr(diss, method)(state, *args)
+        # the right shape passes: a zero rate and force cost nothing
+        args = (good, good) if method == "pairing" else (good,)
+        assert getattr(diss, method)(state, *args) == 0.0
 
 
 class TestVariationalDerivatives:
@@ -276,6 +304,14 @@ class TestEdiResidual:
         assert res_dt > 0
         ratio = res_dt / res_half
         assert 1.7 <= ratio <= 2.3
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3])
+    def test_nonpositive_dt_rejected(self, dt):
+        problem = FlowProblem(EnergyFunctional.entropy(), QuadraticDissipation("wasserstein"))
+        rho = gaussian(cells=40)
+        traj = [rho, local_step(problem, rho, 1e-4)]
+        with pytest.raises(ValueError, match="dt must be positive"):
+            edi_residual(problem, traj, dt)
 
     @pytest.mark.parametrize("kind", ["wasserstein", "l2"])
     def test_sum_order_is_fixed(self, kind):

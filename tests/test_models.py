@@ -416,7 +416,7 @@ def test_wasserstein_jacobian_matches_central_differences():
         ),
         QuadraticDissipation("wasserstein", 1.3),
     )
-    residual, jacobian = gradient_flow._backward_euler_system(problem, state)
+    residual, jacobian, _ = gradient_flow._backward_euler_system(problem, state)
     c_prev = state.values
     c = c_prev * np.exp(0.1 * rng.normal(size=c_prev.shape))
     dt = 0.1
@@ -429,6 +429,30 @@ def test_wasserstein_jacobian_matches_central_differences():
         step[col] = 1e-6 * c[col]
         diff = residual(c + step, c_prev, dt) - residual(c - step, c_prev, dt)
         central[:, col] = diff / (2.0 * step[col])
+    assert np.abs(exact - central).max() <= 1e-6 * np.abs(central).max()
+
+
+@pytest.mark.parametrize("kind", ["l2", "hminus1"])
+def test_convex_splitting_jacobian_matches_central_differences(kind):
+    rng = np.random.default_rng(7)
+    state = PhaseFieldState(0.0, 2.0, rng.uniform(-1.2, 1.2, 12))
+    problem = FlowProblem(
+        EnergyFunctional.dirichlet_double_well(2.5), QuadraticDissipation(kind, 0.7)
+    )
+    residual, jacobian, _ = gradient_flow._convex_splitting_system(problem, state)
+    u_prev = state.u
+    u = u_prev + 0.2 * rng.normal(size=u_prev.size)
+    dt = 0.05  # dt m w u^2 is of the order of the identity
+    ab = jacobian(u, dt)
+    band = 1 if kind == "l2" else 2
+    assert ab.shape == (2 * band + 1, state.cells)
+    exact = banded_to_dense(ab, band)
+    central = np.empty_like(exact)
+    for col in range(u.size):
+        step = np.zeros_like(u)
+        step[col] = 1e-6
+        diff = residual(u + step, u_prev, dt) - residual(u - step, u_prev, dt)
+        central[:, col] = diff / 2e-6
     assert np.abs(exact - central).max() <= 1e-6 * np.abs(central).max()
 
 
@@ -449,7 +473,7 @@ class TestImplicitMulticomponent:
             EnergyFunctional.grid_free_energy(rt=1.7, c0=0.8),
             QuadraticDissipation(f"species_{mode}", 1.3),
         )
-        residual, jacobian = gradient_flow._backward_euler_system(problem, state)
+        residual, jacobian, _ = gradient_flow._backward_euler_system(problem, state)
         c_prev = state.concentrations
         c = c_prev * np.exp(0.1 * rng.normal(size=c_prev.shape))
         dt = 0.1  # the flux part of R outweighs its identity part
