@@ -153,7 +153,7 @@ class QuadraticDissipation:
 
     The species kinds read ``concentrations`` (m, cells), ``molar_volumes``,
     ``frictions`` and ``h`` of a :class:`gradflow.models.MultiSpeciesState`.
-    On a grid, a rate or force not of the state's shape raises ValueError.
+    A rate or force not of the state's shape raises ValueError.
     psi of the log-mean kinds raises SingularWeightError on a vacuum cell,
     where psi* and K stay defined (L = 0).
     """
@@ -190,16 +190,15 @@ class QuadraticDissipation:
 
     def pairing(self, state, force, rate) -> float:
         """Duality pairing <xi, s> (an L^2 sum on grids)."""
-        if self.kind == "scalar":
-            return float(np.sum(np.asarray(force, dtype=float) * np.asarray(rate, dtype=float)))
-        return float(_h_of(state) * np.sum(_grid_field(state, force) * _grid_field(state, rate)))
+        h = 1.0 if self.kind == "scalar" else _h_of(state)
+        return float(h * np.sum(_grid_field(state, force) * _grid_field(state, rate)))
 
     def apply_mobility(self, state, force) -> np.ndarray:
         """Rate s = K(z) xi induced by a force: xi / c, or -div J / c with
         the flux J of the conservative kinds, so that <xi, K xi> is the
         nonnegative dual norm."""
         if self.kind in ("scalar", "l2"):
-            return np.asarray(force, dtype=float) / self.coefficient
+            return _grid_field(state, force) / self.coefficient
         h = _h_of(state)
         grad = interface_gradient(_grid_field(state, force), h)
         return -divergence_of_flux(self._flux(state, grad), h) / self.coefficient
@@ -226,7 +225,8 @@ class QuadraticDissipation:
 
 
 def _grid_field(state, field) -> np.ndarray:
-    """A rate or force on the grid of state, as a float array of its shape."""
+    """A rate or force on state (its grid, or its vector for the scalar
+    kind), as a float array of the state's shape."""
     values = np.asarray(field, dtype=float)
     if values.shape != _values_of(state).shape:
         raise ValueError(

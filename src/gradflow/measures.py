@@ -55,21 +55,20 @@ class DiscreteMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        atoms = np.atleast_2d(np.asarray(self.atoms, dtype=float))
+        # np.array copies, so the measure owns both arrays
+        atoms = np.atleast_2d(np.array(self.atoms, dtype=float))
         if atoms.ndim != 2:
             raise ValueError("atoms must be an (n, d) array")
-        weights = np.asarray(self.weights, dtype=float).reshape(-1)
+        weights = np.array(self.weights, dtype=float).reshape(-1)
         if atoms.shape[0] != weights.shape[0]:
             raise ValueError(
                 f"{atoms.shape[0]} atoms but {weights.shape[0]} weights"
             )
-        if np.any(weights < 0.0):
+        if (weights < 0.0).any():
             raise ValueError("weights must be nonnegative")
-        if not np.isfinite(weights).all() or not np.isfinite(atoms).all():
+        if not (np.isfinite(weights).all() and np.isfinite(atoms).all()):
             raise ValueError("atoms and weights must be finite")
-        atoms = atoms.copy()
         atoms.flags.writeable = False
-        weights = weights.copy()
         weights.flags.writeable = False
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)

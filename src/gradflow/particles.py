@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gammaln, logsumexp
 
 from .gradient_flow import EnergyFunctional, QuadraticDissipation
 from .measures import GridDensity1D, PhysicalConstants
@@ -349,6 +347,20 @@ def coin_rate(a: float) -> float:
     return total
 
 
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0..n, as math.lgamma(k + 1): a table to index."""
+    return np.fromiter(map(math.lgamma, range(1, n + 2)), dtype=float, count=n + 1)
+
+
+def _logsumexp(values: np.ndarray) -> float:
+    """log sum exp(values), shifted by the maximum; a non-finite maximum
+    (all -inf, any +inf, any NaN) is the result itself."""
+    peak = float(np.max(values))
+    if not math.isfinite(peak):
+        return peak
+    return peak + math.log(float(np.sum(np.exp(values - peak))))
+
+
 def coin_tail_exact(n: int, a: float) -> float:
     """Exact -(1/n) log P(S_n >= a n) for n fair coin tosses.
 
@@ -361,8 +373,9 @@ def coin_tail_exact(n: int, a: float) -> float:
         raise ValueError("tail threshold must lie in [1/2, 1]")
     k_min = math.ceil(a * n - 1e-9)
     k = np.arange(k_min, n + 1)
-    log_terms = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1) - n * math.log(2.0)
-    return -float(logsumexp(log_terms)) / n
+    log_fact = _log_factorials(n)
+    log_terms = log_fact[n] - log_fact[k] - log_fact[n - k] - n * math.log(2.0)
+    return -_logsumexp(log_terms) / n
 
 
 @dataclass(frozen=True)
@@ -444,11 +457,8 @@ def check_enumeration(alphabet: int, n: int) -> None:
 
 
 def _log_multinomial(types: np.ndarray, mu: np.ndarray, n: int) -> np.ndarray:
-    return (
-        gammaln(n + 1)
-        - gammaln(types + 1).sum(axis=1)
-        + types @ np.log(mu)
-    )
+    log_fact = _log_factorials(n)
+    return log_fact[n] - log_fact[types].sum(axis=1) + types @ np.log(mu)
 
 
 def _entropy_infimum_halfspace(mu: np.ndarray, constraint: HalfSpace) -> tuple[float, np.ndarray]:
@@ -479,6 +489,8 @@ def _entropy_infimum_halfspace(mu: np.ndarray, constraint: HalfSpace) -> tuple[f
             rho /= rho.sum()
             pos = rho > 0
             return float(np.sum(rho[pos] * np.log(rho[pos] / mu[pos]))), rho
+    from scipy.optimize import brentq
+
     theta = brentq(moment, 0.0, hi, xtol=1e-14)
     w = mu * np.exp(theta * (a - a.max()))
     rho = w / w.sum()
@@ -516,7 +528,7 @@ def sanov_exact(problem: FiniteLdpProblem, constraint: Optional[HalfSpace] = Non
     if not mask.any():
         exact = math.inf
     else:
-        exact = -float(logsumexp(log_probs[mask])) / n
+        exact = -_logsumexp(log_probs[mask]) / n
     return SanovResult(exact, inf_h, minimizer, n)
 
 
@@ -547,7 +559,7 @@ def varadhan_tilt(problem: FiniteLdpProblem) -> TiltTable:
     types = _enumerate_types(n, problem.alphabet)
     rhos = types / n
     log_w = _log_multinomial(types, mu, n) - n * (rhos @ F)
-    log_z = logsumexp(log_w)
+    log_z = _logsumexp(log_w)
     exact = -(log_w - log_z) / n
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(rhos > 0, rhos * np.log(rhos / mu), 0.0)
@@ -566,7 +578,8 @@ def log_degeneracy(k) -> tuple[float, float]:
     if np.any(k < 0) or k.sum() < 1:
         raise ValueError("occupation numbers must be nonnegative with N >= 1")
     N = int(k.sum())
-    exact = float(gammaln(N + 1) - gammaln(k + 1).sum())
+    # the entries of _log_factorials(N) at N and at k, without its O(N) table
+    exact = math.lgamma(N + 1) - float(np.sum([math.lgamma(v + 1) for v in k.tolist()]))
     pos = k > 0
     freq = k[pos] / N
     stirling = -float(N * np.sum(freq * np.log(freq)))

@@ -99,21 +99,30 @@ def grid_state(kind, cells=16):
 
 
 class TestFieldShapes:
-    @pytest.mark.parametrize("method", ["psi", "psi_star", "pairing"])
+    @pytest.mark.parametrize("method", ["psi", "psi_star", "pairing", "apply_mobility"])
     @pytest.mark.parametrize(
-        "kind", ["l2", "hminus1", "wasserstein", "species_local", "species_global"]
+        "kind", ["scalar", "l2", "hminus1", "wasserstein", "species_local", "species_global"]
     )
     def test_wrong_shape_rejected(self, kind, method):
-        state = grid_state(kind)
+        # the scalar kind acts on plain vectors, the others on grid states
+        state = np.zeros(3) if kind == "scalar" else grid_state(kind)
         diss = QuadraticDissipation(kind)
-        good = np.zeros(state.values.shape)
-        for bad in (np.ones(5), np.ones(1), 2.0, np.ones(state.values.shape + (1,))):
+        good = np.zeros(np.shape(getattr(state, "values", state)))
+        for bad in (np.ones(5), np.ones(1), 2.0, np.ones(good.shape + (1,))):
             for args in ((bad, good), (good, bad)) if method == "pairing" else ((bad,),):
                 with pytest.raises(ValueError, match="shape"):
                     getattr(diss, method)(state, *args)
-        # the right shape passes: a zero rate and force cost nothing
+        # the right shape passes: a zero rate and force cost nothing and a
+        # zero force drives no rate
         args = (good, good) if method == "pairing" else (good,)
-        assert getattr(diss, method)(state, *args) == 0.0
+        assert np.all(getattr(diss, method)(state, *args) == 0.0)
+
+    def test_scalar_kind_on_a_number(self):
+        diss = QuadraticDissipation("scalar", 2.0)
+        assert diss.psi(1.0, 3.0) == 9.0
+        assert diss.apply_mobility(1.0, 3.0) == 1.5
+        with pytest.raises(ValueError, match="shape"):
+            diss.pairing(1.0, np.ones(1), 3.0)
 
 
 class TestVariationalDerivatives:

@@ -393,6 +393,61 @@ class TestCoinLdp:
             for a in (0.5, 0.6, 0.75, 0.9, 1.0):
                 assert coin_tail_exact(n, a) >= coin_rate(a) - math.log(n + 1) / n
 
+    @staticmethod
+    def tail_reference(mpmath, n, a):
+        """-(1/n) log P(S_n >= a n) at 40 digits: the first binomial of the
+        tail by log-gamma, the rest by the ratio (n - j) / (j + 1)."""
+        with mpmath.workdps(40):
+            k = math.ceil(a * n - 1e-9)
+            log_first = mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1) - mpmath.loggamma(n - k + 1)
+            total = term = mpmath.mpf(1)
+            for j in range(k, n):
+                term *= mpmath.mpf(n - j) / (j + 1)
+                total += term
+                if term < total * mpmath.mpf(10) ** -45:  # ratios <= 2/3 from here on
+                    break
+            return float(-(log_first + mpmath.log(total) - n * mpmath.log(2)) / n)
+
+    @pytest.mark.parametrize("n", [10, 100, 500, 2000, 10_000, 100_000])
+    def test_matches_high_precision(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        for a in (0.6, 0.9):
+            reference = self.tail_reference(mpmath, n, a)
+            assert abs(coin_tail_exact(n, a) - reference) <= 1e-12 * reference
+
+
+class TestLogSpaceHelpers:
+    def test_log_factorials_are_lgamma(self):
+        table = particles._log_factorials(30)
+        assert table.shape == (31,)
+        assert table.tolist() == [math.lgamma(k + 1) for k in range(31)]
+        assert table[20] == pytest.approx(math.log(math.factorial(20)), rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [-math.inf, -math.inf],
+            [math.inf, 1.0],
+            [math.inf, -math.inf],
+            [math.nan, 1.0],
+            [math.inf, math.nan],
+            [-math.inf, 0.5],
+        ],
+        ids=["all-neg-inf", "pos-inf", "pos-and-neg-inf", "nan", "pos-inf-and-nan", "one-finite"],
+    )
+    def test_logsumexp_special_values_match_scipy(self, values):
+        from scipy.special import logsumexp
+
+        values = np.array(values)
+        got, expected = particles._logsumexp(values), float(logsumexp(values))
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+    def test_logsumexp_finite(self):
+        from scipy.special import logsumexp
+
+        values = np.random.default_rng(5).normal(scale=300.0, size=1000)
+        assert particles._logsumexp(values) == pytest.approx(float(logsumexp(values)), rel=1e-15)
+
 
 class TestSanov:
     def test_whole_simplex(self):

@@ -86,6 +86,53 @@ class TestAtomicAssignment:
             TransportPlan(np.array([0, 0]), 1.0)
 
 
+class TestMonotoneCoupling:
+    """In 1D `w2_atomic` is the sorted coupling, not the assignment solver."""
+
+    @staticmethod
+    def assignment(x, y):
+        from scipy.optimize import linear_sum_assignment
+
+        cost = (x[:, None] - y[None, :]) ** 2
+        rows, cols = linear_sum_assignment(cost)
+        return cols[np.argsort(rows)], cost[rows, cols].sum() / x.size
+
+    def test_tie_free_equals_assignment_solver(self):
+        rng = np.random.default_rng(19)
+        for _ in range(2000):
+            n = int(rng.integers(1, 40))
+            x, y = rng.normal(size=n), rng.normal(size=n) * rng.uniform(0.1, 10.0)
+            perm, cost = self.assignment(x, y)
+            plan = w2_atomic(x, y)
+            assert plan.permutation.tolist() == perm.tolist()
+            assert plan.cost == cost  # bitwise
+
+    def test_ties_reach_the_optimal_cost(self):
+        rng = np.random.default_rng(20)
+        for _ in range(500):
+            n = int(rng.integers(2, 8))
+            # a few integer levels: most draws repeat a point on either side
+            x = rng.integers(-2, 3, size=n) * 0.7
+            y = rng.integers(-2, 3, size=n) * 1.3
+            plan = w2_atomic(x, y)
+            for cost in (self.assignment(x, y)[1], w2_atomic_bruteforce(x, y).cost):
+                assert abs(plan.cost - cost) <= 1e-15 * max(cost, 1e-300)
+
+    def test_stable_order_for_equal_points(self):
+        plan = w2_atomic([1.0, 0.0, 1.0, 0.0], [5.0, 5.0, -5.0, -5.0])
+        assert plan.permutation.tolist() == [0, 2, 1, 3]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_higher_dimensions_match_bruteforce(self, d):
+        rng = np.random.default_rng(30 + d)
+        for _ in range(100):
+            n = int(rng.integers(2, 8))
+            x, y = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+            fast, brute = w2_atomic(x, y), w2_atomic_bruteforce(x, y)
+            assert abs(fast.cost - brute.cost) <= 1e-12
+            assert fast.permutation.tolist() == brute.permutation.tolist()
+
+
 class TestGridW2:
     def test_identical(self):
         rho = gaussian_grid()
