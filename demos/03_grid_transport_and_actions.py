@@ -1,5 +1,6 @@
-"""Grid measures: W2 by CDF inversion, the weighted H^-1 norms behind it,
-and the Benamou-Brenier style action of density paths.
+"""Grid measures: W2 by CDF inversion, the local Wasserstein metric behind
+it (the dissipation psi / psi_star), and the Benamou-Brenier style action
+of density paths.
 
 Run:  python3 demos/03_grid_transport_and_actions.py
 """
@@ -7,7 +8,8 @@ Run:  python3 demos/03_grid_transport_and_actions.py
 import numpy as np
 
 from gradflow import GridDensity1D
-from gradflow.transport import dual_w_norm, local_w_norm, path_action, w2_grid_1d
+from gradflow.gradient_flow import QuadraticDissipation, path_action
+from gradflow.transport import w2_grid_1d
 
 
 def gaussian(grid, mean, var=1.0):
@@ -24,17 +26,17 @@ for shift_cells in (50, 150, 300):
     shifted = rho.with_values(np.roll(rho.values, shift_cells)).normalized()
     print(f"  shift {d:5.2f}: W2 = {w2_grid_1d(rho, shifted):.5f}")
 
-# the local norm solves -(rho xi')' = s; its square equals both the
-# interface energy of xi and the bracket h sum xi s -- exactly
+# the local metric is the Wasserstein dissipation: a potential xi drives the
+# rate s = -(L(rho) xi')', and the squared (-1, rho) norm 2 psi(s), the dual
+# norm 2 psi*(xi) and the pairing h sum xi s agree -- exactly
+W = QuadraticDissipation("wasserstein")
 rng = np.random.default_rng(2)
-s = rng.normal(size=grid.cells)
-s -= s.mean()
-norm_sq, xi = local_w_norm(rho, s)
-bracket = grid.h * float(xi @ s)
-print("\nlocal (-1, rho) norm of a random zero-mean rate:")
-print(f"  ||s||^2          = {norm_sq:.8f}")
-print(f"  h sum xi s       = {bracket:.8f}")
-print(f"  dual norm of xi  = {dual_w_norm(rho, xi):.8f}")
+xi = rng.normal(size=grid.cells)
+s = W.apply_mobility(rho, xi)
+print("\nlocal (-1, rho) norm of the rate driven by a random potential:")
+print(f"  2 psi(s)         = {2 * W.psi(rho, s):.8f}")
+print(f"  2 psi*(xi)       = {2 * W.psi_star(rho, xi):.8f}")
+print(f"  h sum xi s       = {W.pairing(rho, xi, s):.8f}")
 
 # a constant-speed translating path realizes W2^2; the action converges to
 # the squared displacement

@@ -3,8 +3,8 @@
 Subpackages map onto one concern each:
 
 * :mod:`gradflow.measures` -- discrete/grid measures, entropies, distances
-* :mod:`gradflow.transport` -- Wasserstein distances, local norms, actions
-* :mod:`gradflow.gradient_flow` -- dissipation potentials, EDI, JKO stepping
+* :mod:`gradflow.transport` -- Wasserstein distances, particle path actions
+* :mod:`gradflow.gradient_flow` -- dissipations, path actions, EDI, JKO stepping
 * :mod:`gradflow.models` -- spring-dashpot, Fokker-Planck, multicomponent,
   phase-field solvers
 * :mod:`gradflow.particles` -- interacting SDE ensembles and large deviations

@@ -15,7 +15,7 @@ no Poisson solve.
 
 The Wasserstein weights are the logarithmic means L of an interface's two
 cells (:func:`gradflow._grid.logarithmic_interface_mean`), shared by the
-explicit step, the norms of :mod:`gradflow.transport` and the dissipation.
+explicit step and the dissipation, the one local Wasserstein metric.
 Since L(rho) grad log rho = grad rho, the entropy rate is the plain second
 difference of rho, any discrete state exp(-V/RT) is an exact stationary
 point, and the energy rate along ``local_step`` is minus the dual norm of
@@ -59,7 +59,7 @@ from ._grid import (
     weighted_poisson_neumann,
 )
 from .measures import GridDensity1D, PhysicalConstants
-from .transport import QUANTILE_NODES_PER_CELL, SingularWeightError, quantiles
+from .transport import MASS_MATCH_TOL, QUANTILE_NODES_PER_CELL, SingularWeightError, quantiles
 
 __all__ = [
     "QuadraticDissipation",
@@ -74,6 +74,7 @@ __all__ = [
     "local_step",
     "implicit_step",
     "edi_residual",
+    "path_action",
     "jko_evolve",
 ]
 
@@ -178,7 +179,12 @@ class QuadraticDissipation:
         scale = max(1.0, float(np.abs(s).max(initial=0.0)))
         if np.any(np.abs(h * s.sum(axis=-1)) > 1e-10 * scale):
             raise ValueError("a conservative dissipation needs a rate that conserves each mass")
-        flux = h * np.cumsum(s, axis=-1)[..., :-1]
+        # j = h cumsum(s), summed from the end with less |s| before it: psi
+        # divides the rounding of a running sum by w, tiny in a density's tail
+        size = np.cumsum(np.abs(s), axis=-1)
+        nearer_left = size[..., :-1] <= size[..., -1:] - size[..., :-1]
+        left, right = np.cumsum(s, axis=-1), -np.cumsum(s[..., ::-1], axis=-1)
+        flux = h * np.where(nearer_left, left[..., :-1], right[..., -2::-1])
         return 0.5 * self.coefficient * float(h * np.sum(flux * flux / weights))
 
     def psi_star(self, state, force) -> float:
@@ -341,8 +347,10 @@ class EnergyFunctional:
         if constants is not None:
             rt = constants.RT
             c0 = constants.c0
-        if rt < 0.0:
-            raise ValueError("entropy weight rt must be nonnegative")
+        if not 0.0 <= rt < math.inf:
+            raise ValueError("entropy weight rt must be finite and nonnegative")
+        if not 0.0 < c0 < math.inf:
+            raise ValueError("reference concentration c0 must be finite and positive")
 
         def value(rho: GridDensity1D) -> float:
             v = rho.values
@@ -767,6 +775,31 @@ def edi_residual(problem: FlowProblem, trajectory, dt: float) -> float:
         rate = (_values_of(cur) - _values_of(prev)) / dt
         force = -np.asarray(energy.derivative(prev), dtype=float)
         total += (diss.psi(prev, rate) + diss.psi_star(prev, force)) * dt
+    return total
+
+
+def path_action(path, dt: float) -> float:
+    """Kinetic action sum_k ||(rho_{k+1}-rho_k)/dt||^2_{-1, rho_mid} dt.
+
+    Each term is 2 psi of the Wasserstein dissipation at the segment's
+    midpoint density (Benamou-Brenier).  Path entries must carry equal
+    positive mass (to ``MASS_MATCH_TOL``); each rate's total, that mismatch
+    over dt, is taken out as a rescaling of the midpoint: as a mean it would
+    put a flux into the density's tail, where psi charges it 1 / L.
+    """
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    path = list(path)
+    mass0 = path[0].mass() if path else 0.0
+    metric = QuadraticDissipation("wasserstein")
+    total = 0.0
+    for prev, cur in zip(path[:-1], path[1:]):
+        if abs(cur.mass() - mass0) > MASS_MATCH_TOL * max(1.0, mass0) or mass0 <= 0.0:
+            raise ValueError("path entries must have equal positive mass")
+        mid = prev.with_values(0.5 * (prev.values + cur.values))
+        rate = (cur.values - prev.values) / dt
+        rate = rate - rate.sum() / mid.values.sum() * mid.values
+        total += 2.0 * metric.psi(mid, rate) * dt
     return total
 
 

@@ -237,7 +237,7 @@ def rate_functional(path, dt: float, constants: PhysicalConstants, Vb=None, Vi=N
             raise ValueError("rate functional needs an equal-mass path")
         drift = -dissipation.apply_mobility(prev, energy.derivative(prev))
         residual = (cur.values - prev.values) / dt - drift
-        residual = residual - residual.mean()  # strip fp mass noise
+        residual -= residual.sum() / prev.values.sum() * prev.values  # strip mass noise
         total += dissipation.psi(prev, residual) / (2.0 * constants.RT) * dt
     return total
 
@@ -574,7 +574,9 @@ def log_degeneracy(k) -> tuple[float, float]:
     The companion value is -N sum (k_i/N) log(k_i/N); the gap is O(log N)
     and vanishes relative to N.
     """
-    k = np.asarray(k, dtype=np.int64).reshape(-1)
+    k = np.asarray(k, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(k) & (k == np.round(k))):
+        raise ValueError("occupation numbers must be integers")
     if np.any(k < 0) or k.sum() < 1:
         raise ValueError("occupation numbers must be nonnegative with N >= 1")
     N = int(k.sum())

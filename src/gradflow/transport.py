@@ -1,18 +1,14 @@
-"""Wasserstein distances, local (-1, rho) norms, and path actions.
+"""Wasserstein distances and the action of particle paths.
 
 Atomic problems are solved three ways on purpose: a factorial brute force
 (`w2_atomic_bruteforce`, the oracle), and `w2_atomic`, which takes the
 monotone coupling in 1D (O(n log n), optimal for the quadratic cost) and an
 exact O(n^3) assignment solve in dimension 2 and up.  Grid problems use the
-1D inverse-CDF reduction; local norms solve the weighted Neumann problem
--(L(rho) xi')' = s, which in 1D integrates exactly, so the duality bracket
-
-    ||s||^2 = h * sum xi s = sum L(rho) |xi'|^2 h
-
-holds to machine precision.  The interface density L(rho) is the
-logarithmic mean (:func:`gradflow._grid.logarithmic_interface_mean`), the
-mobility of the drift-diffusion flux too, so the energy rate of a
-Wasserstein flow is exactly minus its dual norm.
+1D inverse-CDF reduction.  The local Wasserstein metric of grid densities
+is the dissipation ``QuadraticDissipation("wasserstein")`` of
+:mod:`gradflow.gradient_flow`: its psi is half the squared (-1, rho) norm
+of a rate, its psi_star half the squared dual norm of a potential, and
+``gradient_flow.path_action`` sums 2 psi along a density path.
 """
 
 from __future__ import annotations
@@ -23,26 +19,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._grid import (
-    divergence_of_flux,
-    interface_gradient,
-    logarithmic_interface_mean,
-    weighted_poisson_neumann,
-)
 from .measures import GridDensity1D
 
 __all__ = [
     "TransportPlan",
-    "TangentField1D",
     "SingularWeightError",
     "w2_atomic_bruteforce",
     "w2_atomic",
     "quantiles",
     "w2_grid_1d",
-    "local_w_norm",
-    "dual_w_norm",
-    "tangent_from_rate",
-    "path_action",
     "atomic_path_action",
 ]
 
@@ -52,7 +37,7 @@ QUANTILE_NODES_PER_CELL = 4
 
 
 class SingularWeightError(ValueError):
-    """A vacuum cell makes the weighted elliptic problem singular."""
+    """A vacuum cell makes a log-mean mobility or a quantile map singular."""
 
 
 @dataclass(frozen=True)
@@ -80,39 +65,6 @@ class TransportPlan:
     def distance(self) -> float:
         """W2 distance, the square root of the mean matching cost."""
         return float(np.sqrt(self.cost))
-
-
-@dataclass(frozen=True)
-class TangentField1D:
-    """A mass rate s and its velocity representation v on one grid.
-
-    ``rho`` carries the reference density; ``s`` is the cellwise rate and
-    ``v`` the velocity at the n-1 interior interfaces.  The pair must
-    satisfy the discrete continuity relation s + (L(rho) v)' = 0 with no-flux
-    ends, L the logarithmic interface mean, and s must have zero total mass
-    rate.
-    """
-
-    rho: GridDensity1D
-    s: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.s, dtype=float).reshape(-1)
-        v = np.asarray(self.v, dtype=float).reshape(-1)
-        n, h = self.rho.cells, self.rho.h
-        if s.size != n or v.size != n - 1:
-            raise ValueError("rate needs n cells and velocity n-1 interfaces")
-        if abs(h * s.sum()) > 1e-12 * max(1.0, float(np.abs(s).max(initial=0.0))):
-            raise ValueError("total mass rate must vanish (1e-12)")
-        flux = logarithmic_interface_mean(self.rho.values) * v
-        residual = s + divergence_of_flux(flux, h)
-        if np.abs(residual).max() > 1e-9 * max(1.0, float(np.abs(s).max())):
-            raise ValueError("discrete continuity s + (L(rho) v)' = 0 violated")
-        for name, arr in (("s", s), ("v", v)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
 
 def _as_points(x) -> np.ndarray:
@@ -213,64 +165,6 @@ def w2_grid_1d(rho0: GridDensity1D, rho1: GridDensity1D) -> float:
     q1 = quantiles(rho1.normalized(), nodes)
     w2_sq_prob = float(np.mean((q0 - q1) ** 2))
     return float(np.sqrt(m0 * w2_sq_prob))
-
-
-def local_w_norm(rho: GridDensity1D, s) -> tuple[float, np.ndarray]:
-    """Squared local Wasserstein norm of a zero-mean rate s, plus potential.
-
-    Solves -(L(rho) xi')' = s with no-flux ends (L the logarithmic interface
-    mean, zero-mean gauge) and returns ``(norm_sq, xi)`` with
-
-        norm_sq = sum_ifaces L(rho) |xi'|^2 h = h * sum_i xi_i s_i >= 0.
-
-    Raises :class:`SingularWeightError` on any vacuum cell.
-    """
-    s = np.asarray(s, dtype=float).reshape(-1)
-    if s.size != rho.cells:
-        raise ValueError("rate field must have one value per cell")
-    if np.min(rho.values) <= 0.0:
-        raise SingularWeightError("vacuum cell: local norm weight is singular")
-    h = rho.h
-    if abs(h * s.sum()) > 1e-10 * max(1.0, float(np.abs(s).max(initial=0.0))):
-        raise ValueError("rate must have zero total mass rate")
-    xi = weighted_poisson_neumann(logarithmic_interface_mean(rho.values), s, h)
-    norm_sq = float(h * np.dot(xi, s))
-    return max(norm_sq, 0.0), xi
-
-
-def dual_w_norm(rho: GridDensity1D, xi) -> float:
-    """Squared dual norm sum_ifaces L(rho) |xi'|^2 h (logarithmic means)."""
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    if xi.size != rho.cells:
-        raise ValueError("potential must have one value per cell")
-    grad = interface_gradient(xi, rho.h)
-    return float(np.sum(logarithmic_interface_mean(rho.values) * grad * grad) * rho.h)
-
-
-def tangent_from_rate(rho: GridDensity1D, s) -> TangentField1D:
-    """Build the (s, v) tangent pair with v = xi' from the elliptic solve."""
-    _, xi = local_w_norm(rho, s)
-    return TangentField1D(rho, np.asarray(s, dtype=float), interface_gradient(xi, rho.h))
-
-
-def path_action(path, dt: float) -> float:
-    """Kinetic action sum_k ||(rho_{k+1}-rho_k)/dt||^2_{-1, rho_mid} dt.
-
-    The local norm is evaluated at the midpoint density of each segment;
-    all path entries must carry equal mass.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    path = list(path)
-    mass0 = path[0].mass() if path else 0.0
-    total = 0.0
-    for prev, cur in zip(path[:-1], path[1:]):
-        if abs(cur.mass() - mass0) > MASS_MATCH_TOL * max(1.0, mass0):
-            raise ValueError("path entries must have equal mass")
-        mid = prev.with_values(0.5 * (prev.values + cur.values))
-        norm_sq, _ = local_w_norm(mid, (cur.values - prev.values) / dt)
-        total += norm_sq * dt
-    return total
 
 
 def atomic_path_action(trajectories, dt: float) -> float:

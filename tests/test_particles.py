@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import chisquare, norm
 
 from gradflow import particles
+from gradflow.gradient_flow import QuadraticDissipation
 from gradflow.measures import GridDensity1D, PhysicalConstants
 from gradflow.models import fokker_planck_solve
 from gradflow.particles import (
@@ -231,6 +232,18 @@ class TestRateFunctional:
         assert coarse > fine > 0.0
         assert coarse / fine >= 1.7
 
+    def test_translation_costs_the_same_in_every_segment(self):
+        # the Gaussian's tail falls to 1e-32 at the right end: a segment's
+        # mass rounding, spread over the tail as a mean, made some segments
+        # cost 13 times the others
+        grid = GridDensity1D(-8.0, 12.0, np.ones(1000))
+        path = [
+            grid.with_values(np.exp(-((grid.centers - 5e-4 * k) ** 2) / 2)).normalized()
+            for k in range(31)
+        ]
+        costs = [rate_functional(path[k : k + 2], 1e-3, RT1) for k in range(30)]
+        assert max(costs) == pytest.approx(min(costs), rel=1e-9)
+
     def test_stationary_boltzmann_path(self):
         grid = GridDensity1D(-4.0, 4.0, np.ones(120))
         V = lambda x: 0.5 * x**2
@@ -243,7 +256,7 @@ class TestRateFunctional:
         # path.  The rate functional, the kinetic and the forcing terms share
         # the log-mean mobility, so the gap is the time discretization alone
         # and halves with dt.
-        from gradflow.transport import dual_w_norm, local_w_norm
+        W = QuadraticDissipation("wasserstein")
 
         grid = GridDensity1D(-5.0, 5.0, np.ones(400))
         V = lambda x: 0.4 * x**2
@@ -271,9 +284,9 @@ class TestRateFunctional:
             forcing = 0.0
             for prev, cur in zip(path[:-1], path[1:]):
                 rho_dot = (cur.values - prev.values) / dt
-                kinetic += local_w_norm(prev, rho_dot - rho_dot.mean())[0] * dt  # RT/eta = 1
+                kinetic += 2.0 * W.psi(prev, rho_dot - rho_dot.mean()) * dt  # RT/eta = 1
                 df = np.log(prev.values) + 1.0 + V(prev.centers)
-                forcing += dual_w_norm(prev, df) * dt
+                forcing += 2.0 * W.psi_star(prev, df) * dt
             lhs = 2 * rate
             rhs = free_energy(path[-1]) - free_energy(path[0]) + 0.5 * (kinetic + forcing)
             assert lhs == pytest.approx(rhs, rel=2e-2)
@@ -551,6 +564,12 @@ class TestDegeneracy:
             exact, approx = log_degeneracy([N // 2, N // 2])
             gaps.append((approx - exact) / N)
         assert gaps[0] > gaps[1] > gaps[2] > 0
+
+    @pytest.mark.parametrize("k", [[1.5, 2.5], [2, 0.5], [math.nan, 1], [math.inf, 1]])
+    def test_non_integer_occupations_rejected(self, k):
+        # [1.5, 2.5] was truncated to [1, 2]
+        with pytest.raises(ValueError, match="integers"):
+            log_degeneracy(k)
 
 
 class TestSchilder:
