@@ -32,7 +32,7 @@ h_mapped = relative_entropy(push_forward(mu, shift), push_forward(nu, shift))
 print(f"\ninjective relabelling: H unchanged exactly ({h_mapped == h})")
 
 # merging letters (a non-injective map) can only destroy information
-merge = lambda x: np.array([float(int(x[0]) % 2)])
+merge = lambda x: x[:, 0] % 2
 h_merged = relative_entropy(push_forward(mu, merge), push_forward(nu, merge))
 print(f"merging to 2 letters: H drops from {h:.6f} to {h_merged:.6f}")
 

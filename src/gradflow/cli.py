@@ -532,7 +532,7 @@ def _exp_entropy(cfg: ExperimentConfig) -> ExperimentOutput:
         ) != h:
             violations["push"] += 1
         merge = rng.integers(0, max(2, alphabet - 2), size=alphabet)
-        coarse = lambda x: np.array([float(merge[int(x[0])])])
+        coarse = lambda x: merge[x[:, 0].astype(int)].astype(float)
         if (
             relative_entropy(
                 measures.push_forward(mu, coarse), measures.push_forward(nu, coarse)

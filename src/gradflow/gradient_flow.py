@@ -46,7 +46,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded, solveh_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgbsv, dgtsv, dptsv
 
 from ._grid import (
     divergence_of_flux,
@@ -482,7 +483,7 @@ def implicit_step(problem: FlowProblem, z, dt: float):
 
     Each system gives the step's residual R, its exact banded Jacobian and
     the bound on |R|_inf at which Newton stops; one ``_newton_march`` call
-    solves R = 0 from the start, one ``solve_banded`` per Newton update,
+    solves R = 0 from the start, one :func:`_solve_banded` per Newton update,
     and where Newton fails it covers dt by halved steps.  Backward-Euler
     updates are halved until every concentration stays positive.  Only the
     result becomes a state, through ``with_values``; a start already within
@@ -527,10 +528,8 @@ def implicit_step(problem: FlowProblem, z, dt: float):
             return np.min(c) > 0.0
 
     def newton_update(x, r, dt):
-        ab = jacobian(x, dt)
-        band = ab.shape[0] // 2
         # the cell-major unknowns (cell * m + species) are x.T flattened
-        delta = solve_banded((band, band), ab, -r.ravel("F"))
+        delta = _solve_banded(jacobian(x, dt), -r.ravel("F"))
         return delta.reshape(x.shape[::-1]).T
 
     x0 = _values_of(z)
@@ -545,7 +544,7 @@ def implicit_step(problem: FlowProblem, z, dt: float):
 def _backward_euler_system(problem: FlowProblem, z):
     """The backward-Euler step on the grid (and species parameters) of z:
     its residual ``R(c, c_prev, dt)``, exact Jacobian ``jacobian(c, dt)`` in
-    ``solve_banded`` layout and Newton tolerance ``tol(c_prev, dt)``.
+    :func:`_solve_banded`'s layout and Newton tolerance ``tol(c_prev, dt)``.
 
     c is the (cells,) density of a Wasserstein state or the (m, cells)
     concentrations of a species state; R(c) = c - c_prev - (dt / kappa)
@@ -633,7 +632,7 @@ def _backward_euler_system(problem: FlowProblem, z):
 def _convex_splitting_system(problem: FlowProblem, z):
     """Eyre's convex-splitting step of a Dirichlet double-well flow on the
     grid of z: its residual ``R(u, u_prev, dt)``, exact Jacobian
-    ``jacobian(u, dt)`` in ``solve_banded`` layout and Newton tolerance
+    ``jacobian(u, dt)`` in :func:`_solve_banded`'s layout and Newton tolerance
     ``tol(u_prev, dt)``.
 
     The double well W(u) = w/4 (1 - u^2)^2 splits into the convex w/4 u^4
@@ -657,7 +656,7 @@ def _convex_splitting_system(problem: FlowProblem, z):
     friction = problem.dissipation.coefficient
     hminus1 = problem.dissipation.kind == "hminus1"
     n, a = _values_of(z).size, 1.0 / (h * h)
-    # laplacian_neumann in solve_banded's layout: row 0 the upper diagonal,
+    # laplacian_neumann in the banded layout: row 0 the upper diagonal,
     # row 1 the main one, row 2 the lower one
     lap = np.zeros((3, n))
     lap[0, 1:] = a
@@ -699,6 +698,37 @@ def _convex_splitting_system(problem: FlowProblem, z):
     return residual, jacobian, tol
 
 
+def _solve_banded(ab: np.ndarray, b: np.ndarray, *, symmetric: bool = False) -> np.ndarray:
+    """Solve the banded system of ``ab`` for ``b`` by the LAPACK routine that
+    ``scipy.linalg.solve_banded`` calls, without the argument handling that
+    costs more than the solve on a few hundred unknowns.
+
+    ``ab`` is in ``solve_banded``'s layout with equal lower and upper bands
+    (``dgtsv`` for one band, ``dgbsv`` for wider ones) or, ``symmetric``, in
+    ``solveh_banded``'s two-row upper layout of a positive definite
+    tridiagonal matrix (``dptsv``).  A non-finite entry raises ValueError, as
+    the wrappers' ``check_finite`` does, and a singular (or, symmetric, not
+    positive definite) matrix LinAlgError.
+    """
+    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if symmetric:
+        _, _, x, info = dptsv(ab[1], ab[0, 1:], b)
+    elif ab.shape[0] == 3:
+        _, _, _, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+    else:
+        # dgbsv needs band more rows above ab, for the fill-in of row pivoting
+        band = ab.shape[0] // 2
+        lu = np.zeros((ab.shape[0] + band, ab.shape[1]))
+        lu[band:] = ab
+        _, _, x, info = dgbsv(band, band, lu, b, overwrite_ab=True)
+    if info > 0:
+        raise LinAlgError("singular matrix" if not symmetric else "matrix not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of the LAPACK banded solve")
+    return x
+
+
 def _newton_march(x0, dt, residual, newton_update, tol, *, admissible=None):
     """Cover dt by implicit steps, each solved by Newton from its start.
 
@@ -707,8 +737,8 @@ def _newton_march(x0, dt, residual, newton_update, tol, *, admissible=None):
     one call in ``implicit_step``, the JKO minimizing movement through
     ``_jko_minimize``.  ``residual(x, x_prev, dt)`` is a step's residual,
     ``newton_update(x, r, dt)`` the Newton update -J(x)^{-1} r (one
-    ``solve_banded`` in ``implicit_step``, ``solveh_banded`` on JKO's
-    symmetric Hessian), and ``tol(x_prev, dt)`` the bound on |R|_inf at
+    :func:`_solve_banded`, general in ``implicit_step`` and symmetric on
+    JKO's Hessian), and ``tol(x_prev, dt)`` the bound on |R|_inf at
     which Newton stops.  Each Newton update is halved until ``admissible``
     holds for the new iterate (None: every iterate is).  A start already
     within the tolerance is returned as it is, the same object.
@@ -763,6 +793,13 @@ def edi_residual(problem: FlowProblem, trajectory, dt: float) -> float:
     F(z_T) - F(z_0) + sum_k [psi(z_k, dz_k/dt) + psi_star(z_k, -F'(z_k))] dt.
     Vanishes (to first order in dt) along exact flows and is strictly
     positive for any other curve.
+
+    A conservative dissipation needs consecutive states of equal mass, per
+    species, to ``MASS_MATCH_TOL`` max(1, mass).  The mismatch that rounding
+    leaves is taken out of each rate as in :func:`path_action`, as a
+    rescaling of the density (a uniform shift for ``hminus1``, whose state
+    is signed and whose weights are 1): divided by a small dt, it would
+    fail psi's absolute conservation check.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -770,9 +807,18 @@ def edi_residual(problem: FlowProblem, trajectory, dt: float) -> float:
     if len(states) < 2:
         return 0.0
     energy, diss = problem.energy, problem.dissipation
+    conservative = diss.kind not in ("scalar", "l2")
     total = energy.value(states[-1]) - energy.value(states[0])
     for prev, cur in zip(states[:-1], states[1:]):
-        rate = (_values_of(cur) - _values_of(prev)) / dt
+        before = _values_of(prev)
+        rate = (_values_of(cur) - before) / dt
+        if conservative:
+            profile = np.ones_like(before) if diss.kind == "hminus1" else before
+            h, mismatch = _h_of(prev), rate.sum(axis=-1, keepdims=True)
+            mass = h * np.abs(before).sum(axis=-1, keepdims=True)
+            if np.any(h * dt * np.abs(mismatch) > MASS_MATCH_TOL * np.maximum(1.0, mass)):
+                raise ValueError("a conservative dissipation needs states of equal mass")
+            rate = rate - mismatch / profile.sum(axis=-1, keepdims=True) * profile
         force = -np.asarray(energy.derivative(prev), dtype=float)
         total += (diss.psi(prev, rate) + diss.psi_star(prev, force)) * dt
     return total
@@ -938,7 +984,7 @@ def _jko_minimize(Y, dm, tau, energy) -> tuple[np.ndarray, JkoStepInfo]:
         if vp is not None:  # V'' as one central difference of V'
             diag += dm * np.maximum((vp(X + 1e-4) - vp(X - 1e-4)) / 2e-4, 0.0)
         upper = np.concatenate(([0.0], -rt * dm * inv_g2))
-        return solveh_banded(np.array([upper, diag]), -grad)
+        return _solve_banded(np.array([upper, diag]), -grad, symmetric=True)
 
     X, iters = _newton_march(
         Y, tau, gradient, newton_update, lambda Y, tau: NEWTON_TOL,

@@ -42,6 +42,11 @@ __all__ = [
 
 MASS_MATCH_TOL = 1e-12
 
+# the ufunc reductions themselves, without the wrappers of np.all, np.sum and
+# ndarray.min: most measures here have a handful of atoms
+_all, _any = np.logical_and.reduce, np.logical_or.reduce
+_min, _sum = np.minimum.reduce, np.add.reduce
+
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
@@ -56,7 +61,7 @@ class DiscreteMeasure:
 
     def __post_init__(self):
         # np.array copies, so the measure owns both arrays
-        atoms = np.atleast_2d(np.array(self.atoms, dtype=float))
+        atoms = np.array(self.atoms, dtype=float, ndmin=2)
         if atoms.ndim != 2:
             raise ValueError("atoms must be an (n, d) array")
         weights = np.array(self.weights, dtype=float).reshape(-1)
@@ -64,9 +69,9 @@ class DiscreteMeasure:
             raise ValueError(
                 f"{atoms.shape[0]} atoms but {weights.shape[0]} weights"
             )
-        if (weights < 0.0).any():
+        if _any(weights < 0.0):
             raise ValueError("weights must be nonnegative")
-        if not (np.isfinite(weights).all() and np.isfinite(atoms).all()):
+        if not (_all(np.isfinite(weights)) and _all(np.isfinite(atoms), axis=None)):
             raise ValueError("atoms and weights must be finite")
         atoms.flags.writeable = False
         weights.flags.writeable = False
@@ -81,7 +86,7 @@ class DiscreteMeasure:
         return self.atoms.shape[1]
 
     def mass(self) -> float:
-        return float(self.weights.sum())
+        return float(_sum(self.weights))
 
 
 @dataclass(frozen=True)
@@ -185,16 +190,20 @@ class PhysicalConstants:
 def _check_shared_support(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
     if len(mu) != len(nu):
         raise ValueError("measures must share one atom indexing")
-    if mu.atoms.shape == nu.atoms.shape and not np.array_equal(mu.atoms, nu.atoms):
+    if mu.atoms.shape == nu.atoms.shape and not _all(mu.atoms == nu.atoms, axis=None):
         raise ValueError("measures must be supported on the same atom list")
 
 
 def _relative_entropy_weights(mu_w: np.ndarray, nu_w: np.ndarray, scale: float) -> float:
-    if np.any(mu_w[nu_w == 0.0] > 0.0):
-        return math.inf
-    pos = mu_w > 0.0
-    f = mu_w[pos] / nu_w[pos]
-    return scale * float(np.sum(nu_w[pos] * f * np.log(f)))
+    # strictly positive weights need no masks, and the sum then runs over
+    # the same elements in the same order as the masked one
+    if _min(mu_w, initial=math.inf) <= 0.0 or _min(nu_w, initial=math.inf) <= 0.0:
+        if _any(mu_w[nu_w == 0.0] > 0.0):
+            return math.inf
+        pos = mu_w > 0.0
+        mu_w, nu_w = mu_w[pos], nu_w[pos]
+    f = mu_w / nu_w
+    return scale * float(_sum(nu_w * f * np.log(f)))
 
 
 def relative_entropy(mu, nu) -> float:
@@ -231,28 +240,34 @@ def total_variation(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     _check_shared_support(mu, nu)
     if abs(mu.mass() - nu.mass()) > MASS_MATCH_TOL:
         raise ValueError("total variation requires equal masses (1e-12)")
-    return 0.5 * float(np.abs(mu.weights - nu.weights).sum())
+    return 0.5 * float(_sum(np.abs(mu.weights - nu.weights)))
 
 
 def push_forward(mu: DiscreteMeasure, mapping) -> DiscreteMeasure:
     """Push-forward of mu under a point map; colliding images merge weights.
 
-    Merging uses exact coordinate equality only (round beforehand if fuzzy
-    merging is wanted); first occurrence fixes the output ordering.
+    ``mapping`` is called once, on the whole (n, d) array of atoms (read
+    only), and returns the (n, d') array of their images, or (n,) images in
+    R^1.  Any other number of rows raises ValueError.  Merging uses exact
+    coordinate equality only (round beforehand if fuzzy merging is wanted);
+    first occurrence fixes the output ordering, and each merged weight is
+    summed in atom order.
     """
-    images = [np.atleast_1d(np.asarray(mapping(x), dtype=float)) for x in mu.atoms]
-    order: dict[tuple, int] = {}
-    new_atoms: list[np.ndarray] = []
-    new_weights: list[float] = []
-    for img, w in zip(images, mu.weights):
-        key = tuple(img.tolist())
-        if key in order:
-            new_weights[order[key]] += w
-        else:
-            order[key] = len(new_atoms)
-            new_atoms.append(img)
-            new_weights.append(float(w))
-    return DiscreteMeasure(np.array(new_atoms), np.array(new_weights))
+    n = len(mu)
+    images = np.asarray(mapping(mu.atoms), dtype=float)
+    if images.ndim == 1:
+        images = images[:, None]
+    if images.ndim != 2 or images.shape[0] != n:
+        raise ValueError(f"a map of {n} atoms must return {n} image rows, got shape {images.shape}")
+    label_of: dict[tuple, int] = {}
+    labels = [label_of.setdefault(row, len(label_of)) for row in map(tuple, images.tolist())]
+    if len(label_of) == len(labels):
+        return DiscreteMeasure(images, mu.weights)
+    # the keys are the distinct images in order of first occurrence; bincount
+    # adds each label's weights left to right from 0, the sums of a += loop
+    # over the atoms bit for bit
+    weights = np.bincount(labels, weights=mu.weights)
+    return DiscreteMeasure(list(label_of), weights)
 
 
 def empirical_from_samples(points) -> DiscreteMeasure:

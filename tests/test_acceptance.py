@@ -121,7 +121,7 @@ def test_criterion_03_entropy_suite():
         if relative_entropy(push_forward(mu, inj), push_forward(nu, inj)) != h:
             violations["push"] += 1
         merge = rng.integers(0, max(2, size - 1), size=size)
-        coarse = lambda x: np.array([float(merge[int(x[0])])])
+        coarse = lambda x: merge[x[:, 0].astype(int)].astype(float)
         if (
             relative_entropy(push_forward(mu, coarse), push_forward(nu, coarse))
             > h + 1e-12

@@ -336,8 +336,9 @@ class TestEdiResidual:
     @pytest.mark.parametrize("kind", ["wasserstein", "l2"])
     def test_sum_order_is_fixed(self, kind):
         # F(z_T) - F(z_0) first, then each step's (psi + psi_star) * dt in
-        # turn: the mean_field benchmark gates on this value, so a rewrite
-        # must keep it bitwise
+        # turn, the Wasserstein rate without its mass mismatch (taken out as
+        # a rescaling of the density): the mean_field benchmark gates on
+        # this value, so a rewrite must keep it bitwise
         energy = EnergyFunctional.grid_free_energy(rt=1.0, potential=lambda x: 0.3 * x**2)
         problem = FlowProblem(energy, QuadraticDissipation(kind, 1.7))
         dt = 1e-4
@@ -348,9 +349,52 @@ class TestEdiResidual:
         expected = energy.value(traj[-1]) - energy.value(traj[0])
         for prev, cur in zip(traj[:-1], traj[1:]):
             rate = (cur.values - prev.values) / dt
+            if kind == "wasserstein":
+                rate = rate - rate.sum() / prev.values.sum() * prev.values
             force = -np.asarray(energy.derivative(prev), dtype=float)
             expected += (diss.psi(prev, rate) + diss.psi_star(prev, force)) * dt
         assert edi_residual(problem, traj, dt) == expected
+
+    def test_tiny_dt_takes_the_mass_rounding_out_of_the_rate(self):
+        # backward Euler conserves mass to rounding; over dt = 1e-9 that
+        # rounding alone, as a rate, used to fail psi's conservation check
+        grid = GridDensity1D(-4.0, 4.0, np.ones(200))
+        start = grid.with_values(np.exp(-grid.centers**2 / 2)).normalized()
+        start = start.with_values(start.values + 0.1)
+        energy = EnergyFunctional.grid_free_energy(rt=1.0, potential=lambda x: 0.5 * x * x)
+        problem = FlowProblem(energy, QuadraticDissipation("wasserstein"))
+        residuals = []
+        for dt in (1e-7, 1e-9):
+            states = [start]
+            for _ in range(5):
+                states.append(implicit_step(problem, states[-1], dt))
+            residuals.append(edi_residual(problem, states, dt))
+        assert 0.0 < residuals[0] <= 1e-11
+        # F(z_T) - F(z_0) of two O(1) energies rounds at about 1e-16
+        assert abs(residuals[1]) <= 1e-15
+
+    def test_tiny_dt_cahn_hilliard_takes_the_mean_rounding_out(self):
+        # the same for the H^-1 kind, whose signed state is shifted, not scaled
+        x = (np.arange(64) + 0.5) / 8.0
+        start = PhaseFieldState(0.0, 8.0, 0.6 * np.sin(math.pi * x / 4.0) + 0.05 * np.cos(3 * x))
+        problem = FlowProblem(EnergyFunctional.dirichlet_double_well(1.0), QuadraticDissipation("hminus1"))
+        residuals = []
+        for dt in (1e-6, 1e-9):
+            states = [start]
+            for _ in range(5):
+                states.append(implicit_step(problem, states[-1], dt))
+            residuals.append(edi_residual(problem, states, dt))
+        # five steps of a first-order residual: about dt^2
+        assert 0.0 < residuals[1] <= 1e-5 * residuals[0]
+
+    @pytest.mark.parametrize("kind", ["wasserstein", "hminus1"])
+    def test_states_of_unequal_mass_raise(self, kind):
+        energy = EnergyFunctional.grid_free_energy(rt=1.0, potential=lambda x: 0.3 * x**2)
+        problem = FlowProblem(energy, QuadraticDissipation(kind))
+        rho = gaussian(cells=60)
+        heavier = rho.with_values(rho.values * (1.0 + 1e-8))
+        with pytest.raises(ValueError, match="equal mass"):
+            edi_residual(problem, [rho, heavier], 1e-3)
 
 
 class TestFokkerPlanckEdiInvariant:
@@ -498,6 +542,69 @@ class TestJko:
         for _ in range(int(T / dt)):
             state = local_step(problem, state, dt)
         assert w2_grid_1d(jko_final, state) <= 0.02
+
+
+class TestSolveBanded:
+    # the Newton updates call LAPACK as scipy.linalg.solve_banded and
+    # solveh_banded do, without their argument handling: the same bits
+    @staticmethod
+    def dominant_band(rng, band, n):
+        ab = rng.uniform(-1.0, 1.0, size=(2 * band + 1, n))
+        ab[band] = rng.choice([-1.0, 1.0], size=n) * (2.0 * band + rng.random(n) + 0.5)
+        return ab
+
+    @pytest.mark.parametrize("band", [1, 2])
+    def test_general_band_matches_solve_banded_bitwise(self, band):
+        from scipy.linalg import solve_banded
+
+        rng = np.random.default_rng(band)
+        for n in (2, 3, 8, 101):
+            ab, b = self.dominant_band(rng, band, n), rng.normal(size=n)
+            x = gradient_flow._solve_banded(ab, b)
+            assert x.tobytes() == solve_banded((band, band), ab, b).tobytes()
+
+    def test_species_band_matches_solve_banded_bitwise(self):
+        from scipy.linalg import solve_banded
+
+        grid = GridDensity1D(0.0, 1.0, np.ones(40))
+        alpha = np.array([1.0, 3.0])
+        c1 = 0.5 + 0.08 * np.sin(2 * math.pi * grid.centers)
+        state = MultiSpeciesState(0.0, 1.0, np.stack([c1, (1.0 - c1) / 3.0]), alpha, np.array([1.0, 5.0]))
+        energy = EnergyFunctional.grid_free_energy(constants=PhysicalConstants.with_rt(1.0))
+        problem = FlowProblem(energy, QuadraticDissipation("species_global"))
+        residual, jacobian, _ = gradient_flow._backward_euler_system(problem, state)
+        ab = jacobian(state.values, 1e-3)
+        assert ab.shape == (7, 80)
+        b = -residual(state.values, state.values * 0.99, 1e-3).ravel("F")
+        x = gradient_flow._solve_banded(ab, b)
+        assert x.tobytes() == solve_banded((3, 3), ab, b).tobytes()
+
+    def test_symmetric_band_matches_solveh_banded_bitwise(self):
+        from scipy.linalg import solveh_banded
+
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 8, 101):
+            upper = np.r_[0.0, rng.uniform(-1.0, 1.0, n - 1)]
+            ab, b = np.array([upper, 2.0 + rng.random(n)]), rng.normal(size=n)
+            x = gradient_flow._solve_banded(ab, b, symmetric=True)
+            assert x.tobytes() == solveh_banded(ab, b).tobytes()
+
+    def test_non_finite_and_singular_systems_raise(self):
+        from scipy.linalg import LinAlgError
+
+        rng = np.random.default_rng(9)
+        for band, symmetric in ((1, False), (2, False), (1, True)):
+            ab = self.dominant_band(rng, band, 6)
+            if symmetric:
+                ab = np.array([np.r_[0.0, ab[0, 1:]], np.abs(ab[1])])
+            b = rng.normal(size=6)
+            bad_ab = ab.copy()
+            bad_ab[0, 2] = math.nan
+            for args in ((bad_ab, b), (ab, np.r_[b[:-1], math.nan]), (ab, np.r_[math.inf, b[1:]])):
+                with pytest.raises(ValueError, match="infs or NaNs"):
+                    gradient_flow._solve_banded(*args, symmetric=symmetric)
+            with pytest.raises(LinAlgError):
+                gradient_flow._solve_banded(np.zeros_like(ab), b, symmetric=symmetric)
 
 
 class TestImplicitStep:

@@ -87,7 +87,7 @@ class TestRelativeEntropy:
             size = int(rng.integers(3, 8))
             mu, nu = random_probability_pair(rng, size)
             targets = rng.integers(0, 2, size=size)
-            f = lambda x: np.array([float(targets[int(x[0])])])
+            f = lambda x: targets[x[:, 0].astype(int)].astype(float)
             h_pushed = relative_entropy(push_forward(mu, f), push_forward(nu, f))
             assert h_pushed <= relative_entropy(mu, nu) + 1e-12
 
@@ -165,6 +165,43 @@ class TestPushForward:
         assert len(out) == 1
         assert out.mass() == pytest.approx(1.0)
 
+    def test_plane_to_line_matches_per_atom_merge_bitwise(self):
+        # the map is called once on the (n, 2) atoms; the result equals the
+        # per-atom definition: images in order of first occurrence, merged
+        # weights summed in atom order
+        rng = np.random.default_rng(23)
+        atoms = rng.integers(0, 4, size=(40, 2)).astype(float)
+        mu = DiscreteMeasure(atoms, rng.random(40) * 10.0 ** rng.integers(-8, 3, size=40))
+        f = lambda x: np.abs(x[:, 0] - x[:, 1]) + 0.25
+        out = push_forward(mu, f)
+        order, oracle_atoms, oracle_weights = {}, [], []
+        for x, w in zip(atoms, mu.weights):
+            img = np.atleast_1d(np.abs(x[0] - x[1]) + 0.25)
+            key = tuple(img.tolist())
+            if key in order:
+                oracle_weights[order[key]] += w
+            else:
+                order[key] = len(oracle_atoms)
+                oracle_atoms.append(img)
+                oracle_weights.append(float(w))
+        assert len(out) == 4 and out.dim == 1
+        assert out.atoms.tobytes() == np.array(oracle_atoms).tobytes()
+        assert out.weights.tobytes() == np.array(oracle_weights).tobytes()
+
+    def test_map_gets_the_whole_atom_array_once(self):
+        mu = DiscreteMeasure(np.arange(6.0).reshape(3, 2), [0.2, 0.3, 0.5])
+        calls = []
+        out = push_forward(mu, lambda x: calls.append(x.shape) or x[:, ::-1])
+        assert calls == [(3, 2)]
+        assert np.array_equal(out.atoms, [[1.0, 0.0], [3.0, 2.0], [5.0, 4.0]])
+
+    @pytest.mark.parametrize(
+        "f", [lambda x: x[:-1], lambda x: np.zeros(1), lambda x: 0.0, lambda x: x[:, :, None]],
+    )
+    def test_map_with_wrong_rows_raises(self, f):
+        with pytest.raises(ValueError, match="image rows"):
+            push_forward(measure_on_line([0.25, 0.25, 0.5]), f)
+
 
 class TestEmpirical:
     def test_single_point(self):
@@ -174,6 +211,11 @@ class TestEmpirical:
     def test_duplicates_merge(self):
         mu = empirical_from_samples([0.0, 0.0])
         assert len(mu) == 1 and mu.weights[0] == pytest.approx(1.0)
+
+    def test_repeated_points_in_the_plane_merge_in_order(self):
+        mu = empirical_from_samples([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0], [1.0, 2.0]])
+        assert np.array_equal(mu.atoms, [[1.0, 2.0], [0.0, 0.0]])
+        assert np.array_equal(mu.weights, [0.25 + 0.25 + 0.25, 0.25])
 
     def test_three_points(self):
         mu = empirical_from_samples([0.0, 1.0, 2.0])
@@ -199,6 +241,22 @@ class TestInvariants:
     def test_weights_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             DiscreteMeasure(np.zeros((1, 1)), np.array([-0.1]))
+
+    @pytest.mark.parametrize(
+        "atoms, weights, message",
+        [
+            (np.zeros((2, 1)), [0.5, -0.0 - 1e-300], "nonnegative"),
+            (np.zeros((2, 1)), [0.5, math.nan], "finite"),
+            (np.zeros((2, 1)), [0.5, math.inf], "finite"),
+            ([[0.0, 1.0], [math.inf, 0.0]], [0.5, 0.5], "finite"),
+            ([[0.0], [-math.inf]], [0.5, 0.5], "finite"),
+            (np.zeros((3, 1)), [0.5, 0.5], "3 atoms but 2 weights"),
+            (np.zeros((2, 1, 1)), [0.5, 0.5], r"\(n, d\)"),
+        ],
+    )
+    def test_malformed_discrete_measure_raises(self, atoms, weights, message):
+        with pytest.raises(ValueError, match=message):
+            DiscreteMeasure(atoms, weights)
 
     def test_constants_consistency(self):
         c = PhysicalConstants()

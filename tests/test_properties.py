@@ -296,7 +296,7 @@ class TestEntropyInequalities:
     def test_push_forward_does_not_raise_relative_entropy(self, pair, seed, classes):
         mu, nu = probability_pair(*pair)
         label = np.random.default_rng(seed).integers(0, classes, size=len(mu))
-        merge = lambda x: np.array([float(label[int(x[0])])])
+        merge = lambda x: label[x[:, 0].astype(int)].astype(float)
         h = relative_entropy(mu, nu)
         pushed = relative_entropy(push_forward(mu, merge), push_forward(nu, merge))
         assert pushed <= h + 1e-14 * (1.0 + h)
