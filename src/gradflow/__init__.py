@@ -18,11 +18,8 @@ from .measures import (
     GridDensity1D,
     PhysicalConstants,
     relative_entropy,
-    ent_grid,
     total_variation,
     push_forward,
-    empirical_from_samples,
-    second_moment,
 )
 
 __all__ = [
@@ -31,9 +28,6 @@ __all__ = [
     "GridDensity1D",
     "PhysicalConstants",
     "relative_entropy",
-    "ent_grid",
     "total_variation",
     "push_forward",
-    "empirical_from_samples",
-    "second_moment",
 ]

@@ -287,7 +287,7 @@ TOP_LEVEL: dict[str, Field] = {
 }
 # the fields of measures.PhysicalConstants, and rt = R*T, which sets T
 CONSTANTS: dict[str, Field] = {
-    key: Field(float) for key in ("R", "k", "N_A", "T", "eta", "g", "c0", "rt")
+    key: Field(float) for key in ("R", "k", "N_A", "T", "eta", "c0", "rt")
 }
 # the ldp n_values default of the exact sanov and varadhan enumerations; the
 # schema default serves the coin mode and exceeds the enumeration limit

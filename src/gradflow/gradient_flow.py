@@ -787,19 +787,49 @@ def _newton_march(x0, dt, residual, newton_update, tol, *, admissible=None):
     return march(x0, dt, 0)
 
 
+def _segment_rates(states, dt: float, dissipation, *, midpoint: bool = False):
+    """Yield (base, rate) along a list of states: the base is a segment's
+    first state (its midpoint with ``midpoint``), the rate (z_{k+1} - z_k) / dt.
+
+    A conservative dissipation needs every state's mass, per species,
+    within ``MASS_MATCH_TOL`` max(1, mass) of the first state's, and a
+    positive one unless the kind is ``hminus1``.  The mismatch that
+    rounding leaves is taken out of each rate as a rescaling of the base (a
+    uniform shift for ``hminus1``, whose state is signed and whose weights
+    are 1): divided by a small dt it would fail psi's absolute conservation
+    check, and as a mean it would put a flux into the density's tail, where
+    psi charges it 1 / L.
+    """
+    conservative = dissipation.kind not in ("scalar", "l2")
+    signed = dissipation.kind == "hminus1"
+    for k, (prev, cur) in enumerate(zip(states[:-1], states[1:])):
+        before, after = _values_of(prev), _values_of(cur)
+        base = prev.with_values(0.5 * (before + after)) if midpoint else prev
+        rate = (after - before) / dt
+        if conservative:
+            h = _h_of(prev)
+            if k == 0:
+                mass0 = h * before.sum(axis=-1, keepdims=True)
+                tol = MASS_MATCH_TOL * np.maximum(1.0, np.abs(mass0))
+            gap = np.abs(h * after.sum(axis=-1, keepdims=True) - mass0)
+            if np.any(gap > tol) or not (signed or np.all(mass0 > 0.0)):
+                raise ValueError(
+                    "a conservative dissipation needs states of equal mass, positive for a density"
+                )
+            profile = np.ones_like(before) if signed else _values_of(base)
+            mismatch = rate.sum(axis=-1, keepdims=True)
+            rate = rate - mismatch / profile.sum(axis=-1, keepdims=True) * profile
+        yield base, rate
+
+
 def edi_residual(problem: FlowProblem, trajectory, dt: float) -> float:
     """Energy-dissipation residual of a sampled curve.
 
     F(z_T) - F(z_0) + sum_k [psi(z_k, dz_k/dt) + psi_star(z_k, -F'(z_k))] dt.
     Vanishes (to first order in dt) along exact flows and is strictly
-    positive for any other curve.
-
-    A conservative dissipation needs consecutive states of equal mass, per
-    species, to ``MASS_MATCH_TOL`` max(1, mass).  The mismatch that rounding
-    leaves is taken out of each rate as in :func:`path_action`, as a
-    rescaling of the density (a uniform shift for ``hminus1``, whose state
-    is signed and whose weights are 1): divided by a small dt, it would
-    fail psi's absolute conservation check.
+    positive for any other curve.  A conservative dissipation needs states
+    of equal mass, whose rounding mismatch is taken out of each rate (see
+    :func:`_segment_rates`).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -807,18 +837,8 @@ def edi_residual(problem: FlowProblem, trajectory, dt: float) -> float:
     if len(states) < 2:
         return 0.0
     energy, diss = problem.energy, problem.dissipation
-    conservative = diss.kind not in ("scalar", "l2")
     total = energy.value(states[-1]) - energy.value(states[0])
-    for prev, cur in zip(states[:-1], states[1:]):
-        before = _values_of(prev)
-        rate = (_values_of(cur) - before) / dt
-        if conservative:
-            profile = np.ones_like(before) if diss.kind == "hminus1" else before
-            h, mismatch = _h_of(prev), rate.sum(axis=-1, keepdims=True)
-            mass = h * np.abs(before).sum(axis=-1, keepdims=True)
-            if np.any(h * dt * np.abs(mismatch) > MASS_MATCH_TOL * np.maximum(1.0, mass)):
-                raise ValueError("a conservative dissipation needs states of equal mass")
-            rate = rate - mismatch / profile.sum(axis=-1, keepdims=True) * profile
+    for prev, rate in _segment_rates(states, dt, diss):
         force = -np.asarray(energy.derivative(prev), dtype=float)
         total += (diss.psi(prev, rate) + diss.psi_star(prev, force)) * dt
     return total
@@ -829,22 +849,14 @@ def path_action(path, dt: float) -> float:
 
     Each term is 2 psi of the Wasserstein dissipation at the segment's
     midpoint density (Benamou-Brenier).  Path entries must carry equal
-    positive mass (to ``MASS_MATCH_TOL``); each rate's total, that mismatch
-    over dt, is taken out as a rescaling of the midpoint: as a mean it would
-    put a flux into the density's tail, where psi charges it 1 / L.
+    positive mass; the rounding mismatch is taken out of each rate as a
+    rescaling of the midpoint (see :func:`_segment_rates`).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    path = list(path)
-    mass0 = path[0].mass() if path else 0.0
     metric = QuadraticDissipation("wasserstein")
     total = 0.0
-    for prev, cur in zip(path[:-1], path[1:]):
-        if abs(cur.mass() - mass0) > MASS_MATCH_TOL * max(1.0, mass0) or mass0 <= 0.0:
-            raise ValueError("path entries must have equal positive mass")
-        mid = prev.with_values(0.5 * (prev.values + cur.values))
-        rate = (cur.values - prev.values) / dt
-        rate = rate - rate.sum() / mid.values.sum() * mid.values
+    for mid, rate in _segment_rates(list(path), dt, metric, midpoint=True):
         total += 2.0 * metric.psi(mid, rate) * dt
     return total
 

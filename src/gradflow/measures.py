@@ -10,7 +10,9 @@ This module also holds the one output format of the package, which the
 runner (:mod:`gradflow.cli`) writes every file through; no numerics module
 writes files.  The format is :func:`write_table` (CSV with a header row,
 LF line ends, floats at 17 significant digits, so they read back bitwise)
-and :func:`write_json` (indent 2, sorted keys, trailing newline).
+and :func:`write_json` (indent 2, sorted keys, trailing newline).  The
+grid CSV of :func:`write_grid_csv` is the one file format read back
+(:func:`read_grid_csv`, the Fokker-Planck runner's ``initial_csv``).
 """
 
 from __future__ import annotations
@@ -27,13 +29,8 @@ __all__ = [
     "GridDensity1D",
     "PhysicalConstants",
     "relative_entropy",
-    "ent_grid",
     "total_variation",
     "push_forward",
-    "empirical_from_samples",
-    "second_moment",
-    "write_discrete_csv",
-    "read_discrete_csv",
     "write_grid_csv",
     "read_grid_csv",
     "write_table",
@@ -80,10 +77,6 @@ class DiscreteMeasure:
 
     def __len__(self) -> int:
         return self.atoms.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.atoms.shape[1]
 
     def mass(self) -> float:
         return float(_sum(self.weights))
@@ -155,7 +148,7 @@ class PhysicalConstants:
     """Bundle of the constants entering free energies and dissipations.
 
     R [J/(K mol)], k [J/K], N_A [1/mol], T [K], eta (friction, per particle
-    or macroscopic analogue), g [m/s^2], c0 (reference concentration).
+    or macroscopic analogue), c0 (reference concentration).
     All strictly positive and R must equal k * N_A to 1e-6 relative.
     """
 
@@ -164,11 +157,10 @@ class PhysicalConstants:
     N_A: float = _NA_DEFAULT
     T: float = 298.15
     eta: float = 1.0
-    g: float = 9.8
     c0: float = 1.0
 
     def __post_init__(self):
-        for name in ("R", "k", "N_A", "T", "eta", "g", "c0"):
+        for name in ("R", "k", "N_A", "T", "eta", "c0"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"constant {name} must be strictly positive")
         if abs(self.R - self.k * self.N_A) > 1e-6 * self.R:
@@ -188,9 +180,9 @@ class PhysicalConstants:
 
 
 def _check_shared_support(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
-    if len(mu) != len(nu):
-        raise ValueError("measures must share one atom indexing")
-    if mu.atoms.shape == nu.atoms.shape and not _all(mu.atoms == nu.atoms, axis=None):
+    if mu.atoms.shape != nu.atoms.shape:
+        raise ValueError("measures must share one atom indexing in one dimension")
+    if not _all(mu.atoms == nu.atoms, axis=None):
         raise ValueError("measures must be supported on the same atom list")
 
 
@@ -222,13 +214,6 @@ def relative_entropy(mu, nu) -> float:
             raise ValueError("grid densities must live on the same grid")
         return _relative_entropy_weights(mu.values, nu.values, mu.h)
     raise TypeError("relative_entropy expects two measures of the same kind")
-
-
-def ent_grid(rho: GridDensity1D) -> float:
-    """Entropy h * sum rho_i log rho_i (midpoint quadrature of int rho log rho)."""
-    v = rho.values
-    pos = v > 0.0
-    return float(rho.h * np.sum(v[pos] * np.log(v[pos])))
 
 
 def total_variation(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -270,28 +255,6 @@ def push_forward(mu: DiscreteMeasure, mapping) -> DiscreteMeasure:
     return DiscreteMeasure(list(label_of), weights)
 
 
-def empirical_from_samples(points) -> DiscreteMeasure:
-    """Empirical measure (1/n) sum of deltas; coincident points merge."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.size == 0:
-        raise ValueError("empirical measure of an empty sample is undefined")
-    if pts.shape[0] == 1 and pts.shape[1] > 1 and np.asarray(points).ndim == 1:
-        # A flat list of scalars is n one-dimensional samples.
-        pts = pts.T
-    n = pts.shape[0]
-    raw = DiscreteMeasure(pts, np.full(n, 1.0 / n))
-    return push_forward(raw, lambda x: x)
-
-
-def second_moment(m) -> float:
-    """Second moment: sum w_i |x_i|^2 or h * sum rho_i x_i^2."""
-    if isinstance(m, DiscreteMeasure):
-        return float(np.sum(m.weights * np.sum(m.atoms**2, axis=1)))
-    if isinstance(m, GridDensity1D):
-        return float(m.h * np.sum(m.values * m.centers**2))
-    raise TypeError("second_moment expects a DiscreteMeasure or GridDensity1D")
-
-
 # -- the one output format ----------------------------------------------------
 
 
@@ -323,44 +286,22 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def _read_table(path) -> tuple[list[str], np.ndarray]:
-    """Header and float rows of a table; LF and CRLF line ends both load."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError("empty file, expected a header row")
-        rows = [[float(c) for c in row] for row in reader if row]
-    return header, np.asarray(rows, dtype=float).reshape(len(rows), len(header))
-
-
-_COORD_NAMES = ("x", "y", "z")
-
-
-def write_discrete_csv(mu: DiscreteMeasure, path) -> None:
-    """Write atoms and weights as columns x[,y,z],weight with a header row."""
-    if mu.dim > 3:
-        raise ValueError("CSV serialization supports at most 3 coordinates")
-    header = list(_COORD_NAMES[: mu.dim]) + ["weight"]
-    write_table(path, header, np.column_stack([mu.atoms, mu.weights]))
-
-
-def read_discrete_csv(path) -> DiscreteMeasure:
-    header, data = _read_table(path)
-    if header[-1] != "weight" or tuple(header[:-1]) != _COORD_NAMES[: len(header) - 1]:
-        raise ValueError(f"unexpected header {header!r} for a discrete measure")
-    return DiscreteMeasure(data[:, :-1], data[:, -1])
-
-
 def write_grid_csv(rho: GridDensity1D, path) -> None:
     """Write columns cell_center,value with a header row."""
     write_table(path, ["cell_center", "value"], np.column_stack([rho.centers, rho.values]))
 
 
 def read_grid_csv(path) -> GridDensity1D:
-    header, data = _read_table(path)
-    if header != ["cell_center", "value"]:
-        raise ValueError(f"unexpected header {header!r} for a grid density")
+    """Read the columns cell_center,value; LF and CRLF line ends both load."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty file, expected a header row")
+        if header != ["cell_center", "value"]:
+            raise ValueError(f"unexpected header {header!r} for a grid density")
+        rows = [[float(c) for c in row] for row in reader if row]
+    data = np.asarray(rows, dtype=float).reshape(len(rows), 2)
     centers, values = data[:, 0], data[:, 1]
     if centers.size < 2:
         raise ValueError("need at least 2 cells")

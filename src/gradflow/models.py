@@ -171,10 +171,6 @@ class MultiSpeciesState:
             object.__setattr__(self, name, arr)
 
     @property
-    def species(self) -> int:
-        return self.concentrations.shape[0]
-
-    @property
     def cells(self) -> int:
         return self.concentrations.shape[1]
 

@@ -182,6 +182,13 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(bad)]) == EXIT_CONFIG
         capsys.readouterr()
 
+    def test_removed_constant_g_exits_2(self, tmp_path, capsys):
+        # g was a constant that no computation read
+        path = write_config(tmp_path, {"experiment": "entropy", "constants": {"g": 9.8}})
+        assert validate(path) == (EXIT_CONFIG, ["constants.g: unknown key"])
+        assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+        capsys.readouterr()
+
     @pytest.mark.parametrize(
         "obj, key_path",
         [

@@ -196,6 +196,36 @@ class TestVariationalDerivatives:
         assert errors[1e-5] <= 0.05 * errors[1e-4] + noise
 
 
+class TestGridEntropy:
+    """EnergyFunctional.entropy().value is h sum rho_i log rho_i, the
+    midpoint quadrature of int rho log rho."""
+
+    entropy = staticmethod(EnergyFunctional.entropy().value)
+
+    def test_uniform_one(self):
+        rho = GridDensity1D(0.0, 1.0, np.ones(50))
+        assert self.entropy(rho) == 0.0
+
+    def test_uniform_half_on_length_two(self):
+        # int (1/2) log(1/2) over length 2 = -log 2
+        rho = GridDensity1D(0.0, 2.0, np.full(64, 0.5))
+        assert self.entropy(rho) == pytest.approx(-math.log(2.0), abs=1e-12)
+
+    def test_gaussian_matches_closed_form(self):
+        # closed form for N(0,1): -log sqrt(2 pi) - 1/2
+        x = GridDensity1D(-8.0, 8.0, np.ones(800)).centers
+        rho = GridDensity1D(-8.0, 8.0, np.exp(-x * x / 2) / math.sqrt(2 * math.pi))
+        expected = -0.5 * math.log(2 * math.pi) - 0.5
+        assert self.entropy(rho) == pytest.approx(expected, abs=1e-4)
+
+    def test_refinement_invariance_for_piecewise_constant(self):
+        rng = np.random.default_rng(3)
+        values = rng.random(16) + 0.1
+        coarse = GridDensity1D(0.0, 2.0, values)
+        fine = GridDensity1D(0.0, 2.0, np.repeat(values, 2))
+        assert abs(self.entropy(coarse) - self.entropy(fine)) <= 1e-12
+
+
 class TestLocalStep:
     def test_linear_spring_step(self):
         k, eta, dt, x0 = 2.0, 1.3, 1e-3, 0.8
@@ -395,6 +425,23 @@ class TestEdiResidual:
         heavier = rho.with_values(rho.values * (1.0 + 1e-8))
         with pytest.raises(ValueError, match="equal mass"):
             edi_residual(problem, [rho, heavier], 1e-3)
+
+    @pytest.mark.parametrize("kind", ["wasserstein", "hminus1"])
+    def test_masses_are_compared_with_the_first_state(self, kind):
+        # each step drifts by 0.6 MASS_MATCH_TOL, so only the first and the
+        # last state are too far apart
+        problem = FlowProblem(EnergyFunctional.entropy(), QuadraticDissipation(kind))
+        rho = gaussian(cells=60)
+        drifting = [rho.with_values(rho.values * (1.0 + 0.6e-10 * k)) for k in range(3)]
+        assert edi_residual(problem, drifting[:2], 1e-3) >= 0.0
+        with pytest.raises(ValueError, match="equal mass"):
+            edi_residual(problem, drifting, 1e-3)
+
+    def test_zero_mass_density_raises(self):
+        problem = FlowProblem(EnergyFunctional.entropy(), QuadraticDissipation("wasserstein"))
+        empty = gaussian(cells=60).with_values(np.zeros(60))
+        with pytest.raises(ValueError, match="positive for a density"):
+            edi_residual(problem, [empty, empty], 1e-3)
 
 
 class TestFokkerPlanckEdiInvariant:

@@ -8,14 +8,9 @@ from gradflow.measures import (
     GridDensity1D,
     PhysicalConstants,
     relative_entropy,
-    ent_grid,
     total_variation,
     push_forward,
-    empirical_from_samples,
-    second_moment,
-    read_discrete_csv,
     read_grid_csv,
-    write_discrete_csv,
     write_grid_csv,
     write_table,
 )
@@ -53,6 +48,15 @@ class TestRelativeEntropy:
     def test_mismatched_support_raises(self):
         with pytest.raises(ValueError):
             relative_entropy(measure_on_line([1.0]), measure_on_line([0.5, 0.5]))
+
+    @pytest.mark.parametrize("distance", [relative_entropy, total_variation])
+    def test_same_atom_count_in_another_dimension_raises(self, distance):
+        # two atoms on the line and two in the plane are not one support
+        mu = DiscreteMeasure(np.zeros((2, 1)), [0.5, 0.5])
+        nu = DiscreteMeasure(np.arange(4.0).reshape(2, 2), [0.5, 0.5])
+        for pair in ((mu, nu), (nu, mu)):
+            with pytest.raises(ValueError, match="one atom indexing"):
+                distance(*pair)
 
     def test_nonnegative_and_zero_iff_equal(self):
         rng = np.random.default_rng(7)
@@ -99,31 +103,6 @@ class TestRelativeEntropy:
         assert relative_entropy(rho, sigma) > 0.0
         hole = GridDensity1D(0.0, 1.0, np.r_[np.zeros(1), np.full(9, 10.0 / 9)])
         assert relative_entropy(rho, hole) == math.inf
-
-
-class TestEntGrid:
-    def test_uniform_one(self):
-        rho = GridDensity1D(0.0, 1.0, np.ones(50))
-        assert ent_grid(rho) == 0.0
-
-    def test_uniform_half_on_length_two(self):
-        # int (1/2) log(1/2) over length 2 = -log 2
-        rho = GridDensity1D(0.0, 2.0, np.full(64, 0.5))
-        assert ent_grid(rho) == pytest.approx(-math.log(2.0), abs=1e-12)
-
-    def test_gaussian_matches_closed_form(self):
-        # closed form for N(0,1): -log sqrt(2 pi) - 1/2
-        x = GridDensity1D(-8.0, 8.0, np.ones(800)).centers
-        rho = GridDensity1D(-8.0, 8.0, np.exp(-x * x / 2) / math.sqrt(2 * math.pi))
-        expected = -0.5 * math.log(2 * math.pi) - 0.5
-        assert ent_grid(rho) == pytest.approx(expected, abs=1e-4)
-
-    def test_refinement_invariance_for_piecewise_constant(self):
-        rng = np.random.default_rng(3)
-        values = rng.random(16) + 0.1
-        coarse = GridDensity1D(0.0, 2.0, values)
-        fine = GridDensity1D(0.0, 2.0, np.repeat(values, 2))
-        assert abs(ent_grid(coarse) - ent_grid(fine)) <= 1e-12
 
 
 class TestTotalVariation:
@@ -184,7 +163,7 @@ class TestPushForward:
                 order[key] = len(oracle_atoms)
                 oracle_atoms.append(img)
                 oracle_weights.append(float(w))
-        assert len(out) == 4 and out.dim == 1
+        assert len(out) == 4 and out.atoms.shape[1] == 1
         assert out.atoms.tobytes() == np.array(oracle_atoms).tobytes()
         assert out.weights.tobytes() == np.array(oracle_weights).tobytes()
 
@@ -204,37 +183,14 @@ class TestPushForward:
 
 
 class TestEmpirical:
-    def test_single_point(self):
-        mu = empirical_from_samples([0.0])
-        assert len(mu) == 1 and mu.weights[0] == 1.0
-
-    def test_duplicates_merge(self):
-        mu = empirical_from_samples([0.0, 0.0])
-        assert len(mu) == 1 and mu.weights[0] == pytest.approx(1.0)
+    """An empirical measure (1/n) sum of deltas is the push-forward of n
+    atoms of weight 1/n under the identity, which merges repeated points."""
 
     def test_repeated_points_in_the_plane_merge_in_order(self):
-        mu = empirical_from_samples([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0], [1.0, 2.0]])
+        atoms = [[1.0, 2.0], [0.0, 0.0], [1.0, 2.0], [1.0, 2.0]]
+        mu = push_forward(DiscreteMeasure(atoms, np.full(4, 0.25)), lambda x: x)
         assert np.array_equal(mu.atoms, [[1.0, 2.0], [0.0, 0.0]])
         assert np.array_equal(mu.weights, [0.25 + 0.25 + 0.25, 0.25])
-
-    def test_three_points(self):
-        mu = empirical_from_samples([0.0, 1.0, 2.0])
-        assert np.allclose(mu.weights, 1.0 / 3.0)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            empirical_from_samples([])
-
-
-class TestSecondMoment:
-    def test_deltas(self):
-        assert second_moment(empirical_from_samples([0.0])) == 0.0
-        assert second_moment(empirical_from_samples([2.0])) == pytest.approx(4.0)
-
-    def test_uniform_grid_density(self):
-        # int_0^1 x^2 dx = 1/3; midpoint quadrature is second order
-        rho = GridDensity1D(0.0, 1.0, np.ones(2000))
-        assert second_moment(rho) == pytest.approx(1.0 / 3.0, abs=1e-6)
 
 
 class TestInvariants:
@@ -277,16 +233,6 @@ class TestInvariants:
 
 
 class TestCsvRoundTrip:
-    def test_discrete(self, tmp_path):
-        rng = np.random.default_rng(5)
-        mu = DiscreteMeasure(rng.normal(size=(7, 2)), rng.random(7))
-        path = tmp_path / "mu.csv"
-        write_discrete_csv(mu, path)
-        back = read_discrete_csv(path)
-        assert np.array_equal(back.atoms, mu.atoms)
-        assert np.array_equal(back.weights, mu.weights)
-        assert path.read_text().splitlines()[0] == "x,y,weight"
-
     def test_grid(self, tmp_path):
         rho = GridDensity1D(-1.0, 3.0, np.linspace(0.0, 2.0, 11))
         path = tmp_path / "rho.csv"
@@ -297,23 +243,17 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.values, rho.values)
 
     def test_crlf_files_still_load(self, tmp_path):
-        # earlier versions wrote these two formats through csv.writer, whose
-        # lines end in CRLF
-        rng = np.random.default_rng(8)
-        mu = DiscreteMeasure(rng.normal(size=(5, 3)), rng.random(5))
-        rho = GridDensity1D(0.0, 5.0, rng.random(9))
-        discrete, grid = tmp_path / "mu.csv", tmp_path / "rho.csv"
-        cases = ((mu, write_discrete_csv, discrete), (rho, write_grid_csv, grid))
-        for measure, write, path in cases:
-            write(measure, path)
-            crlf = path.read_bytes().replace(b"\n", b"\r\n")
-            assert crlf.count(b"\r\n") == len(crlf.splitlines())
-            path.write_bytes(crlf)
-        back_mu, back_rho = read_discrete_csv(discrete), read_grid_csv(grid)
-        assert np.array_equal(back_mu.atoms, mu.atoms)
-        assert np.array_equal(back_mu.weights, mu.weights)
-        assert np.array_equal(back_rho.values, rho.values)
-        assert back_rho.b == pytest.approx(rho.b, abs=1e-14)
+        # earlier versions wrote this format through csv.writer, whose lines
+        # end in CRLF
+        rho = GridDensity1D(0.0, 5.0, np.random.default_rng(8).random(9))
+        path = tmp_path / "rho.csv"
+        write_grid_csv(rho, path)
+        crlf = path.read_bytes().replace(b"\n", b"\r\n")
+        assert crlf.count(b"\r\n") == len(crlf.splitlines())
+        path.write_bytes(crlf)
+        back = read_grid_csv(path)
+        assert np.array_equal(back.values, rho.values)
+        assert back.b == pytest.approx(rho.b, abs=1e-14)
 
     @pytest.mark.parametrize(
         "text",
