@@ -41,13 +41,16 @@ JKO step runs the same loop with its own symmetric solve.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgbsv, dgtsv, dptsv
+import scipy
+from numpy.linalg import LinAlgError
 
 from ._grid import (
     divergence_of_flux,
@@ -59,8 +62,8 @@ from ._grid import (
     pair_potential,
     weighted_poisson_neumann,
 )
-from .measures import GridDensity1D, PhysicalConstants
-from .transport import MASS_MATCH_TOL, QUANTILE_NODES_PER_CELL, SingularWeightError, quantiles
+from .measures import MASS_MATCH_TOL, GridDensity1D, PhysicalConstants
+from .transport import QUANTILE_NODES_PER_CELL, SingularWeightError, quantiles
 
 __all__ = [
     "QuadraticDissipation",
@@ -698,10 +701,36 @@ def _convex_splitting_system(problem: FlowProblem, z):
     return residual, jacobian, tol
 
 
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, ``scipy.linalg._flapack``, loaded
+    without running ``scipy/linalg/__init__.py``: that initializer imports
+    about 300 modules and takes longer than most default runs, for the
+    three routines :func:`_solve_banded` calls.  ``scipy.linalg.lapack``
+    re-exports this module's functions, so they are the very objects that
+    ``solve_banded`` calls.  The interpreter records a single-phase
+    extension such as this f2py module under its name in ``sys.modules``,
+    and a later ``import scipy.linalg`` takes it from there.
+    """
+    linalg_dir = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    found = importlib.machinery.PathFinder.find_spec("_flapack", [linalg_dir])
+    if found is None:
+        raise ImportError(f"no compiled _flapack module in {linalg_dir}")
+    spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", found.origin)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dgbsv, dgtsv, dptsv = _flapack.dgbsv, _flapack.dgtsv, _flapack.dptsv
+
+
 def _solve_banded(ab: np.ndarray, b: np.ndarray, *, symmetric: bool = False) -> np.ndarray:
     """Solve the banded system of ``ab`` for ``b`` by the LAPACK routine that
     ``scipy.linalg.solve_banded`` calls, without the argument handling that
-    costs more than the solve on a few hundred unknowns.
+    costs more than the solve on a few hundred unknowns.  The routines are
+    scipy's own f2py wrappers (``scipy.linalg.lapack.dgtsv`` and so on),
+    loaded by :func:`_load_flapack` without importing ``scipy.linalg``.
 
     ``ab`` is in ``solve_banded``'s layout with equal lower and upper bands
     (``dgtsv`` for one band, ``dgbsv`` for wider ones) or, ``symmetric``, in

@@ -37,7 +37,8 @@ __all__ = [
     "write_json",
 ]
 
-MASS_MATCH_TOL = 1e-12
+# two masses match when they differ by at most MASS_MATCH_TOL max(1, mass)
+MASS_MATCH_TOL = 1e-10
 
 # the ufunc reductions themselves, without the wrappers of np.all, np.sum and
 # ndarray.min: most measures here have a handful of atoms
@@ -223,8 +224,9 @@ def total_variation(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     2 TV^2 <= H holds.
     """
     _check_shared_support(mu, nu)
-    if abs(mu.mass() - nu.mass()) > MASS_MATCH_TOL:
-        raise ValueError("total variation requires equal masses (1e-12)")
+    m0 = mu.mass()
+    if abs(m0 - nu.mass()) > MASS_MATCH_TOL * max(1.0, m0):
+        raise ValueError("total variation requires equal masses")
     return 0.5 * float(_sum(np.abs(mu.weights - nu.weights)))
 
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .measures import GridDensity1D
+from .measures import MASS_MATCH_TOL, GridDensity1D
 
 __all__ = [
     "TransportPlan",
@@ -32,7 +32,6 @@ __all__ = [
 ]
 
 BRUTEFORCE_MAX_N = 9
-MASS_MATCH_TOL = 1e-10
 QUANTILE_NODES_PER_CELL = 4
 
 

@@ -600,6 +600,12 @@ class TestSolveBanded:
         ab[band] = rng.choice([-1.0, 1.0], size=n) * (2.0 * band + rng.random(n) + 0.5)
         return ab
 
+    @pytest.mark.parametrize("name", ["dgtsv", "dgbsv", "dptsv"])
+    def test_routines_are_scipy_lapack_wrappers(self, name):
+        from scipy.linalg import lapack
+
+        assert getattr(gradient_flow, name).__doc__ == getattr(lapack, name).__doc__
+
     @pytest.mark.parametrize("band", [1, 2])
     def test_general_band_matches_solve_banded_bitwise(self, band):
         from scipy.linalg import solve_banded

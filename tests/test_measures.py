@@ -124,6 +124,16 @@ class TestTotalVariation:
         with pytest.raises(ValueError):
             total_variation(measure_on_line([1.0, 0.0]), measure_on_line([0.5, 0.6]))
 
+    def test_mass_tolerance_is_relative(self):
+        # the same 1,000 weights in another order: the two sums of a mass
+        # near 1e5 differ by rounding alone
+        w = np.random.default_rng(0).uniform(0.0, 206.0, 1000)
+        mu, nu = measure_on_line(w), measure_on_line(np.sort(w))
+        assert 0.0 < abs(mu.mass() - nu.mass()) < 1e-10 * mu.mass()
+        assert total_variation(mu, nu) == 0.5 * np.abs(w - np.sort(w)).sum()
+        with pytest.raises(ValueError, match="equal masses"):
+            total_variation(mu, measure_on_line(np.sort(w) * (1.0 + 1e-6)))
+
 
 class TestPushForward:
     def test_identity(self):
