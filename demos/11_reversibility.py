@@ -12,10 +12,9 @@ import math
 
 import numpy as np
 
-from gradflow import GridDensity1D, PhysicalConstants
+from gradflow import GridDensity1D
 from gradflow.particles import reversibility_check
 
-constants = PhysicalConstants.with_rt(1.0)
 grid = GridDensity1D(-3.0, 3.0, np.ones(80))
 x = grid.centers
 
@@ -41,7 +40,7 @@ coupling = lambda r: np.exp(-(r**2))
 A = np.array([1.0, 2.0])
 kT = 1.3
 c1, c2 = reversibility_check(
-    constants, A, np.sqrt(kT * A), straight, zigzag,
+    A, np.sqrt(kT * A), straight, zigzag,
     domain=(-3.0, 3.0), coupling=coupling,
 )
 print("proportional case (sigma^2 = kT A for one kT):")
@@ -50,7 +49,7 @@ print(f"  detour path cross term  : {c2:+.10f}")
 print(f"  gap                     : {abs(c1 - c2):.2e}  (an exact differential)")
 
 c1, c2 = reversibility_check(
-    constants, np.array([1.0, 1.0]), np.array([1.0, math.sqrt(2.0)]),
+    np.array([1.0, 1.0]), np.array([1.0, math.sqrt(2.0)]),
     straight, zigzag, domain=(-3.0, 3.0), coupling=coupling,
 )
 print("\nnon-proportional case (sigma sigma^T = diag(1, 2), A = I):")

@@ -847,12 +847,12 @@ def _exp_reversibility(cfg: ExperimentConfig) -> ExperimentOutput:
 
     prop_sigma = np.sqrt(p["kT"] * mobility)
     c1p, c2p = reversibility_check(
-        cfg.constants, mobility, prop_sigma, path1, path2,
+        mobility, prop_sigma, path1, path2,
         domain=(-3.0, 3.0), coupling=coupling,
     )
     ratio_breaker = np.array([1.0, math.sqrt(2.0)]) * prop_sigma
     c1n, c2n = reversibility_check(
-        cfg.constants, mobility, ratio_breaker, path1, path2,
+        mobility, ratio_breaker, path1, path2,
         domain=(-3.0, 3.0), coupling=coupling,
     )
     out.header = ["case", "crossterm_path1", "crossterm_path2", "gap"]

@@ -1,6 +1,9 @@
 """Generalized gradient-flow engine.
 
 A flow is the triple (state kind, driving energy, quadratic dissipation).
+A state is a plain vector (the scalar kind) or a grid state, a
+:class:`gradflow.measures.UniformGrid` whose ``values`` hold its field(s)
+and whose ``h`` is its cell width.
 The dissipation is one of six kinds, each one Onsager operator K(z); the
 dual pair of potentials ``psi`` (cost of a rate of change) and ``psi_star``
 (cost of a driving force) is <K^{-1} s, s> / 2 and <xi, K xi> / 2, so the
@@ -62,7 +65,7 @@ from ._grid import (
     pair_potential,
     weighted_poisson_neumann,
 )
-from .measures import MASS_MATCH_TOL, GridDensity1D, PhysicalConstants
+from .measures import MASS_MATCH_TOL, GridDensity1D, PhysicalConstants, UniformGrid
 from .transport import QUANTILE_NODES_PER_CELL, SingularWeightError, quantiles
 
 __all__ = [
@@ -124,17 +127,10 @@ class ConstraintError(RuntimeError):
 
 
 def _values_of(state) -> np.ndarray:
-    if isinstance(state, GridDensity1D):
+    """The field(s) of a grid state, or the vector of a finite-dimensional one."""
+    if isinstance(state, UniformGrid):
         return state.values
-    if hasattr(state, "values"):
-        return np.asarray(state.values, dtype=float)
     return np.asarray(state, dtype=float)
-
-
-def _h_of(state) -> float:
-    if hasattr(state, "h"):
-        return float(state.h)
-    raise TypeError("grid dissipation needs a state with spacing attribute h")
 
 
 @dataclass(frozen=True)
@@ -156,8 +152,10 @@ class QuadraticDissipation:
                  j = h cumsum(s) the flux of the rate (s = div j with no-flux
                  ends, exact in 1D).
 
-    The species kinds read ``concentrations`` (m, cells), ``molar_volumes``,
-    ``frictions`` and ``h`` of a :class:`gradflow.models.MultiSpeciesState`.
+    Every kind but scalar takes a grid state, a
+    :class:`gradflow.measures.UniformGrid`, and raises TypeError on any
+    other; the species kinds take a :class:`gradflow.models.MultiSpeciesState`
+    and read its (m, cells) concentrations, molar volumes and frictions.
     A rate or force not of the state's shape raises ValueError.
     psi of the log-mean kinds raises SingularWeightError on a vacuum cell,
     where psi* and K stay defined (L = 0).
@@ -177,7 +175,7 @@ class QuadraticDissipation:
     def psi(self, state, rate) -> float:
         if self.kind in ("scalar", "l2"):
             return 0.5 * self.coefficient * self.pairing(state, rate, rate)
-        s, h, weights = _grid_field(state, rate), _h_of(state), self._weights(state)
+        s, h, weights = self._field(state, rate), state.h, self._weights(state)
         if np.any(weights <= 0.0):
             raise SingularWeightError("vacuum cell: the log-mean mobility is singular")
         scale = max(1.0, float(np.abs(s).max(initial=0.0)))
@@ -194,24 +192,35 @@ class QuadraticDissipation:
     def psi_star(self, state, force) -> float:
         if self.kind in ("scalar", "l2"):
             return 0.5 / self.coefficient * self.pairing(state, force, force)
-        h = _h_of(state)
-        grad = interface_gradient(_grid_field(state, force), h)
-        return 0.5 / self.coefficient * float(h * np.sum(self._flux(state, grad) * grad))
+        grad = interface_gradient(self._field(state, force), state.h)
+        return 0.5 / self.coefficient * float(state.h * np.sum(self._flux(state, grad) * grad))
 
     def pairing(self, state, force, rate) -> float:
         """Duality pairing <xi, s> (an L^2 sum on grids)."""
-        h = 1.0 if self.kind == "scalar" else _h_of(state)
-        return float(h * np.sum(_grid_field(state, force) * _grid_field(state, rate)))
+        product = self._field(state, force) * self._field(state, rate)
+        return float((1.0 if self.kind == "scalar" else state.h) * np.sum(product))
 
     def apply_mobility(self, state, force) -> np.ndarray:
         """Rate s = K(z) xi induced by a force: xi / c, or -div J / c with
         the flux J of the conservative kinds, so that <xi, K xi> is the
         nonnegative dual norm."""
         if self.kind in ("scalar", "l2"):
-            return _grid_field(state, force) / self.coefficient
-        h = _h_of(state)
-        grad = interface_gradient(_grid_field(state, force), h)
-        return -divergence_of_flux(self._flux(state, grad), h) / self.coefficient
+            return self._field(state, force) / self.coefficient
+        grad = interface_gradient(self._field(state, force), state.h)
+        return -divergence_of_flux(self._flux(state, grad), state.h) / self.coefficient
+
+    def _field(self, state, field) -> np.ndarray:
+        """A rate or force on state (its grid, or its vector for the scalar
+        kind), as a float array of the state's shape."""
+        if self.kind != "scalar" and not isinstance(state, UniformGrid):
+            raise TypeError(f"the {self.kind} dissipation needs a grid state, a UniformGrid")
+        values = np.asarray(field, dtype=float)
+        if values.shape != _values_of(state).shape:
+            raise ValueError(
+                f"a rate or force of shape {values.shape} on a state of shape "
+                f"{_values_of(state).shape}"
+            )
+        return values
 
     # -- the flux of a conservative kind -----------------------------------
 
@@ -232,18 +241,6 @@ class QuadraticDissipation:
             weights * grad, weights, state.molar_volumes[:, None], state.h,
             pressure=self.kind == "species_global",
         )
-
-
-def _grid_field(state, field) -> np.ndarray:
-    """A rate or force on state (its grid, or its vector for the scalar
-    kind), as a float array of the state's shape."""
-    values = np.asarray(field, dtype=float)
-    if values.shape != _values_of(state).shape:
-        raise ValueError(
-            f"a rate or force of shape {values.shape} on a state of shape "
-            f"{_values_of(state).shape}"
-        )
-    return values
 
 
 def _volume_constrained(fluxes, weights, alpha, h, pressure: bool) -> np.ndarray:
@@ -401,15 +398,13 @@ class EnergyFunctional:
             raise ValueError("well depth coefficient must be positive")
 
         def value(state) -> float:
-            u = _values_of(state)
-            h = _h_of(state)
+            u, h = state.values, state.h
             grad = interface_gradient(u, h)
             dirichlet = 0.5 * float(h * np.sum(grad * grad))
             return dirichlet + float(h * np.sum(0.25 * well * (1.0 - u * u) ** 2))
 
         def derivative(state) -> np.ndarray:
-            u = _values_of(state)
-            h = _h_of(state)
+            u, h = state.values, state.h
             return -laplacian_neumann(u, h) + well * (u**3 - u)
 
         return cls(kind="dirichlet_double_well", value=value, derivative=derivative, well=well)
@@ -655,10 +650,10 @@ def _convex_splitting_system(problem: FlowProblem, z):
     M = max(1, |u_prev|_inf) and k = 1 (l2) or 4 / h^2 (hminus1): the size
     of R's largest term.
     """
-    h, well = _h_of(z), problem.energy.well
+    h, well = z.h, problem.energy.well
     friction = problem.dissipation.coefficient
     hminus1 = problem.dissipation.kind == "hminus1"
-    n, a = _values_of(z).size, 1.0 / (h * h)
+    n, a = z.cells, 1.0 / (h * h)
     # laplacian_neumann in the banded layout: row 0 the upper diagonal,
     # row 1 the main one, row 2 the lower one
     lap = np.zeros((3, n))
@@ -836,7 +831,7 @@ def _segment_rates(states, dt: float, dissipation, *, midpoint: bool = False):
         base = prev.with_values(0.5 * (before + after)) if midpoint else prev
         rate = (after - before) / dt
         if conservative:
-            h = _h_of(prev)
+            h = prev.h
             if k == 0:
                 mass0 = h * before.sum(axis=-1, keepdims=True)
                 tol = MASS_MATCH_TOL * np.maximum(1.0, np.abs(mass0))

@@ -3,6 +3,9 @@
 Two carriers are used everywhere in this package: :class:`DiscreteMeasure`
 (weighted atoms in R^d, e.g. empirical measures and finite-alphabet laws)
 and :class:`GridDensity1D` (a nonnegative density on a uniform 1D grid).
+Every grid state of the package, the density here and the phase fields and
+species of :mod:`gradflow.models`, is a :class:`UniformGrid`, the one place
+the grid's geometry and its domain check are written.
 Both are immutable after construction; every operation here is a pure
 function, so concurrent read access is safe.
 
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "UniformGrid",
     "DiscreteMeasure",
     "GridDensity1D",
     "PhysicalConstants",
@@ -84,32 +88,26 @@ class DiscreteMeasure:
 
 
 @dataclass(frozen=True)
-class GridDensity1D:
-    """Nonnegative density on a uniform grid of ``cells`` cells over [a, b].
+class UniformGrid:
+    """Uniform grid over the finite interval [a, b], b > a: the geometry
+    every grid state shares.
 
-    ``values[i]`` is the density (mass per length) on cell i; the cell mass
-    is ``h * values[i]`` with ``h = (b - a) / cells``.
+    A subclass holds its field(s) on the grid as ``values``, cells on the
+    last axis; ``h = (b - a) / cells`` is the cell width.
     """
 
     a: float
     b: float
-    values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).reshape(-1)
-        if values.size < 2:
-            raise ValueError("need at least 2 cells")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError("domain ends must be finite")
         if not self.b > self.a:
             raise ValueError("domain must satisfy b > a")
-        if np.any(values < 0.0) or not np.isfinite(values).all():
-            raise ValueError("density values must be finite and nonnegative")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
 
     @property
     def cells(self) -> int:
-        return self.values.size
+        return self.values.shape[-1]
 
     @property
     def h(self) -> float:
@@ -122,6 +120,28 @@ class GridDensity1D:
     @property
     def edges(self) -> np.ndarray:
         return self.a + np.arange(self.cells + 1) * self.h
+
+
+@dataclass(frozen=True)
+class GridDensity1D(UniformGrid):
+    """Nonnegative density on a uniform grid of ``cells`` cells over [a, b].
+
+    ``values[i]`` is the density (mass per length) on cell i; the cell mass
+    is ``h * values[i]``.
+    """
+
+    values: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        values = np.asarray(self.values, dtype=float).reshape(-1)
+        if values.size < 2:
+            raise ValueError("need at least 2 cells")
+        if np.any(values < 0.0) or not np.isfinite(values).all():
+            raise ValueError("density values must be finite and nonnegative")
+        values = values.copy()
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     def mass(self) -> float:
         return float(self.h * self.values.sum())

@@ -2,6 +2,11 @@
 diffusion (Fokker-Planck), multi-component diffusion under a volume
 constraint, and the Allen-Cahn / Cahn-Hilliard phase-field flows.
 
+The phase-field and species states are, like the density
+:class:`gradflow.measures.GridDensity1D`, a
+:class:`gradflow.measures.UniformGrid` carrying their field(s) as
+``values``.
+
 The grid solvers use conservative interface fluxes (no-flux ends) and
 record per-step energy and mass so that dissipation and conservation can be
 asserted rather than assumed.  The explicit Fokker-Planck and phase-field
@@ -58,10 +63,11 @@ from .gradient_flow import (
     PositivityError,
     QuadraticDissipation,
     _march,
+    _potential_values,
     implicit_step,
     local_step,
 )
-from .measures import GridDensity1D, PhysicalConstants
+from .measures import GridDensity1D, PhysicalConstants, UniformGrid
 
 __all__ = [
     "PhaseFieldState",
@@ -91,7 +97,7 @@ class CflError(ValueError):
 
 
 @dataclass(frozen=True)
-class PhaseFieldState:
+class PhaseFieldState(UniformGrid):
     """Order parameter u on a uniform grid.
 
     The double-well depth belongs to the energy
@@ -99,11 +105,10 @@ class PhaseFieldState:
     not to the state.
     """
 
-    a: float
-    b: float
     u: np.ndarray
 
     def __post_init__(self):
+        super().__post_init__()
         u = np.asarray(self.u, dtype=float).reshape(-1)
         if u.size < 4:
             raise ValueError("need at least 4 cells")
@@ -112,18 +117,6 @@ class PhaseFieldState:
         u = u.copy()
         u.flags.writeable = False
         object.__setattr__(self, "u", u)
-
-    @property
-    def cells(self) -> int:
-        return self.u.size
-
-    @property
-    def h(self) -> float:
-        return (self.b - self.a) / self.cells
-
-    @property
-    def centers(self) -> np.ndarray:
-        return self.a + (np.arange(self.cells) + 0.5) * self.h
 
     @property
     def values(self) -> np.ndarray:
@@ -137,20 +130,19 @@ class PhaseFieldState:
 
 
 @dataclass(frozen=True)
-class MultiSpeciesState:
+class MultiSpeciesState(UniformGrid):
     """m species on one grid, subject to sum_i alpha_i c_i = 1 cellwise.
 
     ``concentrations`` has shape (m, cells) in mol/m^3, ``molar_volumes``
     alpha_i > 0 in m^3/mol, ``frictions`` eta_i > 0, all finite.
     """
 
-    a: float
-    b: float
     concentrations: np.ndarray
     molar_volumes: np.ndarray
     frictions: np.ndarray
 
     def __post_init__(self):
+        super().__post_init__()
         c = np.atleast_2d(np.asarray(self.concentrations, dtype=float))
         alpha = np.asarray(self.molar_volumes, dtype=float).reshape(-1)
         eta = np.asarray(self.frictions, dtype=float).reshape(-1)
@@ -169,14 +161,6 @@ class MultiSpeciesState:
             arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-    @property
-    def cells(self) -> int:
-        return self.concentrations.shape[1]
-
-    @property
-    def h(self) -> float:
-        return (self.b - self.a) / self.cells
 
     @property
     def values(self) -> np.ndarray:
@@ -317,10 +301,7 @@ def fokker_planck_solve(
         raise CflError(
             f"dt = {dt:.3e} violates the diffusive CFL bound {h * h * eta / (2 * rt):.3e}"
         )
-    if V is None:
-        V_arr = np.zeros(c0.cells)
-    else:
-        V_arr = V(c0.centers) if callable(V) else np.asarray(V, dtype=float)
+    V_arr = np.zeros(c0.cells) if V is None else _potential_values(V, c0.centers)
     grad_V = interface_gradient(V_arr, h)
 
     n = c0.cells

@@ -114,10 +114,6 @@ class ParticleEnsemble:
     def n(self) -> int:
         return self.positions.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.positions.shape[1]
-
 
 def _interaction_drift(pos: np.ndarray, grad_vi) -> np.ndarray:
     """Mean-field drift (1/n) sum_j grad Vi(X_i - X_j), in blocks of rows.
@@ -195,17 +191,17 @@ def empirical_density(positions, domain: tuple[float, float], cells: int) -> Gri
     """
     pos = np.asarray(positions, dtype=float).reshape(-1)
     a, b = domain
+    grid = GridDensity1D(a, b, np.zeros(cells))
     inside = (pos >= a) & (pos <= b)
     lost = pos.size - int(inside.sum())
     if lost > 1e-3 * pos.size:
         raise ValueError(
             f"{lost} of {pos.size} particles fell outside the histogram domain"
         )
-    h = (b - a) / cells
+    h = grid.h
     idx = np.clip(((pos[inside] - a) / h).astype(int), 0, cells - 1)
     counts = np.bincount(idx, minlength=cells).astype(float)
-    values = counts / (inside.sum() * h)
-    return GridDensity1D(a, b, values)
+    return grid.with_values(counts / (inside.sum() * h))
 
 
 # -- path-space rate functional -------------------------------------------------
@@ -262,7 +258,6 @@ def _entropy_difference_quotient(prev: np.ndarray, cur: np.ndarray) -> np.ndarra
 
 
 def reversibility_check(
-    constants: PhysicalConstants,
     A,
     sigma,
     path1,
@@ -277,9 +272,10 @@ def reversibility_check(
     The state is a pair of coupled 1D fields (a structural stand-in for a
     2D mobility geometry): ``A`` and ``sigma`` are length-2 arrays holding
     the per-field scalar mobility a_f and noise sigma_f, ``path1/2`` are
-    (steps+1, 2, cells) arrays sharing both endpoints, ``background`` is an
-    optional potential of position, and ``coupling`` an even kernel tying
-    the two fields.
+    (steps+1, 2, cells) arrays sharing both endpoints, at least 2 cells on
+    a uniform grid of the finite ``domain`` (a, b) with b > a,
+    ``background`` is an optional potential of position, and ``coupling``
+    an even kernel tying the two fields.
 
     Returns the integral of (rho_dot, -div sigma^2 grad rho
     - div rho a grad[Vb + K * rho_other])_{-1, rho sigma^2} along each
@@ -299,10 +295,8 @@ def reversibility_check(
         np.allclose(p1[0], p2[0], atol=1e-12) and np.allclose(p1[-1], p2[-1], atol=1e-12)
     ):
         raise ValueError("paths must share both endpoints")
-    lo, hi = domain
-    cells = p1.shape[2]
-    h = (hi - lo) / cells
-    centers = lo + (np.arange(cells) + 0.5) * h
+    grid = GridDensity1D(*domain, np.zeros(p1.shape[2]))
+    h, centers = grid.h, grid.centers
     vb_arr = background(centers) if background is not None else None
     kernel = (
         coupling(centers[:, None] - centers[None, :]) if coupling is not None else None

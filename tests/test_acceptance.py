@@ -376,10 +376,9 @@ def test_criterion_12_reversibility():
     A = np.array([1.0, 2.0])
     kT = 1.3
     c1p, c2p = reversibility_check(
-        RT1, A, np.sqrt(kT * A), path1, path2, domain=(-3.0, 3.0), coupling=coupling
+        A, np.sqrt(kT * A), path1, path2, domain=(-3.0, 3.0), coupling=coupling
     )
     c1n, c2n = reversibility_check(
-        RT1,
         np.array([1.0, 1.0]),
         np.array([1.0, math.sqrt(2.0)]),
         path1,

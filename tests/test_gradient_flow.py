@@ -128,6 +128,15 @@ class TestFieldShapes:
         args = (good, good) if method == "pairing" else (good,)
         assert np.all(getattr(diss, method)(state, *args) == 0.0)
 
+    @pytest.mark.parametrize("method", ["psi", "psi_star", "pairing", "apply_mobility"])
+    @pytest.mark.parametrize(
+        "kind", ["l2", "hminus1", "wasserstein", "species_local", "species_global"]
+    )
+    def test_grid_kind_needs_a_grid_state(self, kind, method):
+        fields = (np.ones(3),) * (2 if method == "pairing" else 1)
+        with pytest.raises(TypeError, match="UniformGrid"):
+            getattr(QuadraticDissipation(kind), method)(np.ones(3), *fields)
+
     def test_scalar_kind_on_a_number(self):
         diss = QuadraticDissipation("scalar", 2.0)
         assert diss.psi(1.0, 3.0) == 9.0

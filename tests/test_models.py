@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gradflow.measures import GridDensity1D, PhysicalConstants
+from gradflow.measures import GridDensity1D, PhysicalConstants, UniformGrid
 from gradflow.models import (
     CflError,
     ConstraintError,
@@ -131,6 +131,14 @@ class TestFokkerPlanck:
         with pytest.raises(ValueError, match="store_every"):
             fokker_planck_solve(c0, RT1, None, 4 * dt, dt, store_every=store_every, scheme=scheme)
 
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    @pytest.mark.parametrize("shape", [(9,), (), (1,)])
+    def test_potential_array_must_match_the_grid(self, scheme, shape):
+        c0 = GridDensity1D(0.0, 1.0, np.ones(10))
+        dt = 0.5 * c0.h**2 / 2.0
+        with pytest.raises(ValueError, match="potential array must match the grid"):
+            fokker_planck_solve(c0, RT1, np.zeros(shape), 4 * dt, dt, scheme=scheme)
+
     def test_implicit_scheme_is_first_order_in_dt(self):
         # both schemes share the flux, so their gap at fixed T is the time
         # error alone, first order in dt (the explicit reference's is small)
@@ -214,6 +222,12 @@ class TestBufferedFokkerPlanckStep:
         c0 = grid.with_values(1.0 + 0.5 * np.sin(3.0 * grid.centers))
         dt = 0.8 * grid.h**2 * constants.eta / (2.0 * constants.RT)
         self.check(c0, constants, np.cos, np.cos(grid.centers), 150 * dt, dt)
+
+    def test_potential_as_array(self):
+        grid = GridDensity1D(-1.0, 2.0, np.ones(80))
+        c0 = grid.with_values(1.0 + 0.5 * np.sin(3.0 * grid.centers))
+        dt = 0.8 * grid.h**2 / 2.0
+        self.check(c0, RT1, np.cos(grid.centers), np.cos(grid.centers), 150 * dt, dt)
 
     def test_no_potential(self):
         grid = GridDensity1D(0.0, 1.0, np.ones(64))
@@ -787,7 +801,34 @@ class TestFreeEnergyMultispecies:
         assert f_b - f_a == pytest.approx(-total_moles * math.log(2.0), rel=1e-12)
 
 
+GRID_STATES = {
+    "grid": UniformGrid,
+    "density": lambda a, b: GridDensity1D(a, b, np.ones(8)),
+    "phase_field": lambda a, b: PhaseFieldState(a, b, np.zeros(8)),
+    "species": lambda a, b: MultiSpeciesState(
+        a, b, np.full((2, 8), 0.25), np.array([2.0, 2.0]), np.array([1.0, 1.0])
+    ),
+}
+
+
 class TestStateValidation:
+    @pytest.mark.parametrize("make", GRID_STATES.values(), ids=list(GRID_STATES))
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            (1.0, 0.0, "b > a"),
+            (1.0, 1.0, "b > a"),
+            (0.0, math.inf, "finite"),
+            (-math.inf, 0.0, "finite"),
+            (0.0, math.nan, "finite"),
+            (math.nan, 1.0, "finite"),
+        ],
+        ids=["reversed", "empty", "inf-end", "inf-start", "nan-end", "nan-start"],
+    )
+    def test_domain_must_be_finite_with_b_above_a(self, make, a, b, message):
+        with pytest.raises(ValueError, match=message):
+            make(a, b)
+
     def test_volume_constraint_enforced(self):
         with pytest.raises(ValueError):
             MultiSpeciesState(

@@ -342,7 +342,6 @@ class TestReversibility:
         A = np.array([1.0, 2.0])
         sigma = np.sqrt(kT * A)
         c1, c2 = reversibility_check(
-            RT1,
             A,
             sigma,
             path1,
@@ -358,7 +357,6 @@ class TestReversibility:
         A = np.array([1.0, 1.0])
         sigma = np.array([1.0, math.sqrt(2.0)])  # sigma sigma^T = diag(1, 2)
         c1, c2 = reversibility_check(
-            RT1,
             A,
             sigma,
             path1,
@@ -368,11 +366,16 @@ class TestReversibility:
         )
         assert abs(c1 - c2) > 1e-3
 
+    @pytest.mark.parametrize("domain", [(3.0, -3.0), (-3.0, math.inf)])
+    def test_domain_must_be_finite_with_b_above_a(self, domain):
+        path1, path2 = self.make_paths(steps=4)
+        with pytest.raises(ValueError, match="domain"):
+            reversibility_check(np.ones(2), np.ones(2), path1, path2, domain=domain)
+
     def test_constant_path_has_zero_cross_term(self):
         path1, _ = self.make_paths(steps=4)
         frozen = np.repeat(path1[:1], 5, axis=0)
         c1, c2 = reversibility_check(
-            RT1,
             np.array([1.0, 1.0]),
             np.array([1.0, 1.0]),
             frozen,

@@ -24,6 +24,33 @@ from gradflow.measures import (
 )
 from gradflow.models import MultiSpeciesState, PhaseFieldState
 
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.floats(-1e6, 1e6),
+    width=st.floats(1e-6, 1e6),
+    cells=st.integers(4, 300),
+)
+def test_grid_geometry_is_one_formula_for_every_state(a, width, cells):
+    """h, centers and edges of every grid state are the uniform grid's
+    (b - a) / cells, a + (i + 1/2) h and a + i h, to the bit."""
+    b = a + width
+    assume(b > a)
+    h = (b - a) / cells
+    centers = a + (np.arange(cells) + 0.5) * h
+    edges = a + np.arange(cells + 1) * h
+    states = [
+        GridDensity1D(a, b, np.ones(cells)),
+        PhaseFieldState(a, b, np.zeros(cells)),
+        MultiSpeciesState(a, b, np.full((2, cells), 0.25), np.array([2.0, 2.0]), np.ones(2)),
+    ]
+    for state in states:
+        assert state.cells == cells
+        assert state.h == h
+        assert state.centers.tobytes() == centers.tobytes()
+        assert state.edges.tobytes() == edges.tobytes()
+
+
 grids = st.fixed_dictionaries(
     {
         "cells": st.integers(4, 300),
