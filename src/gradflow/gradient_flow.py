@@ -40,6 +40,17 @@ kinds, Eyre's splitting for the phase fields) are each a residual, banded
 Jacobian and tolerance that ``implicit_step`` solves by one call of the
 Newton loop ``_newton_march``, which halves a step where Newton fails; the
 JKO step runs the same loop with its own symmetric solve.
+
+A run fixes the flow and its grid, and a time step only moves the state,
+so a march builds its implicit step once (``_implicit_stepper``): the flow
+is checked and the system's grid-fixed parts (the Laplacian bands, V at
+the cells and grad V) are formed before the first step.  From step to step
+the backward-Euler residual carries the flux divergence of the last state
+it took: a step's first residual is at the state the previous step
+converged to, so a one-iteration step forms one flux, not two.  The reuse
+is keyed on the values, bitwise, and a march gives the same states as a
+loop of ``implicit_step``.  A grid free energy likewise keeps V at the
+cells of the last grid it was evaluated on.
 """
 
 from __future__ import annotations
@@ -173,9 +184,31 @@ class QuadraticDissipation:
     # -- dual pair -------------------------------------------------------
 
     def psi(self, state, rate) -> float:
+        return self._psi(state, rate, None)
+
+    def psi_star(self, state, force) -> float:
+        return self._psi_star(state, force, None)
+
+    def pairing(self, state, force, rate) -> float:
+        """Duality pairing <xi, s> (an L^2 sum on grids)."""
+        product = self._field(state, force) * self._field(state, rate)
+        return float((1.0 if self.kind == "scalar" else state.h) * np.sum(product))
+
+    def apply_mobility(self, state, force) -> np.ndarray:
+        """Rate s = K(z) xi induced by a force: xi / c, or -div J / c with
+        the flux J of the conservative kinds, so that <xi, K xi> is the
+        nonnegative dual norm."""
+        return self._mobility(state, force, None)
+
+    # psi, psi* and K with the interface weights of a conservative kind given
+    # (None: formed from the state), for a caller that needs them twice
+
+    def _psi(self, state, rate, weights) -> float:
         if self.kind in ("scalar", "l2"):
             return 0.5 * self.coefficient * self.pairing(state, rate, rate)
-        s, h, weights = self._field(state, rate), state.h, self._weights(state)
+        s, h = self._field(state, rate), state.h
+        if weights is None:
+            weights = self._weights(state)
         if np.any(weights <= 0.0):
             raise SingularWeightError("vacuum cell: the log-mean mobility is singular")
         scale = max(1.0, float(np.abs(s).max(initial=0.0)))
@@ -189,25 +222,18 @@ class QuadraticDissipation:
         flux = h * np.where(nearer_left, left[..., :-1], right[..., -2::-1])
         return 0.5 * self.coefficient * float(h * np.sum(flux * flux / weights))
 
-    def psi_star(self, state, force) -> float:
+    def _psi_star(self, state, force, weights) -> float:
         if self.kind in ("scalar", "l2"):
             return 0.5 / self.coefficient * self.pairing(state, force, force)
         grad = interface_gradient(self._field(state, force), state.h)
-        return 0.5 / self.coefficient * float(state.h * np.sum(self._flux(state, grad) * grad))
+        flux = self._flux(state, grad, weights)
+        return 0.5 / self.coefficient * float(state.h * np.sum(flux * grad))
 
-    def pairing(self, state, force, rate) -> float:
-        """Duality pairing <xi, s> (an L^2 sum on grids)."""
-        product = self._field(state, force) * self._field(state, rate)
-        return float((1.0 if self.kind == "scalar" else state.h) * np.sum(product))
-
-    def apply_mobility(self, state, force) -> np.ndarray:
-        """Rate s = K(z) xi induced by a force: xi / c, or -div J / c with
-        the flux J of the conservative kinds, so that <xi, K xi> is the
-        nonnegative dual norm."""
+    def _mobility(self, state, force, weights) -> np.ndarray:
         if self.kind in ("scalar", "l2"):
             return self._field(state, force) / self.coefficient
         grad = interface_gradient(self._field(state, force), state.h)
-        return -divergence_of_flux(self._flux(state, grad), state.h) / self.coefficient
+        return -divergence_of_flux(self._flux(state, grad, weights), state.h) / self.coefficient
 
     def _field(self, state, field) -> np.ndarray:
         """A rate or force on state (its grid, or its vector for the scalar
@@ -224,17 +250,19 @@ class QuadraticDissipation:
 
     # -- the flux of a conservative kind -----------------------------------
 
-    def _weights(self, state):
-        """Interface weights w of the flux J = w grad xi (L = 0 at vacuum)."""
+    def _weights(self, state, logs=None):
+        """Interface weights w of the flux J = w grad xi (L = 0 at vacuum);
+        ``logs`` may pass log of the state's values."""
         if self.kind == "hminus1":
             return 1.0
-        weights = logarithmic_interface_mean(_values_of(state))
+        weights = logarithmic_interface_mean(_values_of(state), logs=logs)
         return weights / state.frictions[:, None] if self.kind in SPECIES_KINDS else weights
 
-    def _flux(self, state, grad) -> np.ndarray:
+    def _flux(self, state, grad, weights=None) -> np.ndarray:
         """J = w grad xi from a force's interface gradient, with the volume
         constraint's correction for the species kinds."""
-        weights = self._weights(state)
+        if weights is None:
+            weights = self._weights(state)
         if self.kind not in SPECIES_KINDS:
             return weights * grad
         return _volume_constrained(
@@ -274,12 +302,13 @@ def _potential_values(f, centers: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _drift_potential(rho: GridDensity1D, potential=None, interaction=None, internal=None):
+def _drift_potential(rho: GridDensity1D, V=None, interaction=None, internal=None):
     """V + W * rho + U'(rho), the non-entropic part of DF (None if all absent):
-    the potential of :func:`gradflow._grid.free_energy_flux`."""
+    the potential of :func:`gradflow._grid.free_energy_flux`, from V at the
+    cells of rho."""
     parts = []
-    if potential is not None:
-        parts.append(_potential_values(potential, rho.centers))
+    if V is not None:
+        parts.append(V)
     if interaction is not None:
         parts.append(pair_potential(rho.values, rho.h, interaction))
     if internal is not None:
@@ -352,16 +381,25 @@ class EnergyFunctional:
             raise ValueError("entropy weight rt must be finite and nonnegative")
         if not 0.0 < c0 < math.inf:
             raise ValueError("reference concentration c0 must be finite and positive")
+        # V at the cells of the last grid seen, keyed by (a, b, cells): a march
+        # evaluates the energy on one grid at every step
+        memo = {}
+
+        def potential_at(rho):
+            key = (rho.a, rho.b, rho.cells)
+            if memo.get("key") != key:
+                memo.update(key=key, V=_potential_values(potential, rho.centers))
+            return memo["V"]
 
         def value(rho: GridDensity1D) -> float:
             v = rho.values
             total = 0.0
             if rt > 0.0:
-                pos = v > 0.0
-                total += rt * rho.h * float(np.sum(v[pos] * np.log(v[pos] / c0)))
+                # over the positive cells; when all are, v itself sums the same
+                positive = v if v.min() > 0.0 else v[v > 0.0]
+                total += rt * rho.h * float((positive * np.log(positive / c0)).sum())
             if potential is not None:
-                V = _potential_values(potential, rho.centers)
-                total += rho.h * float(np.sum(v * V))
+                total += rho.h * float((v * potential_at(rho)).sum())
             if interaction is not None:
                 pair = pair_potential(v, rho.h, interaction)
                 total += 0.5 * rho.h * float(np.sum(v * pair))
@@ -369,10 +407,17 @@ class EnergyFunctional:
                 total += rho.h * float(np.sum(internal[0](v)))
             return total
 
-        def derivative(rho: GridDensity1D) -> np.ndarray:
+        def derivative(rho: GridDensity1D, *, _logs=None) -> np.ndarray:
+            # _logs: log of rho's values, shared with the log-mean weights
+            # by _force_and_weights (log(v / c0) is log v when c0 is 1)
             v = rho.values
-            df = rt * (np.log(v / c0) + 1.0) if rt > 0.0 else np.zeros_like(v)
-            drift = _drift_potential(rho, potential, interaction, internal)
+            if rt > 0.0:
+                log_v = np.log(v / c0) if _logs is None or c0 != 1.0 else _logs
+                df = rt * (log_v + 1.0)
+            else:
+                df = np.zeros_like(v)
+            V = None if potential is None else potential_at(rho)
+            drift = _drift_potential(rho, V, interaction, internal)
             return df if drift is None else df + drift
 
         return cls(
@@ -463,10 +508,24 @@ def local_step(problem: FlowProblem, z, dt: float):
     values = _values_of(z)
     if (diss.kind == "wasserstein" or diss.kind in SPECIES_KINDS) and np.min(values) <= 0.0:
         raise SingularWeightError("vacuum cell: the log-mean mobility is singular")
-    out = values - dt * diss.apply_mobility(z, problem.energy.derivative(z))
+    force, weights = _force_and_weights(problem, z)
+    out = values - dt * diss._mobility(z, force, weights)
     if diss.kind == "scalar":
         return float(out) if out.ndim == 0 else out
     return z.with_values(out)
+
+
+def _force_and_weights(problem: FlowProblem, z):
+    """DF(z) and the interface weights of a conservative dissipation at z
+    (None for scalar and l2).  A log-mean kind driven by a grid free energy
+    with c0 = 1 takes log z once, for DF and for the log mean."""
+    energy, diss = problem.energy, problem.dissipation
+    if diss.kind in ("scalar", "l2"):
+        return energy.derivative(z), None
+    if diss.kind != "hminus1" and energy.kind == "grid_free_energy" and energy.c0 == 1.0:
+        logs = np.log(z.values)
+        return energy.derivative(z, _logs=logs), diss._weights(z, logs)
+    return energy.derivative(z), diss._weights(z)
 
 
 def implicit_step(problem: FlowProblem, z, dt: float):
@@ -489,6 +548,14 @@ def implicit_step(problem: FlowProblem, z, dt: float):
     phase field) is returned as it is, the same object, so a march settles
     within about the tolerance of the fixed point.
 
+    This is ``_implicit_stepper(problem, z)(z, dt)``.  The implicit marches
+    of :mod:`gradflow.models` build that step once and call it on every
+    state: the system's grid-fixed parts (the Laplacian bands, V at the
+    cells and grad V) are formed once, and the backward-Euler residual
+    carries the flux divergence of the state the previous step converged
+    to, which is the next step's start.  A loop of this function gives the
+    same states to the bit.
+
     The columns of the Cahn-Hilliard Jacobian sum to 1, so each Newton
     update keeps the mean in exact arithmetic; a constant shift back to the
     mean of the start removes the rounding of the banded solves, which grows
@@ -503,12 +570,18 @@ def implicit_step(problem: FlowProblem, z, dt: float):
     vacuum cell raises SingularWeightError; any other flow raises
     ValueError.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    return _implicit_stepper(problem, z)(z, dt)
+
+
+def _implicit_stepper(problem: FlowProblem, grid_state) -> Callable:
+    """The implicit step of :func:`implicit_step` as ``step(z, dt)`` for the
+    states of one march: the flow is checked and its system built once, on
+    the grid (and species parameters) of ``grid_state``, which every z must
+    share."""
     energy, kind = problem.energy, problem.dissipation.kind
     admissible = None
     if energy.kind == "dirichlet_double_well":
-        residual, jacobian, tol = _convex_splitting_system(problem, z)
+        residual, jacobian, tol = _convex_splitting_system(problem, grid_state)
     else:
         if kind != "wasserstein" and kind not in SPECIES_KINDS:
             raise ValueError(
@@ -516,11 +589,9 @@ def implicit_step(problem: FlowProblem, z, dt: float):
             )
         if energy.interaction is not None or energy.internal is not None:
             raise NotImplementedError("implicit_step supports entropy + potential energies only")
-        if np.min(z.values) <= 0.0:
-            raise SingularWeightError("vacuum cell: the log-mean mobility is singular")
         if kind in SPECIES_KINDS and energy.potential is not None:
             raise NotImplementedError("the implicit species step supports the mixing entropy only")
-        residual, jacobian, tol = _backward_euler_system(problem, z)
+        residual, jacobian, tol = _backward_euler_system(problem, grid_state)
 
         def admissible(c):
             return np.min(c) > 0.0
@@ -530,13 +601,20 @@ def implicit_step(problem: FlowProblem, z, dt: float):
         delta = _solve_banded(jacobian(x, dt), -r.ravel("F"))
         return delta.reshape(x.shape[::-1]).T
 
-    x0 = _values_of(z)
-    x, _ = _newton_march(x0, dt, residual, newton_update, tol, admissible=admissible)
-    if x is x0:
-        return z
-    if kind == "hminus1":
-        x = x + (x0.mean() - x.mean())
-    return z.with_values(x)
+    def step(z, dt: float):
+        if dt <= 0.0:
+            raise ValueError("dt must be positive")
+        x0 = z.values
+        if admissible is not None and not admissible(x0):
+            raise SingularWeightError("vacuum cell: the log-mean mobility is singular")
+        x, _ = _newton_march(x0, dt, residual, newton_update, tol, admissible=admissible)
+        if x is x0:
+            return z
+        if kind == "hminus1":
+            x = x + (x0.mean() - x.mean())
+        return z.with_values(x)
+
+    return step
 
 
 def _backward_euler_system(problem: FlowProblem, z):
@@ -567,30 +645,46 @@ def _backward_euler_system(problem: FlowProblem, z):
     stops at |R|_inf <= IMPLICIT_TOL max c_prev (1 + dt rt / (eta_min
     h^2)), eta_min kappa times the smallest species friction (kappa for a
     Wasserstein flow).  Since F is convex, an exact step does not raise it.
+
+    The residual keeps a copy of the last c it took and that c's div J, and
+    on bitwise the same values takes div J from there: a march's step starts
+    at the state the previous step converged to, where the previous step's
+    last residual was taken.
     """
     energy, diss = problem.energy, problem.dissipation
     rt, h, friction = energy.rt, z.h, diss.coefficient
     species = diss.kind in SPECIES_KINDS
     if species:
         alpha, eta = z.molar_volumes[:, None], z.frictions[:, None]
-        pressure, potential = diss.kind == "species_global", None
+        pressure = diss.kind == "species_global"
         m, cells = z.values.shape
         idx = np.arange(m)
     else:
-        eta, potential = 1.0, _drift_potential(z, energy.potential)
-        m, cells = 1, z.values.size
+        eta, m, cells = 1.0, 1, z.values.size
     band = 2 * m - 1
     fick = np.array((-rt / h, rt / h))[:, None, None] / eta
     # a potential drives the Wasserstein kind only, whose eta is 1
-    grad_V = None if potential is None else interface_gradient(potential, h)
+    grad_V = None
+    if energy.potential is not None and not species:
+        grad_V = interface_gradient(_potential_values(energy.potential, z.centers), h)
     eta_min = friction * (float(z.frictions.min()) if species else 1.0)
 
+    last_c = last_div = None  # the last c the residual took (a copy) and its div J
+
     def residual(c, c_prev, dt):
-        flux = free_energy_flux(c, potential, rt, eta, h)
+        nonlocal last_c, last_div
+        if last_c is not None and last_c.shape == c.shape and (last_c == c).all():
+            return c - c_prev - dt / friction * last_div
+        # free_energy_flux(c, potential, rt, eta, h), with grad V formed once
+        # (and the division by the Wasserstein kind's eta = 1 left out)
+        flux = rt * interface_gradient(c, h)
+        if grad_V is not None:
+            flux += logarithmic_interface_mean(c) * grad_V
         if species:
-            weights = logarithmic_interface_mean(c) / eta
-            flux = _volume_constrained(flux, weights, alpha, h, pressure)
-        return c - c_prev - dt / friction * divergence_of_flux(flux, h)
+            flux /= eta
+            flux = _volume_constrained(flux, logarithmic_interface_mean(c) / eta, alpha, h, pressure)
+        last_c, last_div = c.copy(), divergence_of_flux(flux, h)
+        return c - c_prev - dt / friction * last_div
 
     def jacobian(c, dt):
         c = c.reshape(m, cells)
@@ -863,8 +957,9 @@ def edi_residual(problem: FlowProblem, trajectory, dt: float) -> float:
     energy, diss = problem.energy, problem.dissipation
     total = energy.value(states[-1]) - energy.value(states[0])
     for prev, rate in _segment_rates(states, dt, diss):
-        force = -np.asarray(energy.derivative(prev), dtype=float)
-        total += (diss.psi(prev, rate) + diss.psi_star(prev, force)) * dt
+        force, weights = _force_and_weights(problem, prev)
+        force = -np.asarray(force, dtype=float)
+        total += (diss._psi(prev, rate, weights) + diss._psi_star(prev, force, weights)) * dt
     return total
 
 

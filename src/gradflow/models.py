@@ -13,7 +13,8 @@ asserted rather than assumed.  The explicit Fokker-Planck and phase-field
 schemes raise CflError beyond their stability bounds; the explicit
 multicomponent march has no guard, and a dt too large for it raises
 PositivityError.  Three have implicit schemes with no step-size bound, all
-stepped by :func:`gradflow.gradient_flow.implicit_step`:
+stepped by :func:`gradflow.gradient_flow.implicit_step`, whose system each
+march builds once for its grid:
 ``fokker_planck_solve(..., scheme="implicit")`` and
 ``multicomponent_evolve(..., scheme="implicit")`` by backward Euler, and
 ``allen_cahn_solve`` / ``cahn_hilliard_solve(..., scheme="implicit")`` by
@@ -62,9 +63,9 @@ from .gradient_flow import (
     GridTrajectory,
     PositivityError,
     QuadraticDissipation,
+    _implicit_stepper,
     _march,
     _potential_values,
-    implicit_step,
     local_step,
 )
 from .measures import GridDensity1D, PhysicalConstants, UniformGrid
@@ -283,10 +284,10 @@ def fokker_planck_solve(
         store_every = max(1, steps // 200)
     if scheme == "implicit":
         energy = EnergyFunctional.grid_free_energy(potential=V, constants=constants)
-        problem = FlowProblem(energy, QuadraticDissipation("wasserstein", eta))
+        step = _implicit_stepper(FlowProblem(energy, QuadraticDissipation("wasserstein", eta)), c0)
         return _march(
             c0,
-            lambda c: implicit_step(problem, c, dt),
+            lambda c: step(c, dt),
             steps,
             dt,
             store_every,
@@ -397,17 +398,18 @@ def multicomponent_evolve(
     order in dt."""
     if mode not in ("global", "local"):
         raise ValueError(f"mode must be 'global' or 'local', got {mode!r}")
-    if scheme == "explicit":
-        stepper = local_step
-    elif scheme == "implicit":
-        stepper = implicit_step
-    else:
+    if scheme not in ("explicit", "implicit"):
         raise ValueError(f"scheme must be 'explicit' or 'implicit', got {scheme!r}")
     energy = EnergyFunctional.grid_free_energy(constants=constants)
     problem = FlowProblem(energy, QuadraticDissipation(f"species_{mode}"))
+    if scheme == "explicit":
+        step = lambda s: local_step(problem, s, dt)
+    else:
+        implicit = _implicit_stepper(problem, state)
+        step = lambda s: implicit(s, dt)
     return _march(
         state,
-        lambda s: stepper(problem, s, dt),
+        step,
         steps,
         dt,
         store_every,
@@ -427,7 +429,8 @@ def _phase_field_flow(state, kind, mobility, T_end, dt, store_every, well, schem
     energy = EnergyFunctional.dirichlet_double_well(well)
     problem = FlowProblem(energy, QuadraticDissipation(kind, 1.0 / mobility))
     if scheme == "implicit":
-        step = lambda z: implicit_step(problem, z, dt)
+        implicit = _implicit_stepper(problem, state)
+        step = lambda z: implicit(z, dt)
     elif scheme == "explicit":
         h = state.h
         cfl_bound = h * h / (2.0 * mobility) if kind == "l2" else h**4 / (8.0 * mobility)

@@ -947,3 +947,122 @@ class TestSharedEngine:
             assert len(traj.snapshots) == len(traj.snapshot_steps)
             for k, snapshot in zip(traj.snapshot_steps, traj.snapshots):
                 assert series[k] == of(snapshot)
+
+
+class TestImplicitMarch:
+    """A march builds its implicit step once for its grid and carries the
+    converged flux from step to step; a loop of implicit_step gives the same
+    states to the bit."""
+
+    def check(self, traj, problem, state, dt):
+        steps = traj.energies.size - 1
+        looped = [state]
+        for _ in range(steps):
+            looped.append(implicit_step(problem, looped[-1], dt))
+        assert list(traj.snapshot_steps) == list(range(steps + 1))
+        assert_bitwise([s.values for s in traj.snapshots], [s.values for s in looped])
+        assert_bitwise(traj.energies, [problem.energy.value(s) for s in looped])
+
+    @pytest.mark.parametrize("V", [lambda x: 0.8 * x, None], ids=["linear", "none"])
+    def test_fokker_planck(self, V):
+        constants = PhysicalConstants.with_rt(0.7, eta=1.6)
+        grid = GridDensity1D(0.0, 5.0, np.ones(60))
+        c0 = grid.with_values(np.random.default_rng(2).uniform(0.5, 1.5, grid.cells))
+        dt = 0.1
+        traj = fokker_planck_solve(c0, constants, V, 30 * dt, dt, store_every=1, scheme="implicit")
+        problem = FlowProblem(
+            EnergyFunctional.grid_free_energy(potential=V, constants=constants),
+            QuadraticDissipation("wasserstein", constants.eta),
+        )
+        self.check(traj, problem, c0, dt)
+
+    @pytest.mark.parametrize("mode", ["global", "local"])
+    def test_multicomponent(self, mode):
+        state, dt = skewed_pair(), 1e-3
+        traj = multicomponent_evolve(state, RT1, dt, 12, mode, store_every=1, scheme="implicit")
+        self.check(traj, species_problem(mode), state, dt)
+
+    @pytest.mark.parametrize("solve, kind", [(allen_cahn_solve, "l2"), (cahn_hilliard_solve, "hminus1")])
+    def test_phase_fields(self, solve, kind):
+        state = PhaseFieldState(0.0, 32.0, 0.3 * np.random.default_rng(6).normal(size=32))
+        mobility, well, dt = 0.8, 1.2, 0.5
+        traj = solve(state, mobility, 40 * dt, dt, store_every=1, well=well, scheme="implicit")
+        problem = FlowProblem(
+            EnergyFunctional.dirichlet_double_well(well), QuadraticDissipation(kind, 1.0 / mobility)
+        )
+        self.check(traj, problem, state, dt)
+
+    def test_boltzmann_start_is_returned_as_it_is(self):
+        grid = GridDensity1D(0.0, 5.0, np.ones(50))
+        start = grid.with_values(np.exp(-grid.centers))
+        problem = FlowProblem(
+            EnergyFunctional.grid_free_energy(potential=lambda x: x, constants=RT1),
+            QuadraticDissipation("wasserstein", RT1.eta),
+        )
+        assert implicit_step(problem, start, 0.1) is start
+        traj = fokker_planck_solve(start, RT1, lambda x: x, 1.0, 0.1, store_every=1, scheme="implicit")
+        assert all(snapshot is start for snapshot in traj.snapshots)
+
+    def test_each_newton_iteration_forms_one_flux(self, monkeypatch):
+        # the first residual of a step is the previous step's last one
+        fluxes, iterations = [], []
+        divergence, march = gradient_flow.divergence_of_flux, gradient_flow._newton_march
+
+        def counted_divergence(*args):
+            fluxes.append(1)
+            return divergence(*args)
+
+        def counted_march(*args, **kwargs):
+            out = march(*args, **kwargs)
+            iterations.append(out[1])
+            return out
+
+        monkeypatch.setattr(gradient_flow, "divergence_of_flux", counted_divergence)
+        monkeypatch.setattr(gradient_flow, "_newton_march", counted_march)
+        grid = GridDensity1D(0.0, 5.0, np.ones(80))
+        c0 = grid.with_values(np.full(grid.cells, 0.2))
+        fokker_planck_solve(c0, RT1, lambda x: x, 4.0, 0.1, scheme="implicit")
+        assert len(iterations) == 40 and sum(iterations) >= 40
+        assert len(fluxes) == 1 + sum(iterations)
+
+    def test_potential_memo_follows_the_grid(self):
+        # different cells, then the same cells on a different domain
+        V = lambda x: np.sin(3.0 * x) + x * x
+        energy = EnergyFunctional.grid_free_energy(rt=0.8, potential=V)
+        rng = np.random.default_rng(8)
+        states = [
+            GridDensity1D(a, b, rng.uniform(0.5, 1.5, cells))
+            for a, b, cells in ((0.0, 2.0, 30), (0.0, 2.0, 45), (-1.0, 2.0, 45))
+        ]
+        for rho in (states[0], states[1], states[0], states[2], states[1], states[2]):
+            fresh = EnergyFunctional.grid_free_energy(rt=0.8, potential=V)
+            assert energy.value(rho) == fresh.value(rho)
+            assert_bitwise(energy.derivative(rho), fresh.derivative(rho))
+
+    @pytest.mark.parametrize("kind", ["wasserstein", "species_global"])
+    def test_residual_recomputes_the_flux_of_new_values(self, kind):
+        if kind == "wasserstein":
+            grid = GridDensity1D(0.0, 3.0, np.ones(40))
+            state = grid.with_values(np.random.default_rng(9).uniform(0.5, 1.5, grid.cells))
+            problem = FlowProblem(
+                EnergyFunctional.grid_free_energy(rt=0.9, potential=lambda x: x * x),
+                QuadraticDissipation(kind, 1.4),
+            )
+        else:
+            state, problem = skewed_pair(), species_problem("global")
+        dt = 0.01
+        residual = gradient_flow._backward_euler_system(problem, state)[0]
+        c_prev = state.values
+        converged = implicit_step(problem, state, dt).values
+        one_ulp = converged.copy()
+        one_ulp.flat[7] = np.nextafter(one_ulp.flat[7], np.inf)
+        scaled = converged * 1.001
+        for c in (converged, one_ulp, converged, scaled, scaled, converged):
+            fresh = gradient_flow._backward_euler_system(problem, state)[0]
+            assert_bitwise(residual(c, c_prev, dt), fresh(c, c_prev, dt))
+        # the same array, changed in place after its residual
+        c = converged.copy()
+        residual(c, c_prev, dt)
+        c.flat[3] *= 1.01
+        fresh = gradient_flow._backward_euler_system(problem, state)[0]
+        assert_bitwise(residual(c, c_prev, dt), fresh(c, c_prev, dt))
