@@ -44,10 +44,9 @@ __all__ = [
 # two masses match when they differ by at most MASS_MATCH_TOL max(1, mass)
 MASS_MATCH_TOL = 1e-10
 
-# the ufunc reductions themselves, without the wrappers of np.all, np.sum and
-# ndarray.min: most measures here have a handful of atoms
-_all, _any = np.logical_and.reduce, np.logical_or.reduce
-_min, _sum = np.minimum.reduce, np.add.reduce
+# the ufunc reductions themselves, without the wrappers of np.all and np.sum:
+# most measures here have a handful of atoms
+_all, _any, _sum = np.logical_and.reduce, np.logical_or.reduce, np.add.reduce
 
 
 @dataclass(frozen=True)
@@ -207,16 +206,39 @@ def _check_shared_support(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
         raise ValueError("measures must be supported on the same atom list")
 
 
-def _relative_entropy_weights(mu_w: np.ndarray, nu_w: np.ndarray, scale: float) -> float:
-    # strictly positive weights need no masks, and the sum then runs over
-    # the same elements in the same order as the masked one
-    if _min(mu_w, initial=math.inf) <= 0.0 or _min(nu_w, initial=math.inf) <= 0.0:
-        if _any(mu_w[nu_w == 0.0] > 0.0):
-            return math.inf
-        pos = mu_w > 0.0
-        mu_w, nu_w = mu_w[pos], nu_w[pos]
-    f = mu_w / nu_w
-    return scale * float(_sum(nu_w * f * np.log(f)))
+def _relative_entropy_weights(mu_w: np.ndarray, nu_w: np.ndarray, scale: float):
+    """``scale`` times sum nu f log f, f = mu / nu, over the last axis of the
+    weights: a float for one measure, one value per row for a (rows, atoms)
+    stack.  A row is +inf where mu charges an atom nu does not; 0 log 0
+    counts as 0.
+
+    The sum is formed as sum (mu log f - (mu - nu)) + (mu(X) - nu(X)).
+    Each term mu log f - (mu - nu) = nu ((1 + d) log1p(d) - d), d = f - 1,
+    is >= 0 and about nu d^2 / 2; with log f = log1p(d) near f = 1, where
+    mu - nu is exact and d rounds once, it keeps its relative accuracy as
+    d -> 0.  The terms nu f log f, with f rounded before the log, are of
+    size nu d there and cancel to a sum of size d^2.  The mass difference
+    is that of the two summed masses: two laws normalized in floating point
+    whose masses sum to the same number add none, where a sum of the mu - nu
+    would add the rounding left by their normalizations.
+    """
+    charged = mu_w > 0.0
+    lost = _any(charged & (nu_w == 0.0), axis=-1)
+    # an atom nu does not charge gets d = 0, or d = mu in a row that is +inf
+    nu_c = np.where(nu_w > 0.0, nu_w, 1.0)
+    d = (mu_w - nu_w) / nu_c
+    near = np.abs(d) < 0.5
+    # far from f = 1, log f is log(f): 1 + d would round away an f below
+    # 1e-16; log 1 stands in where mu has no mass, so 0 log 0 counts as 0
+    log_f = np.where(
+        near,
+        np.log1p(np.where(near, d, 0.0)),
+        np.log(np.where(near | ~charged, 1.0, mu_w / nu_c)),
+    )
+    terms = mu_w * log_f - (mu_w - nu_w)
+    h = scale * (_sum(terms, axis=-1) + (_sum(mu_w, axis=-1) - _sum(nu_w, axis=-1)))
+    h = np.where(lost, math.inf, h)
+    return float(h) if h.ndim == 0 else h
 
 
 def relative_entropy(mu, nu) -> float:
@@ -237,6 +259,11 @@ def relative_entropy(mu, nu) -> float:
     raise TypeError("relative_entropy expects two measures of the same kind")
 
 
+def _total_variation_weights(mu_w: np.ndarray, nu_w: np.ndarray):
+    """(1/2) sum |mu - nu| over the last axis: one value per row of a stack."""
+    return 0.5 * _sum(np.abs(mu_w - nu_w), axis=-1)
+
+
 def total_variation(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Total variation (1/2) sum |mu_i - nu_i| between equal-mass measures.
 
@@ -247,7 +274,7 @@ def total_variation(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     m0 = mu.mass()
     if abs(m0 - nu.mass()) > MASS_MATCH_TOL * max(1.0, m0):
         raise ValueError("total variation requires equal masses")
-    return 0.5 * float(_sum(np.abs(mu.weights - nu.weights)))
+    return float(_total_variation_weights(mu.weights, nu.weights))
 
 
 def push_forward(mu: DiscreteMeasure, mapping) -> DiscreteMeasure:
@@ -266,15 +293,22 @@ def push_forward(mu: DiscreteMeasure, mapping) -> DiscreteMeasure:
         images = images[:, None]
     if images.ndim != 2 or images.shape[0] != n:
         raise ValueError(f"a map of {n} atoms must return {n} image rows, got shape {images.shape}")
-    label_of: dict[tuple, int] = {}
-    labels = [label_of.setdefault(row, len(label_of)) for row in map(tuple, images.tolist())]
-    if len(label_of) == len(labels):
+    # a stable sort brings equal rows together, each run of them in atom
+    # order: a run is one image, and its first atom the first occurrence
+    order = np.lexsort(images.T[::-1]) if images.shape[1] else np.arange(n)
+    ranked = images[order]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = _any(ranked[1:] != ranked[:-1], axis=1)
+    if _all(starts):
         return DiscreteMeasure(images, mu.weights)
-    # the keys are the distinct images in order of first occurrence; bincount
-    # adds each label's weights left to right from 0, the sums of a += loop
-    # over the atoms bit for bit
-    weights = np.bincount(labels, weights=mu.weights)
-    return DiscreteMeasure(list(label_of), weights)
+    first = order[starts]
+    seen = np.sort(first)
+    # label each image by the rank of its first occurrence; bincount adds
+    # each label's weights left to right from 0, the sums of a += loop over
+    # the atoms bit for bit
+    labels = np.empty(n, dtype=np.intp)
+    labels[order] = np.searchsorted(seen, first)[np.cumsum(starts) - 1]
+    return DiscreteMeasure(images[seen], np.bincount(labels, weights=mu.weights))
 
 
 # -- the one output format ----------------------------------------------------

@@ -1,8 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from gradflow import measures
 from gradflow.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
@@ -17,6 +19,7 @@ from gradflow.cli import (
     validate,
 )
 from gradflow.gradient_flow import GridTrajectory
+from gradflow.measures import DiscreteMeasure, push_forward, relative_entropy, total_variation
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -600,6 +603,93 @@ class TestRunCommand:
         assert len(tail_field.replace(".", "").replace("-", "").lstrip("0")) >= 16
 
 
+def entropy_reference(seed, pairs, alphabet):
+    """The entropy experiment one pair at a time, through the scalar
+    relative_entropy, total_variation and push_forward, on the same draws."""
+    rng = np.random.default_rng(seed)
+    atoms = np.arange(alphabet)[:, None].astype(float)
+    rows = []
+    violations = dict.fromkeys(("nonneg", "ckp", "push", "dpi"), 0)
+    for _ in range(pairs):
+        mu_w = rng.random(alphabet) + 1e-3
+        mu_w /= mu_w.sum()
+        nu_w = rng.random(alphabet) + 1e-3
+        nu_w /= nu_w.sum()
+        mu, nu = DiscreteMeasure(atoms, mu_w), DiscreteMeasure(atoms, nu_w)
+        h, tv = relative_entropy(mu, nu), total_variation(mu, nu)
+        slack = h - 2.0 * tv * tv
+        violations["nonneg"] += h < 0.0
+        violations["ckp"] += slack < -1e-15
+        shift = float(rng.normal())
+        injective = lambda x: 2.0 * x + shift
+        violations["push"] += relative_entropy(
+            push_forward(mu, injective), push_forward(nu, injective)
+        ) != h
+        merge = rng.integers(0, max(2, alphabet - 2), size=alphabet)
+        coarse = lambda x: merge[x[:, 0].astype(int)].astype(float)
+        violations["dpi"] += relative_entropy(
+            push_forward(mu, coarse), push_forward(nu, coarse)
+        ) > h + 1e-12
+        rows.append((h, tv, slack))
+    return rows, violations
+
+
+class TestEntropyExperiment:
+    def run_entropy(self, tmp_path, parameters, seed=7):
+        out_dir = tmp_path / "out"
+        cfg = parse_config(
+            {"experiment": "entropy", "parameters": parameters, "seed": seed,
+             "output_dir": str(out_dir)}
+        )
+        status = run(cfg)
+        with open(out_dir / "result.csv", newline="") as fh:
+            table = list(csv.reader(fh))
+        summary = json.loads((out_dir / "summary.json").read_text())
+        invariants = {k: v["value"] for k, v in summary["invariants"].items()}
+        return status, table, invariants
+
+    @pytest.mark.parametrize("alphabet", [6, 40])
+    def test_batch_equals_the_pair_by_pair_reference_bitwise(self, tmp_path, alphabet):
+        pairs, seed = 120, 2**62 + 7
+        status, table, invariants = self.run_entropy(
+            tmp_path, {"pairs": pairs, "alphabet": alphabet}, seed
+        )
+        assert status == EXIT_OK
+        assert table[0] == ["pair", "entropy", "tv", "ckp_slack"]
+        # 17 significant digits read back bitwise
+        batch = [tuple(float(v) for v in row[1:]) for row in table[1:]]
+        reference, violations = entropy_reference(seed, pairs, alphabet)
+        assert batch == reference
+        assert [int(row[0]) for row in table[1:]] == list(range(pairs))
+        assert invariants == {
+            "entropy_nonnegative": violations["nonneg"],
+            "ckp_inequality": violations["ckp"],
+            "pushforward_invariance_exact": violations["push"],
+            "data_processing_inequality": violations["dpi"],
+        }
+
+    @pytest.mark.parametrize("parameters, rows", [({"pairs": 0}, 0), ({"alphabet": 1}, 1000)])
+    def test_degenerate_sizes_run(self, tmp_path, parameters, rows):
+        status, table, invariants = self.run_entropy(tmp_path, parameters)
+        assert status == EXIT_OK
+        assert table[0] == ["pair", "entropy", "tv", "ckp_slack"]
+        assert len(table) == 1 + rows
+        assert set(invariants.values()) == {0.0}
+
+    def test_invariance_check_runs_through_push_forward(self, tmp_path, monkeypatch):
+        # a push-forward that reverses its weights breaks the exact invariance
+        real = measures.push_forward
+
+        def reversing(mu, mapping):
+            image = real(mu, mapping)
+            return DiscreteMeasure(image.atoms, image.weights[::-1])
+
+        monkeypatch.setattr(measures, "push_forward", reversing)
+        status, _, invariants = self.run_entropy(tmp_path, {"pairs": 50})
+        assert status == EXIT_INVARIANT
+        assert invariants["pushforward_invariance_exact"] > 0
+
+
 class TestArtifacts:
     def test_transport_json_and_particle_metadata(self, tmp_path, capsys):
         obj = {"experiment": "transport", "parameters": {"n_atoms": 4, "instances": 3}}
@@ -726,5 +816,12 @@ class TestConfigHash:
             assert implicit.config_hash() == explicit.config_hash()
         ints = parse_config({"experiment": "ldp", "parameters": {"n_values": [100, 500, 2000]}})
         assert ints.config_hash() == parse_config({"experiment": "ldp"}).config_hash()
-        other_rt = parse_config({"experiment": "ldp", "constants": {"rt": 2.0}})
-        assert other_rt.config_hash() != parse_config({"experiment": "ldp"}).config_hash()
+
+    @pytest.mark.parametrize("experiment", sorted(SCHEMAS))
+    def test_hash_covers_the_constants_only_where_they_are_read(self, experiment):
+        # entropy runs the same computation, and writes the same result.csv,
+        # whatever the constants; fokker_planck and multicomponent read them
+        default = parse_config({"experiment": experiment})
+        other_rt = parse_config({"experiment": experiment, "constants": {"rt": 2.0}})
+        reads_constants = experiment in ("fokker_planck", "multicomponent")
+        assert (other_rt.config_hash() != default.config_hash()) == reads_constants

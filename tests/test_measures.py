@@ -177,6 +177,19 @@ class TestPushForward:
         assert out.atoms.tobytes() == np.array(oracle_atoms).tobytes()
         assert out.weights.tobytes() == np.array(oracle_weights).tobytes()
 
+    def test_signed_zeros_are_one_image_kept_as_first_seen(self):
+        # exact coordinate equality merges -0.0 with 0.0; the merged atom is
+        # the first occurrence, bit for bit
+        mu = DiscreteMeasure([[-0.0, 1.0], [0.0, 1.0], [2.0, 0.0], [0.0, 1.0]], np.full(4, 0.25))
+        out = push_forward(mu, lambda x: x)
+        assert out.atoms.tobytes() == np.array([[-0.0, 1.0], [2.0, 0.0]]).tobytes()
+        assert np.array_equal(out.weights, [0.75, 0.25])
+
+    def test_map_to_a_point_of_r0_merges_everything(self):
+        out = push_forward(measure_on_line([0.25, 0.25, 0.5]), lambda x: np.empty((len(x), 0)))
+        assert out.atoms.shape == (1, 0)
+        assert np.array_equal(out.weights, [1.0])
+
     def test_map_gets_the_whole_atom_array_once(self):
         mu = DiscreteMeasure(np.arange(6.0).reshape(3, 2), [0.2, 0.3, 0.5])
         calls = []

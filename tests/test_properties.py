@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gradflow._grid import free_energy_flux, interface_gradient
 from gradflow.gradient_flow import (
@@ -311,6 +311,9 @@ laws = st.integers(1, 12).flatmap(
 class TestEntropyInequalities:
     @settings(max_examples=300, deadline=None)
     @given(pair=laws)
+    # nearly equal laws: H is about 2 TV^2 = 1.25e-11, so a rounded f log f
+    # misses the bound by 8e-12
+    @example(pair=([1.0, 1.0], [1.0, 0.99999]))
     def test_pinsker(self, pair):
         mu, nu = probability_pair(*pair)
         h, tv = relative_entropy(mu, nu), total_variation(mu, nu)
