@@ -17,8 +17,11 @@ all read off J: in 1D a rate s fixes its flux j = h cumsum(s), so psi needs
 no Poisson solve.
 
 The Wasserstein weights are the logarithmic means L of an interface's two
-cells (:func:`gradflow._grid.logarithmic_interface_mean`), shared by the
-explicit step and the dissipation, the one local Wasserstein metric.
+cells (:func:`gradflow._grid.logarithmic_interface_mean`), the one local
+Wasserstein metric of the dissipation and of the explicit Fokker-Planck
+loop.  DF comes from the energy alone and psi, psi_star and K from the
+dissipation alone: ``local_step`` and ``edi_residual`` call their public
+evaluators.
 Since L(rho) grad log rho = grad rho, the entropy rate is the plain second
 difference of rho, any discrete state exp(-V/RT) is an exact stationary
 point, and the energy rate along ``local_step`` is minus the dual norm of
@@ -137,6 +140,14 @@ class ConstraintError(RuntimeError):
     """The volume constraint drifted beyond the consistency limit."""
 
 
+def _check_time_step(dt: float, name: str = "dt") -> None:
+    """Reject a time step that is not positive and finite: an infinite one
+    makes the implicit tolerance infinite, and a NaN one passes a test of
+    dt <= 0."""
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {dt}")
+
+
 def _values_of(state) -> np.ndarray:
     """The field(s) of a grid state, or the vector of a finite-dimensional one."""
     if isinstance(state, UniformGrid):
@@ -184,31 +195,9 @@ class QuadraticDissipation:
     # -- dual pair -------------------------------------------------------
 
     def psi(self, state, rate) -> float:
-        return self._psi(state, rate, None)
-
-    def psi_star(self, state, force) -> float:
-        return self._psi_star(state, force, None)
-
-    def pairing(self, state, force, rate) -> float:
-        """Duality pairing <xi, s> (an L^2 sum on grids)."""
-        product = self._field(state, force) * self._field(state, rate)
-        return float((1.0 if self.kind == "scalar" else state.h) * np.sum(product))
-
-    def apply_mobility(self, state, force) -> np.ndarray:
-        """Rate s = K(z) xi induced by a force: xi / c, or -div J / c with
-        the flux J of the conservative kinds, so that <xi, K xi> is the
-        nonnegative dual norm."""
-        return self._mobility(state, force, None)
-
-    # psi, psi* and K with the interface weights of a conservative kind given
-    # (None: formed from the state), for a caller that needs them twice
-
-    def _psi(self, state, rate, weights) -> float:
         if self.kind in ("scalar", "l2"):
             return 0.5 * self.coefficient * self.pairing(state, rate, rate)
-        s, h = self._field(state, rate), state.h
-        if weights is None:
-            weights = self._weights(state)
+        s, h, weights = self._field(state, rate), state.h, self._weights(state)
         if np.any(weights <= 0.0):
             raise SingularWeightError("vacuum cell: the log-mean mobility is singular")
         scale = max(1.0, float(np.abs(s).max(initial=0.0)))
@@ -222,18 +211,25 @@ class QuadraticDissipation:
         flux = h * np.where(nearer_left, left[..., :-1], right[..., -2::-1])
         return 0.5 * self.coefficient * float(h * np.sum(flux * flux / weights))
 
-    def _psi_star(self, state, force, weights) -> float:
+    def psi_star(self, state, force) -> float:
         if self.kind in ("scalar", "l2"):
             return 0.5 / self.coefficient * self.pairing(state, force, force)
         grad = interface_gradient(self._field(state, force), state.h)
-        flux = self._flux(state, grad, weights)
-        return 0.5 / self.coefficient * float(state.h * np.sum(flux * grad))
+        return 0.5 / self.coefficient * float(state.h * np.sum(self._flux(state, grad) * grad))
 
-    def _mobility(self, state, force, weights) -> np.ndarray:
+    def pairing(self, state, force, rate) -> float:
+        """Duality pairing <xi, s> (an L^2 sum on grids)."""
+        product = self._field(state, force) * self._field(state, rate)
+        return float((1.0 if self.kind == "scalar" else state.h) * np.sum(product))
+
+    def apply_mobility(self, state, force) -> np.ndarray:
+        """Rate s = K(z) xi induced by a force: xi / c, or -div J / c with
+        the flux J of the conservative kinds, so that <xi, K xi> is the
+        nonnegative dual norm."""
         if self.kind in ("scalar", "l2"):
             return self._field(state, force) / self.coefficient
         grad = interface_gradient(self._field(state, force), state.h)
-        return -divergence_of_flux(self._flux(state, grad, weights), state.h) / self.coefficient
+        return -divergence_of_flux(self._flux(state, grad), state.h) / self.coefficient
 
     def _field(self, state, field) -> np.ndarray:
         """A rate or force on state (its grid, or its vector for the scalar
@@ -250,19 +246,17 @@ class QuadraticDissipation:
 
     # -- the flux of a conservative kind -----------------------------------
 
-    def _weights(self, state, logs=None):
-        """Interface weights w of the flux J = w grad xi (L = 0 at vacuum);
-        ``logs`` may pass log of the state's values."""
+    def _weights(self, state):
+        """Interface weights w of the flux J = w grad xi (L = 0 at vacuum)."""
         if self.kind == "hminus1":
             return 1.0
-        weights = logarithmic_interface_mean(_values_of(state), logs=logs)
+        weights = logarithmic_interface_mean(_values_of(state))
         return weights / state.frictions[:, None] if self.kind in SPECIES_KINDS else weights
 
-    def _flux(self, state, grad, weights=None) -> np.ndarray:
+    def _flux(self, state, grad) -> np.ndarray:
         """J = w grad xi from a force's interface gradient, with the volume
         constraint's correction for the species kinds."""
-        if weights is None:
-            weights = self._weights(state)
+        weights = self._weights(state)
         if self.kind not in SPECIES_KINDS:
             return weights * grad
         return _volume_constrained(
@@ -300,20 +294,6 @@ def _potential_values(f, centers: np.ndarray) -> np.ndarray:
     if arr.shape != centers.shape:
         raise ValueError("potential array must match the grid")
     return arr
-
-
-def _drift_potential(rho: GridDensity1D, V=None, interaction=None, internal=None):
-    """V + W * rho + U'(rho), the non-entropic part of DF (None if all absent):
-    the potential of :func:`gradflow._grid.free_energy_flux`, from V at the
-    cells of rho."""
-    parts = []
-    if V is not None:
-        parts.append(V)
-    if interaction is not None:
-        parts.append(pair_potential(rho.values, rho.h, interaction))
-    if internal is not None:
-        parts.append(internal[1](rho.values))
-    return sum(parts[1:], parts[0]) if parts else None
 
 
 @dataclass(frozen=True)
@@ -407,18 +387,17 @@ class EnergyFunctional:
                 total += rho.h * float(np.sum(internal[0](v)))
             return total
 
-        def derivative(rho: GridDensity1D, *, _logs=None) -> np.ndarray:
-            # _logs: log of rho's values, shared with the log-mean weights
-            # by _force_and_weights (log(v / c0) is log v when c0 is 1)
+        def derivative(rho: GridDensity1D) -> np.ndarray:
             v = rho.values
-            if rt > 0.0:
-                log_v = np.log(v / c0) if _logs is None or c0 != 1.0 else _logs
-                df = rt * (log_v + 1.0)
-            else:
-                df = np.zeros_like(v)
-            V = None if potential is None else potential_at(rho)
-            drift = _drift_potential(rho, V, interaction, internal)
-            return df if drift is None else df + drift
+            df = rt * (np.log(v / c0) + 1.0) if rt > 0.0 else np.zeros_like(v)
+            # V + W * rho + U'(rho), the potential of free_energy_flux, is
+            # summed before it is added to the entropy part
+            parts = [] if potential is None else [potential_at(rho)]
+            if interaction is not None:
+                parts.append(pair_potential(v, rho.h, interaction))
+            if internal is not None:
+                parts.append(internal[1](v))
+            return df + sum(parts[1:], parts[0]) if parts else df
 
         return cls(
             kind="grid_free_energy",
@@ -473,14 +452,17 @@ class FlowProblem:
 def legendre_dual(s_samples, psi_samples, xi: float) -> float:
     """Legendre transform max_s (xi s - psi(s)) over sampled values.
 
-    The samples must describe a convex function (nondecreasing secant
-    slopes, tolerance 1e-10); for psi(s) = eta s^2/2 the result matches
-    xi^2 / (2 eta) up to grid resolution.
+    The samples and xi must be finite and the samples must describe a
+    convex function (nondecreasing secant slopes, tolerance 1e-10); for
+    psi(s) = eta s^2/2 the result matches xi^2 / (2 eta) up to grid
+    resolution.
     """
     s = np.asarray(s_samples, dtype=float)
     p = np.asarray(psi_samples, dtype=float)
     if s.size != p.size or s.size < 3:
         raise ValueError("need matching sample arrays with at least 3 points")
+    if not (np.isfinite(s).all() and np.isfinite(p).all() and math.isfinite(xi)):
+        raise ValueError("samples and xi must be finite")
     if np.any(np.diff(s) <= 0.0):
         raise ValueError("sample grid must be strictly increasing")
     slopes = np.diff(p) / np.diff(s)
@@ -493,39 +475,25 @@ def legendre_dual(s_samples, psi_samples, xi: float) -> float:
 def local_step(problem: FlowProblem, z, dt: float):
     """One explicit step z - dt K(z) DF(z), for every dissipation kind.
 
-    The rate s* = -K(z) DF(z) minimizes psi(z, s) + <DF(z), s>, K the
-    mobility of the dissipation (:meth:`QuadraticDissipation.apply_mobility`).
-    For the wasserstein kind it is div(L(rho) grad DF) / c, the conservative
+    DF is the energy's ``derivative`` and K the dissipation's
+    ``apply_mobility``; dt must be positive and finite.  The rate
+    s* = -K(z) DF(z) minimizes psi(z, s) + <DF(z), s>.  For the
+    wasserstein kind it is div(L(rho) grad DF) / c, the conservative
     drift-diffusion rate: total mass rate zero, rt times the discrete
     Laplacian of rho for pure entropy, and zero on exp(-V/rt).  A species
     step moves all species at once, and the state's ``with_values`` retracts
     it onto the volume constraint.  A vacuum cell of either log-mean
     mobility raises SingularWeightError before DF takes its logarithm.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    _check_time_step(dt)
     diss = problem.dissipation
     values = _values_of(z)
     if (diss.kind == "wasserstein" or diss.kind in SPECIES_KINDS) and np.min(values) <= 0.0:
         raise SingularWeightError("vacuum cell: the log-mean mobility is singular")
-    force, weights = _force_and_weights(problem, z)
-    out = values - dt * diss._mobility(z, force, weights)
+    out = values - dt * diss.apply_mobility(z, problem.energy.derivative(z))
     if diss.kind == "scalar":
         return float(out) if out.ndim == 0 else out
     return z.with_values(out)
-
-
-def _force_and_weights(problem: FlowProblem, z):
-    """DF(z) and the interface weights of a conservative dissipation at z
-    (None for scalar and l2).  A log-mean kind driven by a grid free energy
-    with c0 = 1 takes log z once, for DF and for the log mean."""
-    energy, diss = problem.energy, problem.dissipation
-    if diss.kind in ("scalar", "l2"):
-        return energy.derivative(z), None
-    if diss.kind != "hminus1" and energy.kind == "grid_free_energy" and energy.c0 == 1.0:
-        logs = np.log(z.values)
-        return energy.derivative(z, _logs=logs), diss._weights(z, logs)
-    return energy.derivative(z), diss._weights(z)
 
 
 def implicit_step(problem: FlowProblem, z, dt: float):
@@ -602,8 +570,7 @@ def _implicit_stepper(problem: FlowProblem, grid_state) -> Callable:
         return delta.reshape(x.shape[::-1]).T
 
     def step(z, dt: float):
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
+        _check_time_step(dt)
         x0 = z.values
         if admissible is not None and not admissible(x0):
             raise SingularWeightError("vacuum cell: the log-mean mobility is singular")
@@ -949,17 +916,15 @@ def edi_residual(problem: FlowProblem, trajectory, dt: float) -> float:
     of equal mass, whose rounding mismatch is taken out of each rate (see
     :func:`_segment_rates`).
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    _check_time_step(dt)
     states = list(trajectory)
     if len(states) < 2:
         return 0.0
     energy, diss = problem.energy, problem.dissipation
     total = energy.value(states[-1]) - energy.value(states[0])
     for prev, rate in _segment_rates(states, dt, diss):
-        force, weights = _force_and_weights(problem, prev)
-        force = -np.asarray(force, dtype=float)
-        total += (diss._psi(prev, rate, weights) + diss._psi_star(prev, force, weights)) * dt
+        force = -np.asarray(energy.derivative(prev), dtype=float)
+        total += (diss.psi(prev, rate) + diss.psi_star(prev, force)) * dt
     return total
 
 
@@ -971,8 +936,7 @@ def path_action(path, dt: float) -> float:
     positive mass; the rounding mismatch is taken out of each rate as a
     rescaling of the midpoint (see :func:`_segment_rates`).
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    _check_time_step(dt)
     metric = QuadraticDissipation("wasserstein")
     total = 0.0
     for mid, rate in _segment_rates(list(path), dt, metric, midpoint=True):
@@ -1027,9 +991,11 @@ def _march(
     """Apply ``step`` ``steps`` times, recording energy, mass and each named
     diagnostic of every state; snapshots are the start, every
     ``store_every``-th state (default: about 100 in all; at least 1 if
-    given) and the last one.  Positivity, constraint and convergence errors
-    of a step are raised again naming it.
+    given) and the last one; ``steps`` must be nonnegative.  Positivity,
+    constraint and convergence errors of a step are raised again naming it.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {steps}")
     if store_every is None:
         store_every = max(1, steps // 100)
     if store_every < 1:
@@ -1186,8 +1152,7 @@ def jko_evolve(
     minimized energy is nonincreasing along the steps.  One step is
     ``jko_evolve(rho, tau, 1, energy)``.
     """
-    if tau <= 0.0:
-        raise ValueError("time step must be positive")
+    _check_time_step(tau, "time step")
     if energy.kind != "grid_free_energy":
         raise ValueError("JKO stepping needs a grid free energy")
     if energy.interaction is not None or energy.internal is not None:

@@ -44,10 +44,6 @@ __all__ = [
 # two masses match when they differ by at most MASS_MATCH_TOL max(1, mass)
 MASS_MATCH_TOL = 1e-10
 
-# the ufunc reductions themselves, without the wrappers of np.all and np.sum:
-# most measures here have a handful of atoms
-_all, _any, _sum = np.logical_and.reduce, np.logical_or.reduce, np.add.reduce
-
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
@@ -70,9 +66,9 @@ class DiscreteMeasure:
             raise ValueError(
                 f"{atoms.shape[0]} atoms but {weights.shape[0]} weights"
             )
-        if _any(weights < 0.0):
+        if np.any(weights < 0.0):
             raise ValueError("weights must be nonnegative")
-        if not (_all(np.isfinite(weights)) and _all(np.isfinite(atoms), axis=None)):
+        if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(atoms))):
             raise ValueError("atoms and weights must be finite")
         atoms.flags.writeable = False
         weights.flags.writeable = False
@@ -83,7 +79,7 @@ class DiscreteMeasure:
         return self.atoms.shape[0]
 
     def mass(self) -> float:
-        return float(_sum(self.weights))
+        return float(np.sum(self.weights))
 
 
 @dataclass(frozen=True)
@@ -202,7 +198,7 @@ class PhysicalConstants:
 def _check_shared_support(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
     if mu.atoms.shape != nu.atoms.shape:
         raise ValueError("measures must share one atom indexing in one dimension")
-    if not _all(mu.atoms == nu.atoms, axis=None):
+    if not np.all(mu.atoms == nu.atoms):
         raise ValueError("measures must be supported on the same atom list")
 
 
@@ -223,7 +219,7 @@ def _relative_entropy_weights(mu_w: np.ndarray, nu_w: np.ndarray, scale: float):
     would add the rounding left by their normalizations.
     """
     charged = mu_w > 0.0
-    lost = _any(charged & (nu_w == 0.0), axis=-1)
+    lost = np.any(charged & (nu_w == 0.0), axis=-1)
     # an atom nu does not charge gets d = 0, or d = mu in a row that is +inf
     nu_c = np.where(nu_w > 0.0, nu_w, 1.0)
     d = (mu_w - nu_w) / nu_c
@@ -236,7 +232,7 @@ def _relative_entropy_weights(mu_w: np.ndarray, nu_w: np.ndarray, scale: float):
         np.log(np.where(near | ~charged, 1.0, mu_w / nu_c)),
     )
     terms = mu_w * log_f - (mu_w - nu_w)
-    h = scale * (_sum(terms, axis=-1) + (_sum(mu_w, axis=-1) - _sum(nu_w, axis=-1)))
+    h = scale * (np.sum(terms, axis=-1) + (np.sum(mu_w, axis=-1) - np.sum(nu_w, axis=-1)))
     h = np.where(lost, math.inf, h)
     return float(h) if h.ndim == 0 else h
 
@@ -261,7 +257,7 @@ def relative_entropy(mu, nu) -> float:
 
 def _total_variation_weights(mu_w: np.ndarray, nu_w: np.ndarray):
     """(1/2) sum |mu - nu| over the last axis: one value per row of a stack."""
-    return 0.5 * _sum(np.abs(mu_w - nu_w), axis=-1)
+    return 0.5 * np.sum(np.abs(mu_w - nu_w), axis=-1)
 
 
 def total_variation(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -298,8 +294,8 @@ def push_forward(mu: DiscreteMeasure, mapping) -> DiscreteMeasure:
     order = np.lexsort(images.T[::-1]) if images.shape[1] else np.arange(n)
     ranked = images[order]
     starts = np.ones(n, dtype=bool)
-    starts[1:] = _any(ranked[1:] != ranked[:-1], axis=1)
-    if _all(starts):
+    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    if np.all(starts):
         return DiscreteMeasure(images, mu.weights)
     first = order[starts]
     seen = np.sort(first)

@@ -15,6 +15,7 @@ from gradflow.gradient_flow import (
     jko_evolve,
     legendre_dual,
     local_step,
+    path_action,
 )
 from gradflow.models import MultiSpeciesState, PhaseFieldState, fokker_planck_solve
 from gradflow.transport import SingularWeightError
@@ -63,6 +64,21 @@ class TestLegendreDual:
         s = np.linspace(-1, 1, 101)
         with pytest.raises(ValueError):
             legendre_dual(s, -(s**2), 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["s", "psi", "xi"])
+    def test_non_finite_input_rejected(self, where, bad):
+        # a NaN passed the monotonicity and convexity checks and returned nan
+        s = np.linspace(-1, 1, 11)
+        psi, xi = s**2 / 2, 0.5
+        if where == "s":
+            s = np.r_[s[:-1], bad]
+        elif where == "psi":
+            psi = np.r_[psi[:5], bad, psi[6:]]
+        else:
+            xi = bad
+        with pytest.raises(ValueError, match="finite"):
+            legendre_dual(s, psi, xi)
 
 
 class TestDualityGap:
@@ -483,6 +499,12 @@ class TestJko:
         assert traj.snapshots == [rho]
         assert infos == []
 
+    @pytest.mark.parametrize("steps", [-1, -2])
+    def test_negative_steps_rejected(self, steps):
+        # -1 gave a trajectory with no energies, -2 numpy's "negative dimensions"
+        with pytest.raises(ValueError, match="steps must be nonnegative"):
+            jko_evolve(gaussian(cells=50), 1e-3, steps, EnergyFunctional.entropy())
+
     def test_heat_step_grows_variance_by_2h(self):
         # tau large enough that the one-off regridding transient (O(h^2))
         # is small against the 2 tau signal
@@ -805,3 +827,33 @@ class TestFlowProblemValidation:
         # or rt = inf gave F = inf and c0 = -1 a nan
         with pytest.raises(ValueError):
             EnergyFunctional.grid_free_energy(**params)
+
+
+class TestTimeStepMustBeFinite:
+    """Every entry point that takes a time step rejects a NaN or infinite
+    one: an infinite dt made the implicit tolerance infinite, so the start
+    came back as the step's result, and NaN passed a test of dt <= 0."""
+
+    @staticmethod
+    def call(entry, dt):
+        rho = gaussian(cells=40)
+        problem = FlowProblem(EnergyFunctional.entropy(), QuadraticDissipation("wasserstein"))
+        curve = [rho, local_step(problem, rho, 1e-4)]
+        if entry == "local_step":
+            return local_step(problem, rho, dt)
+        if entry == "implicit_step":
+            return implicit_step(problem, rho, dt)
+        if entry == "edi_residual":
+            return edi_residual(problem, curve, dt)
+        if entry == "path_action":
+            return path_action(curve, dt)
+        return jko_evolve(rho.normalized(), dt, 1, EnergyFunctional.entropy())
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1e-3])
+    @pytest.mark.parametrize(
+        "entry", ["local_step", "implicit_step", "edi_residual", "path_action", "jko_evolve"]
+    )
+    def test_rejected(self, entry, dt):
+        message = "time step must be positive" if entry == "jko_evolve" else "dt must be positive"
+        with pytest.raises(ValueError, match=message):
+            self.call(entry, dt)

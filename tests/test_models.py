@@ -573,6 +573,13 @@ class TestImplicitMulticomponent:
         with pytest.raises(SingularWeightError):
             implicit_step(species_problem("local"), empty, 1e-3)
 
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    @pytest.mark.parametrize("steps", [-1, -2])
+    def test_negative_steps_rejected(self, steps, scheme):
+        # -1 gave a trajectory with no energies, -2 numpy's "negative dimensions"
+        with pytest.raises(ValueError, match="steps must be nonnegative"):
+            multicomponent_evolve(skewed_pair(), RT1, 1e-4, steps, scheme=scheme)
+
 
 class TestMultiSpeciesWithValues:
     def test_shares_the_frozen_parameters(self):
