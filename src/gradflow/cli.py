@@ -281,14 +281,12 @@ SCHEMAS: dict[str, dict[str, Field]] = {
 TOP_LEVEL: dict[str, Field] = {
     "experiment": Field(str, required=True, choices=tuple(sorted(SCHEMAS))),
     "parameters": Field(dict, {}),
-    "constants": Field(dict, {"rt": 1.0}),
+    "constants": Field(dict, {}),
     "output_dir": Field(str, "."),
     "seed": Field("uint64", 0),
 }
-# the fields of measures.PhysicalConstants, and rt = R*T, which sets T
-CONSTANTS: dict[str, Field] = {
-    key: Field(float) for key in ("R", "k", "N_A", "T", "eta", "c0", "rt")
-}
+# the fields of measures.PhysicalConstants, with RT given as rt (default 1)
+CONSTANTS: dict[str, Field] = {key: Field(float, within="(0, inf)") for key in ("rt", "eta", "c0")}
 # the experiments whose computation reads the constants; only their config
 # hash covers them
 _READS_CONSTANTS = ("fokker_planck", "multicomponent")
@@ -333,7 +331,10 @@ def _check_multicomponent(p: dict, given: dict, errors: list[str]) -> None:
 
 
 def _check_particles(p: dict, given: dict, errors: list[str]) -> None:
-    """The PDE check solves with RT = kT and eta = 1 / mobility, both nonzero."""
+    """At least one Euler-Maruyama step, by the rule of ``_check_fokker_planck``;
+    the PDE check solves with RT = kT and eta = 1 / mobility, both nonzero."""
+    if p["t_end"] / p["dt"] <= 0.5:
+        errors.append(f"parameters.t_end: expected more than dt / 2 = {p['dt'] / 2:g}")
     if p["compare_pde"] and p["potential"] == "quadratic":
         for key in ("kT", "mobility"):
             if p[key] == 0.0:
@@ -444,15 +445,7 @@ def parse_config(obj, *, overrides: Optional[dict] = None) -> ExperimentConfig:
     if not errors:  # fields are checked together only once each of them parsed
         if experiment in CROSS_CHECKS:
             CROSS_CHECKS[experiment](params, given, errors)
-        rt = values.pop("rt", None)
-        try:
-            constants = (
-                PhysicalConstants(**values)
-                if rt is None
-                else PhysicalConstants.with_rt(rt, **values)
-            )
-        except ValueError as exc:
-            errors.append(f"constants: {exc}")
+        constants = PhysicalConstants.with_rt(values.pop("rt", 1.0), **values)
     if errors:
         raise ConfigError(errors)
     return ExperimentConfig(experiment, params, constants, Path(top["output_dir"]), top["seed"])

@@ -79,7 +79,7 @@ from ._grid import (
     pair_potential,
     weighted_poisson_neumann,
 )
-from .measures import MASS_MATCH_TOL, GridDensity1D, PhysicalConstants, UniformGrid
+from .measures import MASS_MATCH_TOL, GridDensity1D, PhysicalConstants, UniformGrid, _check_time_step
 from .transport import QUANTILE_NODES_PER_CELL, SingularWeightError, quantiles
 
 __all__ = [
@@ -138,14 +138,6 @@ class PositivityError(RuntimeError):
 
 class ConstraintError(RuntimeError):
     """The volume constraint drifted beyond the consistency limit."""
-
-
-def _check_time_step(dt: float, name: str = "dt") -> None:
-    """Reject a time step that is not positive and finite: an infinite one
-    makes the implicit tolerance infinite, and a NaN one passes a test of
-    dt <= 0."""
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {dt}")
 
 
 def _values_of(state) -> np.ndarray:
@@ -347,7 +339,7 @@ class EnergyFunctional:
         """Free energy on grid densities.
 
         ``rt`` scales the entropy term (``constants`` overrides it with
-        R*T and supplies c0); ``potential`` is V (callable on positions or
+        its RT and supplies c0); ``potential`` is V (callable on positions or
         a per-cell array); ``interaction`` is a kernel W(r), not necessarily
         even, whose potential h sum_j W(x_i - x_j) rho_j is a Toeplitz
         convolution with W evaluated at the 2n - 1 grid offsets (see

@@ -45,6 +45,14 @@ __all__ = [
 MASS_MATCH_TOL = 1e-10
 
 
+def _check_time_step(dt: float, name: str = "dt") -> None:
+    """Reject a time step (or end time) that is not positive and finite: an
+    infinite dt makes the implicit tolerance infinite and round(T / dt) zero,
+    and a NaN one passes a test of dt <= 0."""
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {dt}")
+
+
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """Nonnegative measure with finitely many atoms in R^d.
@@ -153,46 +161,25 @@ class GridDensity1D(UniformGrid):
         return self.with_values(self.values / m)
 
 
-# Physical constants; defaults follow the CODATA-style values
-# k = 1.3806488e-23 J/K and N_A = 6.0221413e23 1/mol, with R = k N_A.
-_K_DEFAULT = 1.3806488e-23
-_NA_DEFAULT = 6.0221413e23
-
-
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Bundle of the constants entering free energies and dissipations.
+    """The constants the free energies and dissipations read, each finite and
+    strictly positive: RT of the entropy RT int c log(c / c0), R*T per mole
+    or kT per particle; the friction eta; the reference concentration c0."""
 
-    R [J/(K mol)], k [J/K], N_A [1/mol], T [K], eta (friction, per particle
-    or macroscopic analogue), c0 (reference concentration).
-    All strictly positive and R must equal k * N_A to 1e-6 relative.
-    """
-
-    R: float = _K_DEFAULT * _NA_DEFAULT
-    k: float = _K_DEFAULT
-    N_A: float = _NA_DEFAULT
-    T: float = 298.15
+    RT: float = 1.0
     eta: float = 1.0
     c0: float = 1.0
 
     def __post_init__(self):
-        for name in ("R", "k", "N_A", "T", "eta", "c0"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"constant {name} must be strictly positive")
-        if abs(self.R - self.k * self.N_A) > 1e-6 * self.R:
-            raise ValueError("R must equal k * N_A to 1e-6 relative tolerance")
-
-    @property
-    def RT(self) -> float:
-        return self.R * self.T
+        for name in ("RT", "eta", "c0"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"constant {name} must be finite and strictly positive")
 
     @classmethod
     def with_rt(cls, rt: float, **kwargs) -> "PhysicalConstants":
-        """Constants with a prescribed product R*T (temperature adjusted)."""
-        if "T" in kwargs:
-            raise ValueError("rt sets T = rt / R; give rt or T, not both")
-        R = kwargs.pop("R", _K_DEFAULT * _NA_DEFAULT)
-        return cls(R=R, T=rt / R, **kwargs)
+        """Constants with RT = rt, kept exactly."""
+        return cls(RT=rt, **kwargs)
 
 
 def _check_shared_support(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:

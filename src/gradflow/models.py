@@ -68,7 +68,7 @@ from .gradient_flow import (
     _potential_values,
     local_step,
 )
-from .measures import GridDensity1D, PhysicalConstants, UniformGrid
+from .measures import GridDensity1D, PhysicalConstants, UniformGrid, _check_time_step
 
 __all__ = [
     "PhaseFieldState",
@@ -215,8 +215,10 @@ def spring_dashpot_solve(k: float, eta: float, x0: float, T: float, dt: float) -
     The explicit-Euler integration of the same local minimization problem
     is returned alongside for cross-checking.
     """
-    if min(k, eta, dt, T) <= 0.0:
-        raise ValueError("k, eta, T, dt must all be positive")
+    if min(k, eta) <= 0.0:
+        raise ValueError("k and eta must be positive")
+    _check_time_step(dt)
+    _check_time_step(T, "T")
     steps = int(round(T / dt))
     times = np.arange(steps + 1) * dt
     exact = x0 * np.exp(-k * times / eta)
@@ -277,8 +279,8 @@ def fokker_planck_solve(
     """
     rt, eta = constants.RT, constants.eta
     h = c0.h
-    if dt <= 0.0 or T_end <= 0.0:
-        raise ValueError("T_end and dt must be positive")
+    _check_time_step(dt)
+    _check_time_step(T_end, "T_end")
     steps = int(round(T_end / dt))
     if store_every is None:
         store_every = max(1, steps // 200)
@@ -424,8 +426,10 @@ def multicomponent_evolve(
 
 def _phase_field_flow(state, kind, mobility, T_end, dt, store_every, well, scheme) -> GridTrajectory:
     """Dirichlet double-well flow, dissipation ``kind`` with coefficient 1/m."""
-    if dt <= 0.0 or T_end <= 0.0 or mobility <= 0.0:
-        raise ValueError("mobility, T_end, dt must be positive")
+    _check_time_step(dt)
+    _check_time_step(T_end, "T_end")
+    if mobility <= 0.0:
+        raise ValueError("mobility must be positive")
     energy = EnergyFunctional.dirichlet_double_well(well)
     problem = FlowProblem(energy, QuadraticDissipation(kind, 1.0 / mobility))
     if scheme == "implicit":

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .gradient_flow import EnergyFunctional, QuadraticDissipation, _segment_rates
-from .measures import GridDensity1D, PhysicalConstants
+from .measures import GridDensity1D, PhysicalConstants, _check_time_step
 from .transport import SingularWeightError
 
 __all__ = [
@@ -156,8 +156,8 @@ def euler_maruyama(
     ``store_every`` must be at least 1.  Raises :class:`BlowUpError` with
     the step index if any coordinate becomes non-finite.
     """
-    if dt <= 0.0 or T <= 0.0:
-        raise ValueError("dt and T must be positive")
+    _check_time_step(dt)
+    _check_time_step(T, "T")
     if store_every < 1:
         raise ValueError(f"store_every must be at least 1, got {store_every}")
     steps = int(round(T / dt))
@@ -221,6 +221,7 @@ def rate_functional(path, dt: float, constants: PhysicalConstants, Vb=None, Vi=N
     The path's rounding mass mismatch is taken out of (rho_{k+1}-rho_k)/dt
     before the drift is subtracted (see ``gradient_flow._segment_rates``).
     """
+    _check_time_step(dt)
     path = list(path)
     if len(path) < 2:
         return 0.0
@@ -585,8 +586,7 @@ def schilder_action(path, dt: float) -> float:
     Accepts a single path (steps+1,) or (steps+1, d), or a stack of n
     paths (n, steps+1, d); the action is summed over paths.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    _check_time_step(dt)
     x = np.asarray(path, dtype=float)
     if x.ndim == 1:
         x = x[None, :, None]

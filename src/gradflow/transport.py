@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .measures import MASS_MATCH_TOL, GridDensity1D
+from .measures import MASS_MATCH_TOL, GridDensity1D, _check_time_step
 
 __all__ = [
     "TransportPlan",
@@ -171,8 +171,7 @@ def atomic_path_action(trajectories, dt: float) -> float:
 
     ``trajectories`` has shape (n, steps+1) or (n, steps+1, d).
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    _check_time_step(dt)
     traj = np.asarray(trajectories, dtype=float)
     if traj.ndim == 2:
         traj = traj[:, :, None]

@@ -9,6 +9,7 @@ from gradflow.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
     EXIT_OK,
+    CONSTANTS,
     SCHEMAS,
     ConfigError,
     ExperimentOutput,
@@ -95,10 +96,25 @@ class TestParsing:
             "constants.flub: unknown key",
         ]
 
-    def test_rt_and_t_together_are_a_config_error(self):
+    def test_constants_keys_are_the_models_constants(self):
+        assert sorted(CONSTANTS) == ["c0", "eta", "rt"]
+
+    @pytest.mark.parametrize("constants", [{}, {"eta": 2.5}, {"c0": 0.5}])
+    def test_rt_is_one_without_rt(self, constants):
+        # a block without rt runs at RT = 1, as no block does
+        cfg = parse_config({"experiment": "fokker_planck", "constants": constants})
+        assert cfg.constants.RT == 1.0
+
+    def test_rt_is_kept_exactly(self):
+        cfg = parse_config({"experiment": "fokker_planck", "constants": {"rt": 0.43}})
+        assert cfg.constants.RT == 0.43
+
+    @pytest.mark.parametrize("value", [0, 0.0, -1.0])
+    @pytest.mark.parametrize("key", ["rt", "eta", "c0"])
+    def test_nonpositive_constant_reports_its_key_path(self, key, value):
         with pytest.raises(ConfigError) as err:
-            parse_config({"experiment": "entropy", "constants": {"rt": 2.0, "T": 300.0}})
-        assert [d for d in err.value.diagnostics if d.startswith("constants: ")]
+            parse_config({"experiment": "fokker_planck", "constants": {key: value}})
+        assert err.value.diagnostics == [f"constants.{key}: expected a number in (0, inf)"]
 
     def test_ldp_enumeration_modes_default_to_enumerable_sizes(self):
         for mode in ("sanov", "varadhan"):
@@ -192,6 +208,14 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
         capsys.readouterr()
 
+    @pytest.mark.parametrize("key", ["T", "R", "k", "N_A"])
+    def test_removed_constants_exit_2(self, tmp_path, capsys, key):
+        # the models read RT, eta and c0 only, and RT is given as rt
+        path = write_config(tmp_path, {"experiment": "fokker_planck", "constants": {key: 300.0}})
+        assert validate(path) == (EXIT_CONFIG, [f"constants.{key}: unknown key"])
+        assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+        capsys.readouterr()
+
     @pytest.mark.parametrize(
         "obj, key_path",
         [
@@ -274,6 +298,7 @@ class TestValidateCommand:
             ("particles", {"mobility": 0.0}, "parameters.mobility"),
             ("multicomponent", {"amplitude": 0.3}, "parameters.amplitude"),
             ("multicomponent", {"amplitude": -0.3}, "parameters.amplitude"),
+            ("particles", {"t_end": 0.0009, "dt": 0.002}, "parameters.t_end"),
         ],
         ids=[
             "negative-cells",
@@ -314,6 +339,7 @@ class TestValidateCommand:
             "particles-pde-zero-mobility",
             "multicomponent-negative-species-1",
             "multicomponent-negative-species-2",
+            "particles-zero-steps",
         ],
     )
     def test_unrunnable_config_exits_2_with_key_path(

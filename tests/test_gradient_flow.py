@@ -17,8 +17,16 @@ from gradflow.gradient_flow import (
     local_step,
     path_action,
 )
-from gradflow.models import MultiSpeciesState, PhaseFieldState, fokker_planck_solve
-from gradflow.transport import SingularWeightError
+from gradflow.models import (
+    MultiSpeciesState,
+    PhaseFieldState,
+    allen_cahn_solve,
+    cahn_hilliard_solve,
+    fokker_planck_solve,
+    spring_dashpot_solve,
+)
+from gradflow.particles import ParticleEnsemble, euler_maruyama, rate_functional, schilder_action
+from gradflow.transport import SingularWeightError, atomic_path_action
 from gradflow._grid import laplacian_neumann
 
 
@@ -832,28 +840,76 @@ class TestFlowProblemValidation:
 class TestTimeStepMustBeFinite:
     """Every entry point that takes a time step rejects a NaN or infinite
     one: an infinite dt made the implicit tolerance infinite, so the start
-    came back as the step's result, and NaN passed a test of dt <= 0."""
+    came back as the step's result, and NaN passed a test of dt <= 0.  The
+    solvers that take round(T / dt) steps reject a NaN or infinite end time
+    T as well: an infinite dt gave zero steps without a word, and an
+    infinite T an OverflowError."""
 
     @staticmethod
-    def call(entry, dt):
+    def call(entry, dt, T=1.0):
         rho = gaussian(cells=40)
         problem = FlowProblem(EnergyFunctional.entropy(), QuadraticDissipation("wasserstein"))
         curve = [rho, local_step(problem, rho, 1e-4)]
-        if entry == "local_step":
-            return local_step(problem, rho, dt)
-        if entry == "implicit_step":
-            return implicit_step(problem, rho, dt)
-        if entry == "edi_residual":
-            return edi_residual(problem, curve, dt)
-        if entry == "path_action":
-            return path_action(curve, dt)
-        return jko_evolve(rho.normalized(), dt, 1, EnergyFunctional.entropy())
+        constants = PhysicalConstants()
+        u = PhaseFieldState(0.0, 1.0, np.linspace(-0.9, 0.9, 32))
+        ensemble = ParticleEnsemble(positions=np.zeros((4, 1)), seed=0)
+        calls = {
+            "local_step": lambda: local_step(problem, rho, dt),
+            "implicit_step": lambda: implicit_step(problem, rho, dt),
+            "edi_residual": lambda: edi_residual(problem, curve, dt),
+            "path_action": lambda: path_action(curve, dt),
+            "jko_evolve": lambda: jko_evolve(rho.normalized(), dt, 1, EnergyFunctional.entropy()),
+            "spring_dashpot_solve": lambda: spring_dashpot_solve(1.0, 1.0, 1.0, T, dt),
+            "fokker_planck_solve": lambda: fokker_planck_solve(rho, constants, None, T, dt),
+            "fokker_planck_solve_implicit": lambda: fokker_planck_solve(
+                rho, constants, None, T, dt, scheme="implicit"
+            ),
+            "allen_cahn_solve": lambda: allen_cahn_solve(u, 1.0, T, dt, scheme="implicit"),
+            "cahn_hilliard_solve": lambda: cahn_hilliard_solve(u, 1.0, T, dt, scheme="implicit"),
+            "euler_maruyama": lambda: euler_maruyama(ensemble, dt, T),
+            "rate_functional": lambda: rate_functional(curve, dt, constants),
+            "schilder_action": lambda: schilder_action(np.zeros(3), dt),
+            "atomic_path_action": lambda: atomic_path_action(np.zeros((2, 3)), dt),
+        }
+        return calls[entry]()
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1e-3])
     @pytest.mark.parametrize(
-        "entry", ["local_step", "implicit_step", "edi_residual", "path_action", "jko_evolve"]
+        "entry",
+        [
+            "local_step",
+            "implicit_step",
+            "edi_residual",
+            "path_action",
+            "jko_evolve",
+            "spring_dashpot_solve",
+            "fokker_planck_solve",
+            "fokker_planck_solve_implicit",
+            "allen_cahn_solve",
+            "cahn_hilliard_solve",
+            "euler_maruyama",
+            "rate_functional",
+            "schilder_action",
+            "atomic_path_action",
+        ],
     )
     def test_rejected(self, entry, dt):
         message = "time step must be positive" if entry == "jko_evolve" else "dt must be positive"
         with pytest.raises(ValueError, match=message):
             self.call(entry, dt)
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize(
+        "entry, name",
+        [
+            ("spring_dashpot_solve", "T"),
+            ("fokker_planck_solve", "T_end"),
+            ("fokker_planck_solve_implicit", "T_end"),
+            ("allen_cahn_solve", "T_end"),
+            ("cahn_hilliard_solve", "T_end"),
+            ("euler_maruyama", "T"),
+        ],
+    )
+    def test_end_time_rejected(self, entry, name, T):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            self.call(entry, 1e-3, T)

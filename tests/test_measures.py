@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -237,13 +238,22 @@ class TestInvariants:
         with pytest.raises(ValueError, match=message):
             DiscreteMeasure(atoms, weights)
 
-    def test_constants_consistency(self):
-        c = PhysicalConstants()
-        assert c.R == pytest.approx(c.k * c.N_A, rel=1e-9)
-        with pytest.raises(ValueError):
-            PhysicalConstants(R=1.0)
-        rt1 = PhysicalConstants.with_rt(1.0)
-        assert rt1.RT == pytest.approx(1.0, rel=1e-12)
+    def test_constants_are_what_the_models_read(self):
+        assert [f.name for f in dataclasses.fields(PhysicalConstants)] == ["RT", "eta", "c0"]
+        assert PhysicalConstants() == PhysicalConstants(RT=1.0, eta=1.0, c0=1.0)
+
+    def test_with_rt_keeps_rt_exactly(self):
+        # kept, not recomputed: R * (rt / R) differs from rt by an ulp for 33 of these
+        assert PhysicalConstants.with_rt(0.43).RT == 0.43
+        for i in range(1, 1001):
+            rt = i / 100
+            assert PhysicalConstants.with_rt(rt, eta=2.0).RT == rt
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["RT", "eta", "c0"])
+    def test_constants_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(ValueError, match=f"constant {name} must be finite and strictly positive"):
+            PhysicalConstants(**{name: value})
 
     def test_grid_density_rejects_negative(self):
         with pytest.raises(ValueError):
