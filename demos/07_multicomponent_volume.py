@@ -36,7 +36,7 @@ for mode in ("global", "local"):
 print("\nat the start, per closure:")
 for mode in ("global", "local"):
     problem = FlowProblem(
-        EnergyFunctional.grid_free_energy(constants=constants),
+        EnergyFunctional.grid_free_energy(rt=constants.RT, c0=constants.c0),
         QuadraticDissipation(f"species_{mode}"),
     )
     diss, force = problem.dissipation, -problem.energy.derivative(state)

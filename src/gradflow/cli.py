@@ -285,11 +285,9 @@ TOP_LEVEL: dict[str, Field] = {
     "output_dir": Field(str, "."),
     "seed": Field("uint64", 0),
 }
-# the fields of measures.PhysicalConstants, with RT given as rt (default 1)
-CONSTANTS: dict[str, Field] = {key: Field(float, within="(0, inf)") for key in ("rt", "eta", "c0")}
-# the experiments whose computation reads the constants; only their config
-# hash covers them
-_READS_CONSTANTS = ("fokker_planck", "multicomponent")
+# the fields of measures.PhysicalConstants (RT given as rt) that each
+# experiment reads; the constants block of any other experiment must be empty
+CONSTANTS: dict[str, tuple[str, ...]] = {"fokker_planck": ("rt", "eta", "c0"), "multicomponent": ("rt", "c0")}
 # the ldp n_values default of the exact sanov and varadhan enumerations; the
 # schema default serves the coin mode and exceeds the enumeration limit
 ENUMERATED_N_VALUES = (20.0, 60.0, float(ENUMERATION_MAX_N))
@@ -416,7 +414,7 @@ class ExperimentConfig:
             "parameters": self.parameters,
             "seed": self.seed,
         }
-        if self.experiment in _READS_CONSTANTS:
+        if self.experiment in CONSTANTS:
             computation["constants"] = asdict(self.constants)
         return json.dumps(computation, sort_keys=True, separators=(",", ":"))
 
@@ -441,7 +439,8 @@ def parse_config(obj, *, overrides: Optional[dict] = None) -> ExperimentConfig:
     experiment = top["experiment"]
     given = top.get("parameters", {})
     params = _check_block(given, SCHEMAS[experiment], "parameters.", errors)
-    values = _check_block(top.get("constants", {}), CONSTANTS, "constants.", errors)
+    reads = {key: Field(float, within="(0, inf)") for key in CONSTANTS.get(experiment, ())}
+    values = _check_block(top.get("constants", {}), reads, "constants.", errors)
     if not errors:  # fields are checked together only once each of them parsed
         if experiment in CROSS_CHECKS:
             CROSS_CHECKS[experiment](params, given, errors)
@@ -609,7 +608,7 @@ def _exp_transport(cfg: ExperimentConfig) -> ExperimentOutput:
         )
         out.rows.append((i, n, fast.cost, brute.cost, delta))
     out.check("hungarian_equals_bruteforce", max_delta <= 1e-12, max_delta)
-    out.metrics["records"] = out.artifacts["transport.json"] = records
+    out.artifacts["transport.json"] = records
     return out
 
 

@@ -79,7 +79,7 @@ from ._grid import (
     pair_potential,
     weighted_poisson_neumann,
 )
-from .measures import MASS_MATCH_TOL, GridDensity1D, PhysicalConstants, UniformGrid, _check_time_step
+from .measures import MASS_MATCH_TOL, GridDensity1D, UniformGrid, _check_time_step
 from .transport import QUANTILE_NODES_PER_CELL, SingularWeightError, quantiles
 
 __all__ = [
@@ -333,22 +333,17 @@ class EnergyFunctional:
         interaction=None,
         internal: Optional[tuple] = None,
         c0: float = 1.0,
-        constants: Optional[PhysicalConstants] = None,
         potential_grad=None,
     ) -> "EnergyFunctional":
         """Free energy on grid densities.
 
-        ``rt`` scales the entropy term (``constants`` overrides it with
-        its RT and supplies c0); ``potential`` is V (callable on positions or
-        a per-cell array); ``interaction`` is a kernel W(r), not necessarily
-        even, whose potential h sum_j W(x_i - x_j) rho_j is a Toeplitz
-        convolution with W evaluated at the 2n - 1 grid offsets (see
-        :func:`gradflow._grid.pair_potential`); ``internal`` is a pair
-        (U, U') of callables of the density value.
+        ``rt`` scales the entropy term rt int rho log(rho / c0); ``potential``
+        is V (callable on positions or a per-cell array); ``interaction`` is a
+        kernel W(r), not necessarily even, whose potential
+        h sum_j W(x_i - x_j) rho_j is a Toeplitz convolution with W evaluated
+        at the 2n - 1 grid offsets (see :func:`gradflow._grid.pair_potential`);
+        ``internal`` is a pair (U, U') of callables of the density value.
         """
-        if constants is not None:
-            rt = constants.RT
-            c0 = constants.c0
         if not 0.0 <= rt < math.inf:
             raise ValueError("entropy weight rt must be finite and nonnegative")
         if not 0.0 < c0 < math.inf:

@@ -53,6 +53,17 @@ def _check_time_step(dt: float, name: str = "dt") -> None:
         raise ValueError(f"{name} must be positive and finite, got {dt}")
 
 
+def _step_count(T: float, dt: float, name: str = "T") -> int:
+    """The round(T / dt) steps of a march to time T, of which there must be
+    at least one: below dt / 2 the march would return its start unmoved."""
+    _check_time_step(dt)
+    _check_time_step(T, name)
+    steps = int(round(T / dt))
+    if steps == 0:
+        raise ValueError(f"{name} must be more than dt / 2 = {dt / 2:g} to take a step, got {T}")
+    return steps
+
+
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """Nonnegative measure with finitely many atoms in R^d.

@@ -68,7 +68,7 @@ from .gradient_flow import (
     _potential_values,
     local_step,
 )
-from .measures import GridDensity1D, PhysicalConstants, UniformGrid, _check_time_step
+from .measures import GridDensity1D, PhysicalConstants, UniformGrid, _step_count
 
 __all__ = [
     "PhaseFieldState",
@@ -217,9 +217,7 @@ def spring_dashpot_solve(k: float, eta: float, x0: float, T: float, dt: float) -
     """
     if min(k, eta) <= 0.0:
         raise ValueError("k and eta must be positive")
-    _check_time_step(dt)
-    _check_time_step(T, "T")
-    steps = int(round(T / dt))
+    steps = _step_count(T, dt)
     times = np.arange(steps + 1) * dt
     exact = x0 * np.exp(-k * times / eta)
     euler = x0 * (1.0 - dt * k / eta) ** np.arange(steps + 1)
@@ -240,8 +238,8 @@ def derive_velocity(
     """
     if np.min(c.values) <= 0.0:
         raise PositivityError("velocity field needs a strictly positive concentration")
-    df = EnergyFunctional.grid_free_energy(potential=V, constants=constants).derivative(c)
-    return -interface_gradient(df, c.h) / constants.eta
+    energy = EnergyFunctional.grid_free_energy(rt=constants.RT, potential=V, c0=constants.c0)
+    return -interface_gradient(energy.derivative(c), c.h) / constants.eta
 
 
 def fokker_planck_solve(
@@ -279,13 +277,11 @@ def fokker_planck_solve(
     """
     rt, eta = constants.RT, constants.eta
     h = c0.h
-    _check_time_step(dt)
-    _check_time_step(T_end, "T_end")
-    steps = int(round(T_end / dt))
+    steps = _step_count(T_end, dt, "T_end")
     if store_every is None:
         store_every = max(1, steps // 200)
     if scheme == "implicit":
-        energy = EnergyFunctional.grid_free_energy(potential=V, constants=constants)
+        energy = EnergyFunctional.grid_free_energy(rt=rt, potential=V, c0=constants.c0)
         step = _implicit_stepper(FlowProblem(energy, QuadraticDissipation("wasserstein", eta)), c0)
         return _march(
             c0,
@@ -389,7 +385,8 @@ def multicomponent_evolve(
     (the engine's grid free energy of the (m, cells) concentrations) with
     the species dissipation of one balance ``mode``, "global" (pressure) or
     "local" (pointwise multiplier); records energies, masses and the
-    constraint violation.
+    constraint violation.  Of ``constants`` it reads RT and c0; the
+    frictions are the state's.
 
     ``scheme="explicit"`` marches ``local_step``; it has no step guard, and
     a dt too large for it raises PositivityError.  ``scheme="implicit"``
@@ -402,7 +399,7 @@ def multicomponent_evolve(
         raise ValueError(f"mode must be 'global' or 'local', got {mode!r}")
     if scheme not in ("explicit", "implicit"):
         raise ValueError(f"scheme must be 'explicit' or 'implicit', got {scheme!r}")
-    energy = EnergyFunctional.grid_free_energy(constants=constants)
+    energy = EnergyFunctional.grid_free_energy(rt=constants.RT, c0=constants.c0)
     problem = FlowProblem(energy, QuadraticDissipation(f"species_{mode}"))
     if scheme == "explicit":
         step = lambda s: local_step(problem, s, dt)
@@ -426,8 +423,7 @@ def multicomponent_evolve(
 
 def _phase_field_flow(state, kind, mobility, T_end, dt, store_every, well, scheme) -> GridTrajectory:
     """Dirichlet double-well flow, dissipation ``kind`` with coefficient 1/m."""
-    _check_time_step(dt)
-    _check_time_step(T_end, "T_end")
+    steps = _step_count(T_end, dt, "T_end")
     if mobility <= 0.0:
         raise ValueError("mobility must be positive")
     energy = EnergyFunctional.dirichlet_double_well(well)
@@ -449,7 +445,6 @@ def _phase_field_flow(state, kind, mobility, T_end, dt, store_every, well, schem
 
     else:
         raise ValueError(f"scheme must be 'explicit' or 'implicit', got {scheme!r}")
-    steps = int(round(T_end / dt))
     traj = _march(state, step, steps, dt, store_every, energy.value, PhaseFieldState.mean)
     return replace(traj, extra={"mean": traj.masses})
 

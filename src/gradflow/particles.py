@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .gradient_flow import EnergyFunctional, QuadraticDissipation, _segment_rates
-from .measures import GridDensity1D, PhysicalConstants, _check_time_step
+from .measures import GridDensity1D, PhysicalConstants, _check_time_step, _step_count
 from .transport import SingularWeightError
 
 __all__ = [
@@ -156,11 +156,9 @@ def euler_maruyama(
     ``store_every`` must be at least 1.  Raises :class:`BlowUpError` with
     the step index if any coordinate becomes non-finite.
     """
-    _check_time_step(dt)
-    _check_time_step(T, "T")
+    steps = _step_count(T, dt)
     if store_every < 1:
         raise ValueError(f"store_every must be at least 1, got {store_every}")
-    steps = int(round(T / dt))
     rng = np.random.Generator(np.random.Philox(ensemble.seed))
     pos = ensemble.positions.copy()
     A, sigma = ensemble.A, ensemble.sigma
@@ -225,7 +223,9 @@ def rate_functional(path, dt: float, constants: PhysicalConstants, Vb=None, Vi=N
     path = list(path)
     if len(path) < 2:
         return 0.0
-    energy = EnergyFunctional.grid_free_energy(constants=constants, potential=Vb, interaction=Vi)
+    energy = EnergyFunctional.grid_free_energy(
+        rt=constants.RT, potential=Vb, interaction=Vi, c0=constants.c0
+    )
     dissipation = QuadraticDissipation("wasserstein", constants.eta)
     total = 0.0
     for prev, rate in _segment_rates(path, dt, dissipation):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -65,12 +66,12 @@ class TestParsing:
 
     def test_constants_block(self):
         cfg = parse_config(
-            {"experiment": "entropy", "constants": {"rt": 2.0, "eta": 3.0}}
+            {"experiment": "fokker_planck", "constants": {"rt": 2.0, "eta": 3.0}}
         )
         assert cfg.constants.RT == pytest.approx(2.0, rel=1e-12)
         assert cfg.constants.eta == 3.0
         with pytest.raises(ConfigError):
-            parse_config({"experiment": "entropy", "constants": {"flub": 1.0}})
+            parse_config({"experiment": "fokker_planck", "constants": {"flub": 1.0}})
 
     def test_seed_override(self):
         cfg = parse_config({"experiment": "entropy", "seed": 5}, overrides={"seed": 9})
@@ -97,7 +98,16 @@ class TestParsing:
         ]
 
     def test_constants_keys_are_the_models_constants(self):
-        assert sorted(CONSTANTS) == ["c0", "eta", "rt"]
+        # fokker_planck reads every field of PhysicalConstants, RT given as rt;
+        # multicomponent's frictions are its parameters.eta
+        fields = [field.name for field in dataclasses.fields(measures.PhysicalConstants)]
+        assert CONSTANTS["fokker_planck"] == tuple(name.lower() for name in fields)
+        assert CONSTANTS == {"fokker_planck": ("rt", "eta", "c0"), "multicomponent": ("rt", "c0")}
+
+    def test_multicomponent_frictions_are_no_constants(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config({"experiment": "multicomponent", "constants": {"eta": 5.0}})
+        assert err.value.diagnostics == ["constants.eta: unknown key"]
 
     @pytest.mark.parametrize("constants", [{}, {"eta": 2.5}, {"c0": 0.5}])
     def test_rt_is_one_without_rt(self, constants):
@@ -231,7 +241,7 @@ class TestValidateCommand:
                 {"experiment": "jko", "parameters": {"domain": [float("nan"), 6.0]}},
                 "parameters.domain[0]",
             ),
-            ({"experiment": "entropy", "constants": {"rt": float("-inf")}}, "constants.rt"),
+            ({"experiment": "fokker_planck", "constants": {"rt": float("-inf")}}, "constants.rt"),
             (
                 {"experiment": "fokker_planck", "parameters": {"t_end": 10**400}},
                 "parameters.t_end",
@@ -835,7 +845,7 @@ class TestConfigHash:
                     "parameters": {
                         key: field.default for key, field in SCHEMAS[experiment].items()
                     },
-                    "constants": {"rt": 1.0},
+                    "constants": {"rt": 1.0} if experiment == "fokker_planck" else {},
                     "seed": 0,
                 }
             )
@@ -844,10 +854,14 @@ class TestConfigHash:
         assert ints.config_hash() == parse_config({"experiment": "ldp"}).config_hash()
 
     @pytest.mark.parametrize("experiment", sorted(SCHEMAS))
-    def test_hash_covers_the_constants_only_where_they_are_read(self, experiment):
-        # entropy runs the same computation, and writes the same result.csv,
-        # whatever the constants; fokker_planck and multicomponent read them
-        default = parse_config({"experiment": experiment})
-        other_rt = parse_config({"experiment": experiment, "constants": {"rt": 2.0}})
-        reads_constants = experiment in ("fokker_planck", "multicomponent")
-        assert (other_rt.config_hash() != default.config_hash()) == reads_constants
+    def test_hash_covers_the_constants_only_where_they_are_read(self, tmp_path, experiment):
+        # fokker_planck and multicomponent read rt, so their hash covers it;
+        # the other experiments read no constant and reject the key
+        other_rt = {"experiment": experiment, "constants": {"rt": 2.0}}
+        if experiment in ("fokker_planck", "multicomponent"):
+            default = parse_config({"experiment": experiment})
+            assert parse_config(other_rt).config_hash() != default.config_hash()
+        else:
+            status, diagnostics = validate(write_config(tmp_path, other_rt))
+            assert status == EXIT_CONFIG
+            assert diagnostics == ["constants.rt: unknown key"]

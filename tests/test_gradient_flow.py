@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -662,7 +663,7 @@ class TestSolveBanded:
         alpha = np.array([1.0, 3.0])
         c1 = 0.5 + 0.08 * np.sin(2 * math.pi * grid.centers)
         state = MultiSpeciesState(0.0, 1.0, np.stack([c1, (1.0 - c1) / 3.0]), alpha, np.array([1.0, 5.0]))
-        energy = EnergyFunctional.grid_free_energy(constants=PhysicalConstants.with_rt(1.0))
+        energy = EnergyFunctional.grid_free_energy(rt=1.0)
         problem = FlowProblem(energy, QuadraticDissipation("species_global"))
         residual, jacobian, _ = gradient_flow._backward_euler_system(problem, state)
         ab = jacobian(state.values, 1e-3)
@@ -836,6 +837,12 @@ class TestFlowProblemValidation:
         with pytest.raises(ValueError):
             EnergyFunctional.grid_free_energy(**params)
 
+    def test_free_energy_takes_rt_and_c0_one_way(self):
+        # rt and c0 are given one way: no constants object beside them can
+        # override the rt or c0 a caller passes
+        parameters = inspect.signature(EnergyFunctional.grid_free_energy).parameters
+        assert "constants" not in parameters
+
 
 class TestTimeStepMustBeFinite:
     """Every entry point that takes a time step rejects a NaN or infinite
@@ -843,7 +850,8 @@ class TestTimeStepMustBeFinite:
     came back as the step's result, and NaN passed a test of dt <= 0.  The
     solvers that take round(T / dt) steps reject a NaN or infinite end time
     T as well: an infinite dt gave zero steps without a word, and an
-    infinite T an OverflowError."""
+    infinite T an OverflowError.  They reject a T below dt / 2 too: it
+    leaves round(T / dt) no step to take."""
 
     @staticmethod
     def call(entry, dt, T=1.0):
@@ -898,7 +906,7 @@ class TestTimeStepMustBeFinite:
         with pytest.raises(ValueError, match=message):
             self.call(entry, dt)
 
-    @pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -1.0, 4e-4])
     @pytest.mark.parametrize(
         "entry, name",
         [
@@ -911,5 +919,6 @@ class TestTimeStepMustBeFinite:
         ],
     )
     def test_end_time_rejected(self, entry, name, T):
-        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        requirement = "more than dt / 2" if T == 4e-4 else "positive and finite"
+        with pytest.raises(ValueError, match=f"{name} must be {requirement}"):
             self.call(entry, 1e-3, T)

@@ -275,7 +275,7 @@ def make_two_species(profile, alpha=2.0, eta=(1.0, 1.0), domain=(0.0, 1.0), cell
 
 def species_problem(mode, constants=RT1):
     return FlowProblem(
-        EnergyFunctional.grid_free_energy(constants=constants),
+        EnergyFunctional.grid_free_energy(rt=constants.RT, c0=constants.c0),
         QuadraticDissipation(f"species_{mode}"),
     )
 
@@ -303,7 +303,7 @@ class TestMulticomponent:
         # -sum_i h sum eta_i j_i^2 / L(c_i) to rounding
         state = skewed_pair()
         rate, fluxes = species_rate(state, mode)
-        df = EnergyFunctional.grid_free_energy(constants=RT1).derivative(state)
+        df = EnergyFunctional.grid_free_energy(rt=RT1.RT, c0=RT1.c0).derivative(state)
         energy_rate = state.h * np.sum(df * rate)
         mobility = logarithmic_interface_mean(state.concentrations)
         dissipation = state.h * np.sum(state.frictions[:, None] * fluxes**2 / mobility)
@@ -768,7 +768,7 @@ class TestConvexSplitting:
 
 
 def mixture_energy(state, constants):
-    return EnergyFunctional.grid_free_energy(constants=constants).value(state)
+    return EnergyFunctional.grid_free_energy(rt=constants.RT, c0=constants.c0).value(state)
 
 
 class TestFreeEnergyMultispecies:
@@ -887,7 +887,7 @@ class TestSharedEngine:
         c0 = grid.with_values(rng.uniform(0.2, 2.0, grid.cells))
         dt = 0.5 * grid.h**2 * constants.eta / (2.0 * constants.RT)
         problem = FlowProblem(
-            EnergyFunctional.grid_free_energy(constants=constants, potential=V),
+            EnergyFunctional.grid_free_energy(rt=constants.RT, potential=V, c0=constants.c0),
             QuadraticDissipation("wasserstein", constants.eta),
         )
         stepped = local_step(problem, c0, dt).values
@@ -978,7 +978,7 @@ class TestImplicitMarch:
         dt = 0.1
         traj = fokker_planck_solve(c0, constants, V, 30 * dt, dt, store_every=1, scheme="implicit")
         problem = FlowProblem(
-            EnergyFunctional.grid_free_energy(potential=V, constants=constants),
+            EnergyFunctional.grid_free_energy(rt=constants.RT, potential=V, c0=constants.c0),
             QuadraticDissipation("wasserstein", constants.eta),
         )
         self.check(traj, problem, c0, dt)
@@ -1003,7 +1003,7 @@ class TestImplicitMarch:
         grid = GridDensity1D(0.0, 5.0, np.ones(50))
         start = grid.with_values(np.exp(-grid.centers))
         problem = FlowProblem(
-            EnergyFunctional.grid_free_energy(potential=lambda x: x, constants=RT1),
+            EnergyFunctional.grid_free_energy(rt=RT1.RT, potential=lambda x: x, c0=RT1.c0),
             QuadraticDissipation("wasserstein", RT1.eta),
         )
         assert implicit_step(problem, start, 0.1) is start
