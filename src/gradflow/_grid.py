@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import contextlib
 from typing import Optional
 
 import numpy as np
@@ -20,12 +21,30 @@ import numpy as np
 # LOG_MEAN_NEAR (a + b): log b - log a errs by about eps |log a| / u there,
 # u = (b - a) / (a + b), the arithmetic mean by u^2 / 3 (both < 2e-10)
 LOG_MEAN_NEAR = 1e-5
+# a pair whose log difference (log mean) or relative difference r (partials)
+# exceeds _LOG_MEAN_APART is more than LOG_MEAN_NEAR (a + b) apart, with room
+# for the rounding of both sides
+_LOG_MEAN_APART = 3.0 * LOG_MEAN_NEAR
+# the largest cell whose sum with another such cell cannot overflow
+_HALF_MAX = 0.5 * np.finfo(float).max
+# the context of the kernels' arithmetic when no input can warn
+_UNGUARDED = contextlib.nullcontext()
 
 
 def interface_gradient(values: np.ndarray, h: float) -> np.ndarray:
     """Gradient (v[i+1] - v[i]) / h at the n-1 interior interfaces (np.diff's
     subtraction without its per-call overhead, a few microseconds)."""
     return (values[..., 1:] - values[..., :-1]) / h
+
+
+def _quiet(values: np.ndarray) -> bool:
+    """Whether the cells are at least two, each positive and at most
+    _HALF_MAX (so none is NaN or infinite).  Then their logs, the log
+    differences of neighbours and their pair sums cannot warn, and neither
+    can a quotient by a log difference that is not 0."""
+    if values.shape[-1] < 2 or values.size == 0:
+        return False
+    return values.min() > 0.0 and values.max() <= _HALF_MAX
 
 
 def logarithmic_interface_mean(
@@ -49,6 +68,17 @@ def logarithmic_interface_mean(
     non-finite cells), take the arithmetic mean; a pair with a zero cell
     gives 0.
 
+    The fix-ups run only where some input needs them.  On cells that are
+    positive and at most _HALF_MAX, the logs and their differences are
+    formed outside ``np.errstate``, since they cannot warn; when moreover
+    every log difference exceeds _LOG_MEAN_APART, no pair is nearly equal
+    and the quotient, formed outside it as well, is the result.  Otherwise
+    the quotient is formed under ``np.errstate`` (an equal pair is 0 / 0, a
+    zero cell divides by an infinite log difference, a negative one gives
+    NaN), the arithmetic mean replaces it where it is not used, and the
+    zero-cell fix-up runs when some cell is 0.  Either way the values and
+    the warnings are those of the fix-ups applied on every input.
+
     ``logs`` may pass ``np.log(values)`` when the caller already has it (a
     time stepper that also needs log c for its energy); the result is the
     same to the bit.  ``out`` receives the n-1 interface values in place of
@@ -57,17 +87,23 @@ def logarithmic_interface_mean(
     a = values[..., :-1]
     b = values[..., 1:]
     diff = b - a
-    with np.errstate(divide="ignore", invalid="ignore"):
+    quiet = _quiet(values)
+    with _UNGUARDED if quiet else np.errstate(divide="ignore", invalid="ignore"):
         if logs is None:
             logs = np.log(values)
-        quotient = diff / (logs[..., 1:] - logs[..., :-1])
+        dlog = logs[..., 1:] - logs[..., :-1]
+    if quiet and abs(dlog).min() > _LOG_MEAN_APART:
+        return np.divide(diff, dlog, out=out)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quotient = diff / dlog
     total = a + b
     out = np.multiply(total, 0.5, out)
     use = abs(diff) > LOG_MEAN_NEAR * total
     use &= np.isfinite(quotient)
     np.copyto(out, quotient, where=use)
     zero = values == 0.0
-    out[zero[..., 1:] | zero[..., :-1]] = 0.0
+    if zero.any():
+        out[zero[..., 1:] | zero[..., :-1]] = 0.0
     return out
 
 
@@ -86,6 +122,14 @@ def logarithmic_mean_partials(values: np.ndarray) -> np.ndarray:
     |b - a| <= LOG_MEAN_NEAR (a + b) even r - d cancels badly, and the
     first-order limits 1/2 + t/6 and 1/2 - t/6, t = (b - a) / m with m the
     arithmetic mean, are used.
+
+    The fix-ups run only where some input needs them.  On cells that are
+    positive and at most _HALF_MAX with _LOG_MEAN_APART < |r| < 0.4 at every
+    pair, no q is below 1/2, no pair is nearly equal and nothing can warn,
+    so the quotients are formed outside ``np.errstate`` and are the result.
+    Otherwise they are formed under it (a nearly equal pair gives 0 / 0),
+    and each fix-up, log q where q < 1/2 and the limits of the nearly equal
+    pairs, runs when some pair needs it.
     """
     a = values[..., :-1]
     b = values[..., 1:]
@@ -93,12 +137,17 @@ def logarithmic_mean_partials(values: np.ndarray) -> np.ndarray:
     r = diff / a
     q = b / a
     out = np.empty((2,) + diff.shape)
-    d_left, d_right = out
-    with np.errstate(divide="ignore", invalid="ignore"):
+    d_left, d_right = out[0], out[1]
+    quiet = _quiet(values)
+    if quiet:
+        size = abs(r)  # q = 1 + r stays above 1/2 with room for rounding
+        quiet = size.min() > _LOG_MEAN_APART and size.max() < 0.4
+    with _UNGUARDED if quiet else np.errstate(divide="ignore", invalid="ignore"):
         d = np.log1p(r)
-        far = q < 0.5
-        if far.any():
-            np.log(q, out=d, where=far)
+        if not quiet:
+            far = q < 0.5
+            if far.any():
+                np.log(q, out=d, where=far)
         d_sq = d * d
         np.subtract(r, d, out=d_left)
         d_left /= d_sq
@@ -106,6 +155,8 @@ def logarithmic_mean_partials(values: np.ndarray) -> np.ndarray:
         d_right -= r
         d_sq *= q
         d_right /= d_sq
+    if quiet:
+        return out
     total = a + b
     near = abs(diff) <= LOG_MEAN_NEAR * total
     if near.any():

@@ -296,12 +296,19 @@ ENUMERATED_N_VALUES = (20.0, 60.0, float(ENUMERATION_MAX_N))
 PDE_CHECK_STEPS = 20
 
 
+def _check_step_count(p: dict, errors: list[str]) -> None:
+    """A march to t_end takes round(t_end / dt) steps and needs at least one:
+    the solvers' own rule, ``measures._step_count``, reported at t_end."""
+    try:
+        measures._step_count(p["t_end"], p["dt"], "t_end")
+    except ValueError as exc:
+        errors.append(f"parameters.t_end: {exc}")
+
+
 def _check_fokker_planck(p: dict, given: dict, errors: list[str]) -> None:
-    """The solver takes round(t_end / dt) steps, and needs at least one; an
-    ``initial_csv`` must read as a grid density."""
-    # round() ties to even, so this is round(t_end / dt) < 1, also at inf
-    if p["t_end"] / p["dt"] <= 0.5:
-        errors.append(f"parameters.t_end: expected more than dt / 2 = {p['dt'] / 2:g}")
+    """The solver takes at least one step; an ``initial_csv`` must read as a
+    grid density."""
+    _check_step_count(p, errors)
     if p["initial_csv"]:
         try:
             measures.read_grid_csv(p["initial_csv"])
@@ -329,10 +336,9 @@ def _check_multicomponent(p: dict, given: dict, errors: list[str]) -> None:
 
 
 def _check_particles(p: dict, given: dict, errors: list[str]) -> None:
-    """At least one Euler-Maruyama step, by the rule of ``_check_fokker_planck``;
-    the PDE check solves with RT = kT and eta = 1 / mobility, both nonzero."""
-    if p["t_end"] / p["dt"] <= 0.5:
-        errors.append(f"parameters.t_end: expected more than dt / 2 = {p['dt'] / 2:g}")
+    """At least one Euler-Maruyama step; the PDE check solves with RT = kT and
+    eta = 1 / mobility, both nonzero."""
+    _check_step_count(p, errors)
     if p["compare_pde"] and p["potential"] == "quadratic":
         for key in ("kT", "mobility"):
             if p[key] == 0.0:

@@ -71,7 +71,6 @@ from numpy.linalg import LinAlgError
 
 from ._grid import (
     divergence_of_flux,
-    free_energy_flux,
     interface_gradient,
     laplacian_neumann,
     logarithmic_interface_mean,
@@ -549,7 +548,7 @@ def _implicit_stepper(problem: FlowProblem, grid_state) -> Callable:
         residual, jacobian, tol = _backward_euler_system(problem, grid_state)
 
         def admissible(c):
-            return np.min(c) > 0.0
+            return c.min() > 0.0
 
     def newton_update(x, r, dt):
         # the cell-major unknowns (cell * m + species) are x.T flattened
@@ -600,18 +599,27 @@ def _backward_euler_system(problem: FlowProblem, z):
     h^2)), eta_min kappa times the smallest species friction (kappa for a
     Wasserstein flow).  Since F is convex, an exact step does not raise it.
 
-    The residual keeps a copy of the last c it took and that c's div J, and
-    on bitwise the same values takes div J from there: a march's step starts
-    at the state the previous step converged to, where the previous step's
-    last residual was taken.
+    The system makes its buffers once: the flux padded with its two zero
+    no-flux ends, the log mean, the divergence, a copy of the last c whose
+    fluxes they hold and the band, which each ``jacobian`` call fills and
+    returns (the next call overwrites it).  A Wasserstein residual on a
+    read-only array bitwise equal to that c takes div J from the buffers: a
+    march's step starts at the values of the state the previous step
+    converged to, where the previous step's last residual was taken (Newton
+    iterates are new, writable arrays and are not compared).  A species step
+    starts at the retracted state (``MultiSpeciesState.with_values``), never
+    at the last c, so its residual always forms the fluxes; its Jacobian,
+    taken at the c of the last residual, reads the log mean and the Fick
+    flux from the buffers.
     """
     energy, diss = problem.energy, problem.dissipation
     rt, h, friction = energy.rt, z.h, diss.coefficient
     species = diss.kind in SPECIES_KINDS
+    shape = z.values.shape
     if species:
         alpha, eta = z.molar_volumes[:, None], z.frictions[:, None]
         pressure = diss.kind == "species_global"
-        m, cells = z.values.shape
+        m, cells = shape
         idx = np.arange(m)
     else:
         eta, m, cells = 1.0, 1, z.values.size
@@ -623,50 +631,88 @@ def _backward_euler_system(problem: FlowProblem, z):
         grad_V = interface_gradient(_potential_values(energy.potential, z.centers), h)
     eta_min = friction * (float(z.frictions.min()) if species else 1.0)
 
-    last_c = last_div = None  # the last c the residual took (a copy) and its div J
+    padded = np.zeros(shape[:-1] + (cells + 1,))
+    flux = padded[..., 1:-1]
+    # the Fick flux rt grad c / eta, kept apart from J for a species Jacobian
+    fick_flux = np.empty(flux.shape) if species else flux
+    mean = np.empty(flux.shape)  # L(c) / eta of a species, L(c) grad V otherwise
+    div = np.empty(shape)
+    last_c = np.empty(shape)
+    formed = False
+    # the band and, made once, its views that each (species i, species l)
+    # block fills: block (k, k) gets interface k's left and interface k - 1's
+    # right derivatives, blocks (k, k + 1) and (k + 1, k) one each; entry
+    # (k m + i, k' m + l) sits in row band + i - l + (k - k') m
+    ab = np.zeros((2 * band + 1, m * cells))
+    in_block, diagonal = ab[band - m + 1 : band + m], ab[band]
+    fills = []
+    for i in range(m):
+        for l in range(m):
+            row = band + i - l
+            fills.append((
+                i, l, ab[row - m, m + l :: m], ab[row + m, l : (cells - 1) * m : m],
+                ab[row, l::m][:-1], ab[row, l::m][1:],
+            ))
 
-    def residual(c, c_prev, dt):
-        nonlocal last_c, last_div
-        if last_c is not None and last_c.shape == c.shape and (last_c == c).all():
-            return c - c_prev - dt / friction * last_div
+    def form(c):
+        """The fluxes of c and their divergence into the buffers."""
+        nonlocal formed
         # free_energy_flux(c, potential, rt, eta, h), with grad V formed once
         # (and the division by the Wasserstein kind's eta = 1 left out)
-        flux = rt * interface_gradient(c, h)
-        if grad_V is not None:
-            flux += logarithmic_interface_mean(c) * grad_V
+        np.subtract(c[..., 1:], c[..., :-1], out=fick_flux)
+        np.divide(fick_flux, h, out=fick_flux)
+        np.multiply(fick_flux, rt, out=fick_flux)
         if species:
-            flux /= eta
-            flux = _volume_constrained(flux, logarithmic_interface_mean(c) / eta, alpha, h, pressure)
-        last_c, last_div = c.copy(), divergence_of_flux(flux, h)
-        return c - c_prev - dt / friction * last_div
+            np.divide(fick_flux, eta, out=fick_flux)
+            np.divide(logarithmic_interface_mean(c, out=mean), eta, out=mean)
+            flux[...] = _volume_constrained(fick_flux, mean, alpha, h, pressure)
+        elif grad_V is not None:
+            np.multiply(logarithmic_interface_mean(c, out=mean), grad_V, out=mean)
+            np.add(flux, mean, out=flux)
+        np.subtract(padded[..., 1:], padded[..., :-1], out=div)
+        np.divide(div, h, out=div)
+        np.copyto(last_c, c)
+        formed = True
+
+    def holds(c):
+        """Whether the buffers hold the fluxes of c."""
+        return formed and (last_c == c).all()
+
+    def residual(c, c_prev, dt):
+        # of the arrays a march passes, only a step's start, the read-only
+        # values of a state, can repeat the last c
+        if species or c.flags.writeable or not holds(c):
+            form(c)
+        return c - c_prev - dt / friction * div
 
     def jacobian(c, dt):
-        c = c.reshape(m, cells)
-        # d_i at each interface's left and right cell: (2, m, cells - 1 or 1)
-        d = fick if grad_V is None else fick + logarithmic_mean_partials(c) * grad_V
-        if species:
-            w = logarithmic_interface_mean(c) / eta
-            total = np.sum(alpha * alpha * w, axis=0)
-            mult = np.sum(alpha * free_energy_flux(c, None, rt, eta, h), axis=0) / total
-            d = d - alpha * logarithmic_mean_partials(c) / eta * mult
-            blocks = -(alpha * w / total)[:, None] * (alpha * d)[:, None]
-            blocks[:, idx, idx] += d
-        else:
-            blocks = d[:, :, None]
-        # block (k, k) gets interface k's left and interface k - 1's right
-        # derivatives, blocks (k, k + 1) and (k + 1, k) one each; entry
-        # (k m + i, k' m + l) sits in row band + i - l + (k - k') m
-        ab = np.zeros((2 * band + 1, m * cells))
-        ab[band] = 1.0
         scale = dt / friction / h
-        for i in range(m):
-            for l in range(m):
-                left, right = scale * blocks[:, i, l]
-                row = band + i - l
-                ab[row - m, m + l :: m] = -right
-                ab[row + m, l : (cells - 1) * m : m] = left
-                ab[row, l::m][:-1] -= left
-                ab[row, l::m][1:] += right
+        if species:
+            if not holds(c):
+                form(c)
+            # d_i at each interface's left and right cell: (2, m, cells - 1)
+            total = np.sum(alpha * alpha * mean, axis=0)
+            mult = np.sum(alpha * fick_flux, axis=0) / total
+            d = fick - alpha * logarithmic_mean_partials(c) / eta * mult
+            blocks = -(alpha * mean / total)[:, None] * (alpha * d)[:, None]
+            blocks[:, idx, idx] += d
+            blocks *= scale
+            in_block.fill(0.0)  # the fills below add to its off-diagonal entries
+        elif grad_V is None:
+            blocks = scale * fick[:, :, None]
+        else:
+            d = logarithmic_mean_partials(c)
+            d *= grad_V
+            d += fick[:, 0]
+            d *= scale
+            blocks = d[:, None, None]
+        diagonal.fill(1.0)
+        for i, l, upper, lower, head, tail in fills:
+            left, right = blocks[0, i, l], blocks[1, i, l]
+            np.negative(right, out=upper)
+            np.copyto(lower, left)
+            head -= left
+            tail += right
         return ab
 
     def tol(c_prev, dt):

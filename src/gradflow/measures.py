@@ -55,10 +55,14 @@ def _check_time_step(dt: float, name: str = "dt") -> None:
 
 def _step_count(T: float, dt: float, name: str = "T") -> int:
     """The round(T / dt) steps of a march to time T, of which there must be
-    at least one: below dt / 2 the march would return its start unmoved."""
+    at least one: below dt / 2 the march would return its start unmoved.
+    T / dt must be a finite number (round() of an infinite one overflows)."""
     _check_time_step(dt)
     _check_time_step(T, name)
-    steps = int(round(T / dt))
+    ratio = T / dt
+    if ratio == math.inf:
+        raise ValueError(f"{name} / dt must be a finite number of steps, got {T} / {dt}")
+    steps = round(ratio)
     if steps == 0:
         raise ValueError(f"{name} must be more than dt / 2 = {dt / 2:g} to take a step, got {T}")
     return steps

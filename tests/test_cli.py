@@ -309,6 +309,8 @@ class TestValidateCommand:
             ("multicomponent", {"amplitude": 0.3}, "parameters.amplitude"),
             ("multicomponent", {"amplitude": -0.3}, "parameters.amplitude"),
             ("particles", {"t_end": 0.0009, "dt": 0.002}, "parameters.t_end"),
+            ("fokker_planck", {"t_end": 1e308, "dt": 1e-10}, "parameters.t_end"),
+            ("particles", {"t_end": 1e308, "dt": 1e-10}, "parameters.t_end"),
         ],
         ids=[
             "negative-cells",
@@ -350,6 +352,8 @@ class TestValidateCommand:
             "multicomponent-negative-species-1",
             "multicomponent-negative-species-2",
             "particles-zero-steps",
+            "fokker-planck-uncountable-steps",
+            "particles-uncountable-steps",
         ],
     )
     def test_unrunnable_config_exits_2_with_key_path(

@@ -922,3 +922,19 @@ class TestTimeStepMustBeFinite:
         requirement = "more than dt / 2" if T == 4e-4 else "positive and finite"
         with pytest.raises(ValueError, match=f"{name} must be {requirement}"):
             self.call(entry, 1e-3, T)
+
+    @pytest.mark.parametrize(
+        "entry, name",
+        [
+            ("spring_dashpot_solve", "T"),
+            ("fokker_planck_solve", "T_end"),
+            ("fokker_planck_solve_implicit", "T_end"),
+            ("allen_cahn_solve", "T_end"),
+            ("cahn_hilliard_solve", "T_end"),
+            ("euler_maruyama", "T"),
+        ],
+    )
+    def test_uncountable_steps_rejected(self, entry, name):
+        # T / dt overflows to inf, whose round() raised OverflowError
+        with pytest.raises(ValueError, match=f"{name} / dt must be a finite number of steps"):
+            self.call(entry, 1e-10, 1e308)

@@ -1010,27 +1010,43 @@ class TestImplicitMarch:
         traj = fokker_planck_solve(start, RT1, lambda x: x, 1.0, 0.1, store_every=1, scheme="implicit")
         assert all(snapshot is start for snapshot in traj.snapshots)
 
-    def test_each_newton_iteration_forms_one_flux(self, monkeypatch):
-        # the first residual of a step is the previous step's last one
-        fluxes, iterations = [], []
-        divergence, march = gradient_flow.divergence_of_flux, gradient_flow._newton_march
+    @staticmethod
+    def count_log_means(monkeypatch):
+        """The log means the backward-Euler system forms, one per flux with a
+        potential or a species, and the Newton iterations of each step."""
+        means, iterations = [], []
+        mean, march = gradient_flow.logarithmic_interface_mean, gradient_flow._newton_march
 
-        def counted_divergence(*args):
-            fluxes.append(1)
-            return divergence(*args)
+        def counted_mean(*args, **kwargs):
+            means.append(1)
+            return mean(*args, **kwargs)
 
         def counted_march(*args, **kwargs):
             out = march(*args, **kwargs)
             iterations.append(out[1])
             return out
 
-        monkeypatch.setattr(gradient_flow, "divergence_of_flux", counted_divergence)
+        monkeypatch.setattr(gradient_flow, "logarithmic_interface_mean", counted_mean)
         monkeypatch.setattr(gradient_flow, "_newton_march", counted_march)
+        return means, iterations
+
+    def test_each_newton_iteration_forms_one_flux(self, monkeypatch):
+        # the first residual of a step is the previous step's last one
+        fluxes, iterations = self.count_log_means(monkeypatch)
         grid = GridDensity1D(0.0, 5.0, np.ones(80))
         c0 = grid.with_values(np.full(grid.cells, 0.2))
         fokker_planck_solve(c0, RT1, lambda x: x, 4.0, 0.1, scheme="implicit")
         assert len(iterations) == 40 and sum(iterations) >= 40
         assert len(fluxes) == 1 + sum(iterations)
+
+    @pytest.mark.parametrize("mode", ["global", "local"])
+    def test_species_jacobian_forms_no_log_mean(self, mode, monkeypatch):
+        # a species step starts at the retracted state, so each of its
+        # residuals forms one log mean; the Jacobian reads the last one
+        means, iterations = self.count_log_means(monkeypatch)
+        multicomponent_evolve(skewed_pair(), RT1, 1e-3, 10, mode, scheme="implicit")
+        assert len(iterations) == 10 and sum(iterations) >= 10
+        assert len(means) == len(iterations) + sum(iterations)
 
     def test_potential_memo_follows_the_grid(self):
         # different cells, then the same cells on a different domain
@@ -1064,12 +1080,18 @@ class TestImplicitMarch:
         one_ulp = converged.copy()
         one_ulp.flat[7] = np.nextafter(one_ulp.flat[7], np.inf)
         scaled = converged * 1.001
-        for c in (converged, one_ulp, converged, scaled, scaled, converged):
+        # read-only, as a state's values are: the arrays the residual compares
+        one_ulp.flags.writeable = scaled.flags.writeable = False
+        for c in (converged, one_ulp, converged, scaled, scaled, converged, converged.copy()):
             fresh = gradient_flow._backward_euler_system(problem, state)[0]
             assert_bitwise(residual(c, c_prev, dt), fresh(c, c_prev, dt))
-        # the same array, changed in place after its residual
+        # the same array, changed in place after its residual, and a read-only
+        # view of an array so changed
         c = converged.copy()
-        residual(c, c_prev, dt)
-        c.flat[3] *= 1.01
-        fresh = gradient_flow._backward_euler_system(problem, state)[0]
-        assert_bitwise(residual(c, c_prev, dt), fresh(c, c_prev, dt))
+        view = c.view()
+        view.flags.writeable = False
+        for taken in (c, view):
+            residual(taken, c_prev, dt)
+            c.flat[3] *= 1.01
+            fresh = gradient_flow._backward_euler_system(problem, state)[0]
+            assert_bitwise(residual(taken, c_prev, dt), fresh(taken, c_prev, dt))
