@@ -564,7 +564,8 @@ def _implicit_stepper(problem: FlowProblem, grid_state) -> Callable:
         if x is x0:
             return z
         if kind == "hminus1":
-            x = x + (x0.mean() - x.mean())
+            # the means x.mean() takes, without its per-call overhead
+            x = x + (x0.sum() / x0.size - x.sum() / x.size)
         return z.with_values(x)
 
     return step
@@ -743,6 +744,14 @@ def _convex_splitting_system(problem: FlowProblem, z):
     at |R|_inf <= SPLITTING_TOL M (1 + dt m k (4 / h^2 + w M^2)), with
     M = max(1, |u_prev|_inf) and k = 1 (l2) or 4 / h^2 (hminus1): the size
     of R's largest term.
+
+    The system makes its buffers once: the interface gradient padded with its
+    two zero no-flux ends, mu, a Laplacian, and the band, which each
+    ``jacobian`` call fills and returns (the next call overwrites it).  The
+    band's dt-scaled parts, dt m lap^2 and 3 dt m w lap (Cahn-Hilliard) or
+    -dt m lap (Allen-Cahn), are formed once per dt, not per iterate.
+    ``residual`` returns a new array on every call, so that a caller may hold
+    two residuals at once.
     """
     h, well = z.h, problem.energy.well
     friction = problem.dissipation.coefficient
@@ -765,21 +774,56 @@ def _convex_splitting_system(problem: FlowProblem, z):
         lap_sq[2] = d * d + 2.0 * a * a
         lap_sq[2, [0, -1]] -= a * a
 
+    padded = np.zeros(n + 1)
+    gradient = padded[1:-1]
+    mu, lap_v = np.empty(n), np.empty(n)  # lap_v holds lap u, then lap mu
+    ab = np.empty((5, n) if hminus1 else (3, n))
+    scaled = np.empty(ab.shape)  # ab's dt-scaled part at scaled_dt
+    curvature = np.empty((3, n) if hminus1 else n)
+    u_sq = np.empty(n)
+    scaled_dt, cubic = None, None
+
+    def laplacian(v, out):
+        # laplacian_neumann(v, h), the interface gradient padded in place
+        np.subtract(v[1:], v[:-1], out=gradient)
+        np.divide(gradient, h, out=gradient)
+        np.subtract(padded[1:], padded[:-1], out=out)
+        return np.divide(out, h, out=out)
+
     def residual(u, u_prev, dt):
-        mu = -laplacian_neumann(u, h) + well * (u**3 - u_prev)
+        # mu = w (u^3 - u_prev) - lap u
+        np.power(u, 3, out=mu)
+        np.subtract(mu, u_prev, out=mu)
+        np.multiply(mu, well, out=mu)
+        np.subtract(mu, laplacian(u, lap_v), out=mu)
+        r = u - u_prev
         if hminus1:
-            return u - u_prev - dt / friction * laplacian_neumann(mu, h)
-        return u - u_prev + dt / friction * mu
+            r -= np.multiply(laplacian(mu, lap_v), dt / friction, out=lap_v)
+        else:
+            r += np.multiply(mu, dt / friction, out=mu)
+        return r
 
     def jacobian(u, dt):
-        mdt = dt / friction
+        nonlocal scaled_dt, cubic
+        if dt != scaled_dt:
+            # the band's dt-scaled parts: dt m lap^2 or -dt m lap, and the
+            # factor 3 dt m w lap or 3 dt m w of diag(u^2)
+            mdt = dt / friction
+            if hminus1:
+                np.multiply(lap_sq, mdt, out=scaled)
+                cubic = (3.0 * mdt * well) * lap
+            else:
+                np.multiply(lap, -mdt, out=scaled)
+                cubic = 3.0 * mdt * well
+            scaled_dt = dt
+        np.multiply(u, u, out=u_sq)
+        np.copyto(ab, scaled)
         if hminus1:
-            ab = mdt * lap_sq
-            ab[1:4] -= (3.0 * mdt * well) * lap * (u * u)
+            ab[1:4] -= np.multiply(cubic, u_sq, out=curvature)
             ab[2] += 1.0
-            return ab
-        ab = -mdt * lap
-        ab[1] += 1.0 + (3.0 * mdt * well) * (u * u)
+        else:
+            np.multiply(u_sq, cubic, out=curvature)
+            ab[1] += np.add(curvature, 1.0, out=curvature)
         return ab
 
     def tol(u_prev, dt):
@@ -853,7 +897,7 @@ def _newton_march(x0, dt, residual, newton_update, tol, *, admissible=None):
     The one Newton loop of the package: backward-Euler Fokker-Planck and
     multicomponent diffusion and Eyre's phase-field step run on it through
     one call in ``implicit_step``, the JKO minimizing movement through
-    ``_jko_minimize``.  ``residual(x, x_prev, dt)`` is a step's residual,
+    ``_jko_minimizer``.  ``residual(x, x_prev, dt)`` is a step's residual,
     ``newton_update(x, r, dt)`` the Newton update -J(x)^{-1} r (one
     :func:`_solve_banded`, general in ``implicit_step`` and symmetric on
     JKO's Hessian), and ``tol(x_prev, dt)`` the bound on |R|_inf at
@@ -866,6 +910,12 @@ def _newton_march(x0, dt, residual, newton_update, tol, *, admissible=None):
     covered by two steps of dt/2 instead, recursively, at most MAX_SPLITS
     times deep; past that ConvergenceError is raised.  Returns the state and
     the number of Newton iterations of the solves it kept.
+
+    All three callers (:func:`_backward_euler_system`,
+    :func:`_convex_splitting_system` and :func:`_jko_minimizer`) build their
+    buffers once per march, and their Jacobians or Hessians are filled in
+    place.  ``residual`` returns a new array on every call: the loop holds it
+    while it takes the update, and a caller may hold two.
     """
 
     def newton(x_prev, dt):
@@ -1077,82 +1127,127 @@ class JkoStepInfo:
     energy_start: float
 
 
-def _jko_objective(X, Y, dm, tau, energy):
-    gaps = np.diff(X)
-    rt = energy.rt
-    val = 0.5 / tau * float(dm * np.sum((X - Y) ** 2))
-    if rt > 0.0:
-        val += -rt * dm * float(np.sum(np.log(gaps / dm)))
-        val += -rt * math.log(energy.c0)
-    if energy.potential is not None:
-        val += dm * float(np.sum(energy.potential(X)))
-    return val
+def _jko_minimizer(n: int, energy: EnergyFunctional) -> Callable:
+    """``minimize(Y, tau) -> (X, JkoStepInfo)`` of :func:`jko_evolve` on n
+    mass nodes: the nodes X minimizing (1/2 tau) W2^2 to the nodes Y plus F,
+    by Newton on the objective's gradient in :func:`_newton_march`, with its
+    tridiagonal Hessian, while the nodes stay strictly increasing.
 
-
-def _jko_minimize(Y, dm, tau, energy) -> tuple[np.ndarray, JkoStepInfo]:
-    """Nodes X minimizing (1/2 tau) W2^2 to the nodes Y plus F: Newton on the
-    objective's gradient in :func:`_newton_march`, with its tridiagonal
-    Hessian, while the nodes stay strictly increasing."""
-    rt = energy.rt
-    vp = energy.potential_grad if energy.potential is not None else None
+    The node gaps, their inverses and the Hessian's two rows (in
+    ``solveh_banded``'s layout) are buffers made once.  A step that was not
+    split reads its ``grad_norm`` off Newton's last gradient, taken at
+    (X, Y, tau); a split step forms that gradient again.  F's parts at X are
+    kept for the next step's ``energy_start``.
+    """
+    dm = 1.0 / n
+    rt_dm = energy.rt * dm
+    log_c0 = -energy.rt * math.log(energy.c0)
+    V = energy.potential
+    vp = energy.potential_grad if V is not None else None
+    gaps, inv = np.empty(n - 1), np.empty(n - 1)
+    # row 0 the off-diagonal (after an unread 0), row 1 the diagonal
+    hessian = np.zeros((2, n))
+    upper, diag = hessian[0, 1:], hessian[1]
+    last = None  # the (X, Y, tau) and the gradient of the last gradient call
+    parts = None  # the nodes and F's entropy and potential parts there
 
     def gradient(X, Y, tau):
-        inv_g = 1.0 / np.diff(X)
-        grad = dm / tau * (X - Y)
-        grad[:-1] += rt * dm * inv_g
-        grad[1:] -= rt * dm * inv_g
+        nonlocal last
+        np.subtract(X[1:], X[:-1], out=gaps)
+        np.divide(1.0, gaps, out=inv)
+        grad = np.subtract(X, Y)
+        grad *= dm / tau
+        np.multiply(inv, rt_dm, out=gaps)  # rt dm / g
+        grad[:-1] += gaps
+        grad[1:] -= gaps
         if vp is not None:
             grad += dm * vp(X)
+        last = (X, Y, tau, grad)
         return grad
 
     def newton_update(X, grad, tau):
-        inv_g = 1.0 / np.diff(X)
-        inv_g2 = inv_g * inv_g
-        diag = np.full(X.size, dm / tau)
-        diag[:-1] += rt * dm * inv_g2
-        diag[1:] += rt * dm * inv_g2
+        # Newton takes the update at the nodes of its last gradient, whose
+        # inverse gaps ``inv`` already holds
+        if X is not last[0]:
+            np.divide(1.0, np.subtract(X[1:], X[:-1], out=gaps), out=inv)
+        np.multiply(inv, inv, out=gaps)
+        np.multiply(gaps, rt_dm, out=gaps)  # rt dm / g^2
+        diag.fill(dm / tau)
+        diag[:-1] += gaps
+        diag[1:] += gaps
         if vp is not None:  # V'' as one central difference of V'
-            diag += dm * np.maximum((vp(X + 1e-4) - vp(X - 1e-4)) / 2e-4, 0.0)
-        upper = np.concatenate(([0.0], -rt * dm * inv_g2))
-        return _solve_banded(np.array([upper, diag]), -grad, symmetric=True)
+            hessian[1] += dm * np.maximum((vp(X + 1e-4) - vp(X - 1e-4)) / 2e-4, 0.0)
+        np.negative(gaps, out=upper)
+        return _solve_banded(hessian, -grad, symmetric=True)
 
-    X, iters = _newton_march(
-        Y, tau, gradient, newton_update, lambda Y, tau: NEWTON_TOL,
-        admissible=lambda X: np.all(np.diff(X) > 0.0),
-    )
-    w2_sq = float(dm * np.sum((X - Y) ** 2))
-    return X, JkoStepInfo(
-        iters=iters,
-        grad_norm=float(np.abs(gradient(X, Y, tau)).max()),
-        w2_sq=w2_sq,
-        energy=_jko_objective(X, Y, dm, tau, energy) - 0.5 / tau * w2_sq,
-        energy_start=_jko_objective(Y, Y, dm, tau, energy),
-    )
+    def admissible(X):
+        return (X[1:] > X[:-1]).all()
+
+    def energy_parts(X):
+        """F's entropy and potential parts (None without V) at the nodes X."""
+        nonlocal parts
+        if parts is None or parts[0] is not X:
+            np.subtract(X[1:], X[:-1], out=gaps)
+            np.divide(gaps, dm, out=gaps)
+            entropy = -rt_dm * float(np.sum(np.log(gaps, out=gaps)))
+            potential = dm * float(np.sum(V(X))) if V is not None else None
+            parts = (X, entropy, potential)
+        return parts[1:]
+
+    def objective(kinetic, X):
+        entropy, potential = energy_parts(X)
+        val = kinetic + entropy + log_c0
+        return val if potential is None else val + potential
+
+    def minimize(Y, tau):
+        X, iters = _newton_march(
+            Y, tau, gradient, newton_update, lambda Y, tau: NEWTON_TOL, admissible=admissible
+        )
+        last_X, last_Y, last_tau, grad = last
+        if not (last_X is X and last_Y is Y and last_tau == tau):
+            grad = gradient(X, Y, tau)
+        w2_sq = float(dm * np.sum((X - Y) ** 2))
+        kinetic = 0.5 / tau * w2_sq
+        # the objective at X = Y, whose kinetic part is 0, before the one at
+        # X, whose parts the next step reads
+        energy_start = objective(0.0, Y)
+        return X, JkoStepInfo(
+            iters=iters,
+            grad_norm=float(np.abs(grad).max()),
+            w2_sq=w2_sq,
+            energy=objective(kinetic, X) - kinetic,
+            energy_start=energy_start,
+        )
+
+    return minimize
 
 
-def _rebin_mass_nodes(X: np.ndarray, dm: float, template: GridDensity1D) -> GridDensity1D:
-    """Conservative histogram of the mass-node measure onto the grid.
+def _mass_node_rebin(n: int, template: GridDensity1D) -> Callable:
+    """The conservative histogram of n mass nodes onto the grid of
+    ``template``, as ``rebin(X) -> GridDensity1D``.
 
-    Mass dm sits between consecutive nodes (uniformly), and the two half
-    node-masses at the ends extend outward at the adjacent gap's density.
-    Mass falling outside [a, b] is folded into the boundary cells, keeping
-    the total exact.
+    Mass dm = 1/n sits between consecutive nodes (uniformly), and the two
+    half node-masses at the ends extend outward at the adjacent gap's
+    density.  Mass falling outside [a, b] is folded into the boundary cells,
+    keeping the total exact.  The mass knots and the grid's edges are made
+    once.
     """
-    n_nodes = X.size
-    knots_x = np.concatenate(
-        ([X[0] - 0.5 * (X[1] - X[0])], X, [X[-1] + 0.5 * (X[-1] - X[-2])])
-    )
-    knots_m = np.concatenate(([0.0], (np.arange(n_nodes) + 0.5) * dm, [1.0]))
-    cdf_at_edges = np.interp(template.edges, knots_x, knots_m)
-    cell_mass = np.diff(cdf_at_edges)
-    cell_mass[0] += cdf_at_edges[0]
-    cell_mass[-1] += 1.0 - cdf_at_edges[-1]
-    return template.with_values(cell_mass / template.h)
+    knots_x = np.empty(n + 2)
+    knots_m = np.concatenate(([0.0], (np.arange(n) + 0.5) * (1.0 / n), [1.0]))
+    edges, h = template.edges, template.h
 
+    def rebin(X):
+        knots_x[0] = X[0] - 0.5 * (X[1] - X[0])
+        knots_x[1:-1] = X
+        knots_x[-1] = X[-1] + 0.5 * (X[-1] - X[-2])
+        cdf_at_edges = np.interp(edges, knots_x, knots_m)
+        cell_mass = cdf_at_edges[1:] - cdf_at_edges[:-1]
+        cell_mass[0] += cdf_at_edges[0]
+        cell_mass[-1] += 1.0 - cdf_at_edges[-1]
+        cell_mass /= h
+        return template.with_values(cell_mass)
 
-def _variance(rho: GridDensity1D) -> float:
-    mean = rho.h * np.sum(rho.values * rho.centers)
-    return float(rho.h * np.sum(rho.values * (rho.centers - mean) ** 2))
+    return rebin
 
 
 def jko_evolve(
@@ -1178,8 +1273,13 @@ def jko_evolve(
     derivative ``potential_grad``; interaction kernels have no diagonal
     mass-coordinate form and are rejected.
 
-    The steps run through ``_march`` with ``dt = tau``.  Returns the
-    :class:`GridTrajectory` (``F`` of every rebinned iterate as
+    The minimizer (:func:`_jko_minimizer`), the rebin onto the grid
+    (:func:`_mass_node_rebin`) and the cell centers of the variance are
+    built once per march, buffers, knots and edges included; the objective's
+    gradient is a new array on every call, as every ``_newton_march``
+    residual is.  The steps run through ``_march`` with ``dt = tau``.
+
+    Returns the :class:`GridTrajectory` (``F`` of every rebinned iterate as
     ``energies``, their masses, their variance as ``extra["variance"]``,
     about 100 snapshots) and one :class:`JkoStepInfo` per step; the
     minimized energy is nonincreasing along the steps.  One step is
@@ -1207,15 +1307,21 @@ def jko_evolve(
     if np.any(np.diff(X) <= 0.0):
         # distinct mass levels collide only when the density degenerates
         raise SingularWeightError("JKO needs strictly increasing quantiles")
+    minimize, rebin = _jko_minimizer(n, energy), _mass_node_rebin(n, rho0)
+    centers = rho0.centers
     infos = []
 
     def step(_rho: GridDensity1D) -> GridDensity1D:
         nonlocal X
-        X, info = _jko_minimize(X, dm, tau, energy)
+        X, info = minimize(X, tau)
         infos.append(info)
-        return _rebin_mass_nodes(X, dm, rho0)
+        return rebin(X)
+
+    def variance(rho: GridDensity1D) -> float:
+        mean = rho.h * np.sum(rho.values * centers)
+        return float(rho.h * np.sum(rho.values * (centers - mean) ** 2))
 
     traj = _march(
-        rho0, step, steps, tau, None, energy.value, GridDensity1D.mass, {"variance": _variance}
+        rho0, step, steps, tau, None, energy.value, GridDensity1D.mass, {"variance": variance}
     )
     return traj, infos

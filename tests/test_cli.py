@@ -602,6 +602,7 @@ class TestRunCommand:
         capsys.readouterr()
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["invariants"]["w2_to_pde_small"]["passed"]
+        assert summary["invariants"]["particles_in_domain"]["value"] == 0.0
 
     def test_output_write_error_exits_3_with_summary(self, tmp_path, capsys):
         # a directory where result.csv should go makes the write fail
@@ -631,6 +632,28 @@ class TestRunCommand:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert status == EXIT_INVARIANT
         assert not all(v["passed"] for v in summary["invariants"].values())
+
+    @pytest.mark.parametrize(
+        "parameters",
+        [{"stiffness": -5.0}, {"kT": 1000.0}, {"domain": [-1.0, 1.0]}],
+        ids=["repulsive", "hot", "narrow"],
+    )
+    def test_particles_outside_the_histogram_exit_4(self, tmp_path, capsys, parameters):
+        # validate accepts these; the particles leave [a, b], which used to
+        # raise in empirical_density (exit 3, no result.csv)
+        path = write_config(tmp_path, {"experiment": "particles", "parameters": parameters})
+        assert main(["validate", "--config", str(path)]) == EXIT_OK
+        out_dir = tmp_path / "out"
+        status = main(["run", "--config", str(path), "--out", str(out_dir)])
+        capsys.readouterr()
+        assert status == EXIT_INVARIANT
+        rows = (out_dir / "result.csv").read_text().splitlines()
+        assert rows[0] == "particle_id,x" and len(rows) == 1 + 1000
+        summary = json.loads((out_dir / "summary.json").read_text())
+        check = summary["invariants"]["particles_in_domain"]
+        assert not check["passed"] and 1e-3 < check["value"] <= 1.0
+        assert "histogram_mass_one" not in summary["invariants"]
+        assert "error" not in summary
 
     def test_seventeen_digit_floats(self, tmp_path, capsys):
         obj = {"experiment": "ldp", "parameters": {"n_values": [50, 100, 200]}}

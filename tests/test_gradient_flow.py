@@ -27,7 +27,7 @@ from gradflow.models import (
     spring_dashpot_solve,
 )
 from gradflow.particles import ParticleEnsemble, euler_maruyama, rate_functional, schilder_action
-from gradflow.transport import SingularWeightError, atomic_path_action
+from gradflow.transport import SingularWeightError, atomic_path_action, quantiles
 from gradflow._grid import laplacian_neumann
 
 
@@ -540,7 +540,7 @@ class TestJko:
         # F = Ent + int rho V with V = x^2/2 has the standard normal as
         # minimizer; a step should only show the representation transient,
         # while a heat step of the same tau moves the variance by 2 tau.
-        from gradflow.gradient_flow import _rebin_mass_nodes
+        from gradflow.gradient_flow import _mass_node_rebin
         from gradflow.transport import quantiles
 
         energy = EnergyFunctional.grid_free_energy(
@@ -551,7 +551,7 @@ class TestJko:
         out = jko_evolve(rho, tau, 1, energy)[0].final
         n_nodes = 4 * rho.cells
         nodes = quantiles(rho, (np.arange(n_nodes) + 0.5) / n_nodes)
-        round_trip = _rebin_mass_nodes(nodes, 1.0 / n_nodes, rho)
+        round_trip = _mass_node_rebin(n_nodes, rho)(nodes)
         transient = variance(round_trip) - variance(rho)
         assert abs(variance(out) - variance(rho) - transient) <= 0.1 * 2 * tau
 
@@ -629,6 +629,147 @@ class TestJko:
         for _ in range(int(T / dt)):
             state = local_step(problem, state, dt)
         assert w2_grid_1d(jko_final, state) <= 0.02
+
+
+def oracle_jko_objective(X, Y, dm, tau, energy):
+    gaps = np.diff(X)
+    rt = energy.rt
+    val = 0.5 / tau * float(dm * np.sum((X - Y) ** 2))
+    val += -rt * dm * float(np.sum(np.log(gaps / dm)))
+    val += -rt * math.log(energy.c0)
+    if energy.potential is not None:
+        val += dm * float(np.sum(energy.potential(X)))
+    return val
+
+
+def oracle_jko_minimize(Y, dm, tau, energy):
+    """One minimizing-movement step with every array formed afresh, as the
+    unbuffered minimizer formed them: the oracle for ``_jko_minimizer``."""
+    rt = energy.rt
+    vp = energy.potential_grad if energy.potential is not None else None
+
+    def gradient(X, Y, tau):
+        inv_g = 1.0 / np.diff(X)
+        grad = dm / tau * (X - Y)
+        grad[:-1] += rt * dm * inv_g
+        grad[1:] -= rt * dm * inv_g
+        if vp is not None:
+            grad += dm * vp(X)
+        return grad
+
+    def newton_update(X, grad, tau):
+        inv_g = 1.0 / np.diff(X)
+        inv_g2 = inv_g * inv_g
+        diag = np.full(X.size, dm / tau)
+        diag[:-1] += rt * dm * inv_g2
+        diag[1:] += rt * dm * inv_g2
+        if vp is not None:
+            diag += dm * np.maximum((vp(X + 1e-4) - vp(X - 1e-4)) / 2e-4, 0.0)
+        upper = np.concatenate(([0.0], -rt * dm * inv_g2))
+        return gradient_flow._solve_banded(np.array([upper, diag]), -grad, symmetric=True)
+
+    X, iters = gradient_flow._newton_march(
+        Y, tau, gradient, newton_update, lambda Y, tau: gradient_flow.NEWTON_TOL,
+        admissible=lambda X: np.all(np.diff(X) > 0.0),
+    )
+    w2_sq = float(dm * np.sum((X - Y) ** 2))
+    return X, gradient_flow.JkoStepInfo(
+        iters=iters,
+        grad_norm=float(np.abs(gradient(X, Y, tau)).max()),
+        w2_sq=w2_sq,
+        energy=oracle_jko_objective(X, Y, dm, tau, energy) - 0.5 / tau * w2_sq,
+        energy_start=oracle_jko_objective(Y, Y, dm, tau, energy),
+    )
+
+
+def oracle_rebin_mass_nodes(X, dm, template):
+    knots_x = np.concatenate(
+        ([X[0] - 0.5 * (X[1] - X[0])], X, [X[-1] + 0.5 * (X[-1] - X[-2])])
+    )
+    knots_m = np.concatenate(([0.0], (np.arange(X.size) + 0.5) * dm, [1.0]))
+    cdf_at_edges = np.interp(template.edges, knots_x, knots_m)
+    cell_mass = np.diff(cdf_at_edges)
+    cell_mass[0] += cdf_at_edges[0]
+    cell_mass[-1] += 1.0 - cdf_at_edges[-1]
+    return template.with_values(cell_mass / template.h)
+
+
+def assert_same_bits(actual, expected):
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
+class TestJkoOracle:
+    """The minimizer built once per march performs the arithmetic of the
+    unbuffered step, rebin and variance (the oracles above and ``variance``)
+    to the bit."""
+
+    @staticmethod
+    def march(rho, tau, steps, energy, monkeypatch):
+        """jko_evolve's trajectory and infos, and the nodes of every step."""
+        nodes, make_rebin = [], gradient_flow._mass_node_rebin
+
+        def recording_rebin(n, template):
+            rebin = make_rebin(n, template)
+
+            def recorded(X):
+                nodes.append(X)
+                return rebin(X)
+
+            return recorded
+
+        monkeypatch.setattr(gradient_flow, "_mass_node_rebin", recording_rebin)
+        traj, infos = jko_evolve(rho, tau, steps, energy)
+        return traj, infos, nodes
+
+    @staticmethod
+    def oracle_march(rho, tau, steps, energy):
+        n = gradient_flow.QUANTILE_NODES_PER_CELL * rho.cells
+        dm = 1.0 / n
+        X = quantiles(rho.normalized(), (np.arange(n) + 0.5) * dm)
+        nodes, infos, states = [], [], [rho]
+        for _ in range(steps):
+            X, info = oracle_jko_minimize(X, dm, tau, energy)
+            nodes.append(X)
+            infos.append(info)
+            states.append(oracle_rebin_mass_nodes(X, dm, rho))
+        return nodes, infos, states
+
+    def check(self, rho, tau, steps, energy, monkeypatch):
+        traj, infos, nodes = self.march(rho, tau, steps, energy, monkeypatch)
+        expected_nodes, expected_infos, states = self.oracle_march(rho, tau, steps, energy)
+        assert_same_bits(nodes, expected_nodes)
+        assert [info.iters for info in infos] == [info.iters for info in expected_infos]
+        for key in ("grad_norm", "w2_sq", "energy", "energy_start"):
+            assert_same_bits(
+                [getattr(info, key) for info in infos],
+                [getattr(info, key) for info in expected_infos],
+            )
+        assert list(traj.snapshot_steps) == list(range(steps + 1))
+        assert_same_bits([s.values for s in traj.snapshots], [s.values for s in states])
+        assert_same_bits(traj.energies, [energy.value(s) for s in states])
+        assert_same_bits(traj.masses, [s.mass() for s in states])
+        assert_same_bits(traj.extra["variance"], [float(variance(s)) for s in states])
+        return infos
+
+    def test_entropy(self, monkeypatch):
+        self.check(gaussian(cells=400), 1e-3, 20, EnergyFunctional.entropy(), monkeypatch)
+
+    def test_entropy_and_potential(self, monkeypatch):
+        # V'' = 3 x^2 - 1 is negative near 0, where the Hessian clips it
+        energy = EnergyFunctional.grid_free_energy(
+            rt=0.8, c0=0.5, potential=lambda x: 0.25 * x**4 - 0.5 * x**2,
+            potential_grad=lambda x: x**3 - x,
+        )
+        self.check(gaussian(cells=150, a=-5.0, b=5.0), 2e-3, 20, energy, monkeypatch)
+
+    def test_split_step_forms_its_gradient_afresh(self, monkeypatch):
+        # more iterations than one Newton solve may take: the step was split,
+        # and its grad_norm is the gradient at (X, Y, tau), not the last half's
+        monkeypatch.setattr(gradient_flow, "MAX_NEWTON", 2)
+        (info,) = self.check(gaussian(cells=400), 1e-2, 1, EnergyFunctional.entropy(), monkeypatch)
+        assert info.iters > 2
 
 
 class TestSolveBanded:

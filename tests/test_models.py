@@ -767,6 +767,113 @@ class TestConvexSplitting:
         assert gap == pytest.approx(-1.31e-3, abs=1e-4)
 
 
+def oracle_convex_splitting_system(problem, z, dts):
+    """Eyre's residual, Jacobian and tolerance with every array formed
+    afresh, as the unbuffered system formed them: the oracle for
+    ``_convex_splitting_system``.  Each residual's dt is appended to ``dts``."""
+    h, well = z.h, problem.energy.well
+    friction = problem.dissipation.coefficient
+    hminus1 = problem.dissipation.kind == "hminus1"
+    n, a = z.cells, 1.0 / (h * h)
+    lap = np.zeros((3, n))
+    lap[0, 1:] = a
+    lap[1] = -2.0 * a
+    lap[1, [0, -1]] = -a
+    lap[2, :-1] = a
+    if hminus1:
+        d = lap[1]
+        lap_sq = np.zeros((5, n))
+        lap_sq[0, 2:] = lap_sq[4, :-2] = a * a
+        lap_sq[1, 1:] = lap_sq[3, :-1] = a * (d[:-1] + d[1:])
+        lap_sq[2] = d * d + 2.0 * a * a
+        lap_sq[2, [0, -1]] -= a * a
+
+    def residual(u, u_prev, dt):
+        dts.append(dt)
+        mu = -laplacian_neumann(u, h) + well * (u**3 - u_prev)
+        if hminus1:
+            return u - u_prev - dt / friction * laplacian_neumann(mu, h)
+        return u - u_prev + dt / friction * mu
+
+    def jacobian(u, dt):
+        mdt = dt / friction
+        if hminus1:
+            ab = mdt * lap_sq
+            ab[1:4] -= (3.0 * mdt * well) * lap * (u * u)
+            ab[2] += 1.0
+            return ab
+        ab = -mdt * lap
+        ab[1] += 1.0 + (3.0 * mdt * well) * (u * u)
+        return ab
+
+    def tol(u_prev, dt):
+        bound = max(1.0, float(np.abs(u_prev).max()))
+        stiffness = (4.0 * a if hminus1 else 1.0) * (4.0 * a + well * bound * bound)
+        return SPLITTING_TOL * bound * (1.0 + dt / friction * stiffness)
+
+    return residual, jacobian, tol
+
+
+SPLITTING_TOL = gradient_flow.SPLITTING_TOL
+
+
+class TestConvexSplittingOracle:
+    """The system built once per march, with its buffers and its dt-scaled
+    band parts, gives the unbuffered system's states to the bit."""
+
+    @staticmethod
+    def oracle_states(problem, state, dt, steps, dts):
+        residual, jacobian, tol = oracle_convex_splitting_system(problem, state, dts)
+
+        def newton_update(x, r, dt):
+            return gradient_flow._solve_banded(jacobian(x, dt), -r)
+
+        u, states = state.values, [state.values]
+        for _ in range(steps):
+            x, _ = gradient_flow._newton_march(u, dt, residual, newton_update, tol)
+            if x is not u and problem.dissipation.kind == "hminus1":
+                x = x + (u.mean() - x.mean())
+            states.append(x)
+            u = x
+        return states
+
+    @pytest.mark.parametrize(
+        "model, cells, dt",
+        [
+            ("allen_cahn", 64, 1.0),
+            ("allen_cahn", 64, 10.0),
+            ("cahn_hilliard", 64, 1.0),
+            ("cahn_hilliard", 256, 100.0),
+        ],
+    )
+    def test_march_matches_the_unbuffered_system(self, model, cells, dt):
+        # the phasefield experiment's defaults: 400 steps on a length of 64,
+        # mobility 1, well 1 and amplitude 0.05 at seed 0
+        self.check(model, cells, dt, 400)
+
+    def test_march_that_halves_dt(self, monkeypatch):
+        # two Newton iterations do not reach the tolerance on every step, so
+        # some steps are covered by halves, and the band is scaled anew for
+        # them and for the whole steps after them
+        monkeypatch.setattr(gradient_flow, "MAX_NEWTON", 2)
+        dts = self.check("cahn_hilliard", 64, 1.0, 100)
+        assert 0.5 in dts and 1.0 in dts[dts.index(0.5):]
+
+    def check(self, model, cells, dt, steps):
+        state = PhaseFieldState(0.0, 64.0, 0.05 * np.random.default_rng(0).normal(size=cells))
+        solve, kind = {
+            "allen_cahn": (allen_cahn_solve, "l2"), "cahn_hilliard": (cahn_hilliard_solve, "hminus1")
+        }[model]
+        problem = FlowProblem(EnergyFunctional.dirichlet_double_well(1.0), QuadraticDissipation(kind))
+        traj = solve(state, 1.0, steps * dt, dt, store_every=1, scheme="implicit")
+        dts = []
+        states = self.oracle_states(problem, state, dt, steps, dts)
+        assert list(traj.snapshot_steps) == list(range(steps + 1))
+        assert_bitwise([s.values for s in traj.snapshots], states)
+        assert_bitwise(traj.energies, [problem.energy.value(state.with_values(u)) for u in states])
+        return dts
+
+
 def mixture_energy(state, constants):
     return EnergyFunctional.grid_free_energy(rt=constants.RT, c0=constants.c0).value(state)
 
