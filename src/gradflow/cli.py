@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .measures import GridDensity1D, PhysicalConstants
 from . import measures, transport
-from .gradient_flow import EnergyFunctional, jko_evolve
+from .gradient_flow import EnergyFunctional, _scipy_version, jko_evolve
 from .models import (
     POSITIVITY_FLOOR,
     MultiSpeciesState,
@@ -335,6 +335,30 @@ def _check_multicomponent(p: dict, given: dict, errors: list[str]) -> None:
         )
 
 
+def _jko_start(p: dict) -> GridDensity1D:
+    """The start on ``cells`` cells of ``domain``: the density of
+    N(0, sigma0_sq) at the cell centers, normalized to unit mass."""
+    lo, hi = p["domain"]
+    grid = GridDensity1D(lo, hi, np.ones(p["cells"]))
+    var0 = p["sigma0_sq"]
+    return grid.with_values(
+        np.exp(-grid.centers**2 / (2 * var0)) / math.sqrt(2 * math.pi * var0)
+    ).normalized()
+
+
+def _check_jko(p: dict, given: dict, errors: list[str]) -> None:
+    """The start must be a density: a narrow Gaussian, or cell centers far
+    from 0, underflow to zero mass."""
+    try:
+        _jko_start(p)
+    except ValueError as exc:
+        lo, hi = p["domain"]
+        errors.append(
+            f"parameters.sigma0_sq: the start N(0, {p['sigma0_sq']:g}) on {p['cells']} cells"
+            f" of [{lo:g}, {hi:g}] is not a density: {exc}"
+        )
+
+
 def _check_particles(p: dict, given: dict, errors: list[str]) -> None:
     """At least one Euler-Maruyama step; the PDE check solves with RT = kT and
     eta = 1 / mobility, both nonzero."""
@@ -394,6 +418,7 @@ def _check_ldp(p: dict, given: dict, errors: list[str]) -> None:
 # per-experiment checks of parameters that parse one by one but cannot run
 # together: check(parameters, the parameters block as given, errors)
 CROSS_CHECKS: dict[str, Callable[[dict, dict, list[str]], None]] = {
+    "jko": _check_jko,
     "fokker_planck": _check_fokker_planck,
     "multicomponent": _check_multicomponent,
     "particles": _check_particles,
@@ -621,12 +646,8 @@ def _exp_transport(cfg: ExperimentConfig) -> ExperimentOutput:
 def _exp_jko(cfg: ExperimentConfig) -> ExperimentOutput:
     out = ExperimentOutput()
     p = cfg.parameters
-    lo, hi = p["domain"]
-    grid = GridDensity1D(lo, hi, np.ones(p["cells"]))
     var0 = p["sigma0_sq"]
-    rho = grid.with_values(
-        np.exp(-grid.centers**2 / (2 * var0)) / math.sqrt(2 * math.pi * var0)
-    ).normalized()
+    rho = _jko_start(p)
     energy = EnergyFunctional.entropy()
     out.header = ["step", "time", "energy", "variance", "w2_sq", "iters", "grad_norm"]
     traj, infos = jko_evolve(rho, p["time_step"], p["steps"], energy)
@@ -964,7 +985,7 @@ def run(config: ExperimentConfig) -> int:
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": __import__("scipy").__version__,
+            "scipy": _scipy_version,
         },
         "invariants": {},
     }

@@ -66,7 +66,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy
 from numpy.linalg import LinAlgError
 
 from ._grid import (
@@ -834,27 +833,39 @@ def _convex_splitting_system(problem: FlowProblem, z):
     return residual, jacobian, tol
 
 
-def _load_flapack():
-    """scipy's compiled LAPACK wrappers, ``scipy.linalg._flapack``, loaded
-    without running ``scipy/linalg/__init__.py``: that initializer imports
-    about 300 modules and takes longer than most default runs, for the
-    three routines :func:`_solve_banded` calls.  ``scipy.linalg.lapack``
-    re-exports this module's functions, so they are the very objects that
-    ``solve_banded`` calls.  The interpreter records a single-phase
-    extension such as this f2py module under its name in ``sys.modules``,
-    and a later ``import scipy.linalg`` takes it from there.
+def _load_scipy_module(name: str):
+    """The scipy module ``name`` (``scipy.linalg._flapack``, ``scipy.version``),
+    loaded from its file without running a package initializer on the way.
+    ``scipy/__init__.py`` and ``scipy/linalg/__init__.py`` import about 300
+    modules and take longer than most default runs; ``find_spec`` locates
+    the scipy package without executing it.
+
+    Two modules are loaded this way.  ``scipy.linalg._flapack`` holds
+    scipy's compiled LAPACK wrappers, for the three routines
+    :func:`_solve_banded` calls.  ``scipy.linalg.lapack`` re-exports its
+    functions, so they are the very objects that ``solve_banded`` calls.
+    The interpreter records a single-phase extension such as this f2py
+    module under its name in ``sys.modules``, and a later ``import scipy``
+    or ``import scipy.linalg`` takes it from there.  ``scipy/version.py``
+    holds the string that scipy's initializer exports as ``__version__``;
+    ``exec_module`` records no source module in ``sys.modules``, so a later
+    ``import scipy`` loads its own copy.
     """
-    linalg_dir = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-    found = importlib.machinery.PathFinder.find_spec("_flapack", [linalg_dir])
+    package, _, leaf = name.rpartition(".")
+    subpackage = package.split(".")[1:]
+    roots = importlib.util.find_spec("scipy").submodule_search_locations
+    directories = [os.path.join(root, *subpackage) for root in roots]
+    found = importlib.machinery.PathFinder.find_spec(leaf, directories)
     if found is None:
-        raise ImportError(f"no compiled _flapack module in {linalg_dir}")
-    spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", found.origin)
+        raise ImportError(f"no module {leaf} in {directories}")
+    spec = importlib.util.spec_from_file_location(name, found.origin)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-_flapack = _load_flapack()
+_flapack = _load_scipy_module("scipy.linalg._flapack")
+_scipy_version = _load_scipy_module("scipy.version").version
 dgbsv, dgtsv, dptsv = _flapack.dgbsv, _flapack.dgtsv, _flapack.dptsv
 
 
@@ -863,7 +874,7 @@ def _solve_banded(ab: np.ndarray, b: np.ndarray, *, symmetric: bool = False) -> 
     ``scipy.linalg.solve_banded`` calls, without the argument handling that
     costs more than the solve on a few hundred unknowns.  The routines are
     scipy's own f2py wrappers (``scipy.linalg.lapack.dgtsv`` and so on),
-    loaded by :func:`_load_flapack` without importing ``scipy.linalg``.
+    loaded by :func:`_load_scipy_module` without importing ``scipy``.
 
     ``ab`` is in ``solve_banded``'s layout with equal lower and upper bands
     (``dgtsv`` for one band, ``dgbsv`` for wider ones) or, ``symmetric``, in

@@ -43,6 +43,8 @@ __all__ = [
 
 # two masses match when they differ by at most MASS_MATCH_TOL max(1, mass)
 MASS_MATCH_TOL = 1e-10
+# the largest value a numpy array index can hold
+_MAX_INDEX = np.iinfo(np.intp).max
 
 
 def _check_time_step(dt: float, name: str = "dt") -> None:
@@ -56,12 +58,15 @@ def _check_time_step(dt: float, name: str = "dt") -> None:
 def _step_count(T: float, dt: float, name: str = "T") -> int:
     """The round(T / dt) steps of a march to time T, of which there must be
     at least one: below dt / 2 the march would return its start unmoved.
-    T / dt must be a finite number (round() of an infinite one overflows)."""
+    T / dt must be a finite number (round() of an infinite one overflows)
+    below the largest array index, since a march indexes its series by step."""
     _check_time_step(dt)
     _check_time_step(T, name)
     ratio = T / dt
-    if ratio == math.inf:
-        raise ValueError(f"{name} / dt must be a finite number of steps, got {T} / {dt}")
+    if not ratio < _MAX_INDEX:
+        raise ValueError(
+            f"{name} / dt must be a finite number of steps below {_MAX_INDEX}, got {T} / {dt}"
+        )
     steps = round(ratio)
     if steps == 0:
         raise ValueError(f"{name} must be more than dt / 2 = {dt / 2:g} to take a step, got {T}")

@@ -311,6 +311,10 @@ class TestValidateCommand:
             ("particles", {"t_end": 0.0009, "dt": 0.002}, "parameters.t_end"),
             ("fokker_planck", {"t_end": 1e308, "dt": 1e-10}, "parameters.t_end"),
             ("particles", {"t_end": 1e308, "dt": 1e-10}, "parameters.t_end"),
+            ("fokker_planck", {"t_end": 1e10, "dt": 1e-10}, "parameters.t_end"),
+            ("particles", {"t_end": 1e10, "dt": 1e-10}, "parameters.t_end"),
+            ("jko", {"sigma0_sq": 1e-12}, "parameters.sigma0_sq"),
+            ("jko", {"domain": [-1e6, 1e6]}, "parameters.sigma0_sq"),
         ],
         ids=[
             "negative-cells",
@@ -354,6 +358,10 @@ class TestValidateCommand:
             "particles-zero-steps",
             "fokker-planck-uncountable-steps",
             "particles-uncountable-steps",
+            "fokker-planck-unindexable-steps",
+            "particles-unindexable-steps",
+            "jko-start-narrower-than-a-cell",
+            "jko-start-far-from-every-cell",
         ],
     )
     def test_unrunnable_config_exits_2_with_key_path(

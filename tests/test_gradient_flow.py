@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gradflow import gradient_flow
-from gradflow.measures import GridDensity1D, PhysicalConstants
+from gradflow.measures import GridDensity1D, PhysicalConstants, _step_count
 from gradflow.gradient_flow import (
     ConvergenceError,
     EnergyFunctional,
@@ -1079,3 +1079,25 @@ class TestTimeStepMustBeFinite:
         # T / dt overflows to inf, whose round() raised OverflowError
         with pytest.raises(ValueError, match=f"{name} / dt must be a finite number of steps"):
             self.call(entry, 1e-10, 1e308)
+
+    @pytest.mark.parametrize(
+        "entry, name",
+        [
+            ("spring_dashpot_solve", "T"),
+            ("fokker_planck_solve", "T_end"),
+            ("fokker_planck_solve_implicit", "T_end"),
+            ("allen_cahn_solve", "T_end"),
+            ("cahn_hilliard_solve", "T_end"),
+            ("euler_maruyama", "T"),
+        ],
+    )
+    def test_unindexable_steps_rejected(self, entry, name):
+        # 1e20 steps: more than an array can index, and years of Euler-Maruyama
+        with pytest.raises(ValueError, match=f"{name} / dt must be a finite number of steps below"):
+            self.call(entry, 1e-10, 1e10)
+
+    def test_step_count_stops_below_the_largest_index(self):
+        last = np.iinfo(np.intp).max
+        assert _step_count(2.0**63 - 1024, 1.0) == 2**63 - 1024
+        with pytest.raises(ValueError, match=f"below {last}"):
+            _step_count(2.0**63, 1.0)

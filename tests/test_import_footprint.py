@@ -1,17 +1,20 @@
-"""`import gradflow.cli` and the default runs load numpy and the top-level
-scipy package only.
+"""`import gradflow.cli` and the nine default runs load numpy and, of scipy,
+its compiled LAPACK wrappers only.
 
-Each `gradflow run` pays its imports before any solver starts, so the
-scipy submodules that default runs never call stay unloaded.  The banded
-solves of the implicit steps call scipy's compiled LAPACK wrappers, which
-`gradient_flow` loads from `scipy/linalg/_flapack` without running the
-`scipy.linalg` package initializer; scipy.optimize is imported where
-dim >= 2 transport or a Sanov half-space first needs it, and scipy.special
-not at all.  The check runs in a fresh interpreter, since this test process
-has long since imported scipy.stats.  In that interpreter, a later
-`import scipy.linalg` must find the routines already loaded: the same
-solves give the same bits before and after it, and the same bits as
-`scipy.linalg.solve_banded`.
+Each `gradflow run` pays its imports before any solver starts, so the parts
+of scipy that default runs never call stay unloaded, its package
+initializer included.  The banded solves of the implicit steps call
+scipy's compiled LAPACK wrappers, which `gradient_flow` loads from
+`scipy/linalg/_flapack` without running `scipy/__init__.py` or the
+`scipy.linalg` initializer, and `summary.json` reads scipy's version from
+`scipy/version.py` the same way; scipy.optimize is imported where dim >= 2
+transport or a Sanov half-space first needs it, and scipy.special not at
+all.  The check runs in a fresh interpreter, since this test process has
+long since imported scipy.stats.  In that interpreter, a later
+`import scipy.linalg` must find the routines already loaded: they are the
+objects `scipy.linalg.lapack` exports, the same solves give the same bits
+before and after it, and the same bits as `scipy.linalg.solve_banded`; and
+the version written to `summary.json` is `scipy.__version__`.
 """
 
 import json
@@ -22,10 +25,18 @@ from pathlib import Path
 
 import gradflow
 
-UNLOADED = ("scipy.linalg", "scipy.optimize", "scipy.special")
-# the four defaults that solve banded systems, and the two whose other
-# options import scipy.optimize
-DEFAULT_RUNS = ("fokker_planck", "jko", "multicomponent", "phasefield", "transport", "ldp")
+UNLOADED = ("scipy", "scipy.linalg", "scipy.optimize", "scipy.special")
+DEFAULT_RUNS = (
+    "entropy",
+    "transport",
+    "jko",
+    "fokker_planck",
+    "multicomponent",
+    "phasefield",
+    "particles",
+    "ldp",
+    "reversibility",
+)
 
 SCRIPT = """
 import json, sys
@@ -38,6 +49,7 @@ for name in runs:
     config = cli.parse_config({"experiment": name, "output_dir": str(out / name)})
     report["status"][name] = cli.run(config)
 report["after_runs"] = [m for m in unloaded if m in sys.modules]
+report["scipy_modules"] = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 import numpy as np
 from gradflow.gradient_flow import _solve_banded
@@ -51,7 +63,11 @@ for band in (1, 2):
 before = [_solve_banded(ab, b).tobytes() for _, ab, b in systems]
 
 import scipy.linalg
+from gradflow import gradient_flow
 
+report["same_routines"] = scipy.linalg.lapack.dgtsv is gradient_flow.dgtsv
+summary = json.loads((out / runs[0] / "summary.json").read_text())
+report["scipy_version"] = summary["versions"]["scipy"] == scipy.__version__
 report["same_after_scipy_linalg"] = [_solve_banded(ab, b).tobytes() == x for (_, ab, b), x in zip(systems, before)]
 report["same_as_solve_banded"] = [
     scipy.linalg.solve_banded((band, band), ab, b).tobytes() == x for (band, ab, b), x in zip(systems, before)
@@ -74,5 +90,8 @@ def test_cli_import_and_default_runs_leave_optimize_and_special_unloaded(tmp_pat
     assert report["after_import"] == []
     assert report["status"] == {name: 0 for name in DEFAULT_RUNS}
     assert report["after_runs"] == []
+    assert report["scipy_modules"] == ["scipy.linalg._flapack"]
+    assert report["same_routines"]
+    assert report["scipy_version"]
     assert report["same_after_scipy_linalg"] == [True, True]
     assert report["same_as_solve_banded"] == [True, True]
