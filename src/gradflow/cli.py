@@ -30,6 +30,7 @@ from .measures import GridDensity1D, PhysicalConstants
 from . import measures, transport
 from .gradient_flow import EnergyFunctional, _scipy_version, jko_evolve
 from .models import (
+    CONSTRAINT_TOL,
     POSITIVITY_FLOOR,
     MultiSpeciesState,
     PhaseFieldState,
@@ -44,6 +45,7 @@ from .particles import (
     HalfSpace,
     LAW_SUM_TOL,
     ParticleEnsemble,
+    _OUTSIDE_MAX_FRACTION,
     check_enumeration,
     coin_rate,
     coin_tail_exact,
@@ -78,7 +80,7 @@ class Field:
     required: bool = False
     within: str = ""  # the allowed numbers (each item of a list), e.g. "(0, inf)"
     items: str = ""  # the allowed list lengths, e.g. "[2, 2]"
-    choices: tuple = ()  # the allowed strings, when not empty
+    choices: Any = ()  # the allowed strings; a dict maps each to the schema of the keys it reads
 
 
 def _num(value) -> bool:
@@ -178,16 +180,26 @@ def _check_field(value, field: Field, path: str, errors: list[str]) -> Any:
 
 
 def _check_block(block: dict, schema: dict[str, Field], prefix: str, errors: list[str]) -> dict:
-    """One level of a config: its unknown and missing keys, then each field.
+    """One level of a config: its unknown, unread and missing keys, then each field.
 
-    Returns the fields that parsed, with the defaults of the absent ones
-    filled in; every problem goes to ``errors`` under ``prefix + key``.
+    A choice whose ``choices`` is a dict reads the keys of its value's schema
+    too (replacing the block's own field of a key), and no key that only its
+    other values read.  Returns the fields that parsed, with the defaults of
+    the absent ones filled in; every problem goes to ``errors`` under
+    ``prefix + key``.
     """
+    fields, unread = dict(schema), {}
+    for name, field in schema.items():
+        if isinstance(field.choices, dict):
+            value = block.get(name, field.default)
+            keys = {key for reads in field.choices.values() for key in reads}
+            unread.update(dict.fromkeys(keys, f"not read with {name} {value!r}"))
+            fields.update(field.choices.get(value, {}) if isinstance(value, str) else {})
     for key in block:
-        if key not in schema:
-            errors.append(f"{prefix}{key}: unknown key")
+        if key not in fields:
+            errors.append(f"{prefix}{key}: {unread.get(key, 'unknown key')}")
     parsed: dict[str, Any] = {}
-    for key, field in schema.items():
+    for key, field in fields.items():
         if key in block:
             value = _check_field(block[key], field, prefix + key, errors)
             if value is not None:
@@ -198,6 +210,11 @@ def _check_block(block: dict, schema: dict[str, Field], prefix: str, errors: lis
             parsed[key] = field.default
     return parsed
 
+
+# ldp sample sizes; the coin's default exceeds the exact enumerations' limit
+_N_VALUES = Field("number_list", [100.0, 500.0, 2000.0], within="[1, 1e5]", items="[1, inf)")
+_ENUMERATED_N_VALUES = replace(_N_VALUES, default=[20.0, 60.0, float(ENUMERATION_MAX_N)])
+_LAW = Field("number_list", [0.5, 0.5], within="(0, inf)", items="[1, inf)")
 
 # parameter schemas, one per experiment
 SCHEMAS: dict[str, dict[str, Field]] = {
@@ -220,11 +237,13 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     "fokker_planck": {
         "cells": Field(int, 200, within="[2, inf)"),
         "domain": Field("interval", [0.0, 5.0]),
-        "potential": Field(str, "linear", choices=("linear", "quadratic", "none")),
-        "slope": Field(float, 1.0),
+        "potential": Field(str, "linear", choices={
+            "linear": {"slope": Field(float, 1.0), "check_boltzmann": Field(bool, True)},
+            "quadratic": {"slope": Field(float, 1.0)},
+            "none": {},
+        }),
         "t_end": Field(float, 50.0, within="(0, inf)"),
         "dt": Field(float, 0.1, within="(0, inf)"),
-        "check_boltzmann": Field(bool, True),
         "initial_csv": Field(str, ""),
     },
     "multicomponent": {
@@ -249,24 +268,24 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "n": Field(int, 1000, within="[1, inf)"),
         "dt": Field(float, 2e-3, within="(0, inf)"),
         "t_end": Field(float, 1.0, within="(0, inf)"),
-        "potential": Field(str, "quadratic", choices=("quadratic", "none")),
-        "stiffness": Field(float, 1.0),
+        "potential": Field(str, "quadratic", choices={
+            "quadratic": {"stiffness": Field(float, 1.0), "compare_pde": Field(bool, True)},
+            "none": {},
+        }),
         "kT": Field(float, 1.0, within="[0, inf)"),
         "mobility": Field(float, 1.0, within="[0, inf)"),
         "cells": Field(int, 100, within="[2, inf)"),
         "domain": Field("interval", [-6.0, 6.0]),
-        "compare_pde": Field(bool, True),
     },
     "ldp": {
-        "mode": Field(str, "coin", choices=("coin", "sanov", "varadhan")),
-        "a": Field(float, 0.6, within="[0.5, 1]"),
-        "n_values": Field(
-            "number_list", [100.0, 500.0, 2000.0], within="[1, 1e5]", items="[1, inf)"
-        ),
-        "mu": Field("number_list", [0.5, 0.5], within="(0, inf)", items="[1, inf)"),
-        "tilt": Field("number_list", []),
-        "constraint_coeffs": Field("number_list", []),
-        "constraint_bound": Field(float, 0.6),
+        "mode": Field(str, "coin", choices={
+            "coin": {"a": Field(float, 0.6, within="[0.5, 1]")},
+            "sanov": {"mu": _LAW, "constraint_coeffs": Field("number_list", []),
+                      "constraint_bound": Field(float, 0.6), "n_values": _ENUMERATED_N_VALUES},
+            "varadhan": {"mu": _LAW, "tilt": Field("number_list", []),
+                         "n_values": _ENUMERATED_N_VALUES},
+        }),
+        "n_values": _N_VALUES,
     },
     "reversibility": {
         "cells": Field(int, 80, within="[2, inf)"),
@@ -288,9 +307,6 @@ TOP_LEVEL: dict[str, Field] = {
 # the fields of measures.PhysicalConstants (RT given as rt) that each
 # experiment reads; the constants block of any other experiment must be empty
 CONSTANTS: dict[str, tuple[str, ...]] = {"fokker_planck": ("rt", "eta", "c0"), "multicomponent": ("rt", "c0")}
-# the ldp n_values default of the exact sanov and varadhan enumerations; the
-# schema default serves the coin mode and exceeds the enumeration limit
-ENUMERATED_N_VALUES = (20.0, 60.0, float(ENUMERATION_MAX_N))
 # backward-Euler steps of the particles experiment's PDE reference; the
 # explicit step at the diffusive CFL bound turns negative once drift dominates
 PDE_CHECK_STEPS = 20
@@ -305,15 +321,21 @@ def _check_step_count(p: dict, errors: list[str]) -> None:
         errors.append(f"parameters.t_end: {exc}")
 
 
-def _check_fokker_planck(p: dict, given: dict, errors: list[str]) -> None:
-    """The solver takes at least one step; an ``initial_csv`` must read as a
-    grid density."""
+def _check_fokker_planck(p: dict, given: dict, errors: list[str]) -> Optional[tuple]:
+    """The solver takes at least one step; an ``initial_csv`` must read as a grid density,
+    gives the grid in place of ``cells`` and ``domain``, and is hashed by its bytes."""
     _check_step_count(p, errors)
-    if p["initial_csv"]:
-        try:
-            measures.read_grid_csv(p["initial_csv"])
-        except (OSError, ValueError) as exc:
-            errors.append(f"parameters.initial_csv: {exc}")
+    if not p["initial_csv"]:
+        return None
+    for key in ("cells", "domain"):
+        del p[key]
+        if key in given:
+            errors.append(f"parameters.{key}: not read with initial_csv, which gives the grid")
+    try:
+        measures.read_grid_csv(p["initial_csv"])
+        return (("initial_csv", hashlib.sha256(Path(p["initial_csv"]).read_bytes()).hexdigest()),)
+    except (OSError, ValueError) as exc:
+        errors.append(f"parameters.initial_csv: {exc}")
 
 
 def _multicomponent_start(p: dict) -> tuple[GridDensity1D, np.ndarray]:
@@ -363,7 +385,7 @@ def _check_particles(p: dict, given: dict, errors: list[str]) -> None:
     """At least one Euler-Maruyama step; the PDE check solves with RT = kT and
     eta = 1 / mobility, both nonzero."""
     _check_step_count(p, errors)
-    if p["compare_pde"] and p["potential"] == "quadratic":
+    if p["potential"] == "quadratic" and p["compare_pde"]:
         for key in ("kT", "mobility"):
             if p[key] == 0.0:
                 errors.append(
@@ -375,17 +397,15 @@ def _check_particles(p: dict, given: dict, errors: list[str]) -> None:
 def _check_ldp(p: dict, given: dict, errors: list[str]) -> None:
     """The ldp fields that pass one by one but cannot run together.
 
-    Without ``n_values`` the sanov and varadhan modes take
-    ``ENUMERATED_N_VALUES``.  They enumerate types exactly, within the limits
+    The sanov and varadhan modes enumerate types exactly, within the limits
     of :func:`gradflow.particles.check_enumeration`, and need a law ``mu``
     that sums to 1, with ``constraint_coeffs`` resp. ``tilt`` of its length;
     sanov also needs a ``constraint_bound`` that some type reaches.
     """
-    mode, mu = p["mode"], p["mu"]
+    mode = p["mode"]
     if mode == "coin":
         return
-    if "n_values" not in given:
-        p["n_values"] = list(ENUMERATED_N_VALUES)
+    mu = p["mu"]
     if abs(float(np.sum(mu)) - 1.0) > LAW_SUM_TOL:
         errors.append(f"parameters.mu: expected weights that sum to 1 (within {LAW_SUM_TOL:g})")
     key = "tilt" if mode == "varadhan" else "constraint_coeffs"
@@ -415,9 +435,9 @@ def _check_ldp(p: dict, given: dict, errors: list[str]) -> None:
             errors.append(f"parameters.n_values[{i}]: {exc}")
 
 
-# per-experiment checks of parameters that parse one by one but cannot run
-# together: check(parameters, the parameters block as given, errors)
-CROSS_CHECKS: dict[str, Callable[[dict, dict, list[str]], None]] = {
+# per-experiment checks of parameters that parse one by one but cannot run together:
+# check(parameters, the block as given, errors) -> (key, digest) of each input file, or None
+CROSS_CHECKS: dict[str, Callable[[dict, dict, list[str]], Optional[tuple]]] = {
     "jko": _check_jko,
     "fokker_planck": _check_fokker_planck,
     "multicomponent": _check_multicomponent,
@@ -435,16 +455,19 @@ class ExperimentConfig:
     constants: PhysicalConstants
     output_dir: Path
     seed: int
+    # (parameter, sha256 of its input file's bytes) pairs, taken at parse time
+    _digests: tuple = ()
 
     def canonical_json(self) -> str:
-        """The resolved computation: experiment, every parameter (defaults
-        filled in), seed, and the constants of an experiment that reads
-        them.  Where the output goes is not part of it."""
+        """The resolved computation: experiment, every parameter read (defaults filled in,
+        an input file by its bytes' digest), and the seed and constants of an experiment
+        that draws from or reads them.  Where the output goes is not part of it."""
         computation = {
             "experiment": self.experiment,
-            "parameters": self.parameters,
-            "seed": self.seed,
+            "parameters": {**self.parameters, **dict(self._digests)},
         }
+        if self.experiment in ("entropy", "particles", "phasefield", "transport"):
+            computation["seed"] = self.seed
         if self.experiment in CONSTANTS:
             computation["constants"] = asdict(self.constants)
         return json.dumps(computation, sort_keys=True, separators=(",", ":"))
@@ -473,12 +496,12 @@ def parse_config(obj, *, overrides: Optional[dict] = None) -> ExperimentConfig:
     reads = {key: Field(float, within="(0, inf)") for key in CONSTANTS.get(experiment, ())}
     values = _check_block(top.get("constants", {}), reads, "constants.", errors)
     if not errors:  # fields are checked together only once each of them parsed
-        if experiment in CROSS_CHECKS:
-            CROSS_CHECKS[experiment](params, given, errors)
+        digests = CROSS_CHECKS.get(experiment, lambda *args: None)(params, given, errors)
         constants = PhysicalConstants.with_rt(values.pop("rt", 1.0), **values)
     if errors:
         raise ConfigError(errors)
-    return ExperimentConfig(experiment, params, constants, Path(top["output_dir"]), top["seed"])
+    output_dir = Path(top["output_dir"])
+    return ExperimentConfig(experiment, params, constants, output_dir, top["seed"], digests or ())
 
 
 def load_config(path, *, overrides: Optional[dict] = None) -> ExperimentConfig:
@@ -677,8 +700,6 @@ def _exp_jko(cfg: ExperimentConfig) -> ExperimentOutput:
 def _exp_fokker_planck(cfg: ExperimentConfig) -> ExperimentOutput:
     out = ExperimentOutput()
     p = cfg.parameters
-    lo, hi = p["domain"]
-    grid = GridDensity1D(lo, hi, np.ones(p["cells"]))
     kind = p["potential"]
     if kind == "linear":
         V = lambda x: p["slope"] * x
@@ -690,6 +711,8 @@ def _exp_fokker_planck(cfg: ExperimentConfig) -> ExperimentOutput:
         c0 = measures.read_grid_csv(p["initial_csv"])
         grid = GridDensity1D(c0.a, c0.b, np.ones(c0.cells))
     else:
+        lo, hi = p["domain"]
+        grid = GridDensity1D(lo, hi, np.ones(p["cells"]))
         c0 = grid.with_values(np.full(grid.cells, 1.0 / (hi - lo)))
     dt = p["dt"]
     traj = fokker_planck_solve(c0, cfg.constants, V, p["t_end"], dt, scheme="implicit")
@@ -698,7 +721,7 @@ def _exp_fokker_planck(cfg: ExperimentConfig) -> ExperimentOutput:
         out.rows.append((i, t, traj.energies[k], traj.masses[k]))
     out.check("mass_conserved", traj.max_mass_drift() <= 1e-10, traj.max_mass_drift())
     out.check_descent("energy_nonincreasing", traj)
-    if p["check_boltzmann"] and kind == "linear":
+    if kind == "linear" and p["check_boltzmann"]:
         # shifted by its maximum, so that exp does not overflow at steep slopes
         exponent = -p["slope"] * grid.centers / cfg.constants.RT
         target = np.exp(exponent - exponent.max())
@@ -727,11 +750,8 @@ def _exp_multicomponent(cfg: ExperimentConfig) -> ExperimentOutput:
         constraint = traj.extra["constraint_max_violation"]
         for k, t in zip(traj.snapshot_steps, traj.snapshot_times):
             out.rows.append((mode, k, t, traj.energies[k], traj.masses[k], constraint[k]))
-        out.check(
-            f"{mode}_volume_constraint",
-            constraint.max() <= 1e-8,
-            float(constraint.max()),
-        )
+        worst = float(constraint.max())
+        out.check(f"{mode}_volume_constraint", worst <= CONSTRAINT_TOL, worst)
         out.check_descent(f"{mode}_energy_nonincreasing", traj)
     if len(modes) == 2:
         gap = float(
@@ -783,8 +803,8 @@ def _exp_particles(cfg: ExperimentConfig) -> ExperimentOutput:
     out = ExperimentOutput()
     p = cfg.parameters
     kind = p["potential"]
-    stiffness = p["stiffness"]
     if kind == "quadratic":
+        stiffness = p["stiffness"]
         Vb = lambda x: 0.5 * stiffness * x**2
         grad_Vb = lambda x: stiffness * x
     else:
@@ -818,10 +838,10 @@ def _exp_particles(cfg: ExperimentConfig) -> ExperimentOutput:
     }
     out.check("all_finite", bool(np.isfinite(final).all()))
     # the histogram has no cell for a particle outside the domain and admits
-    # at most empirical_density's 0.1 % of them; past that the run is a
+    # at most empirical_density's share of them; past that the run is a
     # failed invariant, with no histogram to check
     lost = final.size - int(np.count_nonzero((final >= lo) & (final <= hi)))
-    in_domain = lost <= 1e-3 * final.size
+    in_domain = lost <= _OUTSIDE_MAX_FRACTION * final.size
     out.check(
         "particles_in_domain", in_domain, lost / final.size,
         f"{lost} of {final.size} particles outside [{lo}, {hi}]",
@@ -829,7 +849,7 @@ def _exp_particles(cfg: ExperimentConfig) -> ExperimentOutput:
     if in_domain:
         hist = empirical_density(final, (lo, hi), p["cells"])
         out.check("histogram_mass_one", abs(hist.mass() - 1.0) <= 1e-12, hist.mass() - 1.0)
-        if p["compare_pde"] and kind == "quadratic":
+        if kind == "quadratic" and p["compare_pde"]:
             # the ensemble's own generator: diffusion kT * mobility, drift mobility * V'
             constants = PhysicalConstants.with_rt(p["kT"], eta=1.0 / p["mobility"])
             dt = p["t_end"] / PDE_CHECK_STEPS
@@ -862,11 +882,7 @@ def _exp_ldp(cfg: ExperimentConfig) -> ExperimentOutput:
         out.check("type_counting_lower_bound", bound_ok)
     elif mode == "sanov":
         mu = np.asarray(p["mu"], dtype=float)
-        coeffs = (
-            np.asarray(p["constraint_coeffs"], dtype=float)
-            if p["constraint_coeffs"]
-            else np.eye(mu.size)[0]
-        )
+        coeffs = np.asarray(p["constraint_coeffs"] or np.eye(mu.size)[0], dtype=float)
         constraint = HalfSpace(coeffs, p["constraint_bound"])
         out.header = ["n", "exact_rate", "entropy_infimum", "gap"]
         gaps = []

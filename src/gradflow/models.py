@@ -42,10 +42,10 @@ next logarithmic mean, grad V formed once, fluxes written in place.  Its
 contract is bitwise: trajectory, energies and masses equal those of
 composing ``free_energy_flux`` and ``divergence_of_flux`` step by step
 with fresh arrays.  It keeps its own loop: ``_march`` over ``local_step``
-gives the same states at about three times the cost per step (163 against
-52 us on the 200-cell criterion-07 problem, median of three 5000-step runs
-on a 2-CPU Xeon VM), so criterion 07's 177,778 steps would take about 29 s
-of its 30 s gate.
+costs about 2-2.3 times as much per step (40-52 against 19-22 us on the
+200-cell criterion-07 problem, min of three 5000-step runs on one pinned
+CPU of a 2-CPU Xeon VM; about 8 s instead of 4 s for criterion 07), and
+its states differ in the last bits (up to 6e-14, energies up to 1.8e-15).
 """
 
 from __future__ import annotations

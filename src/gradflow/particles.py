@@ -48,6 +48,8 @@ ENUMERATION_MAX_N = 120
 ENUMERATION_LIMIT = 2_000_000
 # how far the weights of a reference law may sum away from 1
 LAW_SUM_TOL = 1e-12
+# the share of a sample that may fall outside a histogram's domain
+_OUTSIDE_MAX_FRACTION = 1e-3
 # float64 elements in one block of pair differences (112 KiB).  Every
 # temporary of a block then stays below glibc's default 128 KiB mmap
 # threshold, so it is reused from the heap instead of being mapped, unmapped
@@ -185,14 +187,14 @@ def empirical_density(positions, domain: tuple[float, float], cells: int) -> Gri
     """Mass-1 histogram of 1D particle positions on a uniform grid.
 
     Each in-domain particle contributes 1/(n_in h) to its cell; losing more
-    than 0.1% of the sample outside the domain is an error.
+    than _OUTSIDE_MAX_FRACTION (0.1%) of the sample outside the domain is an error.
     """
     pos = np.asarray(positions, dtype=float).reshape(-1)
     a, b = domain
     grid = GridDensity1D(a, b, np.zeros(cells))
     inside = (pos >= a) & (pos <= b)
     lost = pos.size - int(inside.sum())
-    if lost > 1e-3 * pos.size:
+    if lost > _OUTSIDE_MAX_FRACTION * pos.size:
         raise ValueError(
             f"{lost} of {pos.size} particles fell outside the histogram domain"
         )

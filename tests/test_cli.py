@@ -276,7 +276,7 @@ class TestValidateCommand:
             ("ldp", {"n_values": [0]}, "parameters.n_values"),
             ("ldp", {"n_values": [1e6]}, "parameters.n_values"),
             ("ldp", {"a": 0.4}, "parameters.a"),
-            ("ldp", {"mu": []}, "parameters.mu"),
+            ("ldp", {"mode": "sanov", "mu": []}, "parameters.mu"),
             ("multicomponent", {"eta": [1.0, 0.0]}, "parameters.eta"),
             ("reversibility", {"mobility": [1.0, -2.0]}, "parameters.mobility"),
             ("reversibility", {"kT": 0.0}, "parameters.kT"),
@@ -375,6 +375,62 @@ class TestValidateCommand:
         assert main(["run", "--config", str(path), "--out", str(out_dir)]) == EXIT_CONFIG
         assert capsys.readouterr().err.splitlines() == diagnostics
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "experiment, choice, value, key",
+        [
+            pytest.param(experiment, name, value, key, id=f"{experiment}-{value}-{key}")
+            for experiment, schema in sorted(SCHEMAS.items())
+            for name, field in schema.items()
+            if isinstance(field.choices, dict)
+            for value, reads in field.choices.items()
+            for key in sorted(
+                {key for other in field.choices.values() for key in other}
+                - set(reads)
+                - set(schema)
+            )
+        ],
+    )
+    def test_key_that_the_choice_does_not_read_exits_2(
+        self, tmp_path, capsys, experiment, choice, value, key
+    ):
+        # the key as another value of the choice reads it, at its default
+        branches = SCHEMAS[experiment][choice].choices.values()
+        default = next(reads[key] for reads in branches if key in reads).default
+        obj = {"experiment": experiment, "parameters": {choice: value, key: default}}
+        path = write_config(tmp_path, obj)
+        diagnostic = f"parameters.{key}: not read with {choice} {value!r}"
+        assert validate(path) == (EXIT_CONFIG, [diagnostic])
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out_dir)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [diagnostic]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("key, value", [("cells", 200), ("domain", [0.0, 5.0])])
+    def test_initial_csv_rejects_a_grid(self, tmp_path, key, value):
+        csv_path = tmp_path / "c0.csv"
+        csv_path.write_text("cell_center,value\n0.5,1\n1.5,1\n")
+        given = {"initial_csv": str(csv_path)}
+        obj = {"experiment": "fokker_planck", "parameters": {**given, key: value}}
+        diagnostic = f"parameters.{key}: not read with initial_csv, which gives the grid"
+        assert validate(write_config(tmp_path, obj)) == (EXIT_CONFIG, [diagnostic])
+        parameters = parse_config({"experiment": "fokker_planck", "parameters": given}).parameters
+        assert "cells" not in parameters and "domain" not in parameters
+
+    @pytest.mark.parametrize(
+        "experiment, choice, value",
+        [
+            (experiment, name, value)
+            for experiment, schema in sorted(SCHEMAS.items())
+            for name, field in schema.items()
+            if isinstance(field.choices, dict)
+            for value in field.choices
+        ],
+    )
+    def test_parameters_hold_only_the_keys_read(self, experiment, choice, value):
+        schema = SCHEMAS[experiment]
+        cfg = parse_config({"experiment": experiment, "parameters": {choice: value}})
+        assert set(cfg.parameters) == set(schema) | set(schema[choice].choices[value])
 
     @pytest.mark.parametrize("experiment", sorted(SCHEMAS))
     def test_every_default_config_validates(self, tmp_path, experiment):
@@ -872,14 +928,15 @@ class TestConfigHash:
         assert cfg_a.config_hash() == cfg_b.config_hash() == cfg_c.config_hash()
 
     def test_hash_same_when_defaults_spelled_out(self):
-        for experiment in ("fokker_planck", "ldp"):
+        for experiment, choice in (("fokker_planck", "potential"), ("ldp", "mode")):
+            schema = SCHEMAS[experiment]
+            # the block's fields and those that the default choice reads
+            reads = {**schema, **schema[choice].choices[schema[choice].default]}
             implicit = parse_config({"experiment": experiment})
             explicit = parse_config(
                 {
                     "experiment": experiment,
-                    "parameters": {
-                        key: field.default for key, field in SCHEMAS[experiment].items()
-                    },
+                    "parameters": {key: field.default for key, field in reads.items()},
                     "constants": {"rt": 1.0} if experiment == "fokker_planck" else {},
                     "seed": 0,
                 }
@@ -887,6 +944,55 @@ class TestConfigHash:
             assert implicit.config_hash() == explicit.config_hash()
         ints = parse_config({"experiment": "ldp", "parameters": {"n_values": [100, 500, 2000]}})
         assert ints.config_hash() == parse_config({"experiment": "ldp"}).config_hash()
+
+    @pytest.mark.parametrize("experiment", sorted(SCHEMAS))
+    def test_hash_covers_the_seed_only_where_it_is_drawn(
+        self, tmp_path, capsys, experiment, fast_experiment_configs
+    ):
+        hashes = {
+            parse_config({"experiment": experiment, "seed": seed}).config_hash() for seed in (0, 7)
+        }
+        if experiment in ("entropy", "particles", "phasefield", "transport"):
+            assert len(hashes) == 2
+            return
+        assert len(hashes) == 1
+        # and the seed changes nothing that such a run writes
+        obj = {"experiment": experiment, **fast_experiment_configs[experiment]}
+        path = write_config(tmp_path, obj)
+        results = []
+        for seed in ("0", "7"):
+            out_dir = tmp_path / seed
+            argv = ["run", "--config", str(path), "--out", str(out_dir), "--seed", seed]
+            assert main(argv) == EXIT_OK
+            results.append((out_dir / "result.csv").read_bytes())
+        capsys.readouterr()
+        assert results[0] == results[1]
+
+    def test_hash_covers_the_initial_csv_bytes_not_its_path(self, tmp_path):
+        grid = measures.GridDensity1D(0.0, 5.0, np.ones(20))
+
+        def config_hash(path, values):
+            if values is not None:
+                measures.write_grid_csv(grid.with_values(values).normalized(), path)
+            obj = {"experiment": "fokker_planck", "parameters": {"initial_csv": str(path)}}
+            return parse_config(obj).config_hash()
+
+        first = config_hash(tmp_path / "a.csv", np.exp(-grid.centers))
+        assert config_hash(tmp_path / "b.csv", np.exp(-grid.centers)) == first
+        assert config_hash(tmp_path / "a.csv", None) == first
+        assert config_hash(tmp_path / "a.csv", np.exp(-2 * grid.centers)) != first
+
+    def test_removed_initial_csv_still_writes_the_summary(self, tmp_path):
+        csv_path = tmp_path / "c0.csv"
+        csv_path.write_text("cell_center,value\n0.5,1\n1.5,1\n")
+        parameters = {"initial_csv": str(csv_path), "t_end": 1.0}
+        obj = {"experiment": "fokker_planck", "parameters": parameters}
+        cfg = parse_config(obj, overrides={"output_dir": str(tmp_path / "out")})
+        csv_path.unlink()
+        assert run(cfg) == 3
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["config_hash"] == cfg.config_hash()
+        assert summary["error"].startswith("FileNotFoundError")
 
     @pytest.mark.parametrize("experiment", sorted(SCHEMAS))
     def test_hash_covers_the_constants_only_where_they_are_read(self, tmp_path, experiment):

@@ -512,6 +512,30 @@ class TestSanov:
         with pytest.raises(ValueError):
             sanov_exact(FiniteLdpProblem(mu=np.full(6, 1 / 6), n=10))
 
+    @pytest.mark.parametrize(
+        "mu, coeffs, bound, minimizer",
+        [
+            ([0.5, 0.5], [1.0, 0.0], np.nextafter(1.0, 2.0), [1.0, 0.0]),
+            ([0.2, 0.3, 0.5], [2.0, 2.0, 0.0], np.nextafter(2.0, 3.0), [0.4, 0.6, 0.0]),
+        ],
+        ids=["coin-vertex", "face-of-two-letters"],
+    )
+    def test_bound_reached_only_in_the_limit_gives_the_vertex(self, mu, coeffs, bound, minimizer):
+        # a bound one ulp above max(coeffs), inside the feasibility slack: no
+        # finite tilt reaches it, and the infimum is the law conditioned on
+        # the letters where the coefficients are largest
+        mu = np.array(mu)
+        h, rho = particles._entropy_infimum_halfspace(mu, HalfSpace(np.array(coeffs), bound))
+        assert h == pytest.approx(math.log(2.0), rel=1e-15)
+        np.testing.assert_allclose(rho, minimizer, rtol=1e-15, atol=0.0)
+
+    def test_vertex_infimum_is_the_exact_rate(self):
+        # only the type (n, 0) lies in the half-space: P = 2^-n exactly
+        constraint = HalfSpace(np.array([1.0, 0.0]), np.nextafter(1.0, 2.0))
+        res = sanov_exact(FiniteLdpProblem(mu=np.array([0.5, 0.5]), n=10), constraint)
+        assert res.exact_rate == pytest.approx(math.log(2.0), rel=1e-15)
+        assert res.entropy_infimum == pytest.approx(math.log(2.0), rel=1e-15)
+
 
 class TestVaradhan:
     def test_zero_tilt_reduces_to_sanov_rates(self):

@@ -66,7 +66,6 @@ class TestModelCsv:
             "potential": "none",
             "t_end": 0.02,
             "dt": 1e-3,
-            "check_boltzmann": False,
         }
         out_dir = run_experiment(tmp_path, "fokker_planck", parameters)
         capsys.readouterr()
