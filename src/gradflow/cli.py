@@ -14,6 +14,7 @@ Exit status: 0 success, 2 config error, 3 runtime model error,
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import math
@@ -81,6 +82,19 @@ class Field:
     within: str = ""  # the allowed numbers (each item of a list), e.g. "(0, inf)"
     items: str = ""  # the allowed list lengths, e.g. "[2, 2]"
     choices: Any = ()  # the allowed strings; a dict maps each to the schema of the keys it reads
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """One experiment: its body and everything of a config that its run reads."""
+
+    body: Callable[["ExperimentConfig"], "ExperimentOutput"]
+    schema: dict[str, Field]  # the parameters block
+    constants: tuple[str, ...] = ()  # the fields of PhysicalConstants read, RT given as rt
+    seeded: bool = False  # whether the run draws from the seed
+    # the parameters that parse one by one but cannot run together:
+    # check(parameters, the block as given, errors) -> (key, digest) of each input file, or None
+    check: Callable[[dict, dict, list[str]], Optional[tuple]] = lambda p, given, errors: None
 
 
 def _num(value) -> bool:
@@ -207,112 +221,17 @@ def _check_block(block: dict, schema: dict[str, Field], prefix: str, errors: lis
         elif field.required:
             errors.append(f"{prefix}{key}: required key missing")
         elif field.default is not None:
-            parsed[key] = field.default
+            # a copy: a caller that changes its parameters leaves the schema as it was
+            parsed[key] = copy.copy(field.default)
     return parsed
 
 
-# ldp sample sizes; the coin's default exceeds the exact enumerations' limit
-_N_VALUES = Field("number_list", [100.0, 500.0, 2000.0], within="[1, 1e5]", items="[1, inf)")
-_ENUMERATED_N_VALUES = replace(_N_VALUES, default=[20.0, 60.0, float(ENUMERATION_MAX_N)])
-_LAW = Field("number_list", [0.5, 0.5], within="(0, inf)", items="[1, inf)")
-
-# parameter schemas, one per experiment
-SCHEMAS: dict[str, dict[str, Field]] = {
-    "entropy": {
-        "pairs": Field(int, 1000, within="[0, inf)"),
-        "alphabet": Field(int, 6, within="[1, inf)"),
-    },
-    "transport": {
-        "n_atoms": Field(int, 6, within="[1, inf)"),
-        "instances": Field(int, 50, within="[0, inf)"),
-        "dim": Field(int, 1, within="[0, inf)"),
-    },
-    "jko": {
-        "cells": Field(int, 400, within="[2, inf)"),
-        "domain": Field("interval", [-6.0, 6.0]),
-        "time_step": Field(float, 1e-3, within="(0, inf)"),
-        "steps": Field(int, 100, within="[1, inf)"),
-        "sigma0_sq": Field(float, 1.0, within="(0, inf)"),
-    },
-    "fokker_planck": {
-        "cells": Field(int, 200, within="[2, inf)"),
-        "domain": Field("interval", [0.0, 5.0]),
-        "potential": Field(str, "linear", choices={
-            "linear": {"slope": Field(float, 1.0), "check_boltzmann": Field(bool, True)},
-            "quadratic": {"slope": Field(float, 1.0)},
-            "none": {},
-        }),
-        "t_end": Field(float, 50.0, within="(0, inf)"),
-        "dt": Field(float, 0.1, within="(0, inf)"),
-        "initial_csv": Field(str, ""),
-    },
-    "multicomponent": {
-        "cells": Field(int, 64, within="[2, inf)"),
-        "alpha": Field("number_list", [2.0, 2.0], within="(0, inf)", items="[2, 2]"),
-        "eta": Field("number_list", [1.0, 1.0], within="(0, inf)", items="[2, 2]"),
-        "dt": Field(float, 1e-3, within="(0, inf)"),
-        "steps": Field(int, 10, within="[1, inf)"),
-        "mode": Field(str, "both", choices=("both", "global", "local")),
-        "amplitude": Field(float, 0.08),
-    },
-    "phasefield": {
-        "model": Field(str, "cahn_hilliard", choices=("allen_cahn", "cahn_hilliard")),
-        "cells": Field(int, 64, within="[4, inf)"),
-        "length": Field(float, 64.0, within="(0, inf)"),
-        "mobility": Field(float, 1.0, within="(0, inf)"),
-        "dt": Field(float, 1.0, within="(0, inf)"),
-        "steps": Field(int, 400, within="[1, inf)"),
-        "amplitude": Field(float, 0.05),
-    },
-    "particles": {
-        "n": Field(int, 1000, within="[1, inf)"),
-        "dt": Field(float, 2e-3, within="(0, inf)"),
-        "t_end": Field(float, 1.0, within="(0, inf)"),
-        "potential": Field(str, "quadratic", choices={
-            "quadratic": {"stiffness": Field(float, 1.0), "compare_pde": Field(bool, True)},
-            "none": {},
-        }),
-        "kT": Field(float, 1.0, within="[0, inf)"),
-        "mobility": Field(float, 1.0, within="[0, inf)"),
-        "cells": Field(int, 100, within="[2, inf)"),
-        "domain": Field("interval", [-6.0, 6.0]),
-    },
-    "ldp": {
-        "mode": Field(str, "coin", choices={
-            "coin": {"a": Field(float, 0.6, within="[0.5, 1]")},
-            "sanov": {"mu": _LAW, "constraint_coeffs": Field("number_list", []),
-                      "constraint_bound": Field(float, 0.6), "n_values": _ENUMERATED_N_VALUES},
-            "varadhan": {"mu": _LAW, "tilt": Field("number_list", []),
-                         "n_values": _ENUMERATED_N_VALUES},
-        }),
-        "n_values": _N_VALUES,
-    },
-    "reversibility": {
-        "cells": Field(int, 80, within="[2, inf)"),
-        "steps": Field(int, 60, within="[1, inf)"),
-        "kT": Field(float, 1.3, within="(0, inf)"),
-        "mobility": Field("number_list", [1.0, 2.0], within="(0, inf)", items="[2, 2]"),
-        "coupling_strength": Field(float, 1.0),
-    },
-}
-
-# the top level of a config; "parameters" follows SCHEMAS[experiment]
-TOP_LEVEL: dict[str, Field] = {
-    "experiment": Field(str, required=True, choices=tuple(sorted(SCHEMAS))),
-    "parameters": Field(dict, {}),
-    "constants": Field(dict, {}),
-    "output_dir": Field(str, "."),
-    "seed": Field("uint64", 0),
-}
-# the fields of measures.PhysicalConstants (RT given as rt) that each
-# experiment reads; the constants block of any other experiment must be empty
-CONSTANTS: dict[str, tuple[str, ...]] = {"fokker_planck": ("rt", "eta", "c0"), "multicomponent": ("rt", "c0")}
 # backward-Euler steps of the particles experiment's PDE reference; the
 # explicit step at the diffusive CFL bound turns negative once drift dominates
 PDE_CHECK_STEPS = 20
 
 
-def _check_step_count(p: dict, errors: list[str]) -> None:
+def _check_step_count(p: dict, given: dict, errors: list[str]) -> None:
     """A march to t_end takes round(t_end / dt) steps and needs at least one:
     the solvers' own rule, ``measures._step_count``, reported at t_end."""
     try:
@@ -324,7 +243,7 @@ def _check_step_count(p: dict, errors: list[str]) -> None:
 def _check_fokker_planck(p: dict, given: dict, errors: list[str]) -> Optional[tuple]:
     """The solver takes at least one step; an ``initial_csv`` must read as a grid density,
     gives the grid in place of ``cells`` and ``domain``, and is hashed by its bytes."""
-    _check_step_count(p, errors)
+    _check_step_count(p, given, errors)
     if not p["initial_csv"]:
         return None
     for key in ("cells", "domain"):
@@ -381,25 +300,13 @@ def _check_jko(p: dict, given: dict, errors: list[str]) -> None:
         )
 
 
-def _check_particles(p: dict, given: dict, errors: list[str]) -> None:
-    """At least one Euler-Maruyama step; the PDE check solves with RT = kT and
-    eta = 1 / mobility, both nonzero."""
-    _check_step_count(p, errors)
-    if p["potential"] == "quadratic" and p["compare_pde"]:
-        for key in ("kT", "mobility"):
-            if p[key] == 0.0:
-                errors.append(
-                    f"parameters.{key}: expected more than 0 for the PDE check"
-                    " (compare_pde with the quadratic potential)"
-                )
-
-
 def _check_ldp(p: dict, given: dict, errors: list[str]) -> None:
     """The ldp fields that pass one by one but cannot run together.
 
-    The sanov and varadhan modes enumerate types exactly, within the limits
-    of :func:`gradflow.particles.check_enumeration`, and need a law ``mu``
-    that sums to 1, with ``constraint_coeffs`` resp. ``tilt`` of its length;
+    The sanov and varadhan modes enumerate types exactly, at every
+    ``n_values`` entry resp. at ``n``, within the limits of
+    :func:`gradflow.particles.check_enumeration`, and need a law ``mu`` that
+    sums to 1, with ``constraint_coeffs`` resp. ``tilt`` of its length;
     sanov also needs a ``constraint_bound`` that some type reaches.
     """
     mode = p["mode"]
@@ -425,25 +332,15 @@ def _check_ldp(p: dict, given: dict, errors: list[str]) -> None:
     except ValueError as exc:
         errors.append(f"parameters.mu: {exc}")
         return
-    n_values = p["n_values"]
-    # varadhan enumerates only the last sample size
-    first = 0 if mode == "sanov" else len(n_values) - 1
-    for i in range(first, len(n_values)):
+    if mode == "varadhan":
+        sizes = {"n": p["n"]}
+    else:
+        sizes = {f"n_values[{i}]": n for i, n in enumerate(p["n_values"])}
+    for key, n in sizes.items():
         try:
-            check_enumeration(len(mu), int(n_values[i]))
+            check_enumeration(len(mu), int(n))
         except ValueError as exc:
-            errors.append(f"parameters.n_values[{i}]: {exc}")
-
-
-# per-experiment checks of parameters that parse one by one but cannot run together:
-# check(parameters, the block as given, errors) -> (key, digest) of each input file, or None
-CROSS_CHECKS: dict[str, Callable[[dict, dict, list[str]], Optional[tuple]]] = {
-    "jko": _check_jko,
-    "fokker_planck": _check_fokker_planck,
-    "multicomponent": _check_multicomponent,
-    "particles": _check_particles,
-    "ldp": _check_ldp,
-}
+            errors.append(f"parameters.{key}: {exc}")
 
 
 @dataclass(frozen=True)
@@ -460,15 +357,16 @@ class ExperimentConfig:
 
     def canonical_json(self) -> str:
         """The resolved computation: experiment, every parameter read (defaults filled in,
-        an input file by its bytes' digest), and the seed and constants of an experiment
-        that draws from or reads them.  Where the output goes is not part of it."""
+        an input file by its bytes' digest), and the seed and constants where the
+        experiment's record reads them.  Where the output goes is not part of it."""
+        record = EXPERIMENTS[self.experiment]
         computation = {
             "experiment": self.experiment,
             "parameters": {**self.parameters, **dict(self._digests)},
         }
-        if self.experiment in ("entropy", "particles", "phasefield", "transport"):
+        if record.seeded:
             computation["seed"] = self.seed
-        if self.experiment in CONSTANTS:
+        if record.constants:
             computation["constants"] = asdict(self.constants)
         return json.dumps(computation, sort_keys=True, separators=(",", ":"))
 
@@ -491,12 +389,13 @@ def parse_config(obj, *, overrides: Optional[dict] = None) -> ExperimentConfig:
     if "experiment" not in top:  # no schema to check the parameters against
         raise ConfigError(errors)
     experiment = top["experiment"]
+    record = EXPERIMENTS[experiment]
     given = top.get("parameters", {})
-    params = _check_block(given, SCHEMAS[experiment], "parameters.", errors)
-    reads = {key: Field(float, within="(0, inf)") for key in CONSTANTS.get(experiment, ())}
+    params = _check_block(given, record.schema, "parameters.", errors)
+    reads = {key: Field(float, within="(0, inf)") for key in record.constants}
     values = _check_block(top.get("constants", {}), reads, "constants.", errors)
     if not errors:  # fields are checked together only once each of them parsed
-        digests = CROSS_CHECKS.get(experiment, lambda *args: None)(params, given, errors)
+        digests = record.check(params, given, errors)
         constants = PhysicalConstants.with_rt(values.pop("rt", 1.0), **values)
     if errors:
         raise ConfigError(errors)
@@ -849,8 +748,9 @@ def _exp_particles(cfg: ExperimentConfig) -> ExperimentOutput:
     if in_domain:
         hist = empirical_density(final, (lo, hi), p["cells"])
         out.check("histogram_mass_one", abs(hist.mass() - 1.0) <= 1e-12, hist.mass() - 1.0)
-        if kind == "quadratic" and p["compare_pde"]:
-            # the ensemble's own generator: diffusion kT * mobility, drift mobility * V'
+        if kind == "quadratic" and p["kT"] > 0.0 and p["mobility"] > 0.0:
+            # the ensemble's own generator: diffusion kT * mobility, drift mobility * V';
+            # the reference solve needs RT = kT > 0 and friction 1 / mobility < inf
             constants = PhysicalConstants.with_rt(p["kT"], eta=1.0 / p["mobility"])
             dt = p["t_end"] / PDE_CHECK_STEPS
             pde = fokker_planck_solve(start, constants, Vb, p["t_end"], dt, scheme="implicit")
@@ -896,8 +796,7 @@ def _exp_ldp(cfg: ExperimentConfig) -> ExperimentOutput:
     else:  # varadhan
         mu = np.asarray(p["mu"], dtype=float)
         tilt = np.asarray(p["tilt"], dtype=float) if p["tilt"] else np.zeros(mu.size)
-        n = int(p["n_values"][-1])
-        table = varadhan_tilt(FiniteLdpProblem(mu=mu, n=n, tilt=tilt))
+        table = varadhan_tilt(FiniteLdpProblem(mu=mu, n=p["n"], tilt=tilt))
         out.header = [f"type_{i}" for i in range(mu.size)] + ["exact_rate", "limit_rate"]
         rows = zip(table.types, table.exact_rate, table.limit_rate)
         out.rows = [(*row, exact, limit) for row, exact, limit in rows]
@@ -955,16 +854,98 @@ def _exp_reversibility(cfg: ExperimentConfig) -> ExperimentOutput:
     return out
 
 
-EXPERIMENTS: dict[str, Callable[[ExperimentConfig], ExperimentOutput]] = {
-    "entropy": _exp_entropy,
-    "transport": _exp_transport,
-    "jko": _exp_jko,
-    "fokker_planck": _exp_fokker_planck,
-    "multicomponent": _exp_multicomponent,
-    "phasefield": _exp_phasefield,
-    "particles": _exp_particles,
-    "ldp": _exp_ldp,
-    "reversibility": _exp_reversibility,
+_LAW = Field("number_list", [0.5, 0.5], within="(0, inf)", items="[1, inf)")
+# ldp sample sizes; the coin's default exceeds the exact enumerations' limit
+_N_VALUES = Field("number_list", [100.0, 500.0, 2000.0], within="[1, 1e5]", items="[1, inf)")
+
+# one record per experiment: parse_config, canonical_json and run read nothing else of it
+EXPERIMENTS: dict[str, _Experiment] = {
+    "entropy": _Experiment(_exp_entropy, {
+        "pairs": Field(int, 1000, within="[0, inf)"),
+        "alphabet": Field(int, 6, within="[1, inf)"),
+    }, seeded=True),
+    "transport": _Experiment(_exp_transport, {
+        "n_atoms": Field(int, 6, within="[1, inf)"),
+        "instances": Field(int, 50, within="[0, inf)"),
+        "dim": Field(int, 1, within="[0, inf)"),
+    }, seeded=True),
+    "jko": _Experiment(_exp_jko, {
+        "cells": Field(int, 400, within="[2, inf)"),
+        "domain": Field("interval", [-6.0, 6.0]),
+        "time_step": Field(float, 1e-3, within="(0, inf)"),
+        "steps": Field(int, 100, within="[1, inf)"),
+        "sigma0_sq": Field(float, 1.0, within="(0, inf)"),
+    }, check=_check_jko),
+    "fokker_planck": _Experiment(_exp_fokker_planck, {
+        "cells": Field(int, 200, within="[2, inf)"),
+        "domain": Field("interval", [0.0, 5.0]),
+        "potential": Field(str, "linear", choices={
+            "linear": {"slope": Field(float, 1.0), "check_boltzmann": Field(bool, True)},
+            "quadratic": {"slope": Field(float, 1.0)},
+            "none": {},
+        }),
+        "t_end": Field(float, 50.0, within="(0, inf)"),
+        "dt": Field(float, 0.1, within="(0, inf)"),
+        "initial_csv": Field(str, ""),
+    }, constants=("rt", "eta", "c0"), check=_check_fokker_planck),
+    "multicomponent": _Experiment(_exp_multicomponent, {
+        "cells": Field(int, 64, within="[2, inf)"),
+        "alpha": Field("number_list", [2.0, 2.0], within="(0, inf)", items="[2, 2]"),
+        "eta": Field("number_list", [1.0, 1.0], within="(0, inf)", items="[2, 2]"),
+        "dt": Field(float, 1e-3, within="(0, inf)"),
+        "steps": Field(int, 10, within="[1, inf)"),
+        "mode": Field(str, "both", choices=("both", "global", "local")),
+        "amplitude": Field(float, 0.08),
+    }, constants=("rt", "c0"), check=_check_multicomponent),
+    "phasefield": _Experiment(_exp_phasefield, {
+        "model": Field(str, "cahn_hilliard", choices=("allen_cahn", "cahn_hilliard")),
+        "cells": Field(int, 64, within="[4, inf)"),
+        "length": Field(float, 64.0, within="(0, inf)"),
+        "mobility": Field(float, 1.0, within="(0, inf)"),
+        "dt": Field(float, 1.0, within="(0, inf)"),
+        "steps": Field(int, 400, within="[1, inf)"),
+        "amplitude": Field(float, 0.05),
+    }, seeded=True),
+    "particles": _Experiment(_exp_particles, {
+        "n": Field(int, 1000, within="[1, inf)"),
+        "dt": Field(float, 2e-3, within="(0, inf)"),
+        "t_end": Field(float, 1.0, within="(0, inf)"),
+        "potential": Field(str, "quadratic", choices={
+            "quadratic": {"stiffness": Field(float, 1.0)},
+            "none": {},
+        }),
+        "kT": Field(float, 1.0, within="[0, inf)"),
+        "mobility": Field(float, 1.0, within="[0, inf)"),
+        "cells": Field(int, 100, within="[2, inf)"),
+        "domain": Field("interval", [-6.0, 6.0]),
+    }, seeded=True, check=_check_step_count),
+    "ldp": _Experiment(_exp_ldp, {
+        "mode": Field(str, "coin", choices={
+            "coin": {"a": Field(float, 0.6, within="[0.5, 1]"), "n_values": _N_VALUES},
+            "sanov": {"mu": _LAW, "constraint_coeffs": Field("number_list", []),
+                      "constraint_bound": Field(float, 0.6),
+                      "n_values": replace(
+                          _N_VALUES, default=[20.0, 60.0, float(ENUMERATION_MAX_N)])},
+            "varadhan": {"mu": _LAW, "tilt": Field("number_list", []),
+                         "n": Field(int, ENUMERATION_MAX_N, within="[1, inf)")},
+        }),
+    }, check=_check_ldp),
+    "reversibility": _Experiment(_exp_reversibility, {
+        "cells": Field(int, 80, within="[2, inf)"),
+        "steps": Field(int, 60, within="[1, inf)"),
+        "kT": Field(float, 1.3, within="(0, inf)"),
+        "mobility": Field("number_list", [1.0, 2.0], within="(0, inf)", items="[2, 2]"),
+        "coupling_strength": Field(float, 1.0),
+    }),
+}
+
+# the top level of a config; "parameters" follows the experiment's schema
+TOP_LEVEL: dict[str, Field] = {
+    "experiment": Field(str, required=True, choices=tuple(sorted(EXPERIMENTS))),
+    "parameters": Field(dict, {}),
+    "constants": Field(dict, {}),
+    "output_dir": Field(str, "."),
+    "seed": Field("uint64", 0),
 }
 
 
@@ -981,7 +962,7 @@ def run(config: ExperimentConfig) -> int:
     error_detail = None
     output = None
     try:
-        output = EXPERIMENTS[config.experiment](config)
+        output = EXPERIMENTS[config.experiment].body(config)
         wall = time.perf_counter() - started
         measures.write_table(config.output_dir / "result.csv", output.header, output.rows)
         for name, record in output.artifacts.items():

@@ -276,16 +276,6 @@ def _volume_constrained(fluxes, weights, alpha, h, pressure: bool) -> np.ndarray
     return fluxes - alpha * weights * mult
 
 
-def _potential_values(f, centers: np.ndarray) -> np.ndarray:
-    """A potential (callable on positions or a per-cell array) at the cells."""
-    if callable(f):
-        return f(centers)
-    arr = np.asarray(f, dtype=float)
-    if arr.shape != centers.shape:
-        raise ValueError("potential array must match the grid")
-    return arr
-
-
 @dataclass(frozen=True)
 class EnergyFunctional:
     """Driving functional with value and variational-derivative evaluators.
@@ -336,7 +326,7 @@ class EnergyFunctional:
         """Free energy on grid densities.
 
         ``rt`` scales the entropy term rt int rho log(rho / c0); ``potential``
-        is V (callable on positions or a per-cell array); ``interaction`` is a
+        is V, a function of position; ``interaction`` is a
         kernel W(r), not necessarily even, whose potential
         h sum_j W(x_i - x_j) rho_j is a Toeplitz convolution with W evaluated
         at the 2n - 1 grid offsets (see :func:`gradflow._grid.pair_potential`);
@@ -353,7 +343,7 @@ class EnergyFunctional:
         def potential_at(rho):
             key = (rho.a, rho.b, rho.cells)
             if memo.get("key") != key:
-                memo.update(key=key, V=_potential_values(potential, rho.centers))
+                memo.update(key=key, V=potential(rho.centers))
             return memo["V"]
 
         def value(rho: GridDensity1D) -> float:
@@ -628,7 +618,7 @@ def _backward_euler_system(problem: FlowProblem, z):
     # a potential drives the Wasserstein kind only, whose eta is 1
     grad_V = None
     if energy.potential is not None and not species:
-        grad_V = interface_gradient(_potential_values(energy.potential, z.centers), h)
+        grad_V = interface_gradient(energy.potential(z.centers), h)
     eta_min = friction * (float(z.frictions.min()) if species else 1.0)
 
     padded = np.zeros(shape[:-1] + (cells + 1,))
@@ -1303,10 +1293,8 @@ def jko_evolve(
         raise NotImplementedError(
             "JKO inner solver supports entropy + potential energies only"
         )
-    if energy.potential is not None and not (
-        callable(energy.potential) and callable(energy.potential_grad)
-    ):
-        raise ValueError("JKO needs the potential and its potential_grad as callables")
+    if energy.potential is not None and energy.potential_grad is None:
+        raise ValueError("JKO needs the potential's derivative potential_grad")
     if energy.rt <= 0.0:
         raise ValueError("JKO inner solver needs a positive entropy weight")
     if abs(rho0.mass() - 1.0) > 1e-8:

@@ -65,7 +65,6 @@ from .gradient_flow import (
     QuadraticDissipation,
     _implicit_stepper,
     _march,
-    _potential_values,
     local_step,
 )
 from .measures import GridDensity1D, PhysicalConstants, UniformGrid, _step_count
@@ -300,7 +299,7 @@ def fokker_planck_solve(
         raise CflError(
             f"dt = {dt:.3e} violates the diffusive CFL bound {h * h * eta / (2 * rt):.3e}"
         )
-    V_arr = np.zeros(c0.cells) if V is None else _potential_values(V, c0.centers)
+    V_arr = np.zeros(c0.cells) if V is None else V(c0.centers)
     grad_V = interface_gradient(V_arr, h)
 
     n = c0.cells

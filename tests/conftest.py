@@ -22,7 +22,7 @@ def fast_experiment_configs():
             }
         },
         "particles": {
-            "parameters": {"n": 400, "t_end": 0.2, "cells": 40, "compare_pde": False}
+            "parameters": {"n": 400, "t_end": 0.2, "cells": 40}
         },
         "ldp": {"parameters": {"n_values": [50, 100, 200]}},
         "reversibility": {"parameters": {"cells": 40, "steps": 30}},

@@ -10,8 +10,7 @@ from gradflow.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
     EXIT_OK,
-    CONSTANTS,
-    SCHEMAS,
+    EXPERIMENTS,
     ConfigError,
     ExperimentOutput,
     load_config,
@@ -22,6 +21,10 @@ from gradflow.cli import (
 )
 from gradflow.gradient_flow import GridTrajectory
 from gradflow.measures import DiscreteMeasure, push_forward, relative_entropy, total_variation
+
+
+# the parameters block of each experiment, as its record reads it
+PARAMETER_SCHEMAS = {name: record.schema for name, record in EXPERIMENTS.items()}
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -98,11 +101,9 @@ class TestParsing:
         ]
 
     def test_constants_keys_are_the_models_constants(self):
-        # fokker_planck reads every field of PhysicalConstants, RT given as rt;
-        # multicomponent's frictions are its parameters.eta
+        # fokker_planck reads every field of PhysicalConstants, RT given as rt
         fields = [field.name for field in dataclasses.fields(measures.PhysicalConstants)]
-        assert CONSTANTS["fokker_planck"] == tuple(name.lower() for name in fields)
-        assert CONSTANTS == {"fokker_planck": ("rt", "eta", "c0"), "multicomponent": ("rt", "c0")}
+        assert EXPERIMENTS["fokker_planck"].constants == tuple(name.lower() for name in fields)
 
     def test_multicomponent_frictions_are_no_constants(self):
         with pytest.raises(ConfigError) as err:
@@ -127,15 +128,31 @@ class TestParsing:
         assert err.value.diagnostics == [f"constants.{key}: expected a number in (0, inf)"]
 
     def test_ldp_enumeration_modes_default_to_enumerable_sizes(self):
-        for mode in ("sanov", "varadhan"):
-            cfg = parse_config({"experiment": "ldp", "parameters": {"mode": mode}})
-            assert cfg.parameters["n_values"] == [20.0, 60.0, 120.0]
+        sanov = parse_config({"experiment": "ldp", "parameters": {"mode": "sanov"}})
+        assert sanov.parameters["n_values"] == [20.0, 60.0, 120.0]
+        varadhan = parse_config({"experiment": "ldp", "parameters": {"mode": "varadhan"}})
+        assert varadhan.parameters["n"] == 120
         given = {"mode": "sanov", "n_values": [10, 30]}
         assert parse_config({"experiment": "ldp", "parameters": given}).parameters[
             "n_values"
         ] == [10.0, 30.0]
         coin = parse_config({"experiment": "ldp"}).parameters["n_values"]
-        assert coin == SCHEMAS["ldp"]["n_values"].default
+        assert coin == [100.0, 500.0, 2000.0]
+
+    @pytest.mark.parametrize(
+        "experiment, parameters, key",
+        [("ldp", {}, "n_values"), ("ldp", {"mode": "sanov"}, "mu"), ("jko", {}, "domain")],
+        ids=["coin-n_values", "sanov-mu", "jko-domain"],
+    )
+    def test_a_parsed_default_is_a_copy(self, experiment, parameters, key):
+        # appending to a parsed default appended to the record's own list,
+        # and every later parse returned the longer list
+        obj = {"experiment": experiment, "parameters": parameters}
+        record = repr(EXPERIMENTS[experiment])
+        default = list(parse_config(obj).parameters[key])
+        parse_config(obj).parameters[key].append(7.0)
+        assert parse_config(obj).parameters[key] == default
+        assert repr(EXPERIMENTS[experiment]) == record
 
     def test_bool_is_not_a_number(self):
         with pytest.raises(ConfigError):
@@ -283,11 +300,11 @@ class TestValidateCommand:
             ("fokker_planck", {"t_end": 0.0}, "parameters.t_end"),
             ("particles", {"kT": -1.0}, "parameters.kT"),
             ("ldp", {"mode": "sanov", "n_values": [100, 500, 2000]}, "parameters.n_values[1]"),
-            ("ldp", {"mode": "varadhan", "n_values": [100, 500, 2000]}, "parameters.n_values[2]"),
+            ("ldp", {"mode": "varadhan", "n": 2000}, "parameters.n"),
             ("ldp", {"mode": "sanov", "mu": [0.5, 0.6], "n_values": [20]}, "parameters.mu"),
             (
                 "ldp",
-                {"mode": "varadhan", "tilt": [0.0, 1.0, 2.0], "n_values": [20]},
+                {"mode": "varadhan", "tilt": [0.0, 1.0, 2.0], "n": 20},
                 "parameters.tilt",
             ),
             (
@@ -304,8 +321,7 @@ class TestValidateCommand:
                 {"initial_csv": "/nonexistent/initial.csv"},
                 "parameters.initial_csv",
             ),
-            ("particles", {"kT": 0.0}, "parameters.kT"),
-            ("particles", {"mobility": 0.0}, "parameters.mobility"),
+            ("particles", {"compare_pde": False}, "parameters.compare_pde"),
             ("multicomponent", {"amplitude": 0.3}, "parameters.amplitude"),
             ("multicomponent", {"amplitude": -0.3}, "parameters.amplitude"),
             ("particles", {"t_end": 0.0009, "dt": 0.002}, "parameters.t_end"),
@@ -351,8 +367,7 @@ class TestValidateCommand:
             "reversibility-zero-steps",
             "sanov-empty-constraint",
             "missing-initial-csv",
-            "particles-pde-zero-temperature",
-            "particles-pde-zero-mobility",
+            "particles-compare-pde",
             "multicomponent-negative-species-1",
             "multicomponent-negative-species-2",
             "particles-zero-steps",
@@ -380,7 +395,7 @@ class TestValidateCommand:
         "experiment, choice, value, key",
         [
             pytest.param(experiment, name, value, key, id=f"{experiment}-{value}-{key}")
-            for experiment, schema in sorted(SCHEMAS.items())
+            for experiment, schema in sorted(PARAMETER_SCHEMAS.items())
             for name, field in schema.items()
             if isinstance(field.choices, dict)
             for value, reads in field.choices.items()
@@ -395,7 +410,7 @@ class TestValidateCommand:
         self, tmp_path, capsys, experiment, choice, value, key
     ):
         # the key as another value of the choice reads it, at its default
-        branches = SCHEMAS[experiment][choice].choices.values()
+        branches = PARAMETER_SCHEMAS[experiment][choice].choices.values()
         default = next(reads[key] for reads in branches if key in reads).default
         obj = {"experiment": experiment, "parameters": {choice: value, key: default}}
         path = write_config(tmp_path, obj)
@@ -421,18 +436,18 @@ class TestValidateCommand:
         "experiment, choice, value",
         [
             (experiment, name, value)
-            for experiment, schema in sorted(SCHEMAS.items())
+            for experiment, schema in sorted(PARAMETER_SCHEMAS.items())
             for name, field in schema.items()
             if isinstance(field.choices, dict)
             for value in field.choices
         ],
     )
     def test_parameters_hold_only_the_keys_read(self, experiment, choice, value):
-        schema = SCHEMAS[experiment]
+        schema = PARAMETER_SCHEMAS[experiment]
         cfg = parse_config({"experiment": experiment, "parameters": {choice: value}})
         assert set(cfg.parameters) == set(schema) | set(schema[choice].choices[value])
 
-    @pytest.mark.parametrize("experiment", sorted(SCHEMAS))
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
     def test_every_default_config_validates(self, tmp_path, experiment):
         assert validate(write_config(tmp_path, {"experiment": experiment})) == (EXIT_OK, ["ok"])
 
@@ -445,7 +460,7 @@ class TestValidateCommand:
         obj = {"experiment": "multicomponent", "parameters": parameters}
         assert validate(write_config(tmp_path, obj)) == (EXIT_OK, ["ok"])
 
-    @pytest.mark.parametrize("mode", SCHEMAS["ldp"]["mode"].choices)
+    @pytest.mark.parametrize("mode", PARAMETER_SCHEMAS["ldp"]["mode"].choices)
     def test_validate_and_run_agree_on_ldp_defaults(self, tmp_path, capsys, mode):
         path = write_config(tmp_path, {"experiment": "ldp", "parameters": {"mode": mode}})
         status, _ = validate(path)
@@ -463,7 +478,7 @@ class TestRunCommand:
         assert not (out_dir / "result.csv").exists()
         assert not (out_dir / "summary.json").exists()
 
-    @pytest.mark.parametrize("experiment", sorted(SCHEMAS))
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
     def test_every_experiment_runs_green(
         self, tmp_path, capsys, experiment, fast_experiment_configs
     ):
@@ -488,7 +503,7 @@ class TestRunCommand:
         "experiment, parameters",
         [
             pytest.param(experiment, {key: choice} if key else {}, id=f"{experiment}-{choice}")
-            for experiment, schema in sorted(SCHEMAS.items())
+            for experiment, schema in sorted(PARAMETER_SCHEMAS.items())
             for key in ([k for k in ("mode", "model", "potential") if k in schema] or [None])
             for choice in (schema[key].choices if key else ["default"])
         ],
@@ -605,7 +620,7 @@ class TestRunCommand:
         out.check_descent("energy_nonincreasing", traj)
         assert out.invariants["energy_nonincreasing"].passed is passed
 
-    @pytest.mark.parametrize("experiment", sorted(SCHEMAS))
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
     def test_reruns_are_byte_identical(
         self, tmp_path, capsys, experiment, fast_experiment_configs
     ):
@@ -622,7 +637,7 @@ class TestRunCommand:
     def test_different_seed_changes_stochastic_results(self, tmp_path, capsys):
         obj = {
             "experiment": "particles",
-            "parameters": {"n": 200, "t_end": 0.1, "cells": 30, "compare_pde": False},
+            "parameters": {"n": 200, "t_end": 0.1, "cells": 30},
         }
         path = write_config(tmp_path, obj)
         a = tmp_path / "a"
@@ -656,6 +671,19 @@ class TestRunCommand:
         capsys.readouterr()
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["error"].startswith("SingularWeightError")
+
+    @pytest.mark.parametrize("key", ["kT", "mobility"])
+    def test_particles_without_diffusion_skip_the_pde_check(self, tmp_path, capsys, key):
+        # the reference solve has RT = kT and friction 1 / mobility, so it
+        # runs only where both are positive
+        path = write_config(tmp_path, {"experiment": "particles", "parameters": {key: 0.0}})
+        assert validate(path) == (EXIT_OK, ["ok"])
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out_dir)]) == EXIT_OK
+        capsys.readouterr()
+        invariants = json.loads((out_dir / "summary.json").read_text())["invariants"]
+        assert "w2_to_pde_small" not in invariants
+        assert all(inv["passed"] for inv in invariants.values())
 
     def test_particles_pde_check_uses_the_ensemble_generator(self, tmp_path, capsys):
         # at kT = 0.1 drift dominates; the reference solve must use RT = kT
@@ -828,7 +856,7 @@ class TestArtifacts:
 
         obj = {
             "experiment": "particles",
-            "parameters": {"n": 100, "t_end": 0.1, "cells": 20, "compare_pde": False},
+            "parameters": {"n": 100, "t_end": 0.1, "cells": 20},
             "seed": 5,
         }
         out_dir = tmp_path / "particles"
@@ -929,7 +957,7 @@ class TestConfigHash:
 
     def test_hash_same_when_defaults_spelled_out(self):
         for experiment, choice in (("fokker_planck", "potential"), ("ldp", "mode")):
-            schema = SCHEMAS[experiment]
+            schema = PARAMETER_SCHEMAS[experiment]
             # the block's fields and those that the default choice reads
             reads = {**schema, **schema[choice].choices[schema[choice].default]}
             implicit = parse_config({"experiment": experiment})
@@ -945,28 +973,24 @@ class TestConfigHash:
         ints = parse_config({"experiment": "ldp", "parameters": {"n_values": [100, 500, 2000]}})
         assert ints.config_hash() == parse_config({"experiment": "ldp"}).config_hash()
 
-    @pytest.mark.parametrize("experiment", sorted(SCHEMAS))
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
     def test_hash_covers_the_seed_only_where_it_is_drawn(
         self, tmp_path, capsys, experiment, fast_experiment_configs
     ):
-        hashes = {
-            parse_config({"experiment": experiment, "seed": seed}).config_hash() for seed in (0, 7)
-        }
-        if experiment in ("entropy", "particles", "phasefield", "transport"):
-            assert len(hashes) == 2
-            return
-        assert len(hashes) == 1
-        # and the seed changes nothing that such a run writes
+        # a seeded run writes another result.csv under another hash for
+        # another seed; any other run writes one file under one hash
         obj = {"experiment": experiment, **fast_experiment_configs[experiment]}
         path = write_config(tmp_path, obj)
-        results = []
+        hashes, results = set(), set()
         for seed in ("0", "7"):
+            hashes.add(parse_config(obj, overrides={"seed": int(seed)}).config_hash())
             out_dir = tmp_path / seed
             argv = ["run", "--config", str(path), "--out", str(out_dir), "--seed", seed]
             assert main(argv) == EXIT_OK
-            results.append((out_dir / "result.csv").read_bytes())
+            results.add((out_dir / "result.csv").read_bytes())
         capsys.readouterr()
-        assert results[0] == results[1]
+        distinct = 2 if EXPERIMENTS[experiment].seeded else 1
+        assert len(hashes) == len(results) == distinct
 
     def test_hash_covers_the_initial_csv_bytes_not_its_path(self, tmp_path):
         grid = measures.GridDensity1D(0.0, 5.0, np.ones(20))
@@ -994,15 +1018,15 @@ class TestConfigHash:
         assert summary["config_hash"] == cfg.config_hash()
         assert summary["error"].startswith("FileNotFoundError")
 
-    @pytest.mark.parametrize("experiment", sorted(SCHEMAS))
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
     def test_hash_covers_the_constants_only_where_they_are_read(self, tmp_path, experiment):
-        # fokker_planck and multicomponent read rt, so their hash covers it;
-        # the other experiments read no constant and reject the key
-        other_rt = {"experiment": experiment, "constants": {"rt": 2.0}}
-        if experiment in ("fokker_planck", "multicomponent"):
-            default = parse_config({"experiment": experiment})
-            assert parse_config(other_rt).config_hash() != default.config_hash()
-        else:
-            status, diagnostics = validate(write_config(tmp_path, other_rt))
-            assert status == EXIT_CONFIG
-            assert diagnostics == ["constants.rt: unknown key"]
+        # the hash covers each constant that the record reads; a config that
+        # gives any other constant is rejected at its key
+        default = parse_config({"experiment": experiment}).config_hash()
+        for key in ("rt", "eta", "c0"):
+            other = {"experiment": experiment, "constants": {key: 2.0}}
+            if key in EXPERIMENTS[experiment].constants:
+                assert parse_config(other).config_hash() != default
+            else:
+                status, diagnostics = validate(write_config(tmp_path, other))
+                assert (status, diagnostics) == (EXIT_CONFIG, [f"constants.{key}: unknown key"])

@@ -89,7 +89,7 @@ class TestModelCsv:
 
 
 class TestParticleSerialization:
-    PARAMETERS = {"n": 5, "t_end": 0.1, "cells": 20, "compare_pde": False}
+    PARAMETERS = {"n": 5, "t_end": 0.1, "cells": 20}
 
     def test_snapshot_csv(self, tmp_path, capsys):
         out_dir = run_experiment(tmp_path, "particles", self.PARAMETERS)
@@ -109,7 +109,7 @@ class TestParticleSerialization:
         assert meta["A"] == [[1.0]]
 
     def test_ldp_table_csv(self, tmp_path, capsys):
-        parameters = {"mode": "varadhan", "tilt": [0.0, 0.5], "n_values": [10]}
+        parameters = {"mode": "varadhan", "tilt": [0.0, 0.5], "n": 10}
         out_dir = run_experiment(tmp_path, "ldp", parameters)
         capsys.readouterr()
         lines = csv_lines(out_dir)
