@@ -608,11 +608,9 @@ def _exp_fokker_planck(cfg: ExperimentConfig) -> ExperimentOutput:
         V = None
     if p["initial_csv"]:
         c0 = measures.read_grid_csv(p["initial_csv"])
-        grid = GridDensity1D(c0.a, c0.b, np.ones(c0.cells))
     else:
         lo, hi = p["domain"]
-        grid = GridDensity1D(lo, hi, np.ones(p["cells"]))
-        c0 = grid.with_values(np.full(grid.cells, 1.0 / (hi - lo)))
+        c0 = GridDensity1D(lo, hi, np.full(p["cells"], 1.0 / (hi - lo)))
     dt = p["dt"]
     traj = fokker_planck_solve(c0, cfg.constants, V, p["t_end"], dt, scheme="implicit")
     out.header = ["snapshot", "time", "energy", "mass"]
@@ -622,10 +620,10 @@ def _exp_fokker_planck(cfg: ExperimentConfig) -> ExperimentOutput:
     out.check_descent("energy_nonincreasing", traj)
     if kind == "linear" and p["check_boltzmann"]:
         # shifted by its maximum, so that exp does not overflow at steep slopes
-        exponent = -p["slope"] * grid.centers / cfg.constants.RT
+        exponent = -p["slope"] * c0.centers / cfg.constants.RT
         target = np.exp(exponent - exponent.max())
-        target *= c0.mass() / (grid.h * target.sum())
-        l1 = float(grid.h * np.abs(traj.final.values - target).sum())
+        target *= c0.mass() / (c0.h * target.sum())
+        l1 = float(c0.h * np.abs(traj.final.values - target).sum())
         out.check("boltzmann_l1", l1 <= 1e-3, l1)
     out.metrics["dt"] = dt
     return out
@@ -637,7 +635,7 @@ def _exp_multicomponent(cfg: ExperimentConfig) -> ExperimentOutput:
     alpha = np.asarray(p["alpha"])
     eta = np.asarray(p["eta"])
     grid, start = _multicomponent_start(p)
-    state = MultiSpeciesState(0.0, 1.0, start, alpha, eta)
+    state = MultiSpeciesState(grid.a, grid.b, start, alpha, eta)
     modes = ["global", "local"] if p["mode"] == "both" else [p["mode"]]
     out.header = ["mode", "step", "time", "energy", "mass", "constraint_max_violation"]
     finals = {}

@@ -4,8 +4,10 @@ Two carriers are used everywhere in this package: :class:`DiscreteMeasure`
 (weighted atoms in R^d, e.g. empirical measures and finite-alphabet laws)
 and :class:`GridDensity1D` (a nonnegative density on a uniform 1D grid).
 Every grid state of the package, the density here and the phase fields and
-species of :mod:`gradflow.models`, is a :class:`UniformGrid`, the one place
-the grid's geometry and its domain check are written.
+species of :mod:`gradflow.models`, is a :class:`UniformGrid`: the one place
+the grid's geometry and domain check are written, and where its constructor
+and ``with_values`` (which shares the grid) admit a read-only copy of values
+that pass the subclass's rule.
 Both are immutable after construction; every operation here is a pure
 function, so concurrent read access is safe.
 
@@ -73,6 +75,13 @@ def _step_count(T: float, dt: float, name: str = "T") -> int:
     return steps
 
 
+def _frozen(values) -> np.ndarray:
+    """A read-only float copy of values."""
+    values = np.array(values, dtype=float)
+    values.flags.writeable = False
+    return values
+
+
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """Nonnegative measure with finitely many atoms in R^d.
@@ -85,11 +94,11 @@ class DiscreteMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        # np.array copies, so the measure owns both arrays
-        atoms = np.array(self.atoms, dtype=float, ndmin=2)
+        # the measure owns read-only copies of both arrays
+        atoms = np.atleast_2d(_frozen(self.atoms))
         if atoms.ndim != 2:
             raise ValueError("atoms must be an (n, d) array")
-        weights = np.array(self.weights, dtype=float).reshape(-1)
+        weights = _frozen(self.weights).reshape(-1)
         if atoms.shape[0] != weights.shape[0]:
             raise ValueError(
                 f"{atoms.shape[0]} atoms but {weights.shape[0]} weights"
@@ -98,8 +107,6 @@ class DiscreteMeasure:
             raise ValueError("weights must be nonnegative")
         if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(atoms))):
             raise ValueError("atoms and weights must be finite")
-        atoms.flags.writeable = False
-        weights.flags.writeable = False
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
 
@@ -112,21 +119,41 @@ class DiscreteMeasure:
 
 @dataclass(frozen=True)
 class UniformGrid:
-    """Uniform grid over the finite interval [a, b], b > a: the geometry
-    every grid state shares.
+    """Field(s) ``values`` on a uniform grid over the finite interval [a, b],
+    b > a: cells on the last axis, each ``h = (b - a) / cells`` wide.
 
-    A subclass holds its field(s) on the grid as ``values``, cells on the
-    last axis; ``h = (b - a) / cells`` is the cell width.
-    """
+    The state owns a read-only copy of its values.  A subclass says which
+    values it admits by ``_checked``, which the constructor and
+    :meth:`with_values` both run."""
 
     a: float
     b: float
+    values: np.ndarray
 
     def __post_init__(self):
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise ValueError("domain ends must be finite")
         if not self.b > self.a:
             raise ValueError("domain must satisfy b > a")
+        object.__setattr__(self, "values", self._checked(_frozen(self.values)))
+
+    def _checked(self, values: np.ndarray) -> np.ndarray:
+        """The values as this state holds them, or ValueError: any array here."""
+        return values
+
+    def _retracted(self, values: np.ndarray) -> np.ndarray:
+        """New values moved onto the state space: the identity here."""
+        return values
+
+    def with_values(self, values):
+        """This state, grid and parameters shared, with a read-only copy of
+        new values of the same shape that pass the same rule."""
+        values = np.asarray(values, dtype=float)
+        if values.shape != self.values.shape:
+            raise ValueError(f"expected values of shape {self.values.shape}, got {values.shape}")
+        state = object.__new__(type(self))
+        state.__dict__.update(self.__dict__, values=self._checked(_frozen(self._retracted(values))))
+        return state
 
     @property
     def cells(self) -> int:
@@ -145,33 +172,25 @@ class UniformGrid:
         return self.a + np.arange(self.cells + 1) * self.h
 
 
-@dataclass(frozen=True)
 class GridDensity1D(UniformGrid):
-    """Nonnegative density on a uniform grid of ``cells`` cells over [a, b].
+    """Density on a uniform grid of ``cells`` >= 2 cells over [a, b], finite
+    and nonnegative.
 
     ``values[i]`` is the density (mass per length) on cell i; the cell mass
     is ``h * values[i]``.
     """
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        super().__post_init__()
-        values = np.asarray(self.values, dtype=float).reshape(-1)
+    def _checked(self, values: np.ndarray) -> np.ndarray:
+        values = values.reshape(-1)
         if values.size < 2:
             raise ValueError("need at least 2 cells")
-        if np.any(values < 0.0) or not np.isfinite(values).all():
+        # false on NaN and on +-inf; -0.0 passes
+        if not (values.min() >= 0.0 and values.max() < math.inf):
             raise ValueError("density values must be finite and nonnegative")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        return values
 
     def mass(self) -> float:
         return float(self.h * self.values.sum())
-
-    def with_values(self, values) -> "GridDensity1D":
-        """Same grid, new values."""
-        return GridDensity1D(self.a, self.b, values)
 
     def normalized(self) -> "GridDensity1D":
         """Rescale to unit mass."""

@@ -4,8 +4,8 @@ constraint, and the Allen-Cahn / Cahn-Hilliard phase-field flows.
 
 The phase-field and species states are, like the density
 :class:`gradflow.measures.GridDensity1D`, a
-:class:`gradflow.measures.UniformGrid` carrying their field(s) as
-``values``.
+:class:`gradflow.measures.UniformGrid`: each gives only its rule on
+``values``, and the grid's constructor and ``with_values`` run it.
 
 The grid solvers use conservative interface fluxes (no-flux ends) and
 record per-step energy and mass so that dissipation and conservation can be
@@ -67,7 +67,7 @@ from .gradient_flow import (
     _march,
     local_step,
 )
-from .measures import GridDensity1D, PhysicalConstants, UniformGrid, _step_count
+from .measures import GridDensity1D, PhysicalConstants, UniformGrid, _frozen, _step_count
 
 __all__ = [
     "PhaseFieldState",
@@ -96,101 +96,84 @@ class CflError(ValueError):
     """Requested time step violates the explicit stability guard."""
 
 
-@dataclass(frozen=True)
 class PhaseFieldState(UniformGrid):
-    """Order parameter u on a uniform grid.
+    """Order parameter u on a uniform grid: at least 4 finite values.
 
     The double-well depth belongs to the energy
     (:meth:`~gradflow.gradient_flow.EnergyFunctional.dirichlet_double_well`),
     not to the state.
     """
 
-    u: np.ndarray
+    @property
+    def u(self) -> np.ndarray:
+        return self.values
 
-    def __post_init__(self):
-        super().__post_init__()
-        u = np.asarray(self.u, dtype=float).reshape(-1)
+    def _checked(self, u: np.ndarray) -> np.ndarray:
+        u = u.reshape(-1)
         if u.size < 4:
             raise ValueError("need at least 4 cells")
         if not np.isfinite(u).all():
             raise ValueError("field values must be finite")
-        u = u.copy()
-        u.flags.writeable = False
-        object.__setattr__(self, "u", u)
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.u
-
-    def with_values(self, values) -> "PhaseFieldState":
-        return PhaseFieldState(self.a, self.b, values)
+        return u
 
     def mean(self) -> float:
-        return float(self.u.mean())
+        return float(self.values.mean())
 
 
 @dataclass(frozen=True)
 class MultiSpeciesState(UniformGrid):
-    """m species on one grid, subject to sum_i alpha_i c_i = 1 cellwise.
+    """m species on one grid, subject to sum_i alpha_i c_i = 1 cellwise:
+    ``values`` (or ``concentrations``), shape (m, cells), in mol/m^3, are
+    nonnegative and on the constraint to within CONSTRAINT_TOL; the molar
+    volumes alpha_i > 0 in m^3/mol and ``frictions`` eta_i > 0; all finite."""
 
-    ``concentrations`` has shape (m, cells) in mol/m^3, ``molar_volumes``
-    alpha_i > 0 in m^3/mol, ``frictions`` eta_i > 0, all finite.
-    """
-
-    concentrations: np.ndarray
     molar_volumes: np.ndarray
     frictions: np.ndarray
 
     def __post_init__(self):
-        super().__post_init__()
-        c = np.atleast_2d(np.asarray(self.concentrations, dtype=float))
-        alpha = np.asarray(self.molar_volumes, dtype=float).reshape(-1)
-        eta = np.asarray(self.frictions, dtype=float).reshape(-1)
-        if c.shape[0] != alpha.size or c.shape[0] != eta.size:
+        # the parameters come first: the rule on the concentrations reads them
+        for name in ("molar_volumes", "frictions"):
+            object.__setattr__(self, name, _frozen(np.ravel(getattr(self, name))))
+        alpha, eta = self.molar_volumes, self.frictions
+        if alpha.size != eta.size:
             raise ValueError("one molar volume and one friction per species")
-        if not (np.isfinite(c).all() and np.isfinite(alpha).all() and np.isfinite(eta).all()):
-            raise ValueError("concentrations, molar volumes and frictions must be finite")
-        if np.any(c < 0.0):
-            raise ValueError("concentrations must be nonnegative")
+        if not (np.isfinite(alpha).all() and np.isfinite(eta).all()):
+            raise ValueError("molar volumes and frictions must be finite")
         if np.any(alpha <= 0.0) or np.any(eta <= 0.0):
             raise ValueError("molar volumes and frictions must be positive")
+        super().__post_init__()
+
+    @property
+    def concentrations(self) -> np.ndarray:
+        return self.values
+
+    def _checked(self, c: np.ndarray) -> np.ndarray:
+        alpha, c = self.molar_volumes, np.atleast_2d(c)
+        if c.ndim != 2 or c.shape[0] != alpha.size:
+            raise ValueError(f"expected concentrations of shape ({alpha.size}, cells), got {c.shape}")
+        if not (c.min() >= 0.0 and c.max() < np.inf):
+            raise ValueError("concentrations must be finite and nonnegative")
         violation = np.abs(alpha @ c - 1.0).max()
         if violation > CONSTRAINT_TOL:
             raise ValueError(f"volume constraint violated by {violation:.2e}")
-        for name, arr in (("concentrations", c), ("molar_volumes", alpha), ("frictions", eta)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        return c
 
-    @property
-    def values(self) -> np.ndarray:
-        """The (m, cells) concentrations, the state the engine's energy reads."""
-        return self.concentrations
-
-    def with_values(self, c) -> "MultiSpeciesState":
-        """The state with concentrations c (a step of ``local_step`` or
-        ``implicit_step``), retracted onto the constraint.
-
-        A concentration below POSITIVITY_FLOOR (or not a number) raises
+    def _retracted(self, c: np.ndarray) -> np.ndarray:
+        """A step's concentrations c (of ``local_step`` or ``implicit_step``)
+        retracted onto the constraint before ``with_values`` checks them: a
+        concentration below POSITIVITY_FLOOR (or not a number) raises
         PositivityError and a fill drift above CONSTRAINT_HARD_LIMIT raises
         ConstraintError; within that bound, dividing c by its fill
-        sum_i alpha_i c_i is a hygiene step, not dynamics.  Only c is checked
-        and frozen: the new state shares this one's read-only molar volumes
-        and frictions."""
-        c = np.asarray(c, dtype=float)
-        if c.shape != self.concentrations.shape:
-            raise ValueError(f"expected concentrations of shape {self.concentrations.shape}")
-        if not np.min(c) >= POSITIVITY_FLOOR:
+        sum_i alpha_i c_i is a hygiene step, not dynamics."""
+        if not c.min() >= POSITIVITY_FLOOR:
             raise PositivityError("a concentration fell below the positivity floor; reduce dt")
         fill = self.molar_volumes @ c
         drift = float(np.abs(fill - 1.0).max())
         if not drift <= CONSTRAINT_HARD_LIMIT:
-            raise ConstraintError(f"volume constraint drift {drift:.2e} exceeds 1e-6")
-        c = c / fill
-        c.flags.writeable = False
-        state = object.__new__(MultiSpeciesState)
-        state.__dict__.update(self.__dict__, concentrations=c)
-        return state
+            raise ConstraintError(
+                f"volume constraint drift {drift:.2e} exceeds {CONSTRAINT_HARD_LIMIT:g}"
+            )
+        return c / fill
 
     def masses(self) -> np.ndarray:
         return self.h * self.concentrations.sum(axis=1)

@@ -1,7 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradflow.measures import GridDensity1D, PhysicalConstants, UniformGrid
 from gradflow.models import (
@@ -908,7 +910,7 @@ class TestFreeEnergyMultispecies:
 
 
 GRID_STATES = {
-    "grid": UniformGrid,
+    "grid": lambda a, b: UniformGrid(a, b, np.ones(8)),
     "density": lambda a, b: GridDensity1D(a, b, np.ones(8)),
     "phase_field": lambda a, b: PhaseFieldState(a, b, np.zeros(8)),
     "species": lambda a, b: MultiSpeciesState(
@@ -951,7 +953,7 @@ class TestStateValidation:
         }
         fields[field][..., 0] = bad
         with pytest.raises(ValueError, match="must be finite"):
-            MultiSpeciesState(0.0, 1.0, **fields)
+            MultiSpeciesState(0.0, 1.0, *fields.values())
 
     @pytest.mark.parametrize("solve", [allen_cahn_solve, cahn_hilliard_solve])
     def test_recorded_energies_are_the_functional_values(self, solve):
@@ -969,6 +971,91 @@ class TestStateValidation:
         state = PhaseFieldState(0.0, 8.0, np.zeros(32))
         with pytest.raises(ValueError, match="well depth"):
             allen_cahn_solve(state, 1.0, 0.1, 0.01, well=well)
+
+
+# each state's value rule written out as plain predicates: the oracles that
+# the constructor and with_values must both follow
+VALUE_RULES = {
+    "density": lambda v: v.size >= 2 and not (np.any(v < 0.0) or not np.isfinite(v).all()),
+    "phase_field": lambda v: v.size >= 4 and bool(np.isfinite(v).all()),
+}
+TINY = np.nextafter(0.0, 1.0)
+SPECIAL_VALUES = [
+    0.0, -0.0, 1.0, -1.0, -1e-300, 1e-300, TINY, -TINY, 2.2e-308, -2.2e-308,
+    np.finfo(float).max, -np.finfo(float).max, math.nan, -math.nan, math.inf, -math.inf,
+]
+
+
+def admits(make, values):
+    try:
+        make(values)
+    except ValueError:
+        return False
+    return True
+
+
+class TestOneStateRule:
+    """The constructor and ``with_values`` of every grid state run one rule."""
+
+    @pytest.mark.parametrize("kind", ["density", "phase_field", "species"])
+    def test_with_values_requires_the_states_shape(self, kind):
+        state = GRID_STATES[kind](0.0, 1.0)
+        shape = state.values.shape
+        assert state.with_values(state.values).values.shape == shape
+        others = [(4,), (1, 8)] if kind != "species" else [(2, 4), (3, 8), (16,)]
+        for other in others:
+            message = re.escape(f"{shape}") + ".*" + re.escape(f"{other}")
+            with pytest.raises(ValueError, match=message):
+                state.with_values(np.full(other, state.values.flat[0]))
+
+    @pytest.mark.parametrize("kind", sorted(VALUE_RULES))
+    @pytest.mark.parametrize("special", SPECIAL_VALUES, ids=repr)
+    @pytest.mark.parametrize("where", ["one-cell", "every-cell"])
+    def test_special_values_follow_the_value_rule(self, kind, special, where):
+        state = GRID_STATES[kind](0.0, 1.0)
+        values = np.full(8, special if where == "every-cell" else 1.0)
+        values[3] = special
+        expected = VALUE_RULES[kind](values)
+        assert admits(state.with_values, values) == expected
+        assert admits(lambda v: type(state)(0.0, 1.0, v), values) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(VALUE_RULES)),
+        values=st.lists(st.sampled_from(SPECIAL_VALUES) | st.floats(), max_size=6),
+    )
+    def test_random_values_follow_the_value_rule(self, kind, values):
+        values = np.array(values, dtype=float)
+        expected = VALUE_RULES[kind](values)
+        cls = type(GRID_STATES[kind](0.0, 1.0))
+        assert admits(lambda v: cls(-1.0, 2.0, v), values) == expected
+        if values.size >= 4:
+            state = cls(-1.0, 2.0, np.ones(values.size))
+            assert admits(state.with_values, values) == expected
+
+    @pytest.mark.parametrize("kind", ["density", "phase_field", "species"])
+    def test_values_are_read_only_copies_on_a_shared_grid(self, kind):
+        state = GRID_STATES[kind](0.0, 1.0)
+        given_values = 0.5 * state.values + 0.5 * state.values[..., ::-1]
+        parameters = (state.molar_volumes, state.frictions) if kind == "species" else ()
+        made = type(state)(0.0, 1.0, given_values, *parameters)
+        out = state.with_values(given_values)
+        for held in (made.values, out.values):
+            assert not held.flags.writeable
+            assert not np.shares_memory(held, given_values)
+            with pytest.raises(ValueError):
+                held[..., 0] = 1.0
+        assert_bitwise(out.values, made.values)
+        # the new state shares the grid, and a species state its molar
+        # volumes and frictions, by identity
+        assert type(out) is type(state) and list(vars(out)) == list(vars(state))
+        for key in vars(state):
+            assert key == "values" or vars(out)[key] is vars(state)[key]
+        if kind == "species":
+            assert out.molar_volumes is state.molar_volumes
+            assert out.frictions is state.frictions
+        alias = {"phase_field": "u", "species": "concentrations"}.get(kind, "values")
+        assert getattr(out, alias) is out.values
 
 
 class TestSharedEngine:
