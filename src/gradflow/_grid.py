@@ -51,6 +51,8 @@ def logarithmic_interface_mean(
     values: np.ndarray,
     *,
     logs: Optional[np.ndarray] = None,
+    diff: Optional[np.ndarray] = None,
+    quiet: Optional[bool] = None,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Logarithmic mean (b - a) / (log b - log a) at interior interfaces.
@@ -80,14 +82,19 @@ def logarithmic_interface_mean(
     the warnings are those of the fix-ups applied on every input.
 
     ``logs`` may pass ``np.log(values)`` when the caller already has it (a
-    time stepper that also needs log c for its energy); the result is the
-    same to the bit.  ``out`` receives the n-1 interface values in place of
-    a new array; it must not overlap ``values`` or ``logs``.
+    time stepper that also needs log c for its energy), ``diff`` the
+    differences ``values[..., 1:] - values[..., :-1]`` and ``quiet``
+    ``_quiet(values)`` (a stepper that also needs them for its flux and
+    Jacobian); the result is the same to the bit.  ``out`` receives the n-1
+    interface values in place of a new array; it must not overlap
+    ``values``, ``logs`` or ``diff``.
     """
     a = values[..., :-1]
     b = values[..., 1:]
-    diff = b - a
-    quiet = _quiet(values)
+    if diff is None:
+        diff = b - a
+    if quiet is None:
+        quiet = _quiet(values)
     with _UNGUARDED if quiet else np.errstate(divide="ignore", invalid="ignore"):
         if logs is None:
             logs = np.log(values)
@@ -107,7 +114,12 @@ def logarithmic_interface_mean(
     return out
 
 
-def logarithmic_mean_partials(values: np.ndarray) -> np.ndarray:
+def logarithmic_mean_partials(
+    values: np.ndarray,
+    *,
+    diff: Optional[np.ndarray] = None,
+    quiet: Optional[bool] = None,
+) -> np.ndarray:
     """Partial derivatives of the logarithmic mean L(a, b) at interior
     interfaces (a the left cell, b the right one), for positive fields: a
     (2, n-1) array with rows dL/da and dL/db.  Taken along the last axis, so
@@ -130,15 +142,21 @@ def logarithmic_mean_partials(values: np.ndarray) -> np.ndarray:
     Otherwise they are formed under it (a nearly equal pair gives 0 / 0),
     and each fix-up, log q where q < 1/2 and the limits of the nearly equal
     pairs, runs when some pair needs it.
+
+    ``diff`` and ``quiet`` may pass ``values[..., 1:] - values[..., :-1]``
+    and ``_quiet(values)``, as to :func:`logarithmic_interface_mean`; the
+    result is the same to the bit.
     """
     a = values[..., :-1]
     b = values[..., 1:]
-    diff = b - a
+    if diff is None:
+        diff = b - a
+    if quiet is None:
+        quiet = _quiet(values)
     r = diff / a
     q = b / a
     out = np.empty((2,) + diff.shape)
     d_left, d_right = out[0], out[1]
-    quiet = _quiet(values)
     if quiet:
         size = abs(r)  # q = 1 + r stays above 1/2 with room for rounding
         quiet = size.min() > _LOG_MEAN_APART and size.max() < 0.4

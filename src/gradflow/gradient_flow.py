@@ -51,8 +51,9 @@ the cells and grad V) are formed before the first step.  From step to step
 the backward-Euler residual carries the flux divergence of the last state
 it took: a step's first residual is at the state the previous step
 converged to, so a one-iteration step forms one flux, not two.  The reuse
-is keyed on the values, bitwise, and a march gives the same states as a
-loop of ``implicit_step``.  A grid free energy likewise keeps V at the
+is keyed on the identity of the values of the state the step last
+returned, and a march gives the same states as a loop of
+``implicit_step``.  A grid free energy likewise keeps V at the
 cells of the last grid it was evaluated on.
 """
 
@@ -69,6 +70,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from ._grid import (
+    _quiet,
     divergence_of_flux,
     interface_gradient,
     laplacian_neumann,
@@ -522,7 +524,7 @@ def _implicit_stepper(problem: FlowProblem, grid_state) -> Callable:
     the grid (and species parameters) of ``grid_state``, which every z must
     share."""
     energy, kind = problem.energy, problem.dissipation.kind
-    admissible = None
+    admissible = returned = None
     if energy.kind == "dirichlet_double_well":
         residual, jacobian, tol = _convex_splitting_system(problem, grid_state)
     else:
@@ -545,17 +547,23 @@ def _implicit_stepper(problem: FlowProblem, grid_state) -> Callable:
         return delta.reshape(x.shape[::-1]).T
 
     def step(z, dt: float):
+        nonlocal returned
         _check_time_step(dt)
         x0 = z.values
-        if admissible is not None and not admissible(x0):
+        # the values of the Wasserstein state step returned last were admitted
+        if admissible is not None and x0 is not returned and not admissible(x0):
             raise SingularWeightError("vacuum cell: the log-mean mobility is singular")
         x, _ = _newton_march(x0, dt, residual, newton_update, tol, admissible=admissible)
-        if x is x0:
-            return z
-        if kind == "hminus1":
-            # the means x.mean() takes, without its per-call overhead
-            x = x + (x0.sum() / x0.size - x.sum() / x.size)
-        return z.with_values(x)
+        if x is not x0:
+            if kind == "hminus1":
+                # the means x.mean() takes, without its per-call overhead
+                x = x + (x0.sum() / x0.size - x.sum() / x.size)
+            z = z.with_values(x)
+        if kind == "wasserstein":
+            # a copy of the admitted iterate of the last residual
+            returned = z.values
+            residual.hold(returned)
+        return z
 
     return step
 
@@ -589,18 +597,28 @@ def _backward_euler_system(problem: FlowProblem, z):
     h^2)), eta_min kappa times the smallest species friction (kappa for a
     Wasserstein flow).  Since F is convex, an exact step does not raise it.
 
-    The system makes its buffers once: the flux padded with its two zero
-    no-flux ends, the log mean, the divergence, a copy of the last c whose
-    fluxes they hold and the band, which each ``jacobian`` call fills and
-    returns (the next call overwrites it).  A Wasserstein residual on a
-    read-only array bitwise equal to that c takes div J from the buffers: a
-    march's step starts at the values of the state the previous step
-    converged to, where the previous step's last residual was taken (Newton
-    iterates are new, writable arrays and are not compared).  A species step
-    starts at the retracted state (``MultiSpeciesState.with_values``), never
-    at the last c, so its residual always forms the fluxes; its Jacobian,
-    taken at the c of the last residual, reads the log mean and the Fick
-    flux from the buffers.
+    The system makes its buffers once: the interface differences
+    c[1:] - c[:-1] and ``_quiet(c)`` (each formed once per c and passed to
+    both log-mean kernels), the flux padded with its two zero no-flux ends,
+    the log mean, the divergence and the band, which each ``jacobian`` call
+    fills and returns (the next call overwrites it).  Newton takes the
+    Jacobian at the c of the last residual, the same array unchanged, so
+    ``jacobian`` reads the differences, the quiet flag, the log mean and the
+    Fick flux from the buffers when c is that array, and forms them first
+    for any other c.
+
+    A residual takes div J from the buffers when c is the array last given
+    to ``residual.hold`` and forms the fluxes of any other c.  A march's
+    step starts at the values of the state the previous step converged to,
+    where the previous step's last residual was taken: the stepper of
+    :func:`implicit_step` passes ``hold`` the values of each Wasserstein
+    state it returns, a read-only copy of that c that no one writes
+    (``UniformGrid.with_values``), so its next step starts without forming
+    them again, and without the positivity check that c already passed as a
+    Newton iterate.  Any forming of the fluxes since drops the hold.  A
+    species step starts at the retracted state
+    (``MultiSpeciesState.with_values``), which differs from the last c, so
+    nothing holds it and its residual always forms the fluxes.
     """
     energy, diss = problem.energy, problem.dissipation
     rt, h, friction = energy.rt, z.h, diss.coefficient
@@ -621,14 +639,19 @@ def _backward_euler_system(problem: FlowProblem, z):
         grad_V = interface_gradient(energy.potential(z.centers), h)
     eta_min = friction * (float(z.frictions.min()) if species else 1.0)
 
+    # the log mean, and with it the differences' quiet flag, enters J only
+    # through a potential or a species constraint
+    uses_mean = species or grad_V is not None
     padded = np.zeros(shape[:-1] + (cells + 1,))
     flux = padded[..., 1:-1]
+    diff = np.empty(flux.shape)  # c[..., 1:] - c[..., :-1]
     # the Fick flux rt grad c / eta, kept apart from J for a species Jacobian
     fick_flux = np.empty(flux.shape) if species else flux
     mean = np.empty(flux.shape)  # L(c) / eta of a species, L(c) grad V otherwise
     div = np.empty(shape)
-    last_c = np.empty(shape)
-    formed = False
+    quiet = False
+    # the array of the last residual, and the read-only one last held
+    current = held = None
     # the band and, made once, its views that each (species i, species l)
     # block fills: block (k, k) gets interface k's left and interface k - 1's
     # right derivatives, blocks (k, k + 1) and (k + 1, k) one each; entry
@@ -645,45 +668,52 @@ def _backward_euler_system(problem: FlowProblem, z):
             ))
 
     def form(c):
-        """The fluxes of c and their divergence into the buffers."""
-        nonlocal formed
+        """The differences, fluxes and divergence of c into the buffers."""
+        nonlocal quiet, current, held
         # free_energy_flux(c, potential, rt, eta, h), with grad V formed once
         # (and the division by the Wasserstein kind's eta = 1 left out)
-        np.subtract(c[..., 1:], c[..., :-1], out=fick_flux)
-        np.divide(fick_flux, h, out=fick_flux)
+        np.subtract(c[..., 1:], c[..., :-1], out=diff)
+        np.divide(diff, h, out=fick_flux)
         np.multiply(fick_flux, rt, out=fick_flux)
+        if uses_mean:
+            quiet = _quiet(c)
+            logarithmic_interface_mean(c, diff=diff, quiet=quiet, out=mean)
         if species:
             np.divide(fick_flux, eta, out=fick_flux)
-            np.divide(logarithmic_interface_mean(c, out=mean), eta, out=mean)
+            np.divide(mean, eta, out=mean)
             flux[...] = _volume_constrained(fick_flux, mean, alpha, h, pressure)
         elif grad_V is not None:
-            np.multiply(logarithmic_interface_mean(c, out=mean), grad_V, out=mean)
+            np.multiply(mean, grad_V, out=mean)
             np.add(flux, mean, out=flux)
         np.subtract(padded[..., 1:], padded[..., :-1], out=div)
         np.divide(div, h, out=div)
-        np.copyto(last_c, c)
-        formed = True
-
-    def holds(c):
-        """Whether the buffers hold the fluxes of c."""
-        return formed and (last_c == c).all()
+        current, held = c, None
 
     def residual(c, c_prev, dt):
-        # of the arrays a march passes, only a step's start, the read-only
-        # values of a state, can repeat the last c
-        if species or c.flags.writeable or not holds(c):
+        nonlocal current
+        if c is not held:
             form(c)
+        current = c
         return c - c_prev - dt / friction * div
+
+    def hold(values):
+        """Record that the buffers hold the fluxes of ``values``: the
+        read-only values of a Wasserstein state made from the c of the last
+        residual."""
+        nonlocal held
+        held = values
+
+    residual.hold = hold
 
     def jacobian(c, dt):
         scale = dt / friction / h
+        if uses_mean and c is not current:
+            form(c)
         if species:
-            if not holds(c):
-                form(c)
             # d_i at each interface's left and right cell: (2, m, cells - 1)
             total = np.sum(alpha * alpha * mean, axis=0)
             mult = np.sum(alpha * fick_flux, axis=0) / total
-            d = fick - alpha * logarithmic_mean_partials(c) / eta * mult
+            d = fick - alpha * logarithmic_mean_partials(c, diff=diff, quiet=quiet) / eta * mult
             blocks = -(alpha * mean / total)[:, None] * (alpha * d)[:, None]
             blocks[:, idx, idx] += d
             blocks *= scale
@@ -691,7 +721,7 @@ def _backward_euler_system(problem: FlowProblem, z):
         elif grad_V is None:
             blocks = scale * fick[:, :, None]
         else:
-            d = logarithmic_mean_partials(c)
+            d = logarithmic_mean_partials(c, diff=diff, quiet=quiet)
             d *= grad_V
             d += fick[:, 0]
             d *= scale
@@ -928,7 +958,7 @@ def _newton_march(x0, dt, residual, newton_update, tol, *, admissible=None):
             norm = np.abs(r).max()
             if norm <= bound:
                 return x, iters
-            if iters == MAX_NEWTON or not np.isfinite(norm):
+            if iters == MAX_NEWTON or not math.isfinite(norm):
                 return None
             delta = newton_update(x, r, dt)
             t = 1.0

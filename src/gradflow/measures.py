@@ -346,14 +346,41 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _row_template(kinds: tuple):
+    """The ``%`` template of a row whose cells have the types ``kinds``,
+    ``%d`` for an integer and ``%.17g`` for a float, which format each cell
+    as :func:`_cell` does; None when some cell is a bool or of another
+    type."""
+    formats = []
+    for kind in kinds:
+        if issubclass(kind, (bool, np.bool_)):
+            return None
+        if issubclass(kind, (int, np.integer)):
+            formats.append("%d")
+        elif issubclass(kind, (float, np.floating)):
+            formats.append("%.17g")
+        else:
+            return None
+    return ",".join(formats) + "\n"
+
+
 def write_table(path, header, rows) -> None:
     """CSV with a header row and LF line ends; floats to 17 significant
     digits (they read back bitwise), integers as integers, bools as
-    ``true``/``false``, anything else through ``str``."""
+    ``true``/``false``, anything else through ``str``.
+
+    A row of integers and floats alone is formatted by one ``%`` template,
+    made once per tuple of cell types; any other row cell by cell."""
+    templates = {}
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+            row = tuple(row)
+            kinds = tuple(map(type, row))
+            template = templates.get(kinds, False)
+            if template is False:
+                template = templates[kinds] = _row_template(kinds)
+            fh.write(template % row if template else ",".join(map(_cell, row)) + "\n")
 
 
 def write_json(path, obj) -> None:

@@ -117,7 +117,8 @@ class PhaseFieldState(UniformGrid):
         return u
 
     def mean(self) -> float:
-        return float(self.values.mean())
+        # the mean values.mean() takes, without its per-call overhead
+        return float(self.values.sum() / self.values.size)
 
 
 @dataclass(frozen=True)

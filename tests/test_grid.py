@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 from gradflow._grid import (
     _LOG_MEAN_APART,
     LOG_MEAN_NEAR,
+    _quiet,
     logarithmic_interface_mean,
     logarithmic_mean_partials,
     pair_potential,
@@ -187,9 +188,32 @@ def recorded(f, *args, **kwargs):
     return result, [(w.category, str(w.message)) for w in caught]
 
 
+def assert_buffered_as_plain(values):
+    """Both kernels given the differences and the quiet flag (the log mean
+    also into out=), as the backward-Euler system passes them, equal the
+    plain calls to the bit, with the plain calls' warnings less those of the
+    differences, in order."""
+    diff, diff_warned = recorded(np.subtract, values[..., 1:], values[..., :-1])
+    quiet, kept = _quiet(values), diff.tobytes()
+    for kernel, out in (
+        (logarithmic_interface_mean, None),
+        (logarithmic_interface_mean, np.empty(diff.shape)),
+        (logarithmic_mean_partials, None),
+    ):
+        want, want_warned = recorded(kernel, values)
+        kwargs = {} if out is None else {"out": out}
+        got, got_warned = recorded(kernel, values, diff=diff, quiet=quiet, **kwargs)
+        assert diff_warned + got_warned == want_warned
+        assert out is None or got is out
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert diff.tobytes() == kept
+
+
 def assert_as_oracle(values):
     """Values, dtype, shape and warnings of both kernels, the log mean also
-    with logs= and out=, equal to the masked formulas' to the bit."""
+    with logs= and out=, equal to the masked formulas' to the bit, and
+    those of the buffered calls equal to the plain ones'."""
     for kernel, oracle in (
         (logarithmic_interface_mean, masked_log_mean),
         (logarithmic_mean_partials, masked_partials),
@@ -205,6 +229,7 @@ def assert_as_oracle(values):
     want, want_warned = recorded(masked_log_mean, values, logs=logs, out=want_out)
     assert got is out and got_warned == want_warned
     assert got.tobytes() == want.tobytes()
+    assert_buffered_as_plain(values)
 
 
 SPECIAL = (

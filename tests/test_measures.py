@@ -15,6 +15,7 @@ from gradflow.measures import (
     write_grid_csv,
     write_table,
 )
+from gradflow.measures import _cell
 
 
 def measure_on_line(weights):
@@ -328,3 +329,24 @@ class TestWriteTable:
         assert path.read_bytes() == f"label,value\nrow,{text}\nagain,{text}\n".encode()
         if isinstance(cell, (float, np.floating)):
             assert float(text) == cell
+
+    def test_rows_match_the_cell_format(self, tmp_path):
+        # rows of integers and floats alone take one template per tuple of
+        # types, any other row the cell format; columns change type from row
+        # to row
+        floats = [np.float64(x) for x in (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1)]
+        floats += [np.float32(0.1), np.float32(-math.inf), np.float32(math.nan), 1.0 / 3.0, -0.0, 1e308]
+        ints = [0, -7, 2**63 + 5, -(2**70), np.int64(-42), np.int64(2**62), np.int32(9), np.uint64(2**64 - 1)]
+        others = [True, False, np.bool_(True), np.bool_(False), "global", None]
+        cells = floats + ints + others
+        rng = np.random.default_rng(4)
+        rows = [
+            tuple(cells[i] for i in rng.integers(len(cells), size=size))
+            for size in rng.integers(0, 6, 519)
+        ]
+        rows += [(1, 0.5), (1, 2), (True, 2), (1, np.bool_(False)), (1, "x"), (1, None), (1, 0.5), ()]
+        rows += [[np.int64(3), np.float32(2.5)], np.array([1.5, -0.0, math.inf])]
+        path = tmp_path / "table.csv"
+        write_table(path, ["a", "b"], rows)
+        expected = "a,b\n" + "".join(",".join(_cell(v) for v in row) + "\n" for row in rows)
+        assert path.read_bytes() == expected.encode()

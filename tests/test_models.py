@@ -868,6 +868,14 @@ class TestConvexSplittingOracle:
         return dts
 
 
+def test_phase_field_mean_is_values_mean_bitwise():
+    rng = np.random.default_rng(11)
+    for cells in (4, 5, 17, 64, 255, 1000, 4099):
+        for scale in (1e-300, 1.0, 1e300):
+            state = PhaseFieldState(0.0, 1.0, scale * rng.normal(size=cells) + scale * rng.uniform())
+            assert_bitwise(state.mean(), state.values.mean())
+
+
 def mixture_energy(state, constants):
     return EnergyFunctional.grid_free_energy(rt=constants.RT, c0=constants.c0).value(state)
 
@@ -1184,6 +1192,37 @@ class TestImplicitMarch:
             EnergyFunctional.dirichlet_double_well(well), QuadraticDissipation(kind, 1.0 / mobility)
         )
         self.check(traj, problem, state, dt)
+
+    def test_fokker_planck_march_that_halves_dt(self, monkeypatch):
+        # one Newton iteration does not reach the tolerance, so every step is
+        # covered by halves: a step starts at the state the previous one
+        # returned, its whole-dt solve fails after forming the flux of its
+        # iterate, and its halves start again at that state
+        monkeypatch.setattr(gradient_flow, "MAX_NEWTON", 1)
+        dts = []
+        system = gradient_flow._backward_euler_system
+
+        def recorded_system(problem, z):
+            residual, jacobian, tol = system(problem, z)
+
+            def recorded_tol(c_prev, dt):
+                dts.append(dt)
+                return tol(c_prev, dt)
+
+            return residual, jacobian, recorded_tol
+
+        monkeypatch.setattr(gradient_flow, "_backward_euler_system", recorded_system)
+        constants = PhysicalConstants.with_rt(0.7, eta=1.6)
+        grid = GridDensity1D(0.0, 5.0, np.ones(60))
+        c0 = grid.with_values(1.0 + 0.2 * np.cos(np.pi * grid.centers / 5.0))
+        V, dt = lambda x: 0.8 * x, 0.1
+        traj = fokker_planck_solve(c0, constants, V, 10 * dt, dt, store_every=1, scheme="implicit")
+        assert dts.count(dt) == 10 and 0.5 * dt in dts[dts.index(dt, 1):]
+        problem = FlowProblem(
+            EnergyFunctional.grid_free_energy(rt=constants.RT, potential=V, c0=constants.c0),
+            QuadraticDissipation("wasserstein", constants.eta),
+        )
+        self.check(traj, problem, c0, dt)
 
     def test_boltzmann_start_is_returned_as_it_is(self):
         grid = GridDensity1D(0.0, 5.0, np.ones(50))
